@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Configuration, Density, DimensionError, DiscreteMeasure, SizeError
 from .transport import BOUNDED_L1, _transport_lp, w1_config, w1_discrete
-from .kacsphere import marginal_gauss_l1
+from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
     "ChaosEstimate",
@@ -68,11 +68,8 @@ def iid_sampler(f: Density):
 
 
 def sigma_sampler():
-    """Uniform sphere law: standard normals radially projected."""
-    def draw(N: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(N)
-        return z * (math.sqrt(N) / np.linalg.norm(z))
-    return draw
+    """Uniform sphere law, one row of ``kacsphere.sample_sigma``."""
+    return lambda N, rng: sample_sigma(N, 1, rng)[0]
 
 
 def mixture_sampler(components, weights):
@@ -89,28 +86,10 @@ def _fixed_reference(f: Density, M: int, master_seed: int) -> np.ndarray:
     return f.sampler(np.random.default_rng(master_seed), M)
 
 
-def _empirical_w1(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact W1, truncated cost, between two uniform empirical measures.
-
-    Unequal sizes are handled by atom replication when one size divides
-    the other (the LP optimum is invariant under it), the general LP
-    otherwise.
-    """
-    from scipy.optimize import linear_sum_assignment
-    n, m = len(x), len(y)
-    if m % n == 0 and m != n:
-        x = np.repeat(x, m // n)
-        n = m
-    elif n % m == 0 and n != m:
-        y = np.repeat(y, n // m)
-        m = n
-    if n == m:
-        costs = np.minimum(np.abs(x[:, None] - y[None, :]), 1.0)
-        rows, cols = linear_sum_assignment(costs)
-        return float(costs[rows, cols].mean())
-    mu = DiscreteMeasure(1, x[:, None], np.full(n, 1.0 / n))
-    nu = DiscreteMeasure(1, y[:, None], np.full(m, 1.0 / m))
-    return w1_discrete(mu, nu, BOUNDED_L1).cost
+def _sorted_coupling_cost(x: np.ndarray, y: np.ndarray) -> float:
+    """Truncated cost of the monotone coupling of two equal-size samples,
+    an upper bound on their transport distance."""
+    return float(np.minimum(np.abs(np.sort(x) - np.sort(y)), 1.0).mean())
 
 
 def omega_inf(sampler, f: Density, N: int, mc_reps: int, M: int | None = None,
@@ -126,10 +105,23 @@ def omega_inf(sampler, f: Density, N: int, mc_reps: int, M: int | None = None,
     rng = rng if rng is not None else np.random.default_rng(0)
     M = M if M is not None else 4 * N
     ref = np.sort(_fixed_reference(f, M, master_seed))
+    # replicating atoms leaves the optimum unchanged, so when one size
+    # divides the other both sides become equal-size configurations
+    size = max(N, M)
+    replicate = size % min(N, M) == 0
+    if replicate:
+        Y = Configuration(1, size, np.repeat(ref, size // M))
+    else:
+        nu = DiscreteMeasure(1, ref[:, None], np.full(M, 1.0 / M))
     vals = np.empty(mc_reps)
     for r in range(mc_reps):
         x = sampler(N, rng)
-        vals[r] = _empirical_w1(x, ref)
+        if replicate:
+            X = Configuration(1, size, np.repeat(x, size // N))
+            vals[r] = w1_config(X, Y)[0]
+        else:
+            mu = DiscreteMeasure(1, x[:, None], np.full(N, 1.0 / N))
+            vals[r] = w1_discrete(mu, nu, BOUNDED_L1).cost
     return ChaosEstimate("omega_inf", N, mc_reps, float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(mc_reps)), M,
                          upper_bound=False, method="mc_reference",
@@ -182,8 +174,7 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
 
     def value_of(a, b):
         if j == 1:
-            return float(np.minimum(
-                np.abs(np.sort(a[:, 0]) - np.sort(b[:, 0])), 1.0).mean())
+            return _sorted_coupling_cost(a[:, 0], b[:, 0])
         mu = DiscreteMeasure(j, a, np.full(len(a), 1.0 / len(a)))
         nu = DiscreteMeasure(j, b, np.full(len(b), 1.0 / len(b)))
         return w1_discrete(mu, nu, BOUNDED_L1).cost
@@ -359,7 +350,7 @@ def omega1_counterexample(g: Density, h: Density, Ns, rng: np.random.Generator,
         comp = rng.integers(0, 2, size=pool1).astype(bool)
         x1 = np.where(comp, g.sampler(rng, pool1), h.sampler(rng, pool1))
         y1 = ref1(pool1, rng)
-        om1 = float(np.minimum(np.abs(np.sort(x1) - np.sort(y1)), 1.0).mean())
+        om1 = _sorted_coupling_cost(x1, y1)
 
         pool = np.empty((pool2, 2))
         for r in range(pool2):

@@ -20,15 +20,9 @@ import sys
 from .core import bimodal_density, gaussian_density
 from .experiments import (EXPERIMENTS, ExperimentConfig, ExperimentResult,
                           run_experiment, sphere_table, _rate_ks)
-from .kacsphere import CACHE_ENV_VAR, cache_path
+from .kacsphere import cache_path, cache_root
 
 _USAGE_ERROR = 2
-
-
-def _cache_root() -> str:
-    return os.environ.get(CACHE_ENV_VAR,
-                          os.path.join(os.path.expanduser("~"), ".cache",
-                                       "kaclab"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=float)
     run.add_argument("--output", help="output path stem")
     run.add_argument("--format", choices=["csv", "json"])
-    run.add_argument("--threads", type=int)
 
     sub.add_parser("list", help="list experiments and the claims they probe")
 
@@ -73,7 +66,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig(**base)
     cfg.experiment = args.name
     for key in ("density", "mc_reps", "reference_size", "seed", "s", "k",
-                "output", "format", "threads"):
+                "output", "format"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -144,7 +137,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_cache(args) -> int:
-    root = _cache_root()
+    root = cache_root()
     if args.action == "clear":
         if os.path.isdir(root):
             shutil.rmtree(root)

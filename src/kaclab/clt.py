@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import czt
 
-from .core import (DimensionError, GridDensity, KaclabError, RateReport,
-                   loglog_fit)
+from .core import (DimensionError, GridDensity, GridFunction, KaclabError,
+                   RateReport, loglog_fit, spectrum_power)
 
 __all__ = [
     "CltIterate",
@@ -37,29 +37,16 @@ _CF_NOISE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class CltIterate:
-    """Signed renormalized density values of one convolution iterate."""
+class CltIterate(GridFunction):
+    """Signed renormalized density values of one convolution iterate.
 
-    half_width: float
-    n_points: int
-    values: np.ndarray          # signed; h * sum(values) = 1
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.n_points
-
-    @property
-    def xs(self) -> np.ndarray:
-        return -self.half_width + self.spacing * np.arange(self.n_points)
+    h * sum(values) = 1; negative lobes are kept.
+    """
 
     def to_grid_density(self) -> GridDensity:
         """Clamped nonnegative view (display only)."""
         return GridDensity(self.half_width, self.n_points,
                            np.maximum(self.values, 0.0))
-
-    def variance(self) -> float:
-        m = float(np.sum(self.xs * self.values) * self.spacing)
-        return float(np.sum((self.xs - m) ** 2 * self.values) * self.spacing)
 
 
 @dataclass(frozen=True)
@@ -90,18 +77,6 @@ def _cf_on_lattice(g: GridDensity, ts: np.ndarray) -> np.ndarray:
     pre = g.values * np.exp(-1j * t0 * h * np.arange(g.n_points))
     vals = czt(pre, m=len(ts), w=np.exp(-1j * dt * h))
     return h * np.exp(-1j * ts * x0) * vals
-
-
-def _cpow(base: np.ndarray, n: int) -> np.ndarray:
-    """Binary exponentiation of a complex spectrum."""
-    result = np.ones_like(base)
-    b = base.copy()
-    while n:
-        if n & 1:
-            result = result * b
-        b = b * b
-        n >>= 1
-    return result
 
 
 def gauss_on(xs: np.ndarray) -> np.ndarray:
@@ -138,13 +113,13 @@ def iterate_clt(g: GridDensity, N: int) -> CltIterate:
     spec = np.fft.rfft(buf)
     cf = h * spec                                  # cf on xi_k = 2 pi k/(p h)
     n_edge = max(4, len(cf) // 50)
-    edge = float(np.max(np.abs(_cpow(cf[-n_edge:], N))))
+    edge = float(np.max(np.abs(spectrum_power(cf[-n_edge:], N))))
     if edge > _ALIAS_TOL:
         raise KaclabError(
             f"aliasing check failed at N={N}: powered spectrum level "
             f"{edge:.2e} at the Nyquist edge exceeds {_ALIAS_TOL}; use a "
             f"finer grid")
-    conv = np.fft.irfft(spec * _cpow(cf, N - 1), n=p)
+    conv = np.fft.irfft(spec * spectrum_power(cf, N - 1), n=p)
     conv = np.concatenate([conv[p // 2:], conv[:p // 2]])
     xs_conv = h * (np.arange(p) - p // 2)
     return _rescaled(conv, xs_conv, g, N)
@@ -162,13 +137,9 @@ def iterate_clt_realspace(g: GridDensity, N: int) -> CltIterate:
     return _rescaled(conv, xs_conv, g, N)
 
 
-def sup_error(gN) -> float:
+def sup_error(gN: GridFunction) -> float:
     """Max absolute (signed) deviation from the standard Gaussian."""
-    if isinstance(gN, GridDensity):
-        values, xs = gN.values, gN.xs
-    else:
-        values, xs = gN.values, gN.xs
-    return float(np.max(np.abs(values - gauss_on(xs))))
+    return float(np.max(np.abs(gN.values - gauss_on(gN.xs))))
 
 
 def char_fn_bounds_check(g: GridDensity) -> tuple[float, float]:

@@ -29,12 +29,15 @@ __all__ = [
     "Configuration",
     "DiscreteMeasure",
     "Density",
+    "Grid",
+    "GridFunction",
     "GridDensity",
     "ProductGridDensity",
     "RateReport",
     "make_empirical",
     "loglog_fit",
     "gauss_quadrature",
+    "spectrum_power",
     "gaussian_density",
     "uniform_density",
     "bimodal_density",
@@ -236,16 +239,42 @@ class Density:
 
 
 @dataclass(frozen=True)
-class GridDensity:
-    """Density values on the uniform grid x_j = -L + j h, h = 2L/M.
-
-    M must be a power of two. Values are renormalized to unit mass on
-    construction; ``h * sum(values)`` is then 1 to machine precision.
-    """
+class Grid:
+    """The uniform grid x_j = -L + j h, h = 2L/M, j = 0 .. M-1."""
 
     half_width: float
     n_points: int
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * self.half_width / self.n_points
+
+    @property
+    def xs(self) -> np.ndarray:
+        return -self.half_width + self.spacing * np.arange(self.n_points)
+
+
+@dataclass(frozen=True)
+class GridFunction(Grid):
+    """Signed values of a 1-D function on a ``Grid``."""
+
     values: np.ndarray
+
+    def mean(self) -> float:
+        return float(np.sum(self.xs * self.values) * self.spacing)
+
+    def variance(self) -> float:
+        m = self.mean()
+        return float(np.sum((self.xs - m) ** 2 * self.values) * self.spacing)
+
+
+@dataclass(frozen=True)
+class GridDensity(GridFunction):
+    """Density values on a ``Grid``; M must be a power of two.
+
+    Values are renormalized to unit mass on construction; ``h *
+    sum(values)`` is then 1 to machine precision.
+    """
 
     def __post_init__(self):
         if self.n_points & (self.n_points - 1) or self.n_points <= 0:
@@ -261,21 +290,6 @@ class GridDensity:
             raise DimensionError("grid density has no mass")
         object.__setattr__(self, "values", vals / mass)
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.n_points
-
-    @property
-    def xs(self) -> np.ndarray:
-        return -self.half_width + self.spacing * np.arange(self.n_points)
-
-    def mean(self) -> float:
-        return float(np.sum(self.xs * self.values) * self.spacing)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.sum((self.xs - m) ** 2 * self.values) * self.spacing)
-
     def standardized(self) -> "GridDensity":
         """Rescale to mean 0, variance 1 (resampled on the same grid)."""
         m, sd = self.mean(), math.sqrt(self.variance())
@@ -286,16 +300,14 @@ class GridDensity:
     @classmethod
     def from_density(cls, f: Density, half_width: float,
                      n_points: int) -> "GridDensity":
-        xs = -half_width + (2 * half_width / n_points) * np.arange(n_points)
+        xs = Grid(half_width, n_points).xs
         return cls(half_width, n_points, np.maximum(f.pdf(xs), 0.0))
 
 
 @dataclass(frozen=True)
-class ProductGridDensity:
-    """Two-variable density on the product of a 1-D grid with itself."""
+class ProductGridDensity(Grid):
+    """Two-variable density on the product of a ``Grid`` with itself."""
 
-    half_width: float
-    n_points: int
     values: np.ndarray          # (M, M)
 
     def __post_init__(self):
@@ -307,14 +319,6 @@ class ProductGridDensity:
         if mass <= 0:
             raise DimensionError("grid density has no mass")
         object.__setattr__(self, "values", vals / mass)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.n_points
-
-    @property
-    def xs(self) -> np.ndarray:
-        return -self.half_width + self.spacing * np.arange(self.n_points)
 
     def marginal(self, axis: int = 0) -> GridDensity:
         vals = self.values.sum(axis=1 - axis) * self.spacing
@@ -402,6 +406,22 @@ def gauss_quadrature(f: Callable, a: float, b: float, tol: float = 1e-10,
     if err > max(tol, abs(val) * tol) * 10:
         raise QuadratureError("quadrature did not reach tolerance", val, err)
     return val
+
+
+def spectrum_power(base: np.ndarray, n: int) -> np.ndarray:
+    """base ** n for n >= 1 by binary exponentiation, elementwise.
+
+    May return ``base`` itself (n = 1); callers must not write into the
+    result.
+    """
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import chaos, clt, information, kacsphere, mixtures, sobolev, transport
 from .core import (Configuration, Density, DiscreteMeasure, GridDensity,
-                   ProductGridDensity, bimodal_density, gaussian_density,
-                   loglog_fit, uniform_density)
+                   KaclabError, ProductGridDensity, bimodal_density,
+                   gaussian_density, loglog_fit, uniform_density)
 
 __all__ = [
     "ExperimentConfig",
@@ -45,7 +44,6 @@ class ExperimentConfig:
     k: float = 4.0
     output: str | None = None
     format: str = "csv"
-    threads: int = 1
 
     def rng(self, salt: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
@@ -90,13 +88,6 @@ def resolve_density(name: str) -> Density:
     raise ValueError(f"unknown density {name!r}")
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # partition-table cache (in-process memo plus binary disk cache)
 # ---------------------------------------------------------------------------
@@ -104,26 +95,27 @@ def _pmap(fn, items, threads: int):
 _TABLE_MEMO: dict = {}
 
 
-def sphere_table(f: Density, max_N: int, ks, du: float = 0.004,
-                 use_disk: bool = True) -> kacsphere.PartitionTable:
+def sphere_table(f: Density, max_N: int, ks,
+                 du: float = 0.004) -> kacsphere.PartitionTable:
+    """The table for (f, max_N, ks, du): from memory, else from the disk
+    cache, else built and saved; an unreadable cache file is rebuilt."""
     key = (f.name, max_N, tuple(sorted(set(int(k) for k in ks))), du)
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
     path = kacsphere.cache_path(f.name, max_N, du, ks)
-    if use_disk and os.path.exists(path):
+    if os.path.exists(path):
         try:
             table = kacsphere.load_table(path)
             if (table.density_name, table.max_N) == (f.name, max_N):
                 _TABLE_MEMO[key] = table
                 return table
-        except Exception:
+        except (OSError, KaclabError):
             pass
     table = kacsphere.build_partition_table(f, max_N, ks=key[2], du=du)
-    if use_disk:
-        try:
-            kacsphere.save_table(table, path)
-        except OSError:
-            pass
+    try:
+        kacsphere.save_table(table, path)
+    except OSError:
+        pass
     _TABLE_MEMO[key] = table
     return table
 
@@ -307,7 +299,7 @@ def run_kernel_oracles(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_poincare(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult("poincare-rate")
-    t_start = time.time()
+    t_start = time.perf_counter()
     reps = cfg.mc_reps or 200
     ns = cfg.ns or [16, 32, 64, 128, 256, 512]
 
@@ -321,11 +313,8 @@ def run_poincare(cfg: ExperimentConfig) -> ExperimentResult:
     res.check("marginal L1 distance <= 8/(N-4) for N in 8..256",
               not viol, f"violations at N = {viol[:8]}")
 
-    def one(N):
-        rng = cfg.rng(300 + N)
-        return kacsphere.radial_projection_cost(N, reps, rng)
-
-    stats = _pmap(one, ns, cfg.threads)
+    stats = [kacsphere.radial_projection_cost(N, reps, cfg.rng(300 + N))
+             for N in ns]
     vals = [v for v, _ in stats]
     for N, (v, se) in zip(ns, stats):
         res.add_row(N, "radial_projection_l1", v, se)
@@ -346,7 +335,7 @@ def run_poincare(cfg: ExperimentConfig) -> ExperimentResult:
     res.fits["omega_N_coupled_slope"] = cfit.fitted_slope
     res.check("coupled full-space bound decays with slope <= -0.35",
               cfit.fitted_slope <= -0.35, f"slope = {cfit.fitted_slope:.3f}")
-    elapsed = time.time() - t_start
+    elapsed = time.perf_counter() - t_start
     res.check("suite runtime within the three-minute budget",
               elapsed <= 180.0, f"{elapsed:.1f}s")
     return res
@@ -545,11 +534,10 @@ def run_information(cfg: ExperimentConfig) -> ExperimentResult:
     lhs2, _ = information.fisher_superadditivity_grid(pg)
     i1 = information.fisher(gf).value
     tens_err = max(abs(e2 - e1), abs(lhs2 / 2.0 - i1))
-    xs = gf.values
-    e3 = float((np.einsum("i,j,k->", information._xlogx(xs), xs, xs)
-                + np.einsum("i,j,k->", xs, information._xlogx(xs), xs)
-                + np.einsum("i,j,k->", xs, xs, information._xlogx(xs)))
-               * gf.spacing ** 3) / 3.0
+    # H(f x f x f) / 3 for the third tensor power, as a product of sums
+    p = gf.values
+    e3 = float(np.sum(information._xlogx(p)) * np.sum(p) ** 2
+               * gf.spacing ** 3)
     tens_err = max(tens_err, abs(e3 - e1))
     res.add_row(0, "tensorization_max_err", tens_err)
     res.check("entropy/fisher tensorization equalities (1e-6)",
@@ -747,8 +735,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.experiment not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {cfg.experiment!r}")
     fn, _ = EXPERIMENTS[cfg.experiment]
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = fn(cfg)
-    result.elapsed = time.time() - t0
+    result.elapsed = time.perf_counter() - t0
     result.config = asdict(cfg)
     return result

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (Density, DimensionError, HypothesisError, KaclabError,
-                   gauss_quadrature)
+                   gauss_quadrature, spectrum_power)
 
 __all__ = [
     "SphereConfig",
@@ -50,6 +50,7 @@ __all__ = [
     "fisher_chaos_terms",
     "save_table",
     "load_table",
+    "cache_root",
     "cache_path",
     "CACHE_ENV_VAR",
 ]
@@ -290,22 +291,12 @@ def build_partition_table(f: Density, max_N: int, ks=None, du: float = 0.004,
     p[:m] = _u_cell_masses(f, edges)
     spectrum = np.fft.rfft(p)
 
-    def power(base, n):
-        result = None
-        b = base
-        while n:
-            if n & 1:
-                result = b if result is None else result * b
-            b = b * b
-            n >>= 1
-        return result
-
     windows = {}
     cur = None
     cur_k = 0
     for k in ks:
         step = k - cur_k
-        block = power(spectrum, step)
+        block = spectrum_power(spectrum, step)
         cur = block if cur is None else cur * block
         cur_k = k
         dens = np.fft.irfft(cur, n=2 * m)[:m]
@@ -558,27 +549,51 @@ def save_table(table: PartitionTable, path: str):
 
 
 def load_table(path: str) -> PartitionTable:
+    """Read a table written by ``save_table``.
+
+    Raises ``KaclabError`` when the file is not a complete table: a wrong
+    magic, a malformed header, a window shorter than its header length or
+    bytes after the last window.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise KaclabError(f"{path} is not a partition table cache")
         n = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(n).decode())
+        try:
+            header = json.loads(fh.read(n).decode())
+            ks = [int(k) for k in header["ks"]]
+            starts = [int(s) for s in header["starts"]]
+            lengths = [int(m) for m in header["lengths"]]
+            scalars = [float(header[key])
+                       for key in ("du", "u_max", "E", "Sigma")]
+            name, max_N = str(header["density_name"]), int(header["max_N"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise KaclabError(f"{path}: malformed header ({exc!r})") from exc
+        if not len(ks) == len(starts) == len(lengths):
+            raise KaclabError(f"{path}: malformed header (window lists)")
         windows = {}
-        for k, start, length in zip(header["ks"], header["starts"],
-                                    header["lengths"]):
-            arr = np.frombuffer(fh.read(8 * length), dtype="<f8").copy()
-            windows[int(k)] = (int(start), arr)
-    return PartitionTable(header["density_name"], int(header["max_N"]),
-                          float(header["du"]), float(header["u_max"]),
-                          float(header["E"]), float(header["Sigma"]),
-                          tuple(int(k) for k in header["ks"]), windows)
+        for k, start, length in zip(ks, starts, lengths):
+            raw = fh.read(8 * length)
+            if len(raw) != 8 * length:
+                raise KaclabError(f"{path}: window k={k} has {len(raw)} of "
+                                  f"{8 * length} bytes")
+            windows[k] = (start, np.frombuffer(raw, dtype="<f8").copy())
+        if fh.read(1):
+            raise KaclabError(f"{path}: bytes after the last window")
+    return PartitionTable(name, max_N, *scalars, tuple(ks), windows)
+
+
+def cache_root() -> str:
+    """The partition-table cache directory: ``$KACLAB_CACHE_DIR``, else
+    ``~/.cache/kaclab``."""
+    return os.environ.get(CACHE_ENV_VAR,
+                          os.path.join(os.path.expanduser("~"), ".cache",
+                                       "kaclab"))
 
 
 def cache_path(density_name: str, max_N: int, du: float, ks) -> str:
     import hashlib
-    root = os.environ.get(CACHE_ENV_VAR,
-                          os.path.join(os.path.expanduser("~"), ".cache",
-                                       "kaclab"))
+    root = cache_root()
     os.makedirs(root, exist_ok=True)
     key = hashlib.sha256(
         f"{density_name}|{max_N}|{du}|{sorted(set(int(k) for k in ks))}"

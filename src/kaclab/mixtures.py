@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import (Density, DimensionError, GridDensity, ProductGridDensity,
-                   RateReport, loglog_fit)
+from .core import (Density, DimensionError, Grid, GridDensity,
+                   ProductGridDensity, RateReport, loglog_fit)
 from .information import entropy, fisher
 from .sobolev import HsKernel, phi_s
 
@@ -74,7 +74,7 @@ def mixture_marginal(pi: Mixture, j: int, half_width: float | None = None,
     if j < 1:
         raise DimensionError("j must be positive")
     L, M = _common_grid(pi, half_width, n_points)
-    xs = -L + (2 * L / M) * np.arange(M)
+    xs = Grid(L, M).xs
     if j == 1:
         vals = sum(a * f.pdf(xs) for a, f in pi.atoms)
         return GridDensity(L, M, vals)

@@ -86,11 +86,10 @@ class TransportPlan:
 def _particle_costs(px: np.ndarray, py: np.ndarray, d: int,
                     spec: CostSpec) -> np.ndarray:
     """Per-particle ground costs between two (n, d)-blocks, broadcast (n, m)."""
-    diff = px[:, None, :] - py[None, :, :]
     if d == 1:
-        dist = np.abs(diff[..., 0])
+        dist = np.abs(px[:, 0, None] - py[None, :, 0])
     else:
-        dist = np.sqrt(np.sum(diff ** 2, axis=-1))
+        dist = np.sqrt(np.sum((px[:, None, :] - py[None, :, :]) ** 2, axis=-1))
     if spec.kind == "bounded_l1":
         return np.minimum(dist, spec.truncation)
     return dist ** 2
@@ -121,29 +120,8 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return total / j
 
 
-def _canonical_permutation(costs: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Lowest-index tie-break: cost-neutral pair swaps toward lexicographic order."""
-    perm = perm.copy()
-    n = len(perm)
-    changed = True
-    sweeps = 0
-    while changed and sweeps < n:
-        changed = False
-        sweeps += 1
-        for i in range(n - 1):
-            for k in range(i + 1, n):
-                if perm[i] > perm[k]:
-                    old = costs[i, perm[i]] + costs[k, perm[k]]
-                    new = costs[i, perm[k]] + costs[k, perm[i]]
-                    if new <= old + 1e-15:
-                        perm[i], perm[k] = perm[k], perm[i]
-                        changed = True
-    return perm
-
-
 def w1_config(X: Configuration, Y: Configuration,
-              spec: CostSpec = BOUNDED_L1,
-              canonical_ties: bool = False) -> tuple[float, np.ndarray]:
+              spec: CostSpec = BOUNDED_L1) -> tuple[float, np.ndarray]:
     """Minimum over particle relabelings of the normalized cost.
 
     Solved exactly by min-cost assignment; equals the transport distance
@@ -158,8 +136,6 @@ def w1_config(X: Configuration, Y: Configuration,
     costs = _particle_costs(X.particles, Y.particles, X.d, spec)
     rows, cols = linear_sum_assignment(costs)
     perm = cols[np.argsort(rows)]
-    if canonical_ties and n <= 64:
-        perm = _canonical_permutation(costs, perm)
     return float(costs[np.arange(n), perm].mean()), perm
 
 

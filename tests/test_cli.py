@@ -32,10 +32,11 @@ def test_unknown_experiment_is_usage_error(tmp_path):
 
 def test_bad_config_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"not_a_key": 1}))
-    res = run_cli(["run", "identities", "--config", str(cfg),
-                   "--output", str(tmp_path / "x")])
-    assert res.returncode == 2
+    for bad in ({"not_a_key": 1}, {"threads": 2}):   # threads was removed
+        cfg.write_text(json.dumps(bad))
+        res = run_cli(["run", "identities", "--config", str(cfg),
+                       "--output", str(tmp_path / "x")])
+        assert res.returncode == 2
 
 
 def test_run_writes_csv_and_json(tmp_path):
@@ -97,9 +98,12 @@ def test_failing_experiment_exits_one(tmp_path, monkeypatch):
         assert "slope" in failing[0]["detail"]
 
 
-def test_threads_do_not_change_results(tmp_path):
-    a, b = tmp_path / "t1", tmp_path / "t2"
-    base = ["run", "poincare-rate", "--ns", "16,32,64,128", "--mc-reps", "60"]
-    assert main([*base, "--threads", "1", "--output", str(a)]) == 0
-    assert main([*base, "--threads", "3", "--output", str(b)]) == 0
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+def test_seeded_runs_are_byte_identical_across_processes(tmp_path):
+    stems = [tmp_path / "p1", tmp_path / "p2"]
+    for stem in stems:
+        res = run_cli(["run", "omega1-counterexample", "--seed", "4518",
+                       "--output", str(stem)])
+        assert res.returncode == 0, res.stderr
+    assert (tmp_path / "p1.csv").read_bytes() == \
+        (tmp_path / "p2.csv").read_bytes()
+

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kaclab.core import (Configuration, DimensionError, DiscreteMeasure,
                          GridDensity, QuadratureError, bimodal_density,
                          gauss_quadrature, gaussian_density, loglog_fit,
-                         make_empirical, uniform_density)
+                         make_empirical, spectrum_power, uniform_density)
 
 
 def test_configuration_invariants():
@@ -161,3 +161,15 @@ def test_merged_preserves_mass_and_is_idempotent(n_atoms, seed):
     again = merged.merged()
     assert again.n_atoms == merged.n_atoms
     np.testing.assert_allclose(again.weights, merged.weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 37])
+def test_spectrum_power_matches_repeated_products(n):
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=64) + 1j * rng.normal(size=64)
+    base /= np.abs(base).max()
+    direct = np.ones_like(base)
+    for _ in range(n):
+        direct = direct * base
+    np.testing.assert_allclose(spectrum_power(base, n), direct,
+                               rtol=1e-12, atol=1e-300)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from kaclab.core import (DimensionError, HypothesisError, gaussian_density,
-                         uniform_density)
-from kaclab.kacsphere import (SphereConfig, build_partition_table,
+from kaclab import experiments
+from kaclab.core import (DimensionError, HypothesisError, KaclabError,
+                         gaussian_density, uniform_density)
+from kaclab.kacsphere import (CACHE_ENV_VAR, SphereConfig,
+                              build_partition_table, cache_path,
                               marginal_gauss_l1, entropy_chaos_gap,
                               fisher_chaos_terms, load_table,
                               radial_projection_cost, sample_conditioned,
@@ -133,15 +135,52 @@ def test_table_bimodal_zprime_trend(bimodal_rate_table):
     assert devs[-1] < devs[0]
 
 
+def _assert_tables_equal(a, b):
+    assert (a.density_name, a.max_N, a.du, a.u_max, a.E, a.Sigma, a.ks) == \
+        (b.density_name, b.max_N, b.du, b.u_max, b.E, b.Sigma, b.ks)
+    for k in a.ks:
+        assert a.windows[k][0] == b.windows[k][0]
+        np.testing.assert_array_equal(a.windows[k][1], b.windows[k][1])
+
+
 def test_table_cache_roundtrip(tmp_path, gauss_table_32):
     path = os.path.join(tmp_path, "t.bin")
     save_table(gauss_table_32, path)
-    loaded = load_table(path)
-    assert loaded.ks == gauss_table_32.ks
-    assert loaded.Sigma == gauss_table_32.Sigma
-    for k in loaded.ks:
-        np.testing.assert_array_equal(loaded.windows[k][1],
-                                      gauss_table_32.windows[k][1])
+    _assert_tables_equal(load_table(path), gauss_table_32)
+
+
+def test_incomplete_table_file_raises(tmp_path, gauss_table_32):
+    path = os.path.join(tmp_path, "t.bin")
+    save_table(gauss_table_32, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    json_start = 10   # after the magic and the header length
+    corrupt = [blob[:-400],                 # last window cut short
+               blob + bytes(8),             # bytes after the last window
+               blob[:json_start] + b"#" + blob[json_start + 1:]]
+    for bad in corrupt:
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        with pytest.raises(KaclabError):
+            load_table(path)
+
+
+def test_sphere_table_rebuilds_a_truncated_cache_file(tmp_path, monkeypatch,
+                                                       gauss):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
+    ks = range(1, 17)
+    experiments.sphere_table(gauss, 16, ks)
+    path = cache_path(gauss.name, 16, 0.004, ks)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:-400])
+    experiments._TABLE_MEMO.clear()
+    rebuilt = experiments.sphere_table(gauss, 16, ks)
+    fresh = build_partition_table(gauss, 16, ks=ks)
+    _assert_tables_equal(rebuilt, fresh)
+    _assert_tables_equal(load_table(path), fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Configuration, Density, DimensionError, DiscreteMeasure, SizeError
-from .transport import BOUNDED_L1, _transport_lp, w1_config, w1_discrete
+from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_config,
+                        w1_discrete)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
@@ -82,29 +83,24 @@ def mixture_sampler(components, weights):
     return draw
 
 
-def _fixed_reference(f: Density, M: int, master_seed: int) -> np.ndarray:
-    return f.sampler(np.random.default_rng(master_seed), M)
-
-
 def _sorted_coupling_cost(x: np.ndarray, y: np.ndarray) -> float:
     """Truncated cost of the monotone coupling of two equal-size samples,
     an upper bound on their transport distance."""
-    return float(np.minimum(np.abs(np.sort(x) - np.sort(y)), 1.0).mean())
+    return float(np.minimum(np.abs(np.sort(x) - np.sort(y)), TRUNCATION).mean())
 
 
-def omega_inf(sampler, f: Density, N: int, mc_reps: int, M: int | None = None,
-              rng: np.random.Generator | None = None,
-              master_seed: int = 990011) -> ChaosEstimate:
+def omega_inf(sampler, f: Density, N: int, mc_reps: int,
+              rng: np.random.Generator | None = None) -> ChaosEstimate:
     """Expected transport distance of the empirical measure to f.
 
     Each replica compares the drawn configuration's empirical measure to a
-    fixed seeded size-M discretization of f; M is reported so the
+    fixed seeded discretization of f of size M = 4 N; M is reported so the
     discretization bias, which scales like M^{-1/2} on the line, can be
     budgeted by the caller.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    M = M if M is not None else 4 * N
-    ref = np.sort(_fixed_reference(f, M, master_seed))
+    M = 4 * N
+    ref = np.sort(f.sampler(np.random.default_rng(990011), M))
     # replicating atoms leaves the optimum unchanged, so when one size
     # divides the other both sides become equal-size configurations
     size = max(N, M)
@@ -151,8 +147,7 @@ def omega_n(sampler, f: Density, N: int, mc_reps: int,
 
 
 def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
-            M: int | None = None, rng: np.random.Generator | None = None,
-            master_seed: int = 990022, n_batches: int = 4) -> ChaosEstimate:
+            rng: np.random.Generator | None = None) -> ChaosEstimate:
     """Marginal chaos quantifier from pooled first-j blocks.
 
     The first j coordinates of each replica form one atom on E^j; the pool
@@ -163,14 +158,11 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
     if j > N:
         raise DimensionError("j must not exceed N")
     rng = rng if rng is not None else np.random.default_rng(0)
-    M = M if M is not None else mc_reps
-    if M != mc_reps:
-        raise DimensionError("pooled estimator needs M == mc_reps")
-    n_batches = max(2, min(n_batches, mc_reps // 8))
+    n_batches = max(2, min(4, mc_reps // 8))
     pool = np.empty((mc_reps, j))
     for r in range(mc_reps):
         pool[r] = sampler(N, rng)[:j]
-    ref = f.sampler(np.random.default_rng(master_seed), (M, j))
+    ref = f.sampler(np.random.default_rng(990022), (mc_reps, j))
 
     def value_of(a, b):
         if j == 1:
@@ -183,7 +175,7 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
     batches = np.array_split(np.arange(mc_reps), n_batches)
     bvals = [value_of(pool[b], ref[b]) for b in batches]
     se = float(np.std(bvals, ddof=1) / math.sqrt(n_batches))
-    return ChaosEstimate(f"omega_{j}", N, mc_reps, val, se, M,
+    return ChaosEstimate(f"omega_{j}", N, mc_reps, val, se, mc_reps,
                          upper_bound=(j == 1), method="pooled_blocks")
 
 
@@ -231,18 +223,17 @@ def symmetric_pmf(n_symbols: int, N: int,
     return (p / p.sum()).reshape((n_symbols,) * N)
 
 
-def _validate_symmetry(pmf: np.ndarray, rng: np.random.Generator,
-                       n_checks: int = 4):
+def _validate_symmetry(pmf: np.ndarray, rng: np.random.Generator):
     N = pmf.ndim
-    for _ in range(n_checks):
+    for _ in range(4):
         a, b = rng.choice(N, size=2, replace=False)
         if not np.allclose(pmf, np.swapaxes(pmf, a, b), atol=1e-12):
             raise DimensionError("pmf is not permutation symmetric")
 
 
-def grunbaum_exact(pmf: np.ndarray, j: int, symbols: np.ndarray | None = None,
+def grunbaum_exact(pmf: np.ndarray, j: int,
                    rng: np.random.Generator | None = None):
-    """Exact marginal-vs-empirical comparison on a finite alphabet.
+    """Exact marginal-vs-empirical comparison on the alphabet {0..S-1}.
 
     Returns (tv, bound, w1, w1_bound): the total-variation mass between the
     j-th marginal and the j-th moment of the empirical measure, its
@@ -255,7 +246,7 @@ def grunbaum_exact(pmf: np.ndarray, j: int, symbols: np.ndarray | None = None,
     if j > N:
         raise DimensionError("j must not exceed N")
     _validate_symmetry(pmf, rng)
-    symbols = symbols if symbols is not None else np.arange(S, dtype=float)
+    symbols = np.arange(S, dtype=float)
 
     marg = pmf.copy()
     for _ in range(N - j):
@@ -286,30 +277,26 @@ def grunbaum_exact(pmf: np.ndarray, j: int, symbols: np.ndarray | None = None,
     return tv, bound, w1, j * (j - 1) / N
 
 
-def pushforward_identity_exact(F: np.ndarray, G: np.ndarray,
-                               symbols: np.ndarray | None = None,
-                               rng: np.random.Generator | None = None):
-    """Full-space vs permutation-quotient transport on a finite alphabet.
+def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
+    """Full-space vs permutation-quotient transport on the alphabet {0..S-1}.
 
     lhs solves the transportation LP between the two laws on the full
     configuration space with the normalized truncated cost; rhs solves it
     between the induced laws on unordered configurations with the
     relabeling-minimal cost. The two optima agree.
     """
-    rng = rng if rng is not None else np.random.default_rng(2)
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
+    rng = np.random.default_rng(2)   # symmetry spot checks
     N = F.ndim
     S = F.shape[0]
     _validate_symmetry(F, rng)
     _validate_symmetry(G, rng)
-    symbols = symbols if symbols is not None else np.arange(S, dtype=float)
-    configs = enumerate_configs(S, N, budget=4096)
-    vals = symbols[configs]
+    vals = enumerate_configs(S, N, budget=4096).astype(float)
 
     # full LP on aligned coordinates
     cost_full = np.minimum(
-        np.abs(vals[:, None, :] - vals[None, :, :]), 1.0).mean(axis=2)
+        np.abs(vals[:, None, :] - vals[None, :, :]), TRUNCATION).mean(axis=2)
     lhs = _transport_lp(cost_full, F.ravel(), G.ravel()).cost
 
     # quotient LP on sorted representatives with assignment cost
@@ -347,8 +334,7 @@ def omega1_counterexample(g: Density, h: Density, Ns, rng: np.random.Generator,
 
     results = {}
     for N in Ns:
-        comp = rng.integers(0, 2, size=pool1).astype(bool)
-        x1 = np.where(comp, g.sampler(rng, pool1), h.sampler(rng, pool1))
+        x1 = ref1(pool1, rng)
         y1 = ref1(pool1, rng)
         om1 = _sorted_coupling_cost(x1, y1)
 

@@ -4,7 +4,8 @@ Subcommands: ``run <name>`` executes one named experiment and writes a CSV
 of rows plus a JSON summary; ``list`` prints the registry; ``cache`` builds
 or clears the partition-table cache. Configuration comes from an optional
 JSON config file with command-line flags winning over file values. Exit
-codes: 0 all assertions passed, 1 an assertion failed, 2 usage error.
+codes: 0 all assertions passed, 1 an assertion failed, 2 usage error or
+input that breaks a hypothesis of the experiment (``HypothesisError``).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import os
 import shutil
 import sys
 
-from .core import bimodal_density, gaussian_density
+from .core import HypothesisError, bimodal_density, gaussian_density
 from .experiments import (EXPERIMENTS, ExperimentConfig, ExperimentResult,
                           run_experiment, sphere_table, _rate_ks)
 from .kacsphere import cache_path, cache_root
@@ -113,7 +114,11 @@ def _cmd_run(args) -> int:
         print(f"unknown experiment {cfg.experiment!r}; run `kaclab list`",
               file=sys.stderr)
         return _USAGE_ERROR
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except HypothesisError as exc:
+        print(f"{cfg.experiment}: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
     csv_path, json_path = _write_outputs(result, cfg)
     for a in result.assertions:
         mark = "PASS" if a.passed else "FAIL"
@@ -149,7 +154,7 @@ def _cmd_cache(args) -> int:
     table = sphere_table(density, args.max_n, _rate_ks(ns))
     print(f"built table for {table.density_name} (max_N={table.max_N}, "
           f"{len(table.ks)} convolutions) in {root}")
-    print(f"cache file: {cache_path(table.density_name, table.max_N, table.du, table.ks)}")
+    print(f"cache file: {cache_path(table.density_name, table.max_N, table.ks)}")
     return 0
 
 

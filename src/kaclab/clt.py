@@ -58,12 +58,11 @@ class CltRun:
     bend: float   # slope(first half) - slope(second half), pre-asymptotic bend
 
 
-def standardize(g: GridDensity, tol_mean: float = 1e-8,
-                tol_var: float = 1e-6) -> GridDensity:
+def standardize(g: GridDensity) -> GridDensity:
     out = g.standardized()
-    if abs(out.mean()) > tol_mean or abs(out.variance() - 1.0) > tol_var:
+    if abs(out.mean()) > 1e-8 or abs(out.variance() - 1.0) > 1e-6:
         out = out.standardized()
-    if abs(out.mean()) > tol_mean or abs(out.variance() - 1.0) > tol_var:
+    if abs(out.mean()) > 1e-8 or abs(out.variance() - 1.0) > 1e-6:
         raise DimensionError("grid density cannot be standardized on this grid")
     return out
 

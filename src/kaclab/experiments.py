@@ -95,14 +95,13 @@ def resolve_density(name: str) -> Density:
 _TABLE_MEMO: dict = {}
 
 
-def sphere_table(f: Density, max_N: int, ks,
-                 du: float = 0.004) -> kacsphere.PartitionTable:
-    """The table for (f, max_N, ks, du): from memory, else from the disk
-    cache, else built and saved; an unreadable cache file is rebuilt."""
-    key = (f.name, max_N, tuple(sorted(set(int(k) for k in ks))), du)
+def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
+    """The table for (f, max_N, ks): from memory, else from the disk cache,
+    else built and saved; an unreadable cache file is rebuilt."""
+    key = (f.name, max_N, tuple(sorted(set(int(k) for k in ks))))
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
-    path = kacsphere.cache_path(f.name, max_N, du, ks)
+    path = kacsphere.cache_path(f.name, max_N, ks)
     if os.path.exists(path):
         try:
             table = kacsphere.load_table(path)
@@ -111,7 +110,7 @@ def sphere_table(f: Density, max_N: int, ks,
                 return table
         except (OSError, KaclabError):
             pass
-    table = kacsphere.build_partition_table(f, max_N, ks=key[2], du=du)
+    table = kacsphere.build_partition_table(f, max_N, ks=key[2])
     try:
         kacsphere.save_table(table, path)
     except OSError:
@@ -131,10 +130,10 @@ def _rate_ks(ns):
 # random discrete instances
 # ---------------------------------------------------------------------------
 
-def _random_discrete(rng, n_atoms, spread=2.0, dim=1):
-    pts = rng.uniform(-spread, spread, size=(n_atoms, dim))
+def _random_discrete(rng, n_atoms, spread=2.0):
+    pts = rng.uniform(-spread, spread, size=(n_atoms, 1))
     w = rng.dirichlet(np.ones(n_atoms))
-    return DiscreteMeasure(dim, pts, w)
+    return DiscreteMeasure(1, pts, w)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +414,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentResult:
 def run_conditioned(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult("conditioned-products")
     ns = cfg.ns or [32, 64, 128, 256, 512, 1024]
-    # the uniform density violates the table hypotheses (not centered,
-    # unbounded information); fall back to the bimodal reference
-    f = resolve_density(cfg.density if cfg.density != "uniform" else "bimodal")
+    f = resolve_density(cfg.density)
     table = sphere_table(f, max(ns), _rate_ks(ns))
 
     l1s = []

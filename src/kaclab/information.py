@@ -209,7 +209,7 @@ def _kl_estimate(pts: np.ndarray) -> float:
     return -float(h_diff)   # package sign convention: int f log f
 
 
-def entropy_knn(samples: np.ndarray, n_folds: int = 10) -> InfoValue:
+def entropy_knn(samples: np.ndarray) -> InfoValue:
     """Nearest-neighbor estimate of int f log f with jackknife stderr.
 
     Duplicate sample points are dropped (with a warning count) since the
@@ -228,7 +228,7 @@ def entropy_knn(samples: np.ndarray, n_folds: int = 10) -> InfoValue:
         if len(pts) < 50:
             raise DimensionError("too few distinct samples after dedup")
     full = _kl_estimate(pts)
-    m = n_folds
+    m = 10   # jackknife blocks
     blocks = np.array_split(np.arange(len(pts)), m)
     loo = []
     for b in blocks:
@@ -262,7 +262,7 @@ def w2_quantile(f: Density, g: Density) -> float:
         p = f.pdf(x)
         if p <= _DENSITY_FLOOR:
             return 0.0
-        u = float(np.clip(f.numeric_cdf(np.array([x]))[0], 0.0, 1.0))
+        u = float(np.clip(f.cdf(np.array([x]))[0], 0.0, 1.0))
         return (x - float(ginv(u))) ** 2 * p
 
     val = gauss_quadrature(integrand, flo, fhi, 1e-8)
@@ -298,13 +298,13 @@ def discrete_marginal(F: DiscreteMeasure, coords: list[int]) -> DiscreteMeasure:
                            particle_dim=d).merged()
 
 
-def _check_symmetric(F: DiscreteMeasure, rng=None, n_checks: int = 4):
+def _check_symmetric(F: DiscreteMeasure):
     j, d = F.j, F.particle_dim
     if j < 2:
         return
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     base = F.merged()
-    for _ in range(n_checks):
+    for _ in range(4):
         a, b = rng.choice(j, size=2, replace=False)
         perm = list(range(j))
         perm[a], perm[b] = perm[b], perm[a]

@@ -58,6 +58,11 @@ __all__ = [
 CACHE_ENV_VAR = "KACLAB_CACHE_DIR"
 _MAGIC = b"KLPT1\x00"
 
+# Partition-table u-grid spacing before rounding to a power-of-two size.
+_DU = 0.004
+# grid points of the sampler's per-coordinate inverse CDF
+_SAMPLER_GRID = 384
+
 
 @dataclass(frozen=True)
 class SphereConfig:
@@ -179,7 +184,11 @@ def radial_projection_cost(N: int, mc_reps: int,
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Windows of h^{*k} on a fine u-grid plus the scalars they imply."""
+    """Windows of h^{*k} on a fine u-grid plus the scalars they imply.
+
+    The table takes over ``windows``: each window's values become a view
+    into its zero-padded copy, so every window is stored once.
+    """
 
     density_name: str
     max_N: int
@@ -194,8 +203,10 @@ class PartitionTable:
     def __post_init__(self):
         # zero sentinels absorb out-of-window queries without masking;
         # prefilling keeps queries read-only and thread-safe
-        for k, (_, vals) in self.windows.items():
-            self._padded[k] = np.concatenate([[0.0], vals, [0.0, 0.0]])
+        for k, (start, vals) in self.windows.items():
+            padded = self._padded[k] = np.zeros(len(vals) + 3)
+            padded[1:-2] = vals
+            self.windows[k] = (start, padded[1:-2])
 
     def has_k(self, k: int) -> bool:
         return k in self.windows
@@ -235,7 +246,7 @@ class PartitionTable:
 def _u_cell_masses(f: Density, edges: np.ndarray) -> np.ndarray:
     """Exact cell masses of the law of v^2 under f, via the CDF."""
     r = np.sqrt(edges)
-    cdf = f.numeric_cdf
+    cdf = f.cdf
     return (cdf(r[1:]) - cdf(r[:-1])) + (cdf(-r[:-1]) - cdf(-r[1:]))
 
 
@@ -247,8 +258,7 @@ def _window_bounds(k: int, E: float, Sigma: float, du: float,
     return int(lo / du), int(hi / du) + 1
 
 
-def build_partition_table(f: Density, max_N: int, ks=None, du: float = 0.004,
-                          u_max_factor: float = 8.0) -> PartitionTable:
+def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     """Tabulate h^{*k} for the requested k values (default: all k <= max_N).
 
     Hypotheses enforced: centered, unit variance, finite sixth moment and a
@@ -264,7 +274,7 @@ def build_partition_table(f: Density, max_N: int, ks=None, du: float = 0.004,
         failures.append(f"mean {mean!r} != 0")
     if var_raw is None or abs(var_raw - (mean or 0.0) ** 2 - 1.0) > 1e-6:
         failures.append(f"variance {var_raw!r} != 1")
-    if 6 not in f.declared_moments and 6 not in f.raw_moments:
+    if 6 not in f.raw_moments:
         failures.append("sixth moment not declared finite")
     probe = np.linspace(*f.quad_bounds(), 4001)
     if not np.all(np.isfinite(f.pdf(probe))) or np.max(f.pdf(probe)) > 1e6:
@@ -283,8 +293,8 @@ def build_partition_table(f: Density, max_N: int, ks=None, du: float = 0.004,
     if ks[0] < 1 or ks[-1] > max_N:
         raise DimensionError("requested k values must lie in [1, max_N]")
 
-    u_max = u_max_factor * max_N
-    m = int(2 ** math.ceil(math.log2(u_max / du)))
+    u_max = 8.0 * max_N
+    m = int(2 ** math.ceil(math.log2(u_max / _DU)))
     du = u_max / m
     edges = np.concatenate([[0.0], du * (np.arange(m) + 0.5)])
     p = np.zeros(2 * m)
@@ -356,7 +366,7 @@ class ConditionedSample:
 
 
 def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
-                       rng: np.random.Generator, n_grid: int = 384,
+                       rng: np.random.Generator,
                        max_retries: int = 50) -> ConditionedSample:
     """Exact sequential sampler of the conditioned product law.
 
@@ -388,7 +398,7 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         # one grid per step, shared across rows; infeasible cells get zero
         # density through the convolution window
         vmax = min(vcap, math.sqrt(max(float(usq[act].max()), 1e-12)))
-        grid = np.linspace(-vmax, vmax, n_grid)
+        grid = np.linspace(-vmax, vmax, _SAMPLER_GRID)
         step = grid[1] - grid[0]
         fg = f.pdf(grid)
         dens = fg[None, :] * table.conv_density(k - 1,
@@ -403,7 +413,7 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         if len(act) == 0:
             continue
         u = rng.random(len(act)) * tot
-        idx = np.minimum((cum < u[:, None]).sum(axis=1), n_grid - 1)
+        idx = np.minimum((cum < u[:, None]).sum(axis=1), _SAMPLER_GRID - 1)
         sel = np.arange(len(act))
         prev = np.where(idx > 0, cum[sel, np.maximum(idx - 1, 0)], 0.0)
         cell = dens[sel, idx]
@@ -438,8 +448,7 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         if max_retries <= 0:
             raise KaclabError("conditioned sampler could not complete; "
                               "table windows are too narrow")
-        redo = sample_conditioned(f, N, n_fail, table, rng, n_grid,
-                                  max_retries - 1)
+        redo = sample_conditioned(f, N, n_fail, table, rng, max_retries - 1)
         out[failed] = redo.samples
         n_resampled += redo.n_resampled
     # exact renormalization onto the sphere (floating drift only)
@@ -452,10 +461,9 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
 # entropy and Fisher chaos quantities
 # ---------------------------------------------------------------------------
 
-def theta1_on_grid(f: Density, N: int, table: PartitionTable,
-                   n_grid: int = 20001):
+def theta1_on_grid(f: Density, N: int, table: PartitionTable):
     vmax = min(math.sqrt(N) * 0.999, max(abs(b) for b in f.quad_bounds()))
-    v = np.linspace(-vmax, vmax, n_grid)
+    v = np.linspace(-vmax, vmax, 20001)
     return v, theta(N, 1, v[:, None], table)
 
 
@@ -577,7 +585,7 @@ def load_table(path: str) -> PartitionTable:
             if len(raw) != 8 * length:
                 raise KaclabError(f"{path}: window k={k} has {len(raw)} of "
                                   f"{8 * length} bytes")
-            windows[k] = (start, np.frombuffer(raw, dtype="<f8").copy())
+            windows[k] = (start, np.frombuffer(raw, dtype="<f8"))
         if fh.read(1):
             raise KaclabError(f"{path}: bytes after the last window")
     return PartitionTable(name, max_N, *scalars, tuple(ks), windows)
@@ -591,11 +599,12 @@ def cache_root() -> str:
                                        "kaclab"))
 
 
-def cache_path(density_name: str, max_N: int, du: float, ks) -> str:
+def cache_path(density_name: str, max_N: int, ks) -> str:
     import hashlib
     root = cache_root()
     os.makedirs(root, exist_ok=True)
+    # the key holds the requested spacing _DU, not the table's rounded du
     key = hashlib.sha256(
-        f"{density_name}|{max_N}|{du}|{sorted(set(int(k) for k in ks))}"
+        f"{density_name}|{max_N}|{_DU}|{sorted(set(int(k) for k in ks))}"
         .encode()).hexdigest()[:16]
     return os.path.join(root, f"ptable_{key}.bin")

@@ -58,22 +58,15 @@ class Mixture:
         return rng.choice(self.count, size=count, p=alphas)
 
 
-def _common_grid(pi: Mixture, half_width: float | None, n_points: int):
-    if half_width is None:
-        half_width = max(max(abs(b) for b in f.quad_bounds())
-                         for _, f in pi.atoms) + 2.0
-    return half_width, n_points
-
-
-def mixture_marginal(pi: Mixture, j: int, half_width: float | None = None,
-                     n_points: int = 2 ** 12):
+def mixture_marginal(pi: Mixture, j: int):
     """The j-variable marginal: gridded for j <= 2, a sampler for j >= 3.
 
     The sampler draws an atom per row and then j i.i.d. coordinates from it.
     """
     if j < 1:
         raise DimensionError("j must be positive")
-    L, M = _common_grid(pi, half_width, n_points)
+    L = max(max(abs(b) for b in f.quad_bounds()) for _, f in pi.atoms) + 2.0
+    M = 2 ** 12
     xs = Grid(L, M).xs
     if j == 1:
         vals = sum(a * f.pdf(xs) for a, f in pi.atoms)
@@ -136,8 +129,7 @@ class MarginalEntropyCurve:
 
 
 def marginal_entropy_curve(pi: Mixture, js, rng: np.random.Generator,
-                           mc_count: int = 20000,
-                           n_batches: int = 20) -> MarginalEntropyCurve:
+                           mc_count: int = 20000) -> MarginalEntropyCurve:
     """Normalized marginal entropies H(pi_j) along js, with the gap fit.
 
     j = 1, 2 are exact grid quadratures; larger blocks use the unbiased
@@ -146,6 +138,7 @@ def marginal_entropy_curve(pi: Mixture, js, rng: np.random.Generator,
     j over the blocks where it clears 3 standard errors.
     """
     js = sorted(int(j) for j in js)
+    n_batches = 20
     h3 = level3_entropy(pi)
     values, stderrs = [], []
     for j in js:

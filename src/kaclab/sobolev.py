@@ -31,6 +31,7 @@ __all__ = [
 _TABLE_RMAX = 64.0
 _TABLE_SIZE = 4096
 _NEG_CLAMP = 1e-9
+_XI_HEAD = 60.0   # end of the Fourier oracle's Gauss-Legendre head
 
 
 def _phi_closed(s: float, r: np.ndarray) -> np.ndarray:
@@ -49,7 +50,6 @@ class HsKernel:
     """Tabulated radial kernel of the H^{-s} norm on measures, d = 1."""
 
     s: float
-    d: int
     radii: np.ndarray
     table: np.ndarray
     phi0: float
@@ -62,17 +62,15 @@ class HsKernel:
         return phi_s(z, self)
 
 
-def make_hs_kernel(s: float, d: int = 1) -> HsKernel:
-    """Build the kernel table for exponent s > d/2.
+def make_hs_kernel(s: float) -> HsKernel:
+    """Build the kernel table for exponent s > 1/2.
 
     The 4096 radial nodes on [0, 64] are quadratically graded toward 0
     where the kernel bends fastest; beyond the table the kernel follows an
     exponential-decay fit of the last tabulated decade.
     """
-    if d != 1:
-        raise DimensionError("only d = 1 kernels are shipped")
-    if s <= d / 2:
-        raise DimensionError(f"need s > d/2, got s={s}")
+    if s <= 0.5:
+        raise DimensionError(f"need s > 1/2, got s={s}")
     radii = _TABLE_RMAX * (np.arange(_TABLE_SIZE) / (_TABLE_SIZE - 1)) ** 2
     table = _phi_closed(s, radii)
     phi0 = float(table[0])
@@ -86,7 +84,7 @@ def make_hs_kernel(s: float, d: int = 1) -> HsKernel:
         logs = np.log(np.maximum(table[mask], 1e-320))
     A = np.vstack([radii[mask], np.ones(mask.sum())]).T
     slope, intercept = np.linalg.lstsq(A, logs, rcond=None)[0]
-    return HsKernel(s, d, radii, table, phi0, lip, spline,
+    return HsKernel(s, radii, table, phi0, lip, spline,
                     float(slope), float(intercept))
 
 
@@ -134,8 +132,8 @@ def hs_dist_sq(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return max(val, 0.0)
 
 
-def _gl_panels(a: float, b: float, panel: float, deg: int = 12):
-    nodes, weights = np.polynomial.legendre.leggauss(deg)
+def _gl_panels(a: float, b: float, panel: float):
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     n_panels = max(1, int(math.ceil((b - a) / panel)))
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -146,23 +144,23 @@ def _gl_panels(a: float, b: float, panel: float, deg: int = 12):
 
 
 def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                              s: float, xi_head: float = 60.0) -> float:
+                              s: float) -> float:
     """Independent oracle: int |mu_hat - nu_hat|^2 <xi>^{-2s} d xi.
 
-    The head [0, xi_head] integrates the assembled Fourier-side integrand
+    The head [0, _XI_HEAD] integrates the assembled Fourier-side integrand
     on oscillation-resolving Gauss-Legendre panels; the tail is summed
-    pairwise with adaptive oscillatory quadrature on [xi_head, inf).
+    pairwise with adaptive oscillatory quadrature on [_XI_HEAD, inf).
     """
     pts, wts = _signed_atoms(mu, nu)
     span = float(pts.max() - pts.min()) if len(pts) > 1 else 1.0
     panel = min(0.25, math.pi / (2.0 * max(span, 1.0)))
-    xs, ws = _gl_panels(0.0, xi_head, panel)
+    xs, ws = _gl_panels(0.0, _XI_HEAD, panel)
     phase = np.exp(-1j * np.outer(xs, pts))
     hat = phase @ wts
     head = 2.0 * float(np.sum(ws * np.abs(hat) ** 2 * (1 + xs ** 2) ** (-s)))
 
     dens = lambda xi: (1.0 + xi ** 2) ** (-s)
-    tail0, _ = integrate.quad(dens, xi_head, np.inf)
+    tail0, _ = integrate.quad(dens, _XI_HEAD, np.inf)
     diffs = np.abs(pts[:, None] - pts[None, :])
     prods = wts[:, None] * wts[None, :]
     tail = 0.0
@@ -170,7 +168,7 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
     for dv, pv in zip(diffs.ravel(), prods.ravel()):
         key = round(float(dv), 12)
         if key not in cache:
-            val, _ = integrate.quad(dens, xi_head, np.inf,
+            val, _ = integrate.quad(dens, _XI_HEAD, np.inf,
                                     weight="cos", wvar=float(dv), limit=200)
             cache[key] = val
         tail += pv * cache[key]

@@ -32,9 +32,16 @@ __all__ = [
     "tensorization_check",
     "pair_tensorization_check",
     "product_measure",
+    "TRUNCATION",
 ]
 
 _LP_EDGE_BUDGET = 1_200_000
+_PRODUCT_ATOM_BUDGET = 100_000
+# absolute slack of TransportPlan.validate (flows, marginals and cost)
+_PLAN_TOL = 1e-10
+
+# The bounded cost caps each particle's distance at this value.
+TRUNCATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -42,13 +49,10 @@ class CostSpec:
     """Ground cost on E^j: truncated-l1 average or squared-l2 average."""
 
     kind: str = "bounded_l1"
-    truncation: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("bounded_l1", "normalized_l2_sq"):
             raise DimensionError(f"unknown cost kind {self.kind!r}")
-        if self.truncation <= 0:
-            raise DimensionError("truncation must be positive")
 
 
 BOUNDED_L1 = CostSpec("bounded_l1")
@@ -64,21 +68,22 @@ class TransportPlan:
     source_weights: np.ndarray
     target_weights: np.ndarray
 
-    def validate(self, costs: np.ndarray, tol: float = 1e-10):
+    def validate(self, costs: np.ndarray):
         i = self.flows[:, 0].astype(int)
         j = self.flows[:, 1].astype(int)
         m = self.flows[:, 2]
-        if np.any(m < -tol):
+        if np.any(m < -_PLAN_TOL):
             raise DimensionError("plan has negative flow")
         row = np.zeros_like(self.source_weights)
         col = np.zeros_like(self.target_weights)
         np.add.at(row, i, m)
         np.add.at(col, j, m)
-        if np.max(np.abs(row - self.source_weights)) > tol:
+        if np.max(np.abs(row - self.source_weights)) > _PLAN_TOL:
             raise DimensionError("plan row sums differ from source weights")
-        if np.max(np.abs(col - self.target_weights)) > tol:
+        if np.max(np.abs(col - self.target_weights)) > _PLAN_TOL:
             raise DimensionError("plan column sums differ from target weights")
-        if abs(float(np.sum(m * costs[i, j])) - self.cost) > max(tol, tol * abs(self.cost)):
+        if abs(float(np.sum(m * costs[i, j])) - self.cost) \
+                > _PLAN_TOL * max(1.0, abs(self.cost)):
             raise DimensionError("plan cost inconsistent with flows")
         return True
 
@@ -91,7 +96,7 @@ def _particle_costs(px: np.ndarray, py: np.ndarray, d: int,
     else:
         dist = np.sqrt(np.sum((px[:, None, :] - py[None, :, :]) ** 2, axis=-1))
     if spec.kind == "bounded_l1":
-        return np.minimum(dist, spec.truncation)
+        return np.minimum(dist, TRUNCATION)
     return dist ** 2
 
 
@@ -103,7 +108,7 @@ def cost_config(X: Configuration, Y: Configuration,
     diff = X.particles - Y.particles
     dist = np.abs(diff[:, 0]) if X.d == 1 else np.sqrt(np.sum(diff ** 2, axis=1))
     if spec.kind == "bounded_l1":
-        return float(np.mean(np.minimum(dist, spec.truncation)))
+        return float(np.mean(np.minimum(dist, TRUNCATION)))
     return float(np.mean(dist ** 2))
 
 
@@ -228,13 +233,12 @@ def w1_dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, witness,
                  - np.sum(vals[nmu:] * nu.weights))
 
 
-def product_measure(*measures: DiscreteMeasure,
-                    budget: int = 100_000) -> DiscreteMeasure:
+def product_measure(*measures: DiscreteMeasure) -> DiscreteMeasure:
     """Tensor product of discrete measures on the concatenated space."""
     total_atoms = math.prod(m.n_atoms for m in measures)
-    if total_atoms > budget:
+    if total_atoms > _PRODUCT_ATOM_BUDGET:
         raise SizeError(f"product measure would have {total_atoms} atoms "
-                        f"(budget {budget})")
+                        f"(budget {_PRODUCT_ATOM_BUDGET})")
     d = measures[0].particle_dim
     pts = measures[0].points
     wts = measures[0].weights

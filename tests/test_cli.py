@@ -81,9 +81,23 @@ def test_cache_build_and_clear(tmp_path):
     assert res.returncode == 0, res.stderr
     files = os.listdir(tmp_path / "cache")
     assert any(f.startswith("ptable_") for f in files)
+    printed = res.stdout.split("cache file: ")[1].strip()
+    assert os.path.isfile(printed)
     res = run_cli(["cache", "clear"], env=env)
     assert res.returncode == 0
     assert not (tmp_path / "cache").exists()
+
+
+def test_uniform_conditioned_density_is_usage_error(tmp_path, capsys):
+    # the uniform density breaks the partition table's hypotheses
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"density": "uniform"}))
+    for args in (["--density", "uniform"], ["--config", str(cfg)]):
+        code = main(["run", "conditioned-products", *args,
+                     "--output", str(tmp_path / "cp")])
+        assert code == 2
+        assert "sixth moment" in capsys.readouterr().err
+    assert not (tmp_path / "cp.csv").exists()
 
 
 def test_failing_experiment_exits_one(tmp_path, monkeypatch):

@@ -146,7 +146,12 @@ def _assert_tables_equal(a, b):
 def test_table_cache_roundtrip(tmp_path, gauss_table_32):
     path = os.path.join(tmp_path, "t.bin")
     save_table(gauss_table_32, path)
-    _assert_tables_equal(load_table(path), gauss_table_32)
+    loaded = load_table(path)
+    _assert_tables_equal(loaded, gauss_table_32)
+    # each window is stored once, as a view into its zero-padded copy
+    for table in (gauss_table_32, loaded):
+        for k in table.ks:
+            assert np.shares_memory(table.windows[k][1], table._padded[k])
 
 
 def test_incomplete_table_file_raises(tmp_path, gauss_table_32):
@@ -171,7 +176,7 @@ def test_sphere_table_rebuilds_a_truncated_cache_file(tmp_path, monkeypatch,
     monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
     ks = range(1, 17)
     experiments.sphere_table(gauss, 16, ks)
-    path = cache_path(gauss.name, 16, 0.004, ks)
+    path = cache_path(gauss.name, 16, ks)
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:

@@ -26,8 +26,6 @@ def empirical(rng, n, spread=4.0):
 def test_kernel_requires_valid_exponent():
     with pytest.raises(DimensionError):
         make_hs_kernel(0.4)
-    with pytest.raises(DimensionError):
-        make_hs_kernel(1.0, d=2)
 
 
 def test_phi1_closed_form(kern1):

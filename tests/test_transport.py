@@ -48,8 +48,6 @@ def test_cost_config_hand_values():
 def test_cost_spec_validation():
     with pytest.raises(DimensionError):
         CostSpec("unknown")
-    with pytest.raises(DimensionError):
-        CostSpec(truncation=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ and linear programming.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -182,12 +183,10 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
 def omega_j_sigma_quadrature(N: int, j: int) -> ChaosEstimate:
     """Deterministic upper bound on the sphere law's marginal quantifier.
 
-    Half the quadrature L1 distance between the sphere marginal and the
-    Gaussian tensor power bounds the transport distance since the cost is
-    capped at one.
+    Half the exact L1 distance between the sphere marginal and the Gaussian
+    tensor power (``marginal_gauss_l1``, 1 <= j <= N - 3) bounds the
+    transport distance since the cost is capped at one.
     """
-    if j not in (1, 2):
-        raise DimensionError("quadrature path supports j in {1, 2}")
     val = 0.5 * marginal_gauss_l1(N, j)
     return ChaosEstimate(f"omega_{j}", N, 0, min(val, 1.0), 0.0, 0,
                          upper_bound=True, method="sigma_quadrature")
@@ -211,13 +210,24 @@ def enumerate_configs(n_symbols: int, N: int,
     return out
 
 
-def symmetric_pmf(n_symbols: int, N: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Random permutation-symmetric pmf: one weight per occupation multiset."""
+@functools.lru_cache(maxsize=None)
+def _occupation_classes(n_symbols: int, N: int):
+    """counts[x, s], the number of coordinates of configuration x (in
+    ``enumerate_configs`` order) equal to s, and the index of x's class of
+    equal counts. Both arrays are cached and read-only."""
     configs = enumerate_configs(n_symbols, N)
     counts = np.stack([(configs == s).sum(axis=1) for s in range(n_symbols)],
                       axis=1)
     _, inverse = np.unique(counts, axis=0, return_inverse=True)
+    counts.flags.writeable = False
+    inverse.flags.writeable = False
+    return counts, inverse
+
+
+def symmetric_pmf(n_symbols: int, N: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Random permutation-symmetric pmf: one weight per occupation multiset."""
+    _, inverse = _occupation_classes(n_symbols, N)
     class_vals = rng.exponential(size=inverse.max() + 1)
     p = class_vals[inverse]
     return (p / p.sum()).reshape((n_symbols,) * N)
@@ -252,10 +262,8 @@ def grunbaum_exact(pmf: np.ndarray, j: int,
     for _ in range(N - j):
         marg = marg.sum(axis=-1)
 
-    configs = enumerate_configs(S, N)
     p = pmf.ravel()
-    q = np.stack([(configs == s).sum(axis=1) for s in range(S)],
-                 axis=1) / float(N)
+    q = _occupation_classes(S, N)[0] / float(N)
     if j == 1:
         hat = p @ q
     elif j == 2:

@@ -19,8 +19,9 @@ import shutil
 import sys
 
 from .core import HypothesisError, bimodal_density, gaussian_density
-from .experiments import (EXPERIMENTS, ExperimentConfig, ExperimentResult,
-                          run_experiment, sphere_table, _rate_ks)
+from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
+                          ExperimentResult, run_experiment, sphere_table,
+                          _rate_ks)
 from .kacsphere import cache_path, cache_root
 
 _USAGE_ERROR = 2
@@ -34,8 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one named experiment")
     run.add_argument("name", help="experiment name (see: kaclab list)")
     run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--density",
-                     choices=["gaussian", "uniform", "bimodal"])
+    run.add_argument("--density", choices=DENSITIES)
     run.add_argument("--ns", help="comma-separated N values")
     run.add_argument("--mc-reps", type=int, dest="mc_reps")
     run.add_argument("--reference-size", type=int, dest="reference_size")
@@ -60,11 +60,16 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError("the config file must hold a JSON object")
         unknown = set(base) - {f.name for f in
                                dataclasses.fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = ExperimentConfig(**base)
+    if cfg.density not in DENSITIES:
+        raise ValueError(f"unknown density {cfg.density!r}; "
+                         f"choose from {', '.join(DENSITIES)}")
     cfg.experiment = args.name
     for key in ("density", "mc_reps", "reference_size", "seed", "s", "k",
                 "output", "format"):

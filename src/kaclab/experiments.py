@@ -26,6 +26,7 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "resolve_density",
+    "DENSITIES",
     "sphere_table",
 ]
 
@@ -76,6 +77,10 @@ class ExperimentResult:
 
     def check(self, name, passed, detail=""):
         self.assertions.append(Assertion(name, bool(passed), detail))
+
+
+# the names resolve_density accepts
+DENSITIES = ("gaussian", "uniform", "bimodal")
 
 
 def resolve_density(name: str) -> Density:
@@ -345,18 +350,10 @@ def run_poincare(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def _clt_base(name: str) -> GridDensity:
-    L, M = clt.DEFAULT_HALF_WIDTH, clt.DEFAULT_N_POINTS
-    if name == "uniform":
-        f = uniform_density(-math.sqrt(3.0), math.sqrt(3.0))
-    elif name == "bimodal":
-        f = bimodal_density()
-    elif name == "skew-bimodal":
-        f = bimodal_density(weights=(0.7, 0.3))
-    elif name == "gaussian":
-        f = gaussian_density()
-    else:
-        raise ValueError(f"unknown clt base {name!r}")
-    return GridDensity.from_density(f, L, M)
+    f = (bimodal_density(weights=(0.7, 0.3)) if name == "skew-bimodal"
+         else resolve_density(name))
+    return GridDensity.from_density(f, clt.DEFAULT_HALF_WIDTH,
+                                    clt.DEFAULT_N_POINTS)
 
 
 def run_clt(cfg: ExperimentConfig) -> ExperimentResult:

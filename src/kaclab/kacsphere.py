@@ -28,10 +28,12 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.optimize import brentq
+from scipy.special import betainc, gammainc, gammaln
 
 from .core import (Density, DimensionError, HypothesisError, KaclabError,
-                   gauss_quadrature, spectrum_power)
+                   gauss_quadrature, gaussian_density, spectrum_power)
+from .information import relative_entropy
 
 __all__ = [
     "SphereConfig",
@@ -128,40 +130,32 @@ def _gauss_log_pdf(v: np.ndarray) -> np.ndarray:
 
 
 def marginal_gauss_l1(N: int, ell: int = 1) -> float:
-    """Quadrature L1 distance between the sphere marginal and the Gaussian.
+    """Exact L1 distance between the sphere's ell-marginal and the Gaussian.
 
-    Supports ell = 1 (line quadrature) and ell = 2 (radial quadrature).
+    Both laws are radial, so the distance equals the one between the laws
+    of u = |v|^2: N times a Beta(ell/2, (N-ell)/2) variable against the
+    chi-square law with ell degrees of freedom. Their log-density ratio is
+    concave in u with its peak at u = ell + 2, so the sphere law is the
+    heavier one exactly on an interval (u1, u2), and the distance is twice
+    the difference of the two masses there, read off the regularized
+    incomplete beta and gamma functions. Needs 1 <= ell <= N - 3; at
+    ell = N - 2 the ratio is no longer concave.
     """
-    if ell == 1:
-        vmax = math.sqrt(N) * (1 - 1e-12)
+    if not 1 <= ell <= N - 3:
+        raise DimensionError(f"need 1 <= ell <= N-3, got ell={ell}, N={N}")
+    a, b = ell / 2.0, (N - ell) / 2.0
+    log_c = gammaln(N / 2.0) - gammaln(b) - a * math.log(N / 2.0)
 
-        def integrand(v):
-            lg = sigma_marginal_log_pdf(N, 1, np.array([[v]]))[0]
-            return abs(math.exp(lg) - math.exp(_gauss_log_pdf(np.array([v]))[0]))
+    def log_ratio(u):
+        log_t = math.log1p(-u / N) if u < N else -math.inf
+        return log_c + (b - 1.0) * log_t + u / 2.0
 
-        cut = min(vmax, 14.0)
-        val = gauss_quadrature(integrand, -cut, cut, 1e-9)
-        # sphere marginal mass outside the cut is zero only beyond sqrt(N)
-        if vmax > cut:
-            tails = gauss_quadrature(
-                lambda v: math.exp(
-                    sigma_marginal_log_pdf(N, 1, np.array([[v]]))[0]), cut, vmax,
-                1e-11)
-            gtail = 2.0 * gauss_quadrature(
-                lambda v: math.exp(_gauss_log_pdf(np.array([v]))[0]), cut, 30.0,
-                1e-12)
-            val += 2.0 * tails + gtail
-        return val
-    if ell == 2:
-        rmax = math.sqrt(N) * (1 - 1e-12)
-
-        def integrand(r):
-            lg = sigma_marginal_log_pdf(N, 2, np.array([[r, 0.0]]))[0]
-            gauss2 = math.exp(-r * r / 2.0) / (2.0 * math.pi)
-            return abs(math.exp(lg) - gauss2) * 2.0 * math.pi * r
-
-        return gauss_quadrature(integrand, 0.0, min(rmax, 16.0), 1e-9)
-    raise DimensionError("quadrature path implemented for ell in {1, 2}")
+    peak = ell + 2.0
+    u1 = 0.0 if log_ratio(0.0) >= 0.0 else brentq(log_ratio, 0.0, peak)
+    u2 = brentq(log_ratio, peak, N)
+    sphere = betainc(a, b, u2 / N) - betainc(a, b, u1 / N)
+    gauss = gammainc(a, u2 / 2.0) - gammainc(a, u1 / 2.0)
+    return float(2.0 * (sphere - gauss))
 
 
 def radial_projection_cost(N: int, mc_reps: int,
@@ -473,18 +467,6 @@ def theta_l1_distance(f: Density, N: int, table: PartitionTable) -> float:
     return float(np.trapezoid(np.abs(th - 1.0) * f.pdf(v), v))
 
 
-def relative_entropy_to_gauss(f: Density) -> float:
-    lo, hi = f.quad_bounds()
-
-    def integrand(v):
-        p = f.pdf(v)
-        if p <= 1e-300:
-            return 0.0
-        return p * (math.log(p) - float(_gauss_log_pdf(np.array([v]))[0]))
-
-    return gauss_quadrature(integrand, lo, hi, 1e-10)
-
-
 def entropy_chaos_gap(f: Density, N: int, table: PartitionTable) -> float:
     """|H(F^N | sigma^N) - H(f | gamma)| via the partition-function identity.
 
@@ -498,7 +480,8 @@ def entropy_chaos_gap(f: Density, N: int, table: PartitionTable) -> float:
                          np.log(np.maximum(fv, 1e-300)) - _gauss_log_pdf(v), 0.0)
     term = float(np.trapezoid(log_ratio * fv * th, v))
     log_zn = float(table.log_zprime(N, float(N)))
-    return abs(term - log_zn / N - relative_entropy_to_gauss(f))
+    return abs(term - log_zn / N
+               - relative_entropy(f, gaussian_density()).value)
 
 
 def fisher_chaos_terms(f: Density, N: int, table: PartitionTable,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix
 
 from .core import (Configuration, DimensionError, DiscreteMeasure, SizeError)
 
@@ -166,15 +167,15 @@ def _transport_lp(costs: np.ndarray, w_src: np.ndarray,
         raise SizeError(f"LP would have {n * m} edges "
                         f"(budget {_LP_EDGE_BUDGET}); reduce the instance")
     # equality constraints: row sums = w_src, col sums = w_tgt (drop one,
-    # it is implied by total mass 1)
-    from scipy.sparse import lil_matrix
-    A = lil_matrix((n + m - 1, n * m))
-    for i in range(n):
-        A[i, i * m:(i + 1) * m] = 1.0
-    for jj in range(m - 1):
-        A[n + jj, jj::m] = 1.0
+    # it is implied by total mass 1); flow (i, jj) is variable i*m + jj
+    flows = np.arange(n * m).reshape(n, m)
+    cols = np.concatenate([flows.ravel(), flows[:, :-1].T.ravel()])
+    indptr = np.concatenate([m * np.arange(n + 1),
+                             n * m + n * np.arange(1, m)])
+    A = csr_matrix((np.ones(len(cols)), cols, indptr),
+                   shape=(n + m - 1, n * m))
     b = np.concatenate([w_src, w_tgt[:-1]])
-    res = linprog(costs.ravel(), A_eq=A.tocsr(), b_eq=b,
+    res = linprog(costs.ravel(), A_eq=A, b_eq=b,
                   bounds=(0, None), method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})

@@ -3,12 +3,19 @@ import os
 import subprocess
 import sys
 
+import kaclab
 from kaclab.cli import main
 from kaclab.experiments import EXPERIMENTS
+
+# the directory that holds the imported kaclab package, for the children
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
+    kaclab.__file__)))
 
 
 def run_cli(args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "kaclab.cli", *args],
@@ -32,7 +39,8 @@ def test_unknown_experiment_is_usage_error(tmp_path):
 
 def test_bad_config_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for bad in ({"not_a_key": 1}, {"threads": 2}):   # threads was removed
+    # threads was removed; foo is no density; 5 is no JSON object
+    for bad in ({"not_a_key": 1}, {"threads": 2}, {"density": "foo"}, 5):
         cfg.write_text(json.dumps(bad))
         res = run_cli(["run", "identities", "--config", str(cfg),
                        "--output", str(tmp_path / "x")])

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from kaclab import experiments
 from kaclab.core import (DimensionError, HypothesisError, KaclabError,
@@ -87,6 +87,44 @@ def test_disintegration_consistency():
 @pytest.mark.parametrize("N", [8, 16, 64, 256])
 def test_marginal_l1_bound(N):
     assert marginal_gauss_l1(N, 1) <= 8.0 / (N - 4) + 1e-9
+
+
+def _marginal_l1_oracle(N, ell):
+    """Quadrature of |Beta - chi^2| in u = |v|^2 over [0, N], split where
+    the two densities cross, plus the chi^2 mass beyond N."""
+    def diff(u):
+        return (stats.beta.pdf(u / N, ell / 2, (N - ell) / 2) / N
+                - stats.chi2.pdf(u, ell))
+
+    grid = np.linspace(0.0, N, 4097)[1:-1]
+    sign = np.sign(diff(grid))
+    cuts = [optimize.brentq(diff, grid[i], grid[i + 1])
+            for i in np.nonzero(sign[:-1] != sign[1:])[0]]
+    pts = [0.0, *cuts, float(N)]
+    inside = sum(abs(integrate.quad(diff, a, b, limit=200, epsabs=1e-13,
+                                    epsrel=1e-13)[0])
+                 for a, b in zip(pts, pts[1:]))
+    return inside + stats.chi2.sf(N, ell)
+
+
+@pytest.mark.parametrize("ell,expected", [(1, 0.10288690), (2, 0.19935323)])
+def test_marginal_l1_counts_the_gaussian_tail(ell, expected):
+    # the Gaussian mass outside the ball |v|^2 < N is part of the distance
+    assert marginal_gauss_l1(8, ell) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_marginal_l1_matches_quadrature_oracle(ell):
+    for N in [*range(8, 41), 64, 128, 256, 512, 1024]:
+        assert marginal_gauss_l1(N, ell) == pytest.approx(
+            _marginal_l1_oracle(N, ell), abs=1e-9), N
+
+
+def test_marginal_l1_rejects_bad_ell():
+    # at ell = N - 2 the log-density ratio is no longer concave
+    for ell in (0, 6, 8):
+        with pytest.raises(DimensionError):
+            marginal_gauss_l1(8, ell)
 
 
 def test_marginal_l1_converges_to_gaussian():

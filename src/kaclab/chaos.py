@@ -102,23 +102,13 @@ def omega_inf(sampler, f: Density, N: int, mc_reps: int,
     rng = rng if rng is not None else np.random.default_rng(0)
     M = 4 * N
     ref = np.sort(f.sampler(np.random.default_rng(990011), M))
-    # replicating atoms leaves the optimum unchanged, so when one size
-    # divides the other both sides become equal-size configurations
-    size = max(N, M)
-    replicate = size % min(N, M) == 0
-    if replicate:
-        Y = Configuration(1, size, np.repeat(ref, size // M))
-    else:
-        nu = DiscreteMeasure(1, ref[:, None], np.full(M, 1.0 / M))
+    # replicating each drawn atom M / N = 4 times leaves the optimum
+    # unchanged and makes both sides equal-size configurations
+    Y = Configuration(1, M, ref)
     vals = np.empty(mc_reps)
     for r in range(mc_reps):
-        x = sampler(N, rng)
-        if replicate:
-            X = Configuration(1, size, np.repeat(x, size // N))
-            vals[r] = w1_config(X, Y)[0]
-        else:
-            mu = DiscreteMeasure(1, x[:, None], np.full(N, 1.0 / N))
-            vals[r] = w1_discrete(mu, nu, BOUNDED_L1).cost
+        X = Configuration(1, M, np.repeat(sampler(N, rng), 4))
+        vals[r] = w1_config(X, Y)[0]
     return ChaosEstimate("omega_inf", N, mc_reps, float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(mc_reps)), M,
                          upper_bound=False, method="mc_reference",

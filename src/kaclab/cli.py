@@ -27,6 +27,29 @@ from .kacsphere import cache_path, cache_root
 _USAGE_ERROR = 2
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# what each config value must be; None is the default of the optional ones
+_CONFIG_VALUES = {
+    "density": (f"one of {', '.join(DENSITIES)}", lambda v: v in DENSITIES),
+    "seed": ("an int", _is_int),
+    "mc_reps": ("an int", lambda v: v is None or _is_int(v)),
+    "reference_size": ("an int", lambda v: v is None or _is_int(v)),
+    "s": ("a number", _is_number),
+    "k": ("a number", _is_number),
+    "ns": ("a list of ints", lambda v: v is None or (
+        isinstance(v, list) and all(map(_is_int, v)))),
+    "output": ("a string", lambda v: v is None or isinstance(v, str)),
+    "format": ("csv or json", lambda v: v in ("csv", "json")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kaclab",
                                 description="chaos-quantifier experiment runner")
@@ -67,9 +90,10 @@ def _load_config(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = ExperimentConfig(**base)
-    if cfg.density not in DENSITIES:
-        raise ValueError(f"unknown density {cfg.density!r}; "
-                         f"choose from {', '.join(DENSITIES)}")
+    for key, (what, ok) in _CONFIG_VALUES.items():
+        if not ok(getattr(cfg, key)):
+            raise ValueError(f"config value {key} must be {what}, "
+                             f"got {getattr(cfg, key)!r}")
     cfg.experiment = args.name
     for key in ("density", "mc_reps", "reference_size", "seed", "s", "k",
                 "output", "format"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -102,7 +103,9 @@ _TABLE_MEMO: dict = {}
 
 def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
     """The table for (f, max_N, ks): from memory, else from the disk cache,
-    else built and saved; an unreadable cache file is rebuilt."""
+    else built and saved. A cache file that is unreadable or holds another
+    table is rebuilt, and a failed save is skipped, each with a
+    RuntimeWarning that names the file."""
     key = (f.name, max_N, tuple(sorted(set(int(k) for k in ks))))
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
@@ -110,16 +113,23 @@ def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
     if os.path.exists(path):
         try:
             table = kacsphere.load_table(path)
+        except (OSError, KaclabError) as exc:
+            warnings.warn(f"rebuilding unreadable cache file {path}: {exc}",
+                          RuntimeWarning, stacklevel=2)
+        else:
             if (table.density_name, table.max_N) == (f.name, max_N):
                 _TABLE_MEMO[key] = table
                 return table
-        except (OSError, KaclabError):
-            pass
+            warnings.warn(
+                f"rebuilding cache file {path}: its header names "
+                f"{table.density_name} with max_N = {table.max_N}, not "
+                f"{f.name} with max_N = {max_N}", RuntimeWarning, stacklevel=2)
     table = kacsphere.build_partition_table(f, max_N, ks=key[2])
     try:
         kacsphere.save_table(table, path)
-    except OSError:
-        pass
+    except OSError as exc:
+        warnings.warn(f"could not save cache file {path}: {exc}",
+                      RuntimeWarning, stacklevel=2)
     _TABLE_MEMO[key] = table
     return table
 
@@ -650,8 +660,8 @@ def run_mixtures(cfg: ExperimentConfig) -> ExperimentResult:
 
     kern = sobolev.make_hs_kernel(max(cfg.s, 1.0))
     probe = mixtures.definetti_cauchy_probe(
-        two, cfg.ns or [16, 32, 64, 128, 256], max(cfg.s, 1.0), kern,
-        cfg.rng(91), mc_reps=cfg.mc_reps or 200)
+        two, cfg.ns or [16, 32, 64, 128, 256], kern, cfg.rng(91),
+        mc_reps=cfg.mc_reps or 200)
     for N, v, se in zip(probe.ns, probe.values, probe.stderrs):
         res.add_row(N, "empirical_hs_sq", v, se)
     res.fits["definetti_slope"] = probe.report.fitted_slope
@@ -663,8 +673,7 @@ def run_mixtures(cfg: ExperimentConfig) -> ExperimentResult:
               f"{probe.bound_violations} violations")
 
     single = mixtures.Mixture(((1.0, gaussian_density()),))
-    sp = mixtures.definetti_cauchy_probe(single, [16, 32, 64, 128], cfg.s
-                                         if cfg.s >= 1 else 1.0, kern,
+    sp = mixtures.definetti_cauchy_probe(single, [16, 32, 64, 128], kern,
                                          cfg.rng(92), mc_reps=160)
     gap = max(abs(v - e) / e for v, e in zip(sp.values, sp.exact_one_atom))
     res.add_row(0, "single_atom_exact_rel_gap", gap)

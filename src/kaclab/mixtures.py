@@ -180,7 +180,7 @@ class DeFinettiProbe:
     report: RateReport
 
 
-def definetti_cauchy_probe(pi: Mixture, Ns, s: float, kernel: HsKernel,
+def definetti_cauchy_probe(pi: Mixture, Ns, kernel: HsKernel,
                            rng: np.random.Generator,
                            mc_reps: int = 200) -> DeFinettiProbe:
     """Monte Carlo negative-Sobolev convergence of empirical mixtures.

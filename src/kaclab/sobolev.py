@@ -2,8 +2,9 @@
 
 The squared H^{-s} distance between two measures is a double sum of a
 radial kernel over the signed atom differences, which makes it a monomial
-of order two on measures. The kernel is tabulated from its closed Bessel
-form and every distance admits an independent Fourier-quadrature oracle.
+of order two on measures. The kernel is evaluated in closed form (an
+exponential times a polynomial for integer s, the Bessel form otherwise)
+and every distance admits an independent Fourier-quadrature oracle.
 Only d = 1 is supported; every consumer in this package lives on the line.
 """
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
@@ -28,15 +28,25 @@ __all__ = [
     "hs_w1_bridge_check",
 ]
 
-_TABLE_RMAX = 64.0
-_TABLE_SIZE = 4096
 _NEG_CLAMP = 1e-9
 _XI_HEAD = 60.0   # end of the Fourier oracle's Gauss-Legendre head
 
 
-def _phi_closed(s: float, r: np.ndarray) -> np.ndarray:
-    """Closed form of the kernel in d = 1: inverse transform of <xi>^{-2s}."""
+def _phi_closed(s: float, r):
+    """Closed form of the kernel in d = 1: inverse transform of <xi>^{-2s}.
+
+    This is the Matern form (2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2}
+    K_{s-1/2}(r). For integer s = n + 1 the Bessel order is a half-integer
+    and the kernel is e^{-r} times a polynomial of degree n (DLMF 10.49.12).
+    """
     r = np.asarray(r, dtype=float)
+    if float(s).is_integer():
+        n = int(s) - 1
+        f = math.factorial
+        # exact integer ratios, so the coefficients stay finite for large n
+        coef = [f(n + k) / (f(n) * f(k) * f(n - k) * 2 ** (n + k))
+                for k in range(n + 1)]
+        return math.pi * np.exp(-r) * np.polyval(coef, r)
     nu = s - 0.5
     phi0 = math.sqrt(math.pi) * gamma_fn(s - 0.5) / gamma_fn(s)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -47,68 +57,30 @@ def _phi_closed(s: float, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HsKernel:
-    """Tabulated radial kernel of the H^{-s} norm on measures, d = 1."""
+    """Radial kernel of the H^{-s} norm on measures, d = 1."""
 
     s: float
-    radii: np.ndarray
-    table: np.ndarray
     phi0: float
     lipschitz_bound: float
-    _spline: CubicSpline
-    _tail_log_slope: float
-    _tail_log_intercept: float
 
     def __call__(self, z):
         return phi_s(z, self)
 
 
 def make_hs_kernel(s: float) -> HsKernel:
-    """Build the kernel table for exponent s > 1/2.
-
-    The 4096 radial nodes on [0, 64] are quadratically graded toward 0
-    where the kernel bends fastest; beyond the table the kernel follows an
-    exponential-decay fit of the last tabulated decade.
-    """
+    """The kernel for exponent s > 1/2, with its value at 0 and Lipschitz
+    bound; every evaluation goes through the closed form."""
     if s <= 0.5:
         raise DimensionError(f"need s > 1/2, got s={s}")
-    radii = _TABLE_RMAX * (np.arange(_TABLE_SIZE) / (_TABLE_SIZE - 1)) ** 2
-    table = _phi_closed(s, radii)
-    phi0 = float(table[0])
     # |Phi(z) - Phi(z')| <= |z - z'| * int |xi| <xi>^{-2s} dxi = |z-z'|/(s-1)
     lip = 1.0 / (s - 1.0) if s > 1.0 else math.inf
-    spline = CubicSpline(radii, table, bc_type=((1, 0.0) if s > 1 else "not-a-knot",
-                                                "not-a-knot"))
-    # log-linear tail fit over the last decade of the table
-    mask = radii > 0.9 * _TABLE_RMAX
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.maximum(table[mask], 1e-320))
-    A = np.vstack([radii[mask], np.ones(mask.sum())]).T
-    slope, intercept = np.linalg.lstsq(A, logs, rcond=None)[0]
-    return HsKernel(s, radii, table, phi0, lip, spline,
-                    float(slope), float(intercept))
+    return HsKernel(s, float(_phi_closed(s, 0.0)), lip)
 
 
 def phi_s(z, kernel: HsKernel):
-    """Kernel value by radial table lookup with cubic interpolation.
-
-    The tail beyond the table uses the exponential decay fit and errors
-    out once the fitted value underflows the validity floor.
-    """
-    r = np.abs(np.asarray(z, dtype=float))
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    inside = r <= _TABLE_RMAX
-    out[inside] = kernel._spline(r[inside])
-    if np.any(~inside):
-        far = r[~inside]
-        logv = kernel._tail_log_intercept + kernel._tail_log_slope * far
-        if np.any(logv < -700.0):
-            raise KaclabError(
-                f"kernel queried at |z| = {far.max():g}, beyond the decay-fit "
-                f"validity range")
-        out[~inside] = np.exp(logv)
-    return float(out[0]) if scalar else out
+    """Kernel value at |z|; a scalar input gives a float."""
+    out = _phi_closed(kernel.s, np.abs(z))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _signed_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -127,8 +99,8 @@ def hs_dist_sq(mu: DiscreteMeasure, nu: DiscreteMeasure,
     val = float(wts @ phi_s(diffs, kernel) @ wts)
     if val < -_NEG_CLAMP:
         raise KaclabError(
-            f"squared distance {val:.3e} below -{_NEG_CLAMP}; kernel table "
-            f"is corrupt")
+            f"squared distance {val:.3e} below -{_NEG_CLAMP}; the kernel is "
+            f"not positive definite")
     return max(val, 0.0)
 
 
@@ -176,8 +148,7 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def hs_w1_bridge_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       k: float, s: float,
-                       kernel: HsKernel | None = None):
+                       k: float, s: float):
     """Measured W1 against its explicit H^{-s}-moment upper bound.
 
     Returns (w1, bound) and raises if the bound fails. The explicit
@@ -187,9 +158,8 @@ def hs_w1_bridge_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     from .transport import BOUNDED_L1, w1_discrete
     if s < 1 or k <= 0:
         raise DimensionError("bridge check needs s >= 1 and k > 0")
-    kern = kernel if kernel is not None else make_hs_kernel(s)
     w1 = w1_discrete(mu, nu, BOUNDED_L1).cost
-    hs = math.sqrt(hs_dist_sq(mu, nu, kern))
+    hs = math.sqrt(hs_dist_sq(mu, nu, make_hs_kernel(s)))
     mk = mu.moment(k) + nu.moment(k)
     c_d = 6.0 * math.sqrt(10.0)
     const = c_d * (1.0 + ((s - 1.0) / 2.0) ** ((s - 1.0) / 2.0))

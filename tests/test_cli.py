@@ -39,12 +39,16 @@ def test_unknown_experiment_is_usage_error(tmp_path):
 
 def test_bad_config_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
-    # threads was removed; foo is no density; 5 is no JSON object
-    for bad in ({"not_a_key": 1}, {"threads": 2}, {"density": "foo"}, 5):
+    # threads was removed; foo is no density; 5 is no JSON object; then
+    # one value of the wrong type or out of range per checked key
+    for bad in ({"not_a_key": 1}, {"threads": 2}, {"density": "foo"}, 5,
+                {"seed": "x"}, {"seed": 1.5}, {"mc_reps": "10"},
+                {"reference_size": 2.0}, {"s": "1"}, {"k": True},
+                {"ns": 5}, {"ns": [16, "32"]}, {"output": 3},
+                {"format": "xml"}):
         cfg.write_text(json.dumps(bad))
-        res = run_cli(["run", "identities", "--config", str(cfg),
-                       "--output", str(tmp_path / "x")])
-        assert res.returncode == 2
+        assert main(["run", "identities", "--config", str(cfg),
+                     "--output", str(tmp_path / "x")]) == 2, bad
 
 
 def test_run_writes_csv_and_json(tmp_path):

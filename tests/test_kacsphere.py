@@ -1,11 +1,12 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from kaclab import experiments
+from kaclab import experiments, kacsphere
 from kaclab.core import (DimensionError, HypothesisError, KaclabError,
                          gaussian_density, uniform_density)
 from kaclab.kacsphere import (CACHE_ENV_VAR, SphereConfig,
@@ -213,17 +214,47 @@ def test_sphere_table_rebuilds_a_truncated_cache_file(tmp_path, monkeypatch,
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
     ks = range(1, 17)
-    experiments.sphere_table(gauss, 16, ks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a missing file is built silently
+        experiments.sphere_table(gauss, 16, ks)
     path = cache_path(gauss.name, 16, ks)
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:
         fh.write(blob[:-400])
     experiments._TABLE_MEMO.clear()
-    rebuilt = experiments.sphere_table(gauss, 16, ks)
+    with pytest.warns(RuntimeWarning, match="unreadable cache file") as rec:
+        rebuilt = experiments.sphere_table(gauss, 16, ks)
+    assert path in str(rec[0].message)
     fresh = build_partition_table(gauss, 16, ks=ks)
     _assert_tables_equal(rebuilt, fresh)
     _assert_tables_equal(load_table(path), fresh)
+
+
+def test_sphere_table_rebuilds_a_cache_file_of_another_table(tmp_path,
+                                                              monkeypatch,
+                                                              gauss):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
+    ks = range(1, 17)
+    path = cache_path(gauss.name, 16, ks)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    save_table(build_partition_table(gauss, 12, ks=range(1, 13)), path)
+    with pytest.warns(RuntimeWarning, match="max_N = 12, not"):
+        rebuilt = experiments.sphere_table(gauss, 16, ks)
+    assert rebuilt.max_N == 16 and load_table(path).max_N == 16
+
+
+def test_sphere_table_warns_when_the_save_fails(tmp_path, monkeypatch, gauss):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
+
+    def refuse(table, path):
+        raise PermissionError(f"read-only: {path}")
+    monkeypatch.setattr(kacsphere, "save_table", refuse)
+    with pytest.warns(RuntimeWarning, match="could not save cache file"):
+        table = experiments.sphere_table(gauss, 16, range(1, 17))
+    assert table.max_N == 16
 
 
 # ---------------------------------------------------------------------------

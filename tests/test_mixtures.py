@@ -132,7 +132,7 @@ def test_log_marginal_matches_direct(two_atoms, rng):
 
 def test_definetti_single_atom_exact_law(kern, rng):
     pi = Mixture(((1.0, gaussian_density()),))
-    probe = definetti_cauchy_probe(pi, [16, 32, 64, 128], 1.0, kern, rng,
+    probe = definetti_cauchy_probe(pi, [16, 32, 64, 128], kern, rng,
                                    mc_reps=200)
     assert isinstance(probe, DeFinettiProbe)
     for v, e, se in zip(probe.values, probe.exact_one_atom, probe.stderrs):
@@ -144,7 +144,7 @@ def test_definetti_single_atom_exact_law(kern, rng):
 
 
 def test_definetti_two_atoms(two_atoms, kern, rng):
-    probe = definetti_cauchy_probe(two_atoms, [16, 32, 64, 128], 1.0, kern,
-                                   rng, mc_reps=150)
+    probe = definetti_cauchy_probe(two_atoms, [16, 32, 64, 128], kern, rng,
+                                   mc_reps=150)
     assert -1.1 < probe.report.fitted_slope < -0.9
     assert probe.bound_violations == 0

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import gamma, kv
+
+from kaclab import sobolev
 from kaclab.core import DimensionError, DiscreteMeasure, KaclabError
 from kaclab.sobolev import (hs_dist_sq, hs_dist_sq_fourier_oracle,
                             hs_w1_bridge_check, make_hs_kernel, phi_s)
@@ -55,12 +58,23 @@ def test_phi_bounded_by_phi0(kern1, kern2):
         assert np.all(np.abs(phi_s(zs, k)) <= k.phi0 + 1e-12)
 
 
-def test_tail_extrapolation_and_validity(kern1):
-    # just beyond the table the exponential fit continues the closed form
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_integer_s_matches_bessel_form(s):
+    # the Matern form (2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2} K_{s-1/2}(r)
+    r = np.linspace(0.0, 60.0, 6001)[1:]
+    bessel = 2.0 * math.sqrt(math.pi) / gamma(s) * (r / 2.0) ** (s - 0.5) \
+        * kv(s - 0.5, r)
+    kern = make_hs_kernel(float(s))
+    assert np.max(np.abs(phi_s(r, kern) - bessel)) <= 1e-14
+    np.testing.assert_allclose(phi_s(r, kern), bessel, rtol=1e-14, atol=0.0)
+    phi0 = math.sqrt(math.pi) * gamma(s - 0.5) / gamma(s)
+    assert abs(phi_s(0.0, kern) - phi0) <= 1e-14
+
+
+def test_far_tail_is_the_closed_form(kern1):
     assert phi_s(70.0, kern1) == pytest.approx(math.pi * math.exp(-70.0),
-                                               rel=1e-3)
-    with pytest.raises(KaclabError):
-        phi_s(5000.0, kern1)
+                                               rel=1e-14)
+    assert phi_s(5000.0, kern1) == 0.0
 
 
 def test_lipschitz_bound(kern2):
@@ -116,37 +130,34 @@ def test_sqrt_triangle_inequality(kern2, rng):
         assert dab <= dac + dcb + 1e-6
 
 
-def test_negative_clamp_raises_on_corrupt_table(kern1):
-    import dataclasses
-    bad = dataclasses.replace(kern1, phi0=-kern1.phi0)
-    # force corrupt values through a flipped spline
-    from scipy.interpolate import CubicSpline
-    object.__setattr__(bad, "_spline", CubicSpline(kern1.radii, -kern1.table))
+def test_negative_clamp_raises_on_corrupt_kernel(kern1, monkeypatch):
+    closed = sobolev._phi_closed
+    monkeypatch.setattr(sobolev, "_phi_closed",
+                        lambda s, r: -closed(s, r))
     mu = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
     nu = DiscreteMeasure(1, np.array([[0.5]]), np.array([1.0]))
     with pytest.raises(KaclabError):
-        hs_dist_sq(mu, nu, bad)
+        hs_dist_sq(mu, nu, kern1)
 
 
-def test_bridge_check_identical_measures(kern1, rng):
+def test_bridge_check_identical_measures(rng):
     mu = empirical(rng, 5)
-    w1, bound = hs_w1_bridge_check(mu, mu, 2.0, 1.0, kern1)
+    w1, bound = hs_w1_bridge_check(mu, mu, 2.0, 1.0)
     assert w1 == pytest.approx(0.0, abs=1e-12)
     assert bound >= 0.0
 
 
-def test_bridge_check_two_diracs(kern1):
+def test_bridge_check_two_diracs():
     mu = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
     nu = DiscreteMeasure(1, np.array([[0.1]]), np.array([1.0]))
-    w1, bound = hs_w1_bridge_check(mu, nu, 2.0, 1.0, kern1)
+    w1, bound = hs_w1_bridge_check(mu, nu, 2.0, 1.0)
     assert w1 == pytest.approx(0.1)
     assert w1 <= bound
 
 
 def test_bridge_check_sweep(rng):
-    kern = make_hs_kernel(1.5)
     for _ in range(100):
         mu = empirical(rng, int(rng.integers(2, 9)))
         nu = empirical(rng, int(rng.integers(2, 9)))
-        w1, bound = hs_w1_bridge_check(mu, nu, 2.0, 1.5, kern)
+        w1, bound = hs_w1_bridge_check(mu, nu, 2.0, 1.5)
         assert w1 <= bound + 1e-9

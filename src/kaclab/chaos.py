@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import Configuration, Density, DimensionError, DiscreteMeasure, SizeError
 from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_config,
-                        w1_discrete)
-from .kacsphere import marginal_gauss_l1, sample_sigma
+                        w1_discrete, w1_line_batch)
+from .kacsphere import _check_reps, marginal_gauss_l1, sample_sigma
 
 __all__ = [
     "ChaosEstimate",
@@ -97,18 +97,18 @@ def omega_inf(sampler, f: Density, N: int, mc_reps: int,
     Each replica compares the drawn configuration's empirical measure to a
     fixed seeded discretization of f of size M = 4 N; M is reported so the
     discretization bias, which scales like M^{-1/2} on the line, can be
-    budgeted by the caller.
+    budgeted by the caller. All replicas are drawn first and solved
+    exactly in one ``w1_line_batch`` call.
     """
+    _check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     M = 4 * N
-    ref = np.sort(f.sampler(np.random.default_rng(990011), M))
+    ref = f.sampler(np.random.default_rng(990011), M)
+    draws = np.stack([sampler(N, rng) for _ in range(mc_reps)])
     # replicating each drawn atom M / N = 4 times leaves the optimum
     # unchanged and makes both sides equal-size configurations
-    Y = Configuration(1, M, ref)
-    vals = np.empty(mc_reps)
-    for r in range(mc_reps):
-        X = Configuration(1, M, np.repeat(sampler(N, rng), 4))
-        vals[r] = w1_config(X, Y)[0]
+    vals = w1_line_batch(np.repeat(draws, 4, axis=1),
+                         np.broadcast_to(ref, (mc_reps, M)))
     return ChaosEstimate("omega_inf", N, mc_reps, float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(mc_reps)), M,
                          upper_bound=False, method="mc_reference",
@@ -124,14 +124,17 @@ def omega_n(sampler, f: Density, N: int, mc_reps: int,
     noise realize their natural coupling (iid-vs-iid gives exactly zero,
     the sphere law meets the Gaussian through the radial projection); any
     coupling upper-bounds the distance, so the estimate is always valid.
+    The replicas' exact relabeling optima come from one ``w1_line_batch``
+    call.
     """
-    vals = np.empty(mc_reps)
+    _check_reps(mc_reps)
+    x = np.empty((mc_reps, N))
+    y = np.empty((mc_reps, N))
     for r in range(mc_reps):
         seed = int(rng.integers(0, 2 ** 62))
-        x = sampler(N, np.random.default_rng(seed))
-        y = f.sampler(np.random.default_rng(seed), N)
-        cost, _ = w1_config(Configuration(1, N, x), Configuration(1, N, y))
-        vals[r] = cost
+        x[r] = sampler(N, np.random.default_rng(seed))
+        y[r] = f.sampler(np.random.default_rng(seed), N)
+    vals = w1_line_batch(x, y)
     return ChaosEstimate("omega_N", N, mc_reps, float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(mc_reps)), N,
                          upper_bound=True, method="coupled_pairs")

@@ -5,7 +5,8 @@ of rows plus a JSON summary; ``list`` prints the registry; ``cache`` builds
 or clears the partition-table cache. Configuration comes from an optional
 JSON config file with command-line flags winning over file values. Exit
 codes: 0 all assertions passed, 1 an assertion failed, 2 usage error or
-input that breaks a hypothesis of the experiment (``HypothesisError``).
+input the library rejects (any ``KaclabError``, such as a hypothesis the
+density breaks or too few replicas or N values).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import os
 import shutil
 import sys
 
-from .core import HypothesisError, bimodal_density, gaussian_density
+from .core import KaclabError, bimodal_density, gaussian_density
 from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
                           ExperimentResult, run_experiment, sphere_table,
                           _rate_ks)
@@ -145,7 +146,7 @@ def _cmd_run(args) -> int:
         return _USAGE_ERROR
     try:
         result = run_experiment(cfg)
-    except HypothesisError as exc:
+    except KaclabError as exc:
         print(f"{cfg.experiment}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     csv_path, json_path = _write_outputs(result, cfg)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kaclab.core import DimensionError, SizeError, gaussian_density
+from kaclab.core import (Configuration, DimensionError, SizeError,
+                         gaussian_density)
 from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
                           iid_sampler, mixture_sampler, omega1_counterexample,
                           omega_inf, omega_j, omega_j_sigma_quadrature,
                           omega_n, pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
+from kaclab.transport import w1_config
 
 
 def test_estimate_value_range_enforced():
@@ -46,6 +48,45 @@ def test_omega_n_independent_draws_scale(gauss, rng):
     assert est.value > 0.0
     assert est.value <= 3.0 * 2.0 * oinf.value
     assert est.value >= 2.0 * oinf.value / 3.0
+
+
+def _w1(x, y):
+    return w1_config(Configuration(1, len(x), x), Configuration(1, len(y), y))[0]
+
+
+def test_omega_inf_matches_per_replica_assignment(gauss):
+    N, reps = 24, 12
+    est = omega_inf(sigma_sampler(), gauss, N, reps,
+                    rng=np.random.default_rng(5))
+    ref = gauss.sampler(np.random.default_rng(990011), 4 * N)
+    rng = np.random.default_rng(5)
+    vals = [_w1(np.repeat(sigma_sampler()(N, rng), 4), ref)
+            for _ in range(reps)]
+    assert est.value == pytest.approx(np.mean(vals), abs=1e-12)
+    assert est.stderr == pytest.approx(
+        np.std(vals, ddof=1) / math.sqrt(reps), abs=1e-12)
+
+
+def test_omega_n_matches_per_replica_assignment(gauss):
+    N, reps = 40, 15
+    est = omega_n(sigma_sampler(), gauss, N, reps, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    vals = []
+    for _ in range(reps):
+        seed = int(rng.integers(0, 2 ** 62))
+        vals.append(_w1(sigma_sampler()(N, np.random.default_rng(seed)),
+                        gauss.sampler(np.random.default_rng(seed), N)))
+    assert est.value == pytest.approx(np.mean(vals), abs=1e-12)
+    assert est.stderr == pytest.approx(
+        np.std(vals, ddof=1) / math.sqrt(reps), abs=1e-12)
+
+
+def test_monte_carlo_quantifiers_need_two_replicas(gauss, rng):
+    for reps in (0, 1):
+        with pytest.raises(SizeError):
+            omega_inf(iid_sampler(gauss), gauss, 8, reps, rng=rng)
+        with pytest.raises(SizeError):
+            omega_n(iid_sampler(gauss), gauss, 8, reps, rng)
 
 
 def test_omega_inf_reports_reference_budget(gauss, rng):

@@ -112,6 +112,19 @@ def test_uniform_conditioned_density_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "cp.csv").exists()
 
 
+def test_library_errors_are_usage_errors(tmp_path, capsys):
+    # one replica gives no standard error; two N values give no rate fit
+    for args, message in ((["--mc-reps", "1", "--ns", "16,32,64,128"],
+                           "mc_reps >= 2"),
+                          (["--ns", "16,32"], "at least 4 points")):
+        code = main(["run", "poincare-rate", *args,
+                     "--output", str(tmp_path / "pr")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("poincare-rate: ") and message in err
+        assert not (tmp_path / "pr.csv").exists()
+
+
 def test_failing_experiment_exits_one(tmp_path, monkeypatch):
     # the entropy-chaos window assertion is an expected red: the measured
     # decay is faster than the asserted two-sided window

@@ -8,7 +8,7 @@ from scipy import integrate, optimize, stats
 
 from kaclab import experiments, kacsphere
 from kaclab.core import (DimensionError, HypothesisError, KaclabError,
-                         gaussian_density, uniform_density)
+                         SizeError, gaussian_density, uniform_density)
 from kaclab.kacsphere import (CACHE_ENV_VAR, SphereConfig,
                               build_partition_table, cache_path,
                               marginal_gauss_l1, entropy_chaos_gap,
@@ -139,6 +139,8 @@ def test_radial_projection_rate(rng):
     vals = [radial_projection_cost(n, 400, rng)[0] for n in ns]
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert -0.65 < slope < -0.35
+    with pytest.raises(SizeError):
+        radial_projection_cost(16, 1, rng)
 
 
 # ---------------------------------------------------------------------------

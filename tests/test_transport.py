@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaclab.core import Configuration, DimensionError, DiscreteMeasure
-from kaclab.transport import (BOUNDED_L1, NORMALIZED_L2_SQ, CostSpec,
-                              cost_config, cost_matrix, pair_tensorization_check,
-                              product_measure, tensorization_check, w1_config,
+from kaclab.transport import (BOUNDED_L1, NORMALIZED_L2_SQ, TRUNCATION,
+                              CostSpec, cost_config, cost_matrix,
+                              pair_tensorization_check, product_measure,
+                              tensorization_check, w1_config,
                               w1_config_bruteforce, w1_discrete,
-                              w1_dual_lower_bound)
+                              w1_dual_lower_bound, w1_line_batch)
 from kaclab.chaos import enumerate_configs, symmetric_pmf
 from kaclab.transport import _transport_lp
 
@@ -89,6 +90,71 @@ def test_w1_config_below_identity_coupling():
 
 
 # ---------------------------------------------------------------------------
+# w1_line_batch
+# ---------------------------------------------------------------------------
+
+def _line_instance(rng, case):
+    """One random pair of line configurations of the given kind."""
+    n = int(rng.integers(1, 61))
+    scale = rng.uniform(0.2, 4.0)
+    x, y = scale * rng.normal(size=n), scale * rng.normal(size=n)
+    if case == "ties":
+        x, y = np.round(x, 1), np.round(y, 1)
+    elif case == "replicated":
+        # omega_inf's layout: each drawn atom four times against 4n atoms
+        x, y = np.repeat(x, 4), scale * rng.normal(size=4 * n)
+    elif case == "single":
+        x, y = x[:1], y[:1]
+    return x, y
+
+
+@pytest.mark.parametrize("seed,case", enumerate(
+    ["plain", "ties", "replicated", "single"]))
+def test_w1_line_batch_matches_assignment(seed, case):
+    rng = np.random.default_rng(seed)
+    for _ in range(80):
+        x, y = _line_instance(rng, case)
+        n = len(x)
+        oracle, _ = w1_config(Configuration(1, n, x), Configuration(1, n, y))
+        assert w1_line_batch(x[None], y[None])[0] == \
+            pytest.approx(oracle, abs=1e-12)
+
+
+def test_w1_line_batch_matches_bruteforce():
+    rng = np.random.default_rng(15)
+    for n in range(1, 8):
+        for _ in range(6):
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            brute = w1_config_bruteforce(conf(*x), conf(*y))
+            assert w1_line_batch(x[None], y[None])[0] == \
+                pytest.approx(brute, abs=1e-12)
+
+
+def test_w1_line_batch_far_apart_is_the_truncation():
+    x = np.array([[0.0, 0.4, 0.9]])
+    assert w1_line_batch(x, x + 5.0)[0] == TRUNCATION
+    assert w1_line_batch(x, x[:, ::-1])[0] == 0.0
+
+
+def test_w1_line_batch_rows_are_independent():
+    rng = np.random.default_rng(16)
+    xs, ys = rng.normal(size=(9, 25)), rng.normal(size=(9, 25))
+    batched = w1_line_batch(xs, ys)
+    single = [w1_line_batch(x[None], y[None])[0] for x, y in zip(xs, ys)]
+    np.testing.assert_array_equal(batched, single)
+
+
+def test_w1_line_batch_rejects_bad_input():
+    good = np.zeros((2, 3))
+    for xs, ys in ((good, np.zeros((2, 4))), (good, np.zeros((3, 3))),
+                   (good[0], good[0]), (np.zeros((2, 0)), np.zeros((2, 0))),
+                   (good, np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]])),
+                   (np.full((2, 3), np.inf), good)):
+        with pytest.raises(DimensionError):
+            w1_line_batch(xs, ys)
+
+
+# ---------------------------------------------------------------------------
 # w1_discrete
 # ---------------------------------------------------------------------------
 
@@ -125,6 +191,28 @@ def test_transport_plan_marginals_validate():
     plan = w1_discrete(mu, nu)
     costs = cost_matrix(mu.merged(), nu.merged(), BOUNDED_L1)
     assert plan.validate(costs)
+
+
+def test_quantile_plan_matches_lp():
+    # half the pairs sit on a half-integer grid, so atoms tie across the
+    # two measures and repeated points merge within one
+    rng = np.random.default_rng(17)
+    for k in range(240):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        if k % 2:
+            p = rng.integers(-3, 4, size=(n, 1)) * 0.5
+            q = rng.integers(-3, 4, size=(m, 1)) * 0.5
+        else:
+            p = rng.normal(size=(n, 1))
+            q = rng.normal(size=(m, 1))
+        mu = DiscreteMeasure(1, p, rng.dirichlet(np.ones(n)))
+        nu = DiscreteMeasure(1, q, rng.dirichlet(np.ones(m)))
+        plan = w1_discrete(mu, nu, NORMALIZED_L2_SQ)
+        mu, nu = mu.merged(), nu.merged()
+        costs = cost_matrix(mu, nu, NORMALIZED_L2_SQ)
+        assert plan.validate(costs)
+        lp = _transport_lp(costs, mu.weights, nu.weights).cost
+        assert plan.cost == pytest.approx(lp, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

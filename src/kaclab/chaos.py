@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Configuration, Density, DimensionError, DiscreteMeasure, SizeError
+from .core import (Configuration, Density, DimensionError, DiscreteMeasure,
+                   SizeError, check_reps)
 from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_config,
                         w1_discrete, w1_line_batch)
-from .kacsphere import _check_reps, marginal_gauss_l1, sample_sigma
+from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
     "ChaosEstimate",
@@ -100,7 +101,7 @@ def omega_inf(sampler, f: Density, N: int, mc_reps: int,
     budgeted by the caller. All replicas are drawn first and solved
     exactly in one ``w1_line_batch`` call.
     """
-    _check_reps(mc_reps)
+    check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     M = 4 * N
     ref = f.sampler(np.random.default_rng(990011), M)
@@ -127,7 +128,7 @@ def omega_n(sampler, f: Density, N: int, mc_reps: int,
     The replicas' exact relabeling optima come from one ``w1_line_batch``
     call.
     """
-    _check_reps(mc_reps)
+    check_reps(mc_reps)
     x = np.empty((mc_reps, N))
     y = np.empty((mc_reps, N))
     for r in range(mc_reps):
@@ -151,6 +152,7 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
     """
     if j > N:
         raise DimensionError("j must not exceed N")
+    check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     n_batches = max(2, min(4, mc_reps // 8))
     pool = np.empty((mc_reps, j))

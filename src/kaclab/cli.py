@@ -4,9 +4,9 @@ Subcommands: ``run <name>`` executes one named experiment and writes a CSV
 of rows plus a JSON summary; ``list`` prints the registry; ``cache`` builds
 or clears the partition-table cache. Configuration comes from an optional
 JSON config file with command-line flags winning over file values. Exit
-codes: 0 all assertions passed, 1 an assertion failed, 2 usage error or
-input the library rejects (any ``KaclabError``, such as a hypothesis the
-density breaks or too few replicas or N values).
+codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
+(including too few replicas or N values) or input that breaks a hypothesis
+of the experiment (``HypothesisError``).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import os
 import shutil
 import sys
 
-from .core import KaclabError, bimodal_density, gaussian_density
+from .core import HypothesisError, bimodal_density, gaussian_density
 from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
                           ExperimentResult, run_experiment, sphere_table,
                           _rate_ks)
@@ -40,7 +40,8 @@ def _is_number(v) -> bool:
 _CONFIG_VALUES = {
     "density": (f"one of {', '.join(DENSITIES)}", lambda v: v in DENSITIES),
     "seed": ("an int", _is_int),
-    "mc_reps": ("an int", lambda v: v is None or _is_int(v)),
+    # a Monte Carlo standard error needs two replicas
+    "mc_reps": ("an int >= 2", lambda v: v is None or (_is_int(v) and v >= 2)),
     "reference_size": ("an int", lambda v: v is None or _is_int(v)),
     "s": ("a number", _is_number),
     "k": ("a number", _is_number),
@@ -49,6 +50,11 @@ _CONFIG_VALUES = {
     "output": ("a string", lambda v: v is None or isinstance(v, str)),
     "format": ("csv or json", lambda v: v in ("csv", "json")),
 }
+
+# the fewest N values of the suites that fit a rate over ns (clt-rate also
+# fits its skew tail from the third N on)
+_RATE_FIT_NS = {"poincare-rate": 4, "clt-rate": 6, "conditioned-products": 4,
+                "entropy-chaos": 4, "mixtures": 4}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,11 +97,9 @@ def _load_config(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = ExperimentConfig(**base)
-    for key, (what, ok) in _CONFIG_VALUES.items():
-        if not ok(getattr(cfg, key)):
-            raise ValueError(f"config value {key} must be {what}, "
-                             f"got {getattr(cfg, key)!r}")
     cfg.experiment = args.name
+    # a bad value in the file is an error even where a flag overrides it
+    _check_values(cfg)
     for key in ("density", "mc_reps", "reference_size", "seed", "s", "k",
                 "output", "format"):
         val = getattr(args, key, None)
@@ -103,7 +107,19 @@ def _load_config(args) -> ExperimentConfig:
             setattr(cfg, key, val)
     if getattr(args, "ns", None):
         cfg.ns = [int(x) for x in args.ns.split(",")]
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: ExperimentConfig):
+    for key, (what, ok) in _CONFIG_VALUES.items():
+        if not ok(getattr(cfg, key)):
+            raise ValueError(f"config value {key} must be {what}, "
+                             f"got {getattr(cfg, key)!r}")
+    least = _RATE_FIT_NS.get(cfg.experiment, 0)
+    if cfg.ns is not None and len(cfg.ns) < least:
+        raise ValueError(f"{cfg.experiment} fits a rate and needs at least "
+                         f"{least} ns values, got {cfg.ns}")
 
 
 def _write_outputs(result: ExperimentResult, cfg: ExperimentConfig):
@@ -146,7 +162,7 @@ def _cmd_run(args) -> int:
         return _USAGE_ERROR
     try:
         result = run_experiment(cfg)
-    except KaclabError as exc:
+    except HypothesisError as exc:
         print(f"{cfg.experiment}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     csv_path, json_path = _write_outputs(result, cfg)

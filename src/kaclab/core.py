@@ -24,6 +24,7 @@ __all__ = [
     "DimensionError",
     "QuadratureError",
     "SizeError",
+    "check_reps",
     "HypothesisError",
     "SupportError",
     "Configuration",
@@ -75,6 +76,13 @@ class QuadratureError(KaclabError):
 
 class SizeError(KaclabError):
     """An exact computation would blow past its size budget."""
+
+
+def check_reps(count: int, least: int = 2):
+    """Refuse a Monte Carlo sample too small for its standard error."""
+    if count < least:
+        raise SizeError(f"a standard error needs at least {least} Monte "
+                        f"Carlo draws, got {count}")
 
 
 class HypothesisError(KaclabError):

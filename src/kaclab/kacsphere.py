@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from scipy.special import betainc, gammainc, gammaln
 
 from .core import (Density, DimensionError, HypothesisError, KaclabError,
-                   SizeError, gauss_quadrature, gaussian_density,
+                   check_reps, gauss_quadrature, gaussian_density,
                    spectrum_power)
 from .information import relative_entropy
 
@@ -159,12 +159,6 @@ def marginal_gauss_l1(N: int, ell: int = 1) -> float:
     return float(2.0 * (sphere - gauss))
 
 
-def _check_reps(mc_reps: int):
-    """A Monte Carlo standard error needs at least two replicas."""
-    if mc_reps < 2:
-        raise SizeError(f"a standard error needs mc_reps >= 2, got {mc_reps}")
-
-
 def radial_projection_cost(N: int, mc_reps: int,
                            rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of the normalized l1 projection displacement.
@@ -172,7 +166,7 @@ def radial_projection_cost(N: int, mc_reps: int,
     E |P(V) - V|_1 over iid Gaussian V, an upper bound for the transport
     distance between the uniform sphere law and the Gaussian tensor power.
     """
-    _check_reps(mc_reps)
+    check_reps(mc_reps)
     z = rng.standard_normal((mc_reps, N))
     norm2 = np.sqrt(np.mean(z ** 2, axis=1))
     cost = np.abs(1.0 / norm2 - 1.0) * np.mean(np.abs(z), axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (Density, DimensionError, Grid, GridDensity,
-                   ProductGridDensity, RateReport, loglog_fit)
+                   ProductGridDensity, RateReport, check_reps, loglog_fit)
 from .information import entropy, fisher
 from .sobolev import HsKernel, phi_s
 
@@ -139,6 +139,7 @@ def marginal_entropy_curve(pi: Mixture, js, rng: np.random.Generator,
     """
     js = sorted(int(j) for j in js)
     n_batches = 20
+    check_reps(mc_count, n_batches)
     h3 = level3_entropy(pi)
     values, stderrs = [], []
     for j in js:
@@ -192,6 +193,7 @@ def definetti_cauchy_probe(pi: Mixture, Ns, kernel: HsKernel,
     kernel of an independent pair, divided by N) is returned alongside for
     single-atom mixtures, and the uniform bound 2 Phi(0)/N is checked.
     """
+    check_reps(mc_reps)
     xs_by_atom = []
     cross_by_atom = []
     expect_pair = []

@@ -87,6 +87,8 @@ def test_monte_carlo_quantifiers_need_two_replicas(gauss, rng):
             omega_inf(iid_sampler(gauss), gauss, 8, reps, rng=rng)
         with pytest.raises(SizeError):
             omega_n(iid_sampler(gauss), gauss, 8, reps, rng)
+        with pytest.raises(SizeError):
+            omega_j(iid_sampler(gauss), gauss, 1, 8, reps, rng=rng)
 
 
 def test_omega_inf_reports_reference_budget(gauss, rng):

@@ -3,8 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import kaclab
+from kaclab import cli
 from kaclab.cli import main
+from kaclab.core import QuadratureError
 from kaclab.experiments import EXPERIMENTS
 
 # the directory that holds the imported kaclab package, for the children
@@ -42,7 +46,7 @@ def test_bad_config_is_usage_error(tmp_path):
     # threads was removed; foo is no density; 5 is no JSON object; then
     # one value of the wrong type or out of range per checked key
     for bad in ({"not_a_key": 1}, {"threads": 2}, {"density": "foo"}, 5,
-                {"seed": "x"}, {"seed": 1.5}, {"mc_reps": "10"},
+                {"seed": "x"}, {"seed": 1.5}, {"mc_reps": "10"}, {"mc_reps": 1},
                 {"reference_size": 2.0}, {"s": "1"}, {"k": True},
                 {"ns": 5}, {"ns": [16, "32"]}, {"output": 3},
                 {"format": "xml"}):
@@ -112,17 +116,30 @@ def test_uniform_conditioned_density_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "cp.csv").exists()
 
 
-def test_library_errors_are_usage_errors(tmp_path, capsys):
-    # one replica gives no standard error; two N values give no rate fit
-    for args, message in ((["--mc-reps", "1", "--ns", "16,32,64,128"],
-                           "mc_reps >= 2"),
-                          (["--ns", "16,32"], "at least 4 points")):
-        code = main(["run", "poincare-rate", *args,
-                     "--output", str(tmp_path / "pr")])
+def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
+    # one replica gives no standard error; a rate fit needs four N values,
+    # and clt-rate fits its skew tail from the third N on
+    for name, args, message in (
+            ("poincare-rate", ["--mc-reps", "1", "--ns", "16,32,64,128"],
+             "mc_reps must be an int >= 2, got 1"),
+            ("mixtures", ["--mc-reps", "0"], "mc_reps"),
+            ("poincare-rate", ["--ns", "16,32"], "at least 4 ns values"),
+            ("clt-rate", ["--ns", "4,8,16,32,64"], "at least 6 ns values")):
+        code = main(["run", name, *args, "--output", str(tmp_path / "x")])
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("poincare-rate: ") and message in err
-        assert not (tmp_path / "pr.csv").exists()
+        assert code == 2, args
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_internal_library_error_is_not_usage_error(tmp_path, monkeypatch):
+    # a fault detected inside the library is no bad input: it must not be
+    # reported as exit 2 but surface with its traceback
+    def broken(cfg):
+        raise QuadratureError("did not converge", 0.0, 1.0)
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    with pytest.raises(QuadratureError):
+        main(["run", "identities", "--output", str(tmp_path / "x")])
 
 
 def test_failing_experiment_exits_one(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kaclab.core import DimensionError, gaussian_density, uniform_density
+from kaclab.core import (DimensionError, SizeError, gaussian_density,
+                         uniform_density)
 from kaclab.information import entropy, fisher, _grid_fisher_raw
 from kaclab.mixtures import (DeFinettiProbe, Mixture, definetti_cauchy_probe,
                              level3_entropy, level3_fisher,
@@ -141,6 +142,15 @@ def test_definetti_single_atom_exact_law(kern, rng):
     ratios = [probe.exact_one_atom[i] / probe.exact_one_atom[i + 1]
               for i in range(3)]
     np.testing.assert_allclose(ratios, 2.0, rtol=1e-10)
+
+
+def test_mixture_estimators_refuse_too_few_draws(two_atoms, kern, rng):
+    # one replica has no standard error; fewer draws than the 20 entropy
+    # batches leave a batch empty
+    with pytest.raises(SizeError):
+        definetti_cauchy_probe(two_atoms, [16], kern, rng, mc_reps=1)
+    with pytest.raises(SizeError):
+        marginal_entropy_curve(two_atoms, [4], rng, mc_count=19)
 
 
 def test_definetti_two_atoms(two_atoms, kern, rng):

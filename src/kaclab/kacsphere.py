@@ -6,7 +6,9 @@ unit-variance density f, the conditioned product law: the tensor power
 restricted and renormalized to the sphere. All partition-function work
 happens through the iterated convolution of the law of v^2, computed once
 on a fine grid in the Fourier domain and queried in the log domain, since
-the gamma-function prefactors overflow long before N reaches 300.
+the gamma-function prefactors overflow long before N reaches 300. The
+masses are folded onto a period that covers the widest window first, so
+the transforms are as short as the windows rather than the whole grid.
 
 Key identities used below, with h the law of v^2 under f:
 
@@ -246,12 +248,15 @@ def _u_cell_masses(f: Density, edges: np.ndarray) -> np.ndarray:
     return (cdf(r[1:]) - cdf(r[:-1])) + (cdf(-r[:-1]) - cdf(-r[1:]))
 
 
-def _window_bounds(k: int, E: float, Sigma: float, du: float,
-                   u_max: float) -> tuple[int, int]:
+def _window_bounds(k: int, E: float, Sigma: float,
+                   du: float) -> tuple[int, int]:
+    """Index range [i0, i1) outside which h^{*k} has negligible mass.
+
+    The stored window is this range cut at the end of the u-grid.
+    """
     width = max(24.0 * math.sqrt(k) * Sigma, 120.0) + 60.0
     lo = max(0.0, k * E - width)
-    hi = min(u_max, k * E + width)
-    return int(lo / du), int(hi / du) + 1
+    return int(lo / du), int((k * E + width) / du) + 1
 
 
 def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
@@ -262,6 +267,14 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     the inverse-square-root singularity at zero costs no accuracy; powers
     of the spectrum are exact up to floating point, and the grid is kept
     fine enough that the gaussian reference reproduces Z' = 1 to about 2e-5.
+
+    The m cell masses are folded modulo P, the smallest power of two that
+    covers the widest window's mass range (at most 2m), so every spectrum
+    power and inverse FFT has length P rather than 2m. This is exact: every
+    (2m/P)-th bin of the 2m-point spectrum is the spectrum of the folded
+    masses, so the folded k-th power at t is sum_j h^{*k}(t + jP), which
+    differs from h^{*k}(t) on a window only by mass outside that window's
+    range, the mass the table already treats as zero.
     """
     failures = []
     mean = f.raw_moments.get(1)
@@ -292,10 +305,13 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     u_max = 8.0 * max_N
     m = int(2 ** math.ceil(math.log2(u_max / _DU)))
     du = u_max / m
+    bounds = {k: _window_bounds(k, E, Sigma, du) for k in ks}
+    widest = max(i1 - i0 for i0, i1 in bounds.values())
+    P = min(2 * m, 1 << (widest - 1).bit_length())
     edges = np.concatenate([[0.0], du * (np.arange(m) + 0.5)])
-    p = np.zeros(2 * m)
+    p = np.zeros(max(m, P))
     p[:m] = _u_cell_masses(f, edges)
-    spectrum = np.fft.rfft(p)
+    spectrum = np.fft.rfft(p.reshape(-1, P).sum(axis=0))
 
     windows = {}
     cur = None
@@ -305,9 +321,9 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
         block = spectrum_power(spectrum, step)
         cur = block if cur is None else cur * block
         cur_k = k
-        dens = np.fft.irfft(cur, n=2 * m)[:m]
-        i0, i1 = _window_bounds(k, E, Sigma, du, u_max)
-        windows[k] = (i0, np.maximum(dens[i0:i1], 0.0) / du)
+        i0, i1 = bounds[k]
+        dens = np.fft.irfft(cur, n=P)[np.arange(i0, min(i1, m)) % P]
+        windows[k] = (i0, np.maximum(dens, 0.0) / du)
     return PartitionTable(f.name, max_N, du, u_max, E, Sigma, tuple(ks), windows)
 
 

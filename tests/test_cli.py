@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import kaclab
-from kaclab import cli
+from kaclab import cli, mixtures
 from kaclab.cli import main
 from kaclab.core import QuadratureError
 from kaclab.experiments import EXPERIMENTS
@@ -130,6 +130,23 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
         assert code == 2, args
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_mc_reps_leaves_the_mixtures_entropy_draws_alone(tmp_path,
+                                                         monkeypatch):
+    # --mc-reps counts replicas; the marginal-entropy curve's 20000 draws
+    # are a sample size of their own
+    seen = []
+    curve = mixtures.marginal_entropy_curve
+
+    def recording_curve(pi, js, rng, mc_count):
+        seen.append(mc_count)
+        return curve(pi, js, rng, mc_count=mc_count)
+    monkeypatch.setattr(mixtures, "marginal_entropy_curve", recording_curve)
+    code = main(["run", "mixtures", "--mc-reps", "5",
+                 "--output", str(tmp_path / "mx")])
+    assert code in (0, 1)
+    assert seen == [20000]
 
 
 def test_internal_library_error_is_not_usage_error(tmp_path, monkeypatch):

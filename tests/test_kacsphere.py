@@ -8,7 +8,9 @@ from scipy import integrate, optimize, stats
 
 from kaclab import experiments, kacsphere
 from kaclab.core import (DimensionError, HypothesisError, KaclabError,
-                         SizeError, gaussian_density, uniform_density)
+                         SizeError, bimodal_density, gauss_quadrature,
+                         gaussian_density, uniform_density)
+from kaclab.experiments import _rate_ks
 from kaclab.kacsphere import (CACHE_ENV_VAR, SphereConfig,
                               build_partition_table, cache_path,
                               marginal_gauss_l1, entropy_chaos_gap,
@@ -174,6 +176,84 @@ def test_table_bimodal_zprime_trend(bimodal_rate_table):
             for N in (32, 128, 1024)]
     assert devs[0] < 0.01
     assert devs[-1] < devs[0]
+
+
+def _unfolded_table(f, max_N, ks):
+    """The table by the unfolded transform: the cell masses zero-padded to
+    2m, one 2m-point inverse FFT per k, then the window slice."""
+    lo, hi = f.quad_bounds()
+    E = gauss_quadrature(lambda v: v * v * f.pdf(v), lo, hi, 1e-10)
+    Sigma = math.sqrt(gauss_quadrature(
+        lambda v: (v * v - E) ** 2 * f.pdf(v), lo, hi, 1e-10))
+    u_max = 8.0 * max_N
+    m = int(2 ** math.ceil(math.log2(u_max / kacsphere._DU)))
+    du = u_max / m
+    p = np.zeros(2 * m)
+    p[:m] = kacsphere._u_cell_masses(
+        f, np.concatenate([[0.0], du * (np.arange(m) + 0.5)]))
+    spectrum = np.fft.rfft(p)
+    windows = {}
+    for k in ks:
+        dens = np.fft.irfft(spectrum ** k, n=2 * m)[:m]
+        width = max(24.0 * math.sqrt(k) * Sigma, 120.0) + 60.0
+        i0 = int(max(0.0, k * E - width) / du)
+        i1 = int(min(u_max, k * E + width) / du) + 1
+        windows[k] = (i0, np.maximum(dens[i0:i1], 0.0) / du)
+    return du, u_max, E, Sigma, windows
+
+
+@pytest.mark.parametrize("density", [gaussian_density, bimodal_density])
+@pytest.mark.parametrize("max_N, ks, folded", [
+    (256, _rate_ks([32, 64, 128, 256]), True),
+    (64, range(1, 65), True),
+    # windows cut at u_max: the mass past u_max is not negligible, so the
+    # period stays 2m
+    (8, range(1, 9), False)])
+def test_table_fold_matches_unfolded_transform(density, max_N, ks, folded,
+                                               monkeypatch):
+    f = density()
+    periods = []
+    irfft = np.fft.irfft
+
+    def recording_irfft(a, n=None, **kw):
+        periods.append(n)
+        return irfft(a, n=n, **kw)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "irfft", recording_irfft)
+        table = build_partition_table(f, max_N, ks)
+    du, u_max, E, Sigma, windows = _unfolded_table(f, max_N, ks)
+    assert table.ks == tuple(ks)
+    assert (table.du, table.u_max, table.E, table.Sigma) == (du, u_max, E,
+                                                             Sigma)
+    for k in ks:
+        start, vals = table.windows[k]
+        ref_start, ref = windows[k]
+        assert (start, len(vals)) == (ref_start, len(ref))
+        np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12 * ref.max())
+    assert (max(periods) < 2 * round(u_max / du)) == folded
+
+
+@pytest.mark.parametrize("max_N, ks", [(256, _rate_ks([32, 64, 128, 256])),
+                                       (64, range(2, 65))])
+def test_table_gaussian_windows_are_chi_square(max_N, ks):
+    # h^{*k} of the gaussian is the chi-square density with k degrees of
+    # freedom; each cell holds its mass average over [u - du/2, u + du/2]
+    table = build_partition_table(gaussian_density(), max_N, ks)
+    du = table.du
+    for k in ks:
+        start, vals = table.windows[k]
+        u = du * np.arange(start, start + len(vals))
+        exact = np.diff(stats.chi2.cdf(
+            np.stack([np.maximum(u - du / 2, 0.0), u + du / 2]), k),
+            axis=0)[0] / du
+        # Z'_k(k) is read at the centre; off it, the discrete masses' mean
+        # bias of about 1.2e-5 per coordinate shifts the law by 1.2e-5 k,
+        # a relative error of about 1.2e-5 sqrt(k / 2) one sd away
+        centre = np.argmin(np.abs(u - k))
+        assert abs(vals[centre] / exact[centre] - 1.0) < 3e-5
+        bulk = (np.abs(u - k) <= math.sqrt(2.0 * k)) & (u >= k / 3.0)
+        assert np.max(np.abs(vals[bulk] / exact[bulk] - 1.0)) \
+            < 2e-5 + 1.5e-5 * math.sqrt(k / 2.0)
 
 
 def _assert_tables_equal(a, b):

@@ -5,8 +5,9 @@ of rows plus a JSON summary; ``list`` prints the registry; ``cache`` builds
 or clears the partition-table cache. Configuration comes from an optional
 JSON config file with command-line flags winning over file values. Exit
 codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
-(including too few replicas or N values) or input that breaks a hypothesis
-of the experiment (``HypothesisError``).
+(including a config value out of range, such as too few replicas or N
+values out of order) or input that breaks a hypothesis of the experiment
+(``HypothesisError``).
 """
 from __future__ import annotations
 
@@ -42,11 +43,16 @@ _CONFIG_VALUES = {
     "seed": ("an int", _is_int),
     # a Monte Carlo standard error needs two replicas
     "mc_reps": ("an int >= 2", lambda v: v is None or (_is_int(v) and v >= 2)),
-    "reference_size": ("an int", lambda v: v is None or _is_int(v)),
-    "s": ("a number", _is_number),
-    "k": ("a number", _is_number),
-    "ns": ("a list of ints", lambda v: v is None or (
-        isinstance(v, list) and all(map(_is_int, v)))),
+    "reference_size": ("a positive int",
+                       lambda v: v is None or (_is_int(v) and v > 0)),
+    # the mixtures suite's H^{-s} probe is run for s >= 1 only
+    "s": ("a number >= 1", lambda v: _is_number(v) and v >= 1),
+    # the interpolation exponent 1/2 - 1/k must be positive
+    "k": ("a number > 2", lambda v: _is_number(v) and v > 2),
+    # rate fits need their N values in order
+    "ns": ("a strictly increasing list of ints", lambda v: v is None or (
+        isinstance(v, list) and all(map(_is_int, v))
+        and all(a < b for a, b in zip(v, v[1:])))),
     "output": ("a string", lambda v: v is None or isinstance(v, str)),
     "format": ("csv or json", lambda v: v in ("csv", "json")),
 }

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import erf
+from scipy import integrate
+from scipy.special import erf, stdtrit
 
 __all__ = [
     "KaclabError",
@@ -39,6 +39,7 @@ __all__ = [
     "loglog_fit",
     "gauss_quadrature",
     "spectrum_power",
+    "normal_pdf",
     "gaussian_density",
     "uniform_density",
     "bimodal_density",
@@ -384,7 +385,7 @@ def loglog_fit(ns: Sequence[int], values: Sequence[float],
     resid = y - A @ [slope, intercept]
     s2 = float(resid @ resid) / dof
     se = math.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
-    tq = stats.t.ppf(0.975, dof)
+    tq = stdtrit(dof, 0.975)
     if stderrs is None:
         stderrs = [0.0] * len(ns)
     return RateReport(tuple(int(n) for n in ns), tuple(values), tuple(stderrs),
@@ -421,7 +422,8 @@ def spectrum_power(base: np.ndarray, n: int) -> np.ndarray:
 # shipped analytic densities
 # ---------------------------------------------------------------------------
 
-def _phi(v):
+def normal_pdf(v):
+    """The standard normal density."""
     return np.exp(-np.asarray(v, dtype=float) ** 2 / 2.0) / SQRT_2PI
 
 
@@ -429,27 +431,24 @@ def _Phi(v):
     return 0.5 * (1.0 + erf(np.asarray(v, dtype=float) / math.sqrt(2.0)))
 
 
+def _gauss_raw_moment(k: int, m: float, s: float) -> float:
+    """E v^k for v ~ N(m, s^2)."""
+    return sum(math.comb(k, i) * m ** (k - i) * s ** i
+               * math.prod(range(1, i, 2)) for i in range(0, k + 1, 2))
+
+
 def gaussian_density(mean: float = 0.0, var: float = 1.0) -> Density:
     """Gaussian with the given mean and variance."""
     sd = math.sqrt(var)
-
-    def raw(k):
-        # E v^k for v ~ N(mean, var)
-        tot = 0.0
-        for i in range(0, k + 1, 2):
-            tot += (math.comb(k, i) * mean ** (k - i) * var ** (i // 2)
-                    * math.prod(range(1, i, 2)))
-        return tot
-
     return Density(
         name=f"gaussian(m={mean:g},var={var:g})",
-        pdf=lambda v: _phi((np.asarray(v) - mean) / sd) / sd,
+        pdf=lambda v: normal_pdf((np.asarray(v) - mean) / sd) / sd,
         log_pdf=lambda v: (-((np.asarray(v) - mean) ** 2) / (2 * var)
                            - math.log(sd * SQRT_2PI)),
         score=lambda v: -(np.asarray(v, dtype=float) - mean) / var,
         sampler=lambda rng, size: mean + sd * rng.standard_normal(size),
         support=(-math.inf, math.inf),
-        raw_moments={k: raw(k) for k in range(1, 9)},
+        raw_moments={k: _gauss_raw_moment(k, mean, sd) for k in range(1, 9)},
         cdf=lambda v: _Phi((np.asarray(v) - mean) / sd),
     )
 
@@ -501,23 +500,13 @@ def bimodal_density(separation: float = 1.0, width: float = 0.5,
 
     def pdf(v):
         v = np.asarray(v, dtype=float)
-        return (w1 * _phi((v - m1) / s) + w2 * _phi((v - m2) / s)) / s
+        return (w1 * normal_pdf((v - m1) / s)
+                + w2 * normal_pdf((v - m2) / s)) / s
 
     def dpdf(v):
         v = np.asarray(v, dtype=float)
-        return -(w1 * _phi((v - m1) / s) * (v - m1)
-                 + w2 * _phi((v - m2) / s) * (v - m2)) / s ** 3
-
-    def raw(k):
-        # E v^k of the mixture, from component gaussian moments
-        tot = 0.0
-        for w, m in ((w1, m1), (w2, m2)):
-            g = 0.0
-            for i in range(0, k + 1, 2):
-                g += (math.comb(k, i) * m ** (k - i) * s ** i
-                      * math.prod(range(1, i, 2)))
-            tot += w * g
-        return tot
+        return -(w1 * normal_pdf((v - m1) / s) * (v - m1)
+                 + w2 * normal_pdf((v - m2) / s) * (v - m2)) / s ** 3
 
     def sampler(rng, size):
         comp = rng.random(size) < w1
@@ -531,7 +520,8 @@ def bimodal_density(separation: float = 1.0, width: float = 0.5,
         score=lambda v: dpdf(v) / np.maximum(pdf(v), 1e-320),
         sampler=sampler,
         support=(-math.inf, math.inf),
-        raw_moments={k: raw(k) for k in range(1, 9)},
+        raw_moments={k: w1 * _gauss_raw_moment(k, m1, s)
+                     + w2 * _gauss_raw_moment(k, m2, s) for k in range(1, 9)},
         cdf=lambda v: (w1 * _Phi((np.asarray(v) - m1) / s)
                        + w2 * _Phi((np.asarray(v) - m2) / s)),
     )

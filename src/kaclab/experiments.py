@@ -19,7 +19,7 @@ from scipy.special import kv
 from . import chaos, clt, information, kacsphere, mixtures, sobolev, transport
 from .core import (Configuration, Density, DiscreteMeasure, GridDensity,
                    KaclabError, ProductGridDensity, bimodal_density,
-                   gaussian_density, loglog_fit, uniform_density)
+                   gaussian_density, loglog_fit, normal_pdf, uniform_density)
 
 __all__ = [
     "ExperimentConfig",
@@ -309,7 +309,8 @@ def run_kernel_oracles(cfg: ExperimentConfig) -> ExperimentResult:
     res.add_row(0, "moment_interpolation_violations", n_interp)
     res.check("W1 <= W2 over 500 random pairs", n_order == 0,
               f"{n_order} violations")
-    res.check("W2 <= 2^{3/2} M_k^{1/k} W1^{1/2 - 1/k} (k = 4) over 500 pairs",
+    res.check(f"W2 <= 2^{{3/2}} M_k^{{1/k}} W1^{{1/2 - 1/k}} (k = {k:g}) over "
+              "500 pairs",
               n_interp == 0, f"{n_interp} violations")
     return res
 
@@ -447,8 +448,7 @@ def run_conditioned(cfg: ExperimentConfig) -> ExperimentResult:
     for N in (ns[0], ns[len(ns) // 2]):
         v = np.linspace(-6.0, 6.0, 1201)
         th = kacsphere.theta(N, 1, v[:, None], gtable)
-        exact = kacsphere.sigma_marginal_pdf(N, 1, v[:, None]) \
-            / (np.exp(-v * v / 2.0) / math.sqrt(2.0 * math.pi))
+        exact = kacsphere.sigma_marginal_pdf(N, 1, v[:, None]) / normal_pdf(v)
         worst = max(worst, float(np.max(np.abs(th - exact))))
         res.add_row(N, "gaussian_theta_consistency", worst)
     res.check("gaussian reference theta matches the sphere marginal (1e-3)",
@@ -665,7 +665,7 @@ def run_mixtures(cfg: ExperimentConfig) -> ExperimentResult:
               curve.gap_report is not None and -1.2 < sl < -0.8,
               f"slope = {sl:.3f}")
 
-    kern = sobolev.make_hs_kernel(max(cfg.s, 1.0))
+    kern = sobolev.make_hs_kernel(cfg.s)
     probe = mixtures.definetti_cauchy_probe(
         two, cfg.ns or [16, 32, 64, 128, 256], kern, cfg.rng(91),
         mc_reps=cfg.mc_reps or 200)

@@ -15,8 +15,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from . import core
 from .core import (Density, DimensionError, DiscreteMeasure, GridDensity,
-                   ProductGridDensity, SupportError, gauss_quadrature)
+                   ProductGridDensity, SupportError)
 
 __all__ = [
     "InfoValue",
@@ -51,6 +52,17 @@ class InfoValue:
         return math.isinf(self.value)
 
 
+def _expect(f: Density, g, tol: float) -> float:
+    """int g f over f.quad_bounds(), zero where f is below the floor."""
+    lo, hi = f.quad_bounds()
+
+    def integrand(v):
+        p = f.pdf(v)
+        return g(v) * p if p > _DENSITY_FLOOR else 0.0
+
+    return core.gauss_quadrature(integrand, lo, hi, tol)
+
+
 def _xlogx(v):
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
@@ -66,13 +78,7 @@ def _xlogx(v):
 def entropy(f) -> InfoValue:
     """H(f) = int f log f, by quadrature on the support."""
     if isinstance(f, Density):
-        lo, hi = f.quad_bounds()
-
-        def integrand(v):
-            p = f.pdf(v)
-            return p * f.log_pdf(v) if p > _DENSITY_FLOOR else 0.0
-
-        return InfoValue(gauss_quadrature(integrand, lo, hi, 1e-10), "quadrature", 1)
+        return InfoValue(_expect(f, f.log_pdf, 1e-10), "quadrature", 1)
     if isinstance(f, GridDensity):
         return InfoValue(float(np.sum(_xlogx(f.values)) * f.spacing),
                          "quadrature", 1)
@@ -98,7 +104,7 @@ def relative_entropy(f, g) -> InfoValue:
                 return 0.0
             return p * (math.log(p) - math.log(q))
 
-        val = gauss_quadrature(integrand, lo, hi, 1e-10)
+        val = core.gauss_quadrature(integrand, lo, hi, 1e-10)
         if viol:
             return InfoValue(math.inf, "quadrature", 1)
         return InfoValue(val, "quadrature", 1)
@@ -148,13 +154,8 @@ def fisher(f) -> InfoValue:
     if isinstance(f, Density):
         if f.boundary_positive:
             return InfoValue(math.inf, "analytic", 1)
-        lo, hi = f.quad_bounds()
-
-        def integrand(v):
-            p = f.pdf(v)
-            return f.score(v) ** 2 * p if p > _DENSITY_FLOOR else 0.0
-
-        return InfoValue(gauss_quadrature(integrand, lo, hi, 1e-9), "quadrature", 1)
+        return InfoValue(_expect(f, lambda v: f.score(v) ** 2, 1e-9),
+                         "quadrature", 1)
     if isinstance(f, GridDensity):
         vals = f.values
         i_fine = _grid_fisher_raw(vals, f.spacing)
@@ -171,26 +172,13 @@ def fisher(f) -> InfoValue:
 
 def relative_fisher(f: Density, g: Density) -> InfoValue:
     """I(f|g) = int |(log f/g)'|^2 f, by quadrature."""
-    lo, hi = f.quad_bounds()
-
-    def integrand(v):
-        p = f.pdf(v)
-        if p <= _DENSITY_FLOOR:
-            return 0.0
-        return (f.score(v) - g.score(v)) ** 2 * p
-
-    return InfoValue(gauss_quadrature(integrand, lo, hi, 1e-9), "quadrature", 1)
+    return InfoValue(_expect(f, lambda v: (f.score(v) - g.score(v)) ** 2,
+                             1e-9), "quadrature", 1)
 
 
 def fisher_dual_lower_bound(f: Density, psi, dpsi) -> float:
     """Dual value int (-psi^2/4 - psi') f, a lower bound on I(f)."""
-    lo, hi = f.quad_bounds()
-
-    def integrand(v):
-        p = f.pdf(v)
-        return (-psi(v) ** 2 / 4.0 - dpsi(v)) * p if p > _DENSITY_FLOOR else 0.0
-
-    return gauss_quadrature(integrand, lo, hi, 1e-9)
+    return _expect(f, lambda v: -psi(v) ** 2 / 4.0 - dpsi(v), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +241,11 @@ def w2_quantile(f: Density, g: Density) -> float:
     cdf = cdf * (xs[1] - xs[0])
     cdf = np.maximum.accumulate(cdf / cdf[-1])
 
-    def ginv(u):
-        return np.interp(u, cdf, xs)
-
-    flo, fhi = f.quad_bounds()
-
-    def integrand(x):
-        p = f.pdf(x)
-        if p <= _DENSITY_FLOOR:
-            return 0.0
+    def sq_shift(x):
         u = float(np.clip(f.cdf(np.array([x]))[0], 0.0, 1.0))
-        return (x - float(ginv(u))) ** 2 * p
+        return (x - float(np.interp(u, cdf, xs))) ** 2
 
-    val = gauss_quadrature(integrand, flo, fhi, 1e-8)
-    return math.sqrt(max(val, 0.0))
+    return math.sqrt(max(_expect(f, sq_shift, 1e-8), 0.0))
 
 
 def hwi_check(f: Density, g: Density, c_e: float = 1.0):

@@ -47,8 +47,10 @@ def test_bad_config_is_usage_error(tmp_path):
     # one value of the wrong type or out of range per checked key
     for bad in ({"not_a_key": 1}, {"threads": 2}, {"density": "foo"}, 5,
                 {"seed": "x"}, {"seed": 1.5}, {"mc_reps": "10"}, {"mc_reps": 1},
-                {"reference_size": 2.0}, {"s": "1"}, {"k": True},
-                {"ns": 5}, {"ns": [16, "32"]}, {"output": 3},
+                {"reference_size": 2.0}, {"reference_size": -5},
+                {"reference_size": 0}, {"s": "1"}, {"s": 0.3}, {"k": True},
+                {"k": 0}, {"k": 2}, {"ns": 5}, {"ns": [16, "32"]},
+                {"ns": [8, 4, 16, 32, 64, 128]}, {"output": 3},
                 {"format": "xml"}):
         cfg.write_text(json.dumps(bad))
         assert main(["run", "identities", "--config", str(cfg),
@@ -66,6 +68,31 @@ def test_run_writes_csv_and_json(tmp_path):
     assert summary["experiment"] == "kernel-oracles"
     assert summary["assertions"]
     assert summary["wall_clock_seconds"] > 0
+
+
+def test_kernel_oracles_names_the_checked_k(tmp_path):
+    stem = tmp_path / "k6"
+    assert main(["run", "kernel-oracles", "--k", "6", "--output",
+                 str(stem)]) == 0
+    names = [a["name"] for a in
+             json.loads((tmp_path / "k6.json").read_text())["assertions"]]
+    assert "W2 <= 2^{3/2} M_k^{1/k} W1^{1/2 - 1/k} (k = 6) over 500 pairs" \
+        in names
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    # neither subpackage is used; importing either costs about half a
+    # second of every run's start-up
+    code = ("import sys, kaclab.cli, kaclab.experiments; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_flags_override_config_file(tmp_path):
@@ -124,7 +151,8 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
              "mc_reps must be an int >= 2, got 1"),
             ("mixtures", ["--mc-reps", "0"], "mc_reps"),
             ("poincare-rate", ["--ns", "16,32"], "at least 4 ns values"),
-            ("clt-rate", ["--ns", "4,8,16,32,64"], "at least 6 ns values")):
+            ("clt-rate", ["--ns", "4,8,16,32,64"], "at least 6 ns values"),
+            ("clt-rate", ["--ns", "8,4,16,32,64,128"], "strictly increasing")):
         code = main(["run", name, *args, "--output", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == 2, args

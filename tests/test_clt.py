@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from kaclab.core import (GridDensity, KaclabError, bimodal_density,
-                         gaussian_density, uniform_density)
-from kaclab.clt import (char_fn_bounds_check, clt_rate_run, gauss_on,
+                         gaussian_density, normal_pdf, uniform_density)
+from kaclab.clt import (_cf_modulus, char_fn_bounds_check, clt_rate_run,
                         iterate_clt, iterate_clt_realspace, standardize,
                         sup_error)
+from kaclab.experiments import _clt_base
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,8 @@ def test_negative_lobes_kept_signed(ugrid):
     clamped = it.to_grid_density()
     assert np.all(clamped.values >= 0.0)
     # the signed values are what sup_error sees
-    assert sup_error(it) >= np.max(np.abs(clamped.values - gauss_on(it.xs))) \
-        - 1e-12
+    assert sup_error(it) >= np.max(
+        np.abs(clamped.values - normal_pdf(it.xs))) - 1e-12
 
 
 def test_char_fn_bounds_gaussian(ggrid):
@@ -87,6 +88,17 @@ def test_char_fn_bounds_uniform(ugrid):
     delta, kappa = char_fn_bounds_check(ugrid)
     assert 0.0 < delta < 10.0
     assert 0.0 < kappa < 1.0
+
+
+@pytest.mark.parametrize("name", ["uniform", "bimodal"])
+def test_cf_modulus_matches_direct_sum(name):
+    # the FFT lattice spectrum against h sum_k g(x_k) e^{-i xi x_k}, summed
+    # directly at a dozen lattice points from xi = 0 to the last one
+    g = standardize(_clt_base(name))
+    xi, cf = _cf_modulus(g)
+    idx = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, len(xi) - 1]
+    direct = g.spacing * np.exp(-1j * np.outer(xi[idx], g.xs)) @ g.values
+    assert np.max(np.abs(cf[idx] - np.abs(direct))) < 1e-12
 
 
 def test_char_fn_bounds_near_lattice():

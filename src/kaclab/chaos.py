@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Configuration, Density, DimensionError, DiscreteMeasure,
+from .core import (Density, DimensionError, DiscreteMeasure,
                    SizeError, check_reps)
-from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_config,
-                        w1_discrete, w1_line_batch)
+from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_discrete,
+                        w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
@@ -85,12 +85,6 @@ def mixture_sampler(components, weights):
     return draw
 
 
-def _sorted_coupling_cost(x: np.ndarray, y: np.ndarray) -> float:
-    """Truncated cost of the monotone coupling of two equal-size samples,
-    an upper bound on their transport distance."""
-    return float(np.minimum(np.abs(np.sort(x) - np.sort(y)), TRUNCATION).mean())
-
-
 def omega_inf(sampler, f: Density, N: int, mc_reps: int,
               rng: np.random.Generator | None = None) -> ChaosEstimate:
     """Expected transport distance of the empirical measure to f.
@@ -98,18 +92,16 @@ def omega_inf(sampler, f: Density, N: int, mc_reps: int,
     Each replica compares the drawn configuration's empirical measure to a
     fixed seeded discretization of f of size M = 4 N; M is reported so the
     discretization bias, which scales like M^{-1/2} on the line, can be
-    budgeted by the caller. All replicas are drawn first and solved
-    exactly in one ``w1_line_batch`` call.
+    budgeted by the caller. Each replica is solved exactly by
+    ``w1_line``, its drawn atoms weighing M / N = 4 against the
+    reference's unit atoms.
     """
     check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     M = 4 * N
     ref = f.sampler(np.random.default_rng(990011), M)
-    draws = np.stack([sampler(N, rng) for _ in range(mc_reps)])
-    # replicating each drawn atom M / N = 4 times leaves the optimum
-    # unchanged and makes both sides equal-size configurations
-    vals = w1_line_batch(np.repeat(draws, 4, axis=1),
-                         np.broadcast_to(ref, (mc_reps, M)))
+    vals = np.array([w1_line(sampler(N, rng), np.full(N, 4.0), ref,
+                             np.ones(M)) for _ in range(mc_reps)])
     return ChaosEstimate("omega_inf", N, mc_reps, float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(mc_reps)), M,
                          upper_bound=False, method="mc_reference",
@@ -125,17 +117,15 @@ def omega_n(sampler, f: Density, N: int, mc_reps: int,
     noise realize their natural coupling (iid-vs-iid gives exactly zero,
     the sphere law meets the Gaussian through the radial projection); any
     coupling upper-bounds the distance, so the estimate is always valid.
-    The replicas' exact relabeling optima come from one ``w1_line_batch``
-    call.
+    Each replica's exact relabeling optimum comes from ``w1_line``.
     """
     check_reps(mc_reps)
-    x = np.empty((mc_reps, N))
-    y = np.empty((mc_reps, N))
+    ones = np.ones(N)
+    vals = np.empty(mc_reps)
     for r in range(mc_reps):
         seed = int(rng.integers(0, 2 ** 62))
-        x[r] = sampler(N, np.random.default_rng(seed))
-        y[r] = f.sampler(np.random.default_rng(seed), N)
-    vals = w1_line_batch(x, y)
+        vals[r] = w1_line(sampler(N, np.random.default_rng(seed)), ones,
+                          f.sampler(np.random.default_rng(seed), N), ones)
     return ChaosEstimate("omega_N", N, mc_reps, float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(mc_reps)), N,
                          upper_bound=True, method="coupled_pairs")
@@ -146,33 +136,32 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
     """Marginal chaos quantifier from pooled first-j blocks.
 
     The first j coordinates of each replica form one atom on E^j; the pool
-    is compared to an equal-size tensor-power reference sample. For j = 1
-    on the line the value is the monotone-coupling cost (an upper bound,
-    cheap at large pools); otherwise the exact assignment optimum.
+    is compared to an equal-size tensor-power reference sample by its
+    exact transport distance: ``w1_line`` for j = 1, the exact assignment
+    otherwise.
     """
     if j > N:
         raise DimensionError("j must not exceed N")
     check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     n_batches = max(2, min(4, mc_reps // 8))
-    pool = np.empty((mc_reps, j))
-    for r in range(mc_reps):
-        pool[r] = sampler(N, rng)[:j]
+    pool = np.array([sampler(N, rng)[:j] for _ in range(mc_reps)])
     ref = f.sampler(np.random.default_rng(990022), (mc_reps, j))
 
     def value_of(a, b):
         if j == 1:
-            return _sorted_coupling_cost(a[:, 0], b[:, 0])
+            ones = np.ones(len(a))
+            return w1_line(a[:, 0], ones, b[:, 0], ones)
         mu = DiscreteMeasure(j, a, np.full(len(a), 1.0 / len(a)))
         nu = DiscreteMeasure(j, b, np.full(len(b), 1.0 / len(b)))
-        return w1_discrete(mu, nu, BOUNDED_L1).cost
+        return w1_discrete(mu, nu, BOUNDED_L1)
 
     val = value_of(pool, ref)
     batches = np.array_split(np.arange(mc_reps), n_batches)
     bvals = [value_of(pool[b], ref[b]) for b in batches]
     se = float(np.std(bvals, ddof=1) / math.sqrt(n_batches))
     return ChaosEstimate(f"omega_{j}", N, mc_reps, val, se, mc_reps,
-                         upper_bound=(j == 1), method="pooled_blocks")
+                         method="pooled_blocks")
 
 
 def omega_j_sigma_quadrature(N: int, j: int) -> ChaosEstimate:
@@ -276,7 +265,7 @@ def grunbaum_exact(pmf: np.ndarray, j: int,
     mu = DiscreteMeasure(j, pts, np.maximum(marg.ravel(), 0.0)
                          / marg.sum())
     nu = DiscreteMeasure(j, pts, np.maximum(hat.ravel(), 0.0) / hat.sum())
-    w1 = w1_discrete(mu, nu, BOUNDED_L1).cost
+    w1 = w1_discrete(mu, nu, BOUNDED_L1)
     return tv, bound, w1, j * (j - 1) / N
 
 
@@ -286,7 +275,8 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     lhs solves the transportation LP between the two laws on the full
     configuration space with the normalized truncated cost; rhs solves it
     between the induced laws on unordered configurations with the
-    relabeling-minimal cost. The two optima agree.
+    relabeling-minimal cost, each entry one ``w1_line`` solve. The two
+    optima agree.
     """
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
@@ -302,19 +292,14 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
         np.abs(vals[:, None, :] - vals[None, :, :]), TRUNCATION).mean(axis=2)
     lhs = _transport_lp(cost_full, F.ravel(), G.ravel()).cost
 
-    # quotient LP on sorted representatives with assignment cost
+    # quotient LP on sorted representatives with relabeling-minimal cost
     sorted_vals = np.sort(vals, axis=1)
     classes, inverse = np.unique(sorted_vals, axis=0, return_inverse=True)
-    massF = np.zeros(len(classes))
-    massG = np.zeros(len(classes))
-    np.add.at(massF, inverse, F.ravel())
-    np.add.at(massG, inverse, G.ravel())
-    n_cls = len(classes)
-    cost_q = np.empty((n_cls, n_cls))
-    for a in range(n_cls):
-        Xa = Configuration(1, N, classes[a])
-        for b in range(n_cls):
-            cost_q[a, b] = w1_config(Xa, Configuration(1, N, classes[b]))[0]
+    massF = np.bincount(inverse, F.ravel(), len(classes))
+    massG = np.bincount(inverse, G.ravel(), len(classes))
+    ones = np.ones(N)
+    cost_q = np.array([[w1_line(a, ones, b, ones) for b in classes]
+                       for a in classes])
     rhs = _transport_lp(cost_q, massF, massG).cost
     return lhs, rhs
 
@@ -324,12 +309,12 @@ def omega1_counterexample(g: Density, h: Density, Ns, rng: np.random.Generator,
     """First-marginal blindness of the chaos measurement.
 
     The half-half mixture of two tensor powers has first marginal equal to
-    the average density, so the one-variable quantifier sits at its
+    the average density, so the one-variable quantifier, the exact
+    ``w1_line`` distance between two pools of pool1 draws, sits at its
     discretization floor, while the two-variable quantifier stays bounded
     away from zero. Returns per-N estimates plus the reference assertion.
     """
-    f_pdf_pair = (g, h)
-    sampler = mixture_sampler(f_pdf_pair, [0.5, 0.5])
+    sampler = mixture_sampler((g, h), [0.5, 0.5])
 
     def ref1(n, r):
         comp = r.integers(0, 2, size=n).astype(bool)
@@ -339,15 +324,13 @@ def omega1_counterexample(g: Density, h: Density, Ns, rng: np.random.Generator,
     for N in Ns:
         x1 = ref1(pool1, rng)
         y1 = ref1(pool1, rng)
-        om1 = _sorted_coupling_cost(x1, y1)
+        om1 = w1_line(x1, np.ones(pool1), y1, np.ones(pool1))
 
-        pool = np.empty((pool2, 2))
-        for r in range(pool2):
-            pool[r] = sampler(N, rng)[:2]
+        pool = np.array([sampler(N, rng)[:2] for _ in range(pool2)])
         ref = np.column_stack([ref1(pool2, rng), ref1(pool2, rng)])
         mu = DiscreteMeasure(2, pool, np.full(pool2, 1.0 / pool2))
         nu = DiscreteMeasure(2, ref, np.full(pool2, 1.0 / pool2))
-        om2 = w1_discrete(mu, nu, BOUNDED_L1).cost
+        om2 = w1_discrete(mu, nu, BOUNDED_L1)
         results[N] = (om1, om2)
     return {
         "reference": "half-half average of the two component densities",

@@ -5,9 +5,9 @@ of rows plus a JSON summary; ``list`` prints the registry; ``cache`` builds
 or clears the partition-table cache. Configuration comes from an optional
 JSON config file with command-line flags winning over file values. Exit
 codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
-(including a config value out of range, such as too few replicas or N
-values out of order) or input that breaks a hypothesis of the experiment
-(``HypothesisError``).
+(including a config value out of range, such as too few replicas, or N
+values out of order or too small) or input that breaks a hypothesis of the
+experiment (``HypothesisError``).
 """
 from __future__ import annotations
 
@@ -57,10 +57,11 @@ _CONFIG_VALUES = {
     "format": ("csv or json", lambda v: v in ("csv", "json")),
 }
 
-# the fewest N values of the suites that fit a rate over ns (clt-rate also
-# fits its skew tail from the third N on)
-_RATE_FIT_NS = {"poincare-rate": 4, "clt-rate": 6, "conditioned-products": 4,
-                "entropy-chaos": 4, "mixtures": 4}
+# per suite that reads ns: the fewest N values its rate fits need (clt-rate
+# also fits its skew tail from the third N on), and the smallest N it runs
+_NS_LIMITS = {"poincare-rate": (4, 5), "clt-rate": (6, 2),
+              "conditioned-products": (4, 3), "entropy-chaos": (4, 3),
+              "omega1-counterexample": (0, 2), "mixtures": (4, 1)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,10 +123,13 @@ def _check_values(cfg: ExperimentConfig):
         if not ok(getattr(cfg, key)):
             raise ValueError(f"config value {key} must be {what}, "
                              f"got {getattr(cfg, key)!r}")
-    least = _RATE_FIT_NS.get(cfg.experiment, 0)
-    if cfg.ns is not None and len(cfg.ns) < least:
+    fewest, smallest = _NS_LIMITS.get(cfg.experiment, (0, -math.inf))
+    if cfg.ns is not None and len(cfg.ns) < fewest:
         raise ValueError(f"{cfg.experiment} fits a rate and needs at least "
-                         f"{least} ns values, got {cfg.ns}")
+                         f"{fewest} ns values, got {cfg.ns}")
+    if cfg.ns and cfg.ns[0] < smallest:
+        raise ValueError(f"{cfg.experiment} needs every N >= {smallest}, "
+                         f"got {cfg.ns}")
 
 
 def _write_outputs(result: ExperimentResult, cfg: ExperimentConfig):

@@ -158,7 +158,7 @@ def hs_w1_bridge_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     from .transport import BOUNDED_L1, w1_discrete
     if s < 1 or k <= 0:
         raise DimensionError("bridge check needs s >= 1 and k > 0")
-    w1 = w1_discrete(mu, nu, BOUNDED_L1).cost
+    w1 = w1_discrete(mu, nu, BOUNDED_L1)
     hs = math.sqrt(hs_dist_sq(mu, nu, make_hs_kernel(s)))
     mk = mu.moment(k) + nu.moment(k)
     c_d = 6.0 * math.sqrt(10.0)

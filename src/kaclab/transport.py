@@ -2,14 +2,14 @@
 
 Costs are the normalized bounded distance (average over particles of the
 truncated euclidean distance) and the normalized squared distance. On the
-line, equal-size configurations under the bounded cost take an exact
-O(n^2) dynamic program batched over replicas, and weighted measures under
-the quadratic cost take the quantile (north-west corner) coupling. The
-assignment solver is exact for equal-size uniform empirical measures and
-is the oracle for the dynamic program; the general transportation LP
-(HiGHS) covers everything else and is the oracle for the quantile
-coupling. Entropic or otherwise regularized solvers are deliberately
-absent from all correctness paths.
+line, weighted measures under the bounded cost take one exact routine,
+``w1_line``, a sorted scan over the Kantorovich-Rubinstein dual, and
+under the quadratic cost the quantile (north-west corner) coupling. The
+assignment solver, exact for equal-size uniform empirical measures and
+the path for d > 1, and the general transportation LP (HiGHS), which
+covers everything else, are the oracles for both line routines.
+Entropic or otherwise regularized solvers are deliberately absent from
+all correctness paths.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ __all__ = [
     "cost_matrix",
     "w1_config",
     "w1_config_bruteforce",
-    "w1_line_batch",
+    "w1_line",
     "w1_discrete",
     "w1_dual_lower_bound",
     "tensorization_check",
@@ -94,13 +94,10 @@ class TransportPlan:
         return True
 
 
-def _particle_costs(px: np.ndarray, py: np.ndarray, d: int,
-                    spec: CostSpec) -> np.ndarray:
-    """Per-particle ground costs between two (n, d)-blocks, broadcast (n, m)."""
-    if d == 1:
-        dist = np.abs(px[:, 0, None] - py[None, :, 0])
-    else:
-        dist = np.sqrt(np.sum((px[:, None, :] - py[None, :, :]) ** 2, axis=-1))
+def _ground_cost(diff: np.ndarray, spec: CostSpec) -> np.ndarray:
+    """Per-particle ground cost of displacements diff of shape (..., d)."""
+    dist = (np.abs(diff[..., 0]) if diff.shape[-1] == 1
+            else np.sqrt(np.sum(diff ** 2, axis=-1)))
     if spec.kind == "bounded_l1":
         return np.minimum(dist, TRUNCATION)
     return dist ** 2
@@ -111,11 +108,7 @@ def cost_config(X: Configuration, Y: Configuration,
     """Normalized cost between two aligned configurations."""
     if (X.d, X.n_particles) != (Y.d, Y.n_particles):
         raise DimensionError("configurations must share d and N")
-    diff = X.particles - Y.particles
-    dist = np.abs(diff[:, 0]) if X.d == 1 else np.sqrt(np.sum(diff ** 2, axis=1))
-    if spec.kind == "bounded_l1":
-        return float(np.mean(np.minimum(dist, TRUNCATION)))
-    return float(np.mean(dist ** 2))
+    return float(np.mean(_ground_cost(X.particles - Y.particles, spec)))
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -127,7 +120,8 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure,
     total = np.zeros((mu.n_atoms, nu.n_atoms))
     for b in range(j):
         sl = slice(b * d, (b + 1) * d)
-        total += _particle_costs(mu.points[:, sl], nu.points[:, sl], d, spec)
+        total += _ground_cost(mu.points[:, None, sl] - nu.points[None, :, sl],
+                              spec)
     return total / j
 
 
@@ -142,44 +136,72 @@ def w1_config(X: Configuration, Y: Configuration,
     if (X.d, X.n_particles) != (Y.d, Y.n_particles):
         raise DimensionError("configurations must share d and N")
     n = X.n_particles
-    if n == 1:
-        return cost_config(X, Y, spec), np.array([0])
-    costs = _particle_costs(X.particles, Y.particles, X.d, spec)
+    costs = _ground_cost(X.particles[:, None] - Y.particles[None], spec)
     rows, cols = linear_sum_assignment(costs)
     perm = cols[np.argsort(rows)]
     return float(costs[np.arange(n), perm].mean()), perm
 
 
-def w1_line_batch(xs, ys) -> np.ndarray:
-    """Bounded-cost transport distance between R pairs of configurations
-    on the line, exactly: row r of the result is the minimum over
-    relabelings of mean min(|xs[r] - ys[r]_perm|, TRUNCATION).
+def w1_line(xa, wa, xb, wb) -> float:
+    """Exact transport distance under min(|x - y|, TRUNCATION), per unit
+    mass, between atoms xa of masses wa and xb of masses wb on the line
+    (nonnegative masses, equal totals).
 
-    An optimum leaves pairs farther apart than TRUNCATION unmatched at cost
-    TRUNCATION each, and its matched pairs can be taken monotone, so an
-    edit-distance recursion over the sorted rows solves it. Written for the
-    gain G[i][j] = D[i][j] - (i + j) TRUNCATION / 2 over the partial
-    optimum D, the gap moves cost nothing and only the match move adds
-    |x_i - y_j| - TRUNCATION; each particle i is one vectorised step over
-    all rows, its left moves resolved by a running minimum.
+    By Kantorovich-Rubinstein duality it is the best integral of f against
+    the mass difference over 1-Lipschitz f valued in [0, TRUNCATION]:
+    over the merged sorted atoms, with running mass difference F_k and gap
+    L_k, the best path of steps |d_k| <= L_k inside [0, TRUNCATION] with
+    gain -F_k d_k. Its value at the end point is concave, held as the
+    value at 0 and the length at each slope; each gap adds slope -F_k over
+    2 L_k and trims L_k off both ends (the "slope trick"), in an array over
+    the sorted distinct slopes. Integer masses keep equal slopes equal.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] == 0:
-        raise DimensionError(f"need two equal (R, n) arrays with n >= 1, "
-                             f"got shapes {xs.shape} and {ys.shape}")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise DimensionError("configurations must be finite")
-    xs = np.sort(xs, axis=1)
-    ys = np.sort(ys, axis=1)
-    n = xs.shape[1]
-    gain = np.zeros((len(xs), n + 1))   # column 0: no y used, gain 0
-    for i in range(n):
-        step = np.abs(xs[:, i, None] - ys) - TRUNCATION
-        step += gain[:, :-1]
-        np.minimum(step, gain[:, 1:], out=step)
-        np.minimum.accumulate(step, axis=1, out=gain[:, 1:])
-    return TRUNCATION + gain[:, -1] / n
+    arrays = [np.asarray(v, dtype=float) for v in (xa, wa, xb, wb)]
+    xa, wa, xb, wb = arrays
+    if not (xa.ndim == xb.ndim == 1 and xa.shape == wa.shape
+            and xb.shape == wb.shape and len(xa) and len(xb)):
+        raise DimensionError(f"need two nonempty atom sets with one mass "
+                             f"per atom, got shapes {[v.shape for v in arrays]}")
+    total = float(wa.sum())
+    if not (all(np.all(np.isfinite(v)) for v in arrays)
+            and min(wa.min(), wb.min()) >= 0
+            and total > 0 and abs(total - wb.sum()) <= 1e-9 * total):
+        raise DimensionError("atoms and masses must be finite and the masses "
+                             "nonnegative with equal positive totals")
+    z = np.concatenate([xa, xb])
+    order = np.argsort(z, kind="stable")
+    F = np.cumsum(np.concatenate([wa, -wb])[order])[:-1]
+    # a step longer than TRUNCATION cannot be taken inside [0, TRUNCATION]
+    L = np.minimum(np.diff(z[order]), TRUNCATION)
+    moves = L > 0
+    # slope 0 over the whole range is the start, V = 0 on [0, TRUNCATION]
+    slopes, rank = (a.tolist() for a in np.unique(
+        np.concatenate([[0.0], -F[moves]]), return_inverse=True))
+    lens = [0.0] * len(slopes)
+    lo = hi = rank[0]
+    lens[hi], v0 = TRUNCATION, 0.0
+    for k, gap in zip(rank[1:], L[moves].tolist()):
+        lens[k] += 2.0 * gap
+        if k > hi:
+            hi = k
+        elif k < lo:
+            lo = k
+        v0 -= slopes[k] * gap       # the left end moved out to -gap
+        r = gap                     # trim the left end, the largest slopes
+        while lens[hi] <= r:
+            v0 += slopes[hi] * lens[hi]
+            r -= lens[hi]
+            lens[hi] = 0.0
+            hi -= 1
+        lens[hi] -= r
+        v0 += slopes[hi] * r
+        r = gap                     # trim the right end, the smallest slopes
+        while lens[lo] <= r:
+            r -= lens[lo]
+            lens[lo] = 0.0
+            lo += 1
+        lens[lo] -= r
+    return (v0 + sum(s * ln for s, ln in zip(slopes, lens) if s > 0)) / total
 
 
 def w1_config_bruteforce(X: Configuration, Y: Configuration,
@@ -188,7 +210,7 @@ def w1_config_bruteforce(X: Configuration, Y: Configuration,
     n = X.n_particles
     if n > 9:
         raise SizeError(f"factorial oracle limited to N <= 9, got {n}")
-    costs = _particle_costs(X.particles, Y.particles, X.d, spec)
+    costs = _ground_cost(X.particles[:, None] - Y.particles[None], spec)
     best = math.inf
     idx = np.arange(n)
     for perm in itertools.permutations(range(n)):
@@ -245,29 +267,30 @@ def _quantile_plan(costs: np.ndarray, mu: DiscreteMeasure,
 
 
 def w1_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                spec: CostSpec = BOUNDED_L1) -> TransportPlan:
-    """Exact optimum of the transportation problem between mu and nu.
+                spec: CostSpec = BOUNDED_L1) -> float:
+    """Exact optimal cost of the transportation problem between mu and nu.
 
-    The cost field is W1 for the bounded cost and the squared normalized
-    W2 for the quadratic cost. Measures on the line under the quadratic
-    cost take the quantile coupling, other equal-size uniform inputs the
-    exact assignment fast path, everything else the LP.
+    The cost is W1 for the bounded cost and the squared normalized W2 for
+    the quadratic cost. Measures on the line take ``w1_line`` under the
+    bounded cost and the quantile coupling under the quadratic cost, other
+    equal-size uniform inputs the exact assignment, everything else the LP.
     """
     mu = mu.merged()
     nu = nu.merged()
+    if mu.dim == nu.dim == 1 and spec.kind == "bounded_l1":
+        return w1_line(mu.points[:, 0], mu.weights,
+                       nu.points[:, 0], nu.weights)
     costs = cost_matrix(mu, nu, spec)
-    if mu.dim == 1 and spec.kind == "normalized_l2_sq":
-        return _quantile_plan(costs, mu, nu)
+    if mu.dim == 1:
+        return _quantile_plan(costs, mu, nu).cost
     n, m = costs.shape
     uniform = (n == m
                and np.allclose(mu.weights, 1.0 / n, atol=1e-12)
                and np.allclose(nu.weights, 1.0 / m, atol=1e-12))
     if uniform:
         rows, cols = linear_sum_assignment(costs)
-        flows = np.column_stack([rows, cols, np.full(n, 1.0 / n)])
-        cost = float(costs[rows, cols].mean())
-        return TransportPlan(flows, cost, mu.weights.copy(), nu.weights.copy())
-    return _transport_lp(costs, mu.weights, nu.weights)
+        return float(costs[rows, cols].mean())
+    return _transport_lp(costs, mu.weights, nu.weights).cost
 
 
 def w1_dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, witness,
@@ -279,12 +302,9 @@ def w1_dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, witness,
     """
     pts = np.vstack([mu.points, nu.points])
     vals = np.asarray(witness(pts), dtype=float)
-    dmat = cost_matrix(
-        DiscreteMeasure(mu.dim, pts, np.full(len(pts), 1.0 / len(pts)),
-                        mu.particle_dim),
-        DiscreteMeasure(mu.dim, pts, np.full(len(pts), 1.0 / len(pts)),
-                        mu.particle_dim),
-        spec)
+    atoms = DiscreteMeasure(mu.dim, pts, np.full(len(pts), 1.0 / len(pts)),
+                            mu.particle_dim)
+    dmat = cost_matrix(atoms, atoms, spec)
     gap = np.abs(vals[:, None] - vals[None, :]) - dmat
     if np.max(gap) > 1e-9:
         raise DimensionError(
@@ -318,19 +338,16 @@ def tensorization_check(f: DiscreteMeasure, g: DiscreteMeasure,
     """Both sides of W1(f tensor N, g tensor N) = W1(f, g), independently.
 
     The left side is the LP on the materialized product space with the
-    normalized cost; the right side is the LP on the base space.
+    normalized cost; the right side is the distance on the base space.
     """
-    fN = product_measure(*([f] * N))
-    gN = product_measure(*([g] * N))
-    lhs = w1_discrete(fN, gN, BOUNDED_L1).cost
-    rhs = w1_discrete(f, g, BOUNDED_L1).cost
-    return lhs, rhs
+    return (w1_discrete(product_measure(*([f] * N)),
+                        product_measure(*([g] * N)), BOUNDED_L1),
+            w1_discrete(f, g, BOUNDED_L1))
 
 
 def pair_tensorization_check(f: DiscreteMeasure, g: DiscreteMeasure,
                              h: DiscreteMeasure) -> tuple[float, float]:
     """Both sides of 2 W1(f tensor h, g tensor h) = W1(f, g)."""
-    lhs = 2.0 * w1_discrete(product_measure(f, h), product_measure(g, h),
-                            BOUNDED_L1).cost
-    rhs = w1_discrete(f, g, BOUNDED_L1).cost
-    return lhs, rhs
+    return (2.0 * w1_discrete(product_measure(f, h), product_measure(g, h),
+                              BOUNDED_L1),
+            w1_discrete(f, g, BOUNDED_L1))

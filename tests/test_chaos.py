@@ -135,6 +135,18 @@ def test_omega_j_pooled_and_quadrature(gauss, rng):
         omega_j(sigma_sampler(), gauss, 5, 4, 16, rng=rng)
 
 
+def test_omega_1_is_exact_on_its_pool(gauss, w1_line_batch):
+    N, reps = 32, 300
+    est = omega_j(sigma_sampler(), gauss, 1, N, reps,
+                  rng=np.random.default_rng(22))
+    assert not est.upper_bound
+    rng = np.random.default_rng(22)
+    pool = [sigma_sampler()(N, rng)[0] for _ in range(reps)]
+    ref = gauss.sampler(np.random.default_rng(990022), (reps, 1))[:, 0]
+    assert est.value == pytest.approx(
+        w1_line_batch(np.array([pool]), ref[None])[0], abs=1e-12)
+
+
 def test_omega_2_quadrature_rate():
     ns = [16, 32, 64, 128, 256]
     vals = [omega_j_sigma_quadrature(n, 2).value for n in ns]

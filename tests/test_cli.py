@@ -55,6 +55,16 @@ def test_bad_config_is_usage_error(tmp_path):
         cfg.write_text(json.dumps(bad))
         assert main(["run", "identities", "--config", str(cfg),
                      "--output", str(tmp_path / "x")]) == 2, bad
+    # an N below the smallest each suite that reads ns can run
+    for name, ns in (("clt-rate", "1,2,3,4,5,6"),
+                     ("poincare-rate", "0,16,32,64"),
+                     ("poincare-rate", "4,16,32,64"),
+                     ("conditioned-products", "2,8,16,32"),
+                     ("entropy-chaos", "2,8,16,32"),
+                     ("omega1-counterexample", "1,8"),
+                     ("mixtures", "0,8,16,32")):
+        assert main(["run", name, "--ns", ns,
+                     "--output", str(tmp_path / "x")]) == 2, (name, ns)
 
 
 def test_run_writes_csv_and_json(tmp_path):

@@ -11,9 +11,12 @@ from kaclab.transport import (BOUNDED_L1, NORMALIZED_L2_SQ, TRUNCATION,
                               pair_tensorization_check, product_measure,
                               tensorization_check, w1_config,
                               w1_config_bruteforce, w1_discrete,
-                              w1_dual_lower_bound, w1_line_batch)
-from kaclab.chaos import enumerate_configs, symmetric_pmf
-from kaclab.transport import _transport_lp
+                              w1_dual_lower_bound, w1_line)
+from kaclab import transport
+from kaclab.chaos import (enumerate_configs, grunbaum_exact, omega_inf,
+                          omega_j, omega_n, pushforward_identity_exact,
+                          sigma_sampler, symmetric_pmf)
+from kaclab.transport import _quantile_plan, _transport_lp
 
 
 def conf(*xs):
@@ -90,7 +93,8 @@ def test_w1_config_below_identity_coupling():
 
 
 # ---------------------------------------------------------------------------
-# w1_line_batch
+# w1_line and its oracles: the assignment, the brute force, the LP, and the
+# O(n^2) dynamic program (the conftest fixture w1_line_batch) for large n
 # ---------------------------------------------------------------------------
 
 def _line_instance(rng, case):
@@ -108,9 +112,14 @@ def _line_instance(rng, case):
     return x, y
 
 
+def line(x, y):
+    """w1_line between two equal-size configurations, unit masses."""
+    return w1_line(x, np.ones(len(x)), y, np.ones(len(y)))
+
+
 @pytest.mark.parametrize("seed,case", enumerate(
     ["plain", "ties", "replicated", "single"]))
-def test_w1_line_batch_matches_assignment(seed, case):
+def test_w1_line_batch_matches_assignment(seed, case, w1_line_batch):
     rng = np.random.default_rng(seed)
     for _ in range(80):
         x, y = _line_instance(rng, case)
@@ -120,7 +129,22 @@ def test_w1_line_batch_matches_assignment(seed, case):
             pytest.approx(oracle, abs=1e-12)
 
 
-def test_w1_line_batch_matches_bruteforce():
+@pytest.mark.parametrize("seed,case", enumerate(
+    ["plain", "ties", "replicated", "single"]))
+def test_w1_line_matches_assignment(seed, case):
+    rng = np.random.default_rng(seed)
+    for _ in range(80):
+        x, y = _line_instance(rng, case)
+        n = len(x)
+        oracle, _ = w1_config(Configuration(1, n, x), Configuration(1, n, y))
+        assert line(x, y) == pytest.approx(oracle, abs=1e-12)
+        if case == "replicated":
+            # omega_inf's call: the drawn atoms once, each of mass 4
+            assert w1_line(x[::4], np.full(n // 4, 4.0), y, np.ones(n)) == \
+                pytest.approx(oracle, abs=1e-12)
+
+
+def test_w1_line_batch_matches_bruteforce(w1_line_batch):
     rng = np.random.default_rng(15)
     for n in range(1, 8):
         for _ in range(6):
@@ -130,13 +154,72 @@ def test_w1_line_batch_matches_bruteforce():
                 pytest.approx(brute, abs=1e-12)
 
 
-def test_w1_line_batch_far_apart_is_the_truncation():
+def test_w1_line_matches_bruteforce():
+    rng = np.random.default_rng(15)
+    for n in range(1, 8):
+        for _ in range(6):
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            brute = w1_config_bruteforce(conf(*x), conf(*y))
+            assert line(x, y) == pytest.approx(brute, abs=1e-12)
+
+
+def test_w1_line_matches_lp_on_weighted_pairs():
+    # a fifth of the pairs sit on the integers {-2..2}, so atoms tie within
+    # and across the two measures; the last pair, 200 against 207 atoms,
+    # has hundreds of distinct slopes
+    rng = np.random.default_rng(19)
+    for k in range(252):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        if k == 251:
+            n, m = 200, 207
+        if k % 5 == 0:
+            p = rng.integers(-2, 3, size=(n, 1)).astype(float)
+            q = rng.integers(-2, 3, size=(m, 1)).astype(float)
+        else:
+            p, q = rng.uniform(-3, 3, (n, 1)), rng.uniform(-3, 3, (m, 1))
+        wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        lp = _transport_lp(cost_matrix(DiscreteMeasure(1, p, wa),
+                                       DiscreteMeasure(1, q, wb)),
+                           wa, wb).cost
+        assert w1_line(p[:, 0], wa, q[:, 0], wb) == pytest.approx(lp, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 1 << 14])
+def test_w1_line_matches_dp_at_large_n(n, w1_line_batch):
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), 1.2 * rng.normal(size=n)
+    ties = np.round(x, 2), np.round(y, 2)
+    for a, b in ((x, y), ties):
+        assert line(a, b) == pytest.approx(w1_line_batch(a[None], b[None])[0],
+                                           abs=1e-12)
+
+
+def test_w1_line_below_sorted_coupling_at_2_17():
+    # omega1-counterexample's omega_1: two pools of 2^17 draws from the
+    # half-half N(0, 1) / N(2, 1) mixture; their monotone coupling is only
+    # an upper bound on the distance
+    rng = np.random.default_rng(20)
+    n = 1 << 17
+    x, y = rng.normal(size=(2, n)) + rng.choice([0.0, 2.0], size=(2, n))
+    sorted_coupling = float(np.minimum(np.abs(np.sort(x) - np.sort(y)),
+                                       TRUNCATION).mean())
+    assert 0.0 < line(x, y) <= sorted_coupling
+
+
+def test_w1_line_batch_far_apart_is_the_truncation(w1_line_batch):
     x = np.array([[0.0, 0.4, 0.9]])
     assert w1_line_batch(x, x + 5.0)[0] == TRUNCATION
     assert w1_line_batch(x, x[:, ::-1])[0] == 0.0
 
 
-def test_w1_line_batch_rows_are_independent():
+def test_w1_line_far_apart_is_the_truncation():
+    x = np.array([0.0, 0.4, 0.9])
+    assert line(x, x + 5.0) == TRUNCATION
+    assert line(x, x[::-1]) == 0.0
+    assert w1_line(x, [1.0, 2.0, 1.0], x - 3.0, [2.0, 1.0, 1.0]) == TRUNCATION
+
+
+def test_w1_line_batch_rows_are_independent(w1_line_batch):
     rng = np.random.default_rng(16)
     xs, ys = rng.normal(size=(9, 25)), rng.normal(size=(9, 25))
     batched = w1_line_batch(xs, ys)
@@ -144,14 +227,18 @@ def test_w1_line_batch_rows_are_independent():
     np.testing.assert_array_equal(batched, single)
 
 
-def test_w1_line_batch_rejects_bad_input():
-    good = np.zeros((2, 3))
-    for xs, ys in ((good, np.zeros((2, 4))), (good, np.zeros((3, 3))),
-                   (good[0], good[0]), (np.zeros((2, 0)), np.zeros((2, 0))),
-                   (good, np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]])),
-                   (np.full((2, 3), np.inf), good)):
+def test_w1_line_rejects_bad_input():
+    x, w = np.zeros(3), np.ones(3)
+    for xa, wa, xb, wb in ((x, w, x, np.ones(4)), (x, np.ones(2), x, w),
+                           (x[None], w[None], x[None], w[None]),
+                           (x[:0], w[:0], x[:0], w[:0]), (x, w, x[:0], w[:0]),
+                           (np.array([0.0, np.nan, 0.0]), w, x, w),
+                           (x, w, np.full(3, np.inf), w),
+                           (x, np.array([1.0, np.inf, 1.0]), x, w),
+                           (x, np.array([2.0, -1.0, 2.0]), x, w),
+                           (x, w, x, 2.0 * w), (x, 0.0 * w, x, 0.0 * w)):
         with pytest.raises(DimensionError):
-            w1_line_batch(xs, ys)
+            w1_line(xa, wa, xb, wb)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +248,14 @@ def test_w1_line_batch_rejects_bad_input():
 def test_w1_discrete_identity():
     rng = np.random.default_rng(5)
     mu = random_measure(rng, 4)
-    assert w1_discrete(mu, mu).cost == pytest.approx(0.0, abs=1e-12)
+    assert w1_discrete(mu, mu) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_w1_discrete_two_diracs():
     for a in (0.4, 2.5):
         mu = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
         nu = DiscreteMeasure(1, np.array([[a]]), np.array([1.0]))
-        assert w1_discrete(mu, nu).cost == pytest.approx(min(a, 1.0))
+        assert w1_discrete(mu, nu) == pytest.approx(min(a, 1.0))
 
 
 def test_w1_discrete_matches_w1_config_on_empirical():
@@ -177,20 +264,21 @@ def test_w1_discrete_matches_w1_config_on_empirical():
         n = int(rng.integers(2, 9))
         x = rng.normal(size=n)
         y = rng.normal(size=n)
-        plan = w1_discrete(
+        val = w1_discrete(
             DiscreteMeasure(1, x[:, None], np.full(n, 1.0 / n)),
             DiscreteMeasure(1, y[:, None], np.full(n, 1.0 / n)))
         cost, _ = w1_config(Configuration(1, n, x), Configuration(1, n, y))
-        assert plan.cost == pytest.approx(cost, abs=1e-9)
+        assert val == pytest.approx(cost, abs=1e-9)
 
 
 def test_transport_plan_marginals_validate():
     rng = np.random.default_rng(7)
-    mu = random_measure(rng, 5)
-    nu = random_measure(rng, 3)
-    plan = w1_discrete(mu, nu)
-    costs = cost_matrix(mu.merged(), nu.merged(), BOUNDED_L1)
+    mu = random_measure(rng, 5).merged()
+    nu = random_measure(rng, 3).merged()
+    costs = cost_matrix(mu, nu, BOUNDED_L1)
+    plan = _transport_lp(costs, mu.weights, nu.weights)
     assert plan.validate(costs)
+    assert w1_discrete(mu, nu) == pytest.approx(plan.cost, abs=1e-12)
 
 
 def test_quantile_plan_matches_lp():
@@ -207,12 +295,14 @@ def test_quantile_plan_matches_lp():
             q = rng.normal(size=(m, 1))
         mu = DiscreteMeasure(1, p, rng.dirichlet(np.ones(n)))
         nu = DiscreteMeasure(1, q, rng.dirichlet(np.ones(m)))
-        plan = w1_discrete(mu, nu, NORMALIZED_L2_SQ)
+        val = w1_discrete(mu, nu, NORMALIZED_L2_SQ)
         mu, nu = mu.merged(), nu.merged()
         costs = cost_matrix(mu, nu, NORMALIZED_L2_SQ)
+        plan = _quantile_plan(costs, mu, nu)
         assert plan.validate(costs)
         lp = _transport_lp(costs, mu.weights, nu.weights).cost
         assert plan.cost == pytest.approx(lp, abs=1e-12)
+        assert val == pytest.approx(plan.cost, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -222,13 +312,33 @@ def test_w1_discrete_metric_axioms(n, seed):
     mu = random_measure(rng, n)
     nu = random_measure(rng, n)
     rho = random_measure(rng, n)
-    dxy = w1_discrete(mu, nu).cost
-    dyx = w1_discrete(nu, mu).cost
+    dxy = w1_discrete(mu, nu)
+    dyx = w1_discrete(nu, mu)
     assert abs(dxy - dyx) < 1e-10
-    dxz = w1_discrete(mu, rho).cost
-    dzy = w1_discrete(rho, nu).cost
+    dxz = w1_discrete(mu, rho)
+    dzy = w1_discrete(rho, nu)
     assert dxy <= dxz + dzy + 1e-9
-    assert w1_discrete(mu, mu.merged()).cost < 1e-12
+    assert w1_discrete(mu, mu.merged()) < 1e-12
+
+
+def test_line_solves_reach_neither_lp_nor_assignment(monkeypatch, gauss):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a 1-D bounded-cost solve called an oracle")
+
+    rng = np.random.default_rng(21)
+    # the quotient's costs are line solves; its two outer LPs stay
+    monkeypatch.setattr(transport, "linear_sum_assignment", forbidden)
+    pushforward_identity_exact(symmetric_pmf(2, 5, rng),
+                               symmetric_pmf(2, 5, rng))
+    monkeypatch.setattr(transport, "linprog", forbidden)
+    for n in (1, 4, 9):
+        w1_discrete(random_measure(rng, n), random_measure(rng, n + 2))
+        w1_discrete(uniform_atoms(rng, n), uniform_atoms(rng, n))
+    grunbaum_exact(symmetric_pmf(3, 5, rng), 1, rng=rng)
+    sampler = sigma_sampler()
+    omega_inf(sampler, gauss, 16, 4, rng=rng)
+    omega_n(sampler, gauss, 16, 4, rng)
+    omega_j(sampler, gauss, 1, 16, 64, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +356,7 @@ def test_dual_tight_witness_two_diracs():
     nu = DiscreteMeasure(1, np.array([[0.5]]), np.array([1.0]))
     val = w1_dual_lower_bound(mu, nu, lambda p: -np.minimum(p[:, 0], 1.0))
     assert val == pytest.approx(0.5)
-    assert val == pytest.approx(w1_discrete(mu, nu).cost)
+    assert val == pytest.approx(w1_discrete(mu, nu))
 
 
 def test_dual_is_lower_bound():
@@ -256,7 +366,7 @@ def test_dual_is_lower_bound():
         a = rng.uniform(-1, 1)
         witness = lambda p, a=a: a * np.clip(p[:, 0], -1.0, 1.0) / 2.0
         val = w1_dual_lower_bound(mu, nu, witness)
-        assert val <= w1_discrete(mu, nu).cost + 1e-9
+        assert val <= w1_discrete(mu, nu) + 1e-9
 
 
 def test_dual_rejects_steep_witness():
@@ -328,7 +438,7 @@ def test_marginal_contraction(N, j):
                        1.0).mean(axis=2)
     full = _transport_lp(costs, F.ravel(), G.ravel()).cost
     marg = w1_discrete(_pmf_marginal_measure(F, j, symbols),
-                       _pmf_marginal_measure(G, j, symbols)).cost
+                       _pmf_marginal_measure(G, j, symbols))
     assert marg <= 2.0 * full + 1e-9
 
 
@@ -342,8 +452,8 @@ def test_w1_le_w2_and_interpolation():
     for _ in range(60):
         mu = random_measure(rng, int(rng.integers(2, 6)), spread=3.0)
         nu = random_measure(rng, int(rng.integers(2, 6)), spread=3.0)
-        w1 = w1_discrete(mu, nu, BOUNDED_L1).cost
-        w2 = math.sqrt(w1_discrete(mu, nu, NORMALIZED_L2_SQ).cost)
+        w1 = w1_discrete(mu, nu, BOUNDED_L1)
+        w2 = math.sqrt(w1_discrete(mu, nu, NORMALIZED_L2_SQ))
         assert w1 <= w2 + 1e-10
         mk = mu.moment(k) + nu.moment(k)
         assert w2 <= 2 ** 1.5 * mk ** (1 / k) * w1 ** (0.5 - 1 / k) + 1e-10

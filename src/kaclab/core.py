@@ -278,11 +278,12 @@ class GridDensity(GridFunction):
             raise DimensionError("values must have shape (n_points,)")
         if np.any(vals < -1e-12 * max(1.0, vals.max(initial=0.0))):
             raise DimensionError("grid values must be nonnegative")
-        vals = np.maximum(vals, 0.0)
+        vals = np.maximum(vals, 0.0)     # a copy: the caller's array is kept
         mass = vals.sum() * self.spacing
         if mass <= 0:
             raise DimensionError("grid density has no mass")
-        object.__setattr__(self, "values", vals / mass)
+        vals /= mass
+        object.__setattr__(self, "values", vals)
 
     def standardized(self) -> "GridDensity":
         """Rescale to mean 0, variance 1 (resampled on the same grid)."""
@@ -308,11 +309,12 @@ class ProductGridDensity(Grid):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_points, self.n_points):
             raise DimensionError("values must be (n_points, n_points)")
-        vals = np.maximum(vals, 0.0)
+        vals = np.maximum(vals, 0.0)     # a copy: the caller's array is kept
         mass = vals.sum() * self.spacing ** 2
         if mass <= 0:
             raise DimensionError("grid density has no mass")
-        object.__setattr__(self, "values", vals / mass)
+        vals /= mass
+        object.__setattr__(self, "values", vals)
 
     def marginal(self, axis: int = 0) -> GridDensity:
         vals = self.values.sum(axis=1 - axis) * self.spacing

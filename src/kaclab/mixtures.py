@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from .core import (Density, DimensionError, Grid, GridDensity,
                    ProductGridDensity, RateReport, check_reps, loglog_fit)
-from .information import entropy, fisher
+from .information import _xlogx, entropy, fisher
 from .sobolev import HsKernel, phi_s
 
 __all__ = [
@@ -58,22 +58,37 @@ class Mixture:
         return rng.choice(self.count, size=count, p=alphas)
 
 
+# Rows of the j = 2 marginal summed per block; 256 rows of 4096 doubles is
+# 8 MB, so the blocked entropy never holds the dense M x M grid.
+_PAIR_BLOCK_ROWS = 256
+
+
+def _marginal_grid(pi: Mixture):
+    """Half-width L and size M of the marginals' grid, and the atom pdf
+    rows P (shape atoms x M) on its points xs, clamped at 0."""
+    L = max(max(abs(b) for b in f.quad_bounds()) for _, f in pi.atoms) + 2.0
+    M = 2 ** 12
+    xs = Grid(L, M).xs
+    P = np.maximum(np.stack([f.pdf(xs) for _, f in pi.atoms]), 0.0)
+    return L, M, P
+
+
 def mixture_marginal(pi: Mixture, j: int):
     """The j-variable marginal: gridded for j <= 2, a sampler for j >= 3.
 
+    The j = 2 grid is the dense M x M carrier; it is the test oracle of the
+    blocked entropy in ``marginal_entropy_curve`` and is not used there.
     The sampler draws an atom per row and then j i.i.d. coordinates from it.
     """
     if j < 1:
         raise DimensionError("j must be positive")
-    L = max(max(abs(b) for b in f.quad_bounds()) for _, f in pi.atoms) + 2.0
-    M = 2 ** 12
-    xs = Grid(L, M).xs
-    if j == 1:
-        vals = sum(a * f.pdf(xs) for a, f in pi.atoms)
-        return GridDensity(L, M, vals)
-    if j == 2:
-        vals = sum(a * np.outer(f.pdf(xs), f.pdf(xs)) for a, f in pi.atoms)
-        return ProductGridDensity(L, M, vals)
+    if j <= 2:
+        L, M, P = _marginal_grid(pi)
+        alphas = [a for a, _ in pi.atoms]
+        if j == 1:
+            return GridDensity(L, M, sum(a * p for a, p in zip(alphas, P)))
+        return ProductGridDensity(L, M, sum(a * np.outer(p, p)
+                                            for a, p in zip(alphas, P)))
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
         which = pi.atom_sampler(rng, count)
@@ -128,23 +143,59 @@ class MarginalEntropyCurve:
     gap_report: RateReport | None
 
 
+def _pair_marginal_entropy(pi: Mixture) -> float:
+    """H(pi_2)/2 on the j = 2 grid, from the rank-r factorisation.
+
+    The marginal sum_a alpha_a p_a p_a^T is P^T (alpha P) / mass with mass
+    h^2 sum_a alpha_a (sum_x p_a(x))^2, so x log x is summed over blocks of
+    its rows and the M x M grid is never built.
+    """
+    L, M, P = _marginal_grid(pi)
+    h2 = Grid(L, M).spacing ** 2
+    alphas = np.array([a for a, _ in pi.atoms])
+    mass = h2 * float(np.sum(alphas * P.sum(axis=1) ** 2))
+    if mass <= 0:
+        raise DimensionError("grid density has no mass")
+    W = alphas[:, None] * P / mass
+    total = 0.0
+    for start in range(0, M, _PAIR_BLOCK_ROWS):
+        block = P[:, start:start + _PAIR_BLOCK_ROWS].T @ W
+        total += float(np.sum(_xlogx(block)))
+    return total * h2 / 2.0
+
+
+def _check_js(js) -> list:
+    js = list(js)
+    for j in js:
+        if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
+                or j < 1):
+            raise DimensionError(f"js must hold positive integers, got {j!r}")
+    if len(set(js)) != len(js):
+        raise DimensionError(f"js must not repeat a value, got {js}")
+    return sorted(int(j) for j in js)
+
+
 def marginal_entropy_curve(pi: Mixture, js, rng: np.random.Generator,
                            mc_count: int = 20000) -> MarginalEntropyCurve:
     """Normalized marginal entropies H(pi_j) along js, with the gap fit.
 
-    j = 1, 2 are exact grid quadratures; larger blocks use the unbiased
-    plug-in (1/j) E log pi_j(V) over draws of the marginal itself, with
-    batch stderr. The gap to the level-3 entropy is fit as a power law in
-    j over the blocks where it clears 3 standard errors.
+    j = 1 is an exact grid quadrature. j = 2 is the same quadrature on the
+    M x M grid, summed over row blocks of its rank-r factorisation (r the
+    number of atoms) in O(M) memory; ``mixture_marginal(pi, 2)`` is its
+    dense oracle. Larger blocks use the unbiased plug-in (1/j) E log
+    pi_j(V) over draws of the marginal itself, with batch stderr. The gap
+    to the level-3 entropy is fit as a power law in j over the blocks where
+    it clears 3 standard errors. js must be distinct positive integers.
     """
-    js = sorted(int(j) for j in js)
+    js = _check_js(js)
     n_batches = 20
     check_reps(mc_count, n_batches)
     h3 = level3_entropy(pi)
     values, stderrs = [], []
     for j in js:
         if j <= 2:
-            values.append(entropy(mixture_marginal(pi, j)).value)
+            values.append(entropy(mixture_marginal(pi, 1)).value if j == 1
+                          else _pair_marginal_entropy(pi))
             stderrs.append(0.0)
             continue
         sampler = mixture_marginal(pi, j)

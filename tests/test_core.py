@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaclab.core import (Configuration, DimensionError, DiscreteMeasure,
-                         GridDensity, QuadratureError, bimodal_density,
+                         GridDensity, ProductGridDensity, QuadratureError, bimodal_density,
                          gauss_quadrature, gaussian_density, loglog_fit,
                          make_empirical, spectrum_power, uniform_density)
 
@@ -147,6 +147,23 @@ def test_grid_density_invariants():
         GridDensity(10.0, 1000, np.ones(1000))    # not a power of two
     st = g.standardized()
     assert abs(st.mean()) < 1e-9 and abs(st.variance() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("carrier, shape, power", [
+    (GridDensity, (64,), 1), (ProductGridDensity, (64, 64), 2)])
+def test_grid_carriers_normalize_a_copy(carrier, shape, power):
+    # the clamped copy is divided in place: bitwise the clamp-then-divide
+    # values, and the caller's array (negative rounding noise included)
+    # is left as it was
+    vals = np.random.default_rng(7).uniform(0.0, 2.0, size=shape)
+    vals.flat[::5] = -1e-15
+    given = vals.copy()
+    g = carrier(4.0, 64, vals)
+    np.testing.assert_array_equal(vals, given)
+    clamped = np.maximum(given, 0.0)
+    expected = clamped / (clamped.sum() * g.spacing ** power)
+    np.testing.assert_array_equal(g.values, expected)
+    assert g.values is not vals
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kaclab.core import (DimensionError, SizeError, gaussian_density,
                          uniform_density)
+from kaclab import mixtures
 from kaclab.information import entropy, fisher, _grid_fisher_raw
 from kaclab.mixtures import (DeFinettiProbe, Mixture, definetti_cauchy_probe,
                              level3_entropy, level3_fisher,
@@ -121,6 +123,58 @@ def test_two_atom_curve(two_atoms, rng):
     gap16 = curve.level3 - curve.values[js.index(16)]
     assert gap16 * 16 == pytest.approx(math.log(2.0), rel=0.15)
     assert -1.2 < curve.gap_report.fitted_slope < -0.8
+
+
+ORACLE_MIXTURES = {
+    "pm3-equal": ((0.5, gaussian_density(-3.0)), (0.5, gaussian_density(3.0))),
+    "quarter": ((0.25, gaussian_density(-3.0)),
+                (0.75, gaussian_density(3.0))),
+    # the uniform atom puts pdf zeros and jumps on the grid
+    "three-with-uniform": ((0.2, gaussian_density(-2.0)),
+                           (0.5, uniform_density(-1.0, 1.5)),
+                           (0.3, gaussian_density(4.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MIXTURES))
+def test_pair_entropy_matches_dense_oracle(name, rng):
+    pi = Mixture(ORACLE_MIXTURES[name])
+    curve = marginal_entropy_curve(pi, [2], rng, mc_count=20)
+    dense = entropy(mixture_marginal(pi, 2)).value
+    assert curve.values[0] == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_single_atom_pair_entropy_tensorizes(rng):
+    pi = Mixture(((1.0, gaussian_density(0.5)),))
+    curve = marginal_entropy_curve(pi, [1, 2], rng, mc_count=20)
+    assert abs(curve.values[1] - curve.values[0]) < 1e-9
+
+
+def test_pair_entropy_builds_no_dense_grid(two_atoms, rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the j = 2 entropy built the dense M x M grid")
+
+    monkeypatch.setattr(mixtures, "ProductGridDensity", refuse)
+    curve = marginal_entropy_curve(two_atoms, [1, 2, 3], rng, mc_count=200)
+    assert curve.js == (1, 2, 3)
+
+
+def test_pair_entropy_memory_is_blocked(two_atoms, rng):
+    # the dense 4096 x 4096 path peaked at 656 MB traced
+    tracemalloc.start()
+    try:
+        marginal_entropy_curve(two_atoms, [1, 2], rng, mc_count=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("js", [[3, 3, 4], [1, 3, 3, 4, 8, 16], [1, 2.5],
+                                [0, 1], [-2, 1], [1, True], [1, "2"]])
+def test_curve_rejects_bad_js(two_atoms, rng, js):
+    with pytest.raises(DimensionError, match="js"):
+        marginal_entropy_curve(two_atoms, js, rng, mc_count=20)
 
 
 def test_log_marginal_matches_direct(two_atoms, rng):

@@ -20,7 +20,8 @@ import os
 import shutil
 import sys
 
-from .core import HypothesisError, bimodal_density, gaussian_density
+from .core import (HypothesisError, bimodal_density, gaussian_density,
+                   is_int)
 from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
                           ExperimentResult, run_experiment, sphere_table,
                           _rate_ks)
@@ -29,29 +30,25 @@ from .kacsphere import cache_path, cache_root
 _USAGE_ERROR = 2
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    return is_int(v) or isinstance(v, float)
 
 
 # what each config value must be; None is the default of the optional ones
 _CONFIG_VALUES = {
     "density": (f"one of {', '.join(DENSITIES)}", lambda v: v in DENSITIES),
-    "seed": ("an int", _is_int),
+    "seed": ("an int", is_int),
     # a Monte Carlo standard error needs two replicas
-    "mc_reps": ("an int >= 2", lambda v: v is None or (_is_int(v) and v >= 2)),
+    "mc_reps": ("an int >= 2", lambda v: v is None or (is_int(v) and v >= 2)),
     "reference_size": ("a positive int",
-                       lambda v: v is None or (_is_int(v) and v > 0)),
+                       lambda v: v is None or (is_int(v) and v > 0)),
     # the mixtures suite's H^{-s} probe is run for s >= 1 only
     "s": ("a number >= 1", lambda v: _is_number(v) and v >= 1),
     # the interpolation exponent 1/2 - 1/k must be positive
     "k": ("a number > 2", lambda v: _is_number(v) and v > 2),
     # rate fits need their N values in order
     "ns": ("a strictly increasing list of ints", lambda v: v is None or (
-        isinstance(v, list) and all(map(_is_int, v))
+        isinstance(v, list) and all(map(is_int, v))
         and all(a < b for a, b in zip(v, v[1:])))),
     "output": ("a string", lambda v: v is None or isinstance(v, str)),
     "format": ("csv or json", lambda v: v in ("csv", "json")),

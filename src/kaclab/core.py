@@ -24,6 +24,7 @@ __all__ = [
     "DimensionError",
     "QuadratureError",
     "SizeError",
+    "is_int",
     "check_reps",
     "HypothesisError",
     "SupportError",
@@ -77,6 +78,11 @@ class QuadratureError(KaclabError):
 
 class SizeError(KaclabError):
     """An exact computation would blow past its size budget."""
+
+
+def is_int(v) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def check_reps(count: int, least: int = 2):

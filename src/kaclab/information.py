@@ -64,11 +64,11 @@ def _expect(f: Density, g, tol: float) -> float:
 
 
 def _xlogx(v):
+    """v log v where v > 0 and 0 elsewhere, in one output array."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
     pos = v > 0
-    out[pos] = v[pos] * np.log(v[pos])
-    return out
+    out = np.log(v, out=np.zeros_like(v), where=pos)
+    return np.multiply(out, v, out=out, where=pos)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from scipy.special import betainc, gammainc, gammaln
 
 from .core import (Density, DimensionError, HypothesisError, KaclabError,
-                   check_reps, gauss_quadrature, gaussian_density,
+                   check_reps, gauss_quadrature, gaussian_density, is_int,
                    spectrum_power)
 from .information import relative_entropy
 
@@ -67,6 +67,9 @@ _MAGIC = b"KLPT1\x00"
 _DU = 0.004
 # grid points of the sampler's per-coordinate inverse CDF
 _SAMPLER_GRID = 384
+# Query points per block of a table lookup: its four reused 128 kB buffers
+# stay in cache, where whole-query temporaries do not.
+_LOOKUP_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -213,20 +216,49 @@ class PartitionTable:
         """h^{*k}(u) by linear interpolation, zero outside the stored window.
 
         The u-grid is uniform, so the lookup is direct index arithmetic
-        rather than a binary search.
+        rather than a binary search. The flattened query is walked in
+        blocks of ``_LOOKUP_BLOCK`` points through reused buffers; each
+        block runs the one-shot interpolation's float operations in the
+        same order, so the values are bitwise those of
+        ``lo + frac * (hi - lo)`` on the whole query. ±inf and far queries
+        give 0; a NaN query raises ``KaclabError``.
         """
         if k not in self.windows:
             raise KaclabError(f"table holds no convolution for k={k}; "
                               f"rebuild with this k included")
         start, vals = self.windows[k]
         padded = self._padded[k]
-        pos = np.atleast_1d(np.asarray(u, dtype=float)) * (1.0 / self.du) - start
-        np.clip(pos, -1.0, len(vals), out=pos)
-        base = np.floor(pos).astype(np.intp)
-        frac = pos - base
-        lo = padded[base + 1]
-        out = lo + frac * (padded[base + 2] - lo)
-        return out if np.ndim(u) else float(out[0])
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        # min propagates NaN, so one reduction finds any NaN query
+        if np.isnan(flat.min(initial=0.0)):
+            raise KaclabError(f"conv_density(k={k}) got "
+                              f"{int(np.isnan(flat).sum())} NaN queries")
+        out = np.empty(flat.size)
+        width = min(flat.size, _LOOKUP_BLOCK)
+        pos_buf, fl_buf, lo_buf = (np.empty(width) for _ in range(3))
+        base_buf = np.empty(width, dtype=np.intp)
+        for i in range(0, flat.size, _LOOKUP_BLOCK):
+            hi = out[i:i + _LOOKUP_BLOCK]
+            n = len(hi)
+            pos, fl, lo = pos_buf[:n], fl_buf[:n], lo_buf[:n]
+            base = base_buf[:n]
+            np.multiply(flat[i:i + n], 1.0 / self.du, out=pos)
+            pos -= start
+            np.clip(pos, -1.0, len(vals), out=pos)
+            np.floor(pos, out=fl)
+            np.copyto(base, fl, casting="unsafe")
+            # padded[base] is the cell's left value and padded[1:][base] its
+            # right one; base >= 0 after the clip, so mode "clip" never clips
+            # and only spares take its bounds check
+            base += 1
+            pos -= fl
+            padded.take(base, out=lo, mode="clip")
+            padded[1:].take(base, out=hi, mode="clip")
+            hi -= lo
+            hi *= pos
+            hi += lo
+        return out.reshape(u.shape) if u.ndim else float(out[0])
 
     def log_zprime(self, k: int, rsq) -> np.ndarray:
         """log Z'_k(sqrt(rsq)), the Gaussian-normalized partition function."""
@@ -391,6 +423,9 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
     """
     if N < 5:
         raise DimensionError("need N >= 5")
+    if not is_int(count) or count < 0:
+        raise DimensionError(f"count must be a nonnegative integer, "
+                             f"got {count!r}")
     missing = [k for k in range(2, N) if not table.has_k(k)]
     if missing or not table.has_k(N - 1):
         raise KaclabError(f"table is missing convolutions {missing[:5]}...; "
@@ -412,9 +447,8 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         vmax = min(vcap, math.sqrt(max(float(usq[act].max()), 1e-12)))
         grid = np.linspace(-vmax, vmax, _SAMPLER_GRID)
         step = grid[1] - grid[0]
-        fg = f.pdf(grid)
-        dens = fg[None, :] * table.conv_density(k - 1,
-                                                usq[act, None] - grid ** 2)
+        dens = table.conv_density(k - 1, usq[act, None] - grid ** 2)
+        dens *= f.pdf(grid)
         cum = np.cumsum(dens, axis=1)
         tot = cum[:, -1]
         bad = tot <= 0.0

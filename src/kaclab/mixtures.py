@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (Density, DimensionError, Grid, GridDensity,
-                   ProductGridDensity, RateReport, check_reps, loglog_fit)
+                   ProductGridDensity, RateReport, check_reps, is_int,
+                   loglog_fit)
 from .information import _xlogx, entropy, fisher
 from .sobolev import HsKernel, phi_s
 
@@ -80,8 +81,8 @@ def mixture_marginal(pi: Mixture, j: int):
     blocked entropy in ``marginal_entropy_curve`` and is not used there.
     The sampler draws an atom per row and then j i.i.d. coordinates from it.
     """
-    if j < 1:
-        raise DimensionError("j must be positive")
+    if not is_int(j) or j < 1:
+        raise DimensionError(f"j must be a positive integer, got {j!r}")
     if j <= 2:
         L, M, P = _marginal_grid(pi)
         alphas = [a for a, _ in pi.atoms]
@@ -167,8 +168,7 @@ def _pair_marginal_entropy(pi: Mixture) -> float:
 def _check_js(js) -> list:
     js = list(js)
     for j in js:
-        if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
-                or j < 1):
+        if not is_int(j) or j < 1:
             raise DimensionError(f"js must hold positive integers, got {j!r}")
     if len(set(js)) != len(js):
         raise DimensionError(f"js must not repeat a value, got {js}")

@@ -6,7 +6,7 @@ import pytest
 from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
                          gaussian_density, uniform_density)
-from kaclab.information import (entropy, entropy_knn, fisher,
+from kaclab.information import (_xlogx, entropy, entropy_knn, fisher,
                                 fisher_dual_lower_bound,
                                 fisher_superadditivity_grid, hwi_check,
                                 relative_entropy, relative_fisher,
@@ -37,6 +37,26 @@ def test_entropy_lower_bound_second_moment():
     for f in (gaussian_density(), bimodal_density(), uniform_density(0, 1)):
         m2 = 1.0 + f.raw_moments[2]
         assert entropy(f).value >= math.log(c2) - m2
+
+
+def _xlogx_gathered(v):
+    """The masked-gather form of x log x that ``_xlogx`` replaced."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    pos = v > 0
+    out[pos] = v[pos] * np.log(v[pos])
+    return out
+
+
+def test_xlogx_matches_the_gathered_form_bitwise(rng):
+    special = np.array([0.0, -0.0, -1.0, -1e-300, 5e-324, 1e-300, 1.0, 2.0,
+                        np.inf, -np.inf, np.nan])
+    for v in (special, rng.standard_normal((64, 33)) * 5.0,
+              rng.random(4096) ** 12, 0.0, -2.0, 3.5):
+        got, want = _xlogx(v), _xlogx_gathered(v)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64))
 
 
 def test_relative_entropy_basics():

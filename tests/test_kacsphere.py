@@ -11,7 +11,7 @@ from kaclab.core import (DimensionError, HypothesisError, KaclabError,
                          SizeError, bimodal_density, gauss_quadrature,
                          gaussian_density, uniform_density)
 from kaclab.experiments import _rate_ks
-from kaclab.kacsphere import (CACHE_ENV_VAR, SphereConfig,
+from kaclab.kacsphere import (CACHE_ENV_VAR, PartitionTable, SphereConfig,
                               build_partition_table, cache_path,
                               marginal_gauss_l1, entropy_chaos_gap,
                               fisher_chaos_terms, load_table,
@@ -340,6 +340,109 @@ def test_sphere_table_warns_when_the_save_fails(tmp_path, monkeypatch, gauss):
 
 
 # ---------------------------------------------------------------------------
+# blocked table lookup
+# ---------------------------------------------------------------------------
+
+BLOCK = kacsphere._LOOKUP_BLOCK
+
+
+def _one_shot_conv_density(table, k, u):
+    """The whole-query interpolation that the blocked lookup replaced; its
+    bitwise oracle."""
+    start, vals = table.windows[k]
+    padded = table._padded[k]
+    pos = np.atleast_1d(np.asarray(u, dtype=float)) * (1.0 / table.du) - start
+    np.clip(pos, -1.0, len(vals), out=pos)
+    base = np.floor(pos).astype(np.intp)
+    frac = pos - base
+    lo = padded[base + 1]
+    out = lo + frac * (padded[base + 2] - lo)
+    return out if np.ndim(u) else float(out[0])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def ramp_table():
+    """One window whose first and last values are far from 0, so a query
+    within one cell outside the window reads a steep ramp to the sentinel.
+    The spacing is a power of two, so whole cell positions are exact."""
+    vals = 0.5 + np.random.default_rng(7).random(1000)
+    return PartitionTable("ramp", 8, 2.0 ** -7, 30.0, 1.0, 1.0, (7,),
+                          {7: (250, vals)})
+
+
+def _cells(table, k, cells):
+    """u at the given positions in grid cells from the window start."""
+    return (table.windows[k][0] + np.asarray(cells, dtype=float)) * table.du
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  3 * BLOCK + 7])
+def test_blocked_lookup_matches_one_shot_bitwise(ramp_table, size):
+    n = len(ramp_table.windows[7][1])
+    u = _cells(ramp_table, 7,
+               np.random.default_rng(size).uniform(-3.0, n + 3.0, size))
+    got = ramp_table.conv_density(7, u)
+    assert got.shape == (size,)
+    assert np.array_equal(_bits(got),
+                          _bits(_one_shot_conv_density(ramp_table, 7, u)))
+
+
+def test_blocked_lookup_keeps_the_query_shape(ramp_table, gauss_table_32):
+    rng = np.random.default_rng(3)
+    n = len(ramp_table.windows[7][1])
+    u2 = _cells(ramp_table, 7, rng.uniform(-3.0, n + 3.0, (40, 1000)))
+    for u in (u2, u2.T, u2[:, ::3]):    # 2-D over several blocks, strided
+        got = ramp_table.conv_density(7, u)
+        assert got.shape == u.shape
+        assert np.array_equal(_bits(got),
+                              _bits(_one_shot_conv_density(ramp_table, 7, u)))
+    for u in (float(u2[0, 0]), u2[0, 0], np.float64(2.5)):   # scalars
+        got = ramp_table.conv_density(7, u)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(_one_shot_conv_density(ramp_table, 7, u))
+    # a real table at the sampler's query size
+    u = (16.0 + np.linspace(0.0, 8.0, 100)[:, None]
+         - np.linspace(-4.0, 4.0, 384) ** 2)
+    assert np.array_equal(
+        _bits(gauss_table_32.conv_density(15, u)),
+        _bits(_one_shot_conv_density(gauss_table_32, 15, u)))
+
+
+def test_blocked_lookup_edges_of_the_window(ramp_table):
+    vals = ramp_table.windows[7][1]
+    n = len(vals)
+    below = np.linspace(-1.0, 0.0, 9)[:-1]          # [-1, 0): ramp up
+    past = n - 1 + np.linspace(0.0, 2.0, 9)         # last cell, ramp, beyond
+    u = np.concatenate([_cells(ramp_table, 7, np.r_[below, 0.0, past, -1.5]),
+                        [np.inf, -np.inf, 1e300, -1e300]])
+    got = ramp_table.conv_density(7, u)
+    assert np.array_equal(_bits(got),
+                          _bits(_one_shot_conv_density(ramp_table, 7, u)))
+    # the ramp below the start rises from 0 to the first value
+    ramp = got[:len(below) + 1]
+    assert ramp[0] == 0.0 and np.all(np.diff(ramp) > 0)
+    assert ramp[-1] == vals[0]
+    assert got[len(below) + 1] == vals[-1]
+    assert np.all(got[-7:] == 0.0)     # past the end, -1.5 cells, ±inf, far
+
+
+def test_lookup_rejects_nan_queries(ramp_table):
+    u = _cells(ramp_table, 7, np.linspace(0.0, 10.0, 3 * BLOCK))
+    u[[5, BLOCK + 2]] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy cast warning on the way
+        with pytest.raises(KaclabError, match=r"k=7\) got 2 NaN"):
+            ramp_table.conv_density(7, u)
+        with pytest.raises(KaclabError, match="1 NaN"):
+            ramp_table.conv_density(7, float("nan"))
+    assert ramp_table.conv_density(7, np.empty((0, 3))).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
 # theta
 # ---------------------------------------------------------------------------
 
@@ -397,6 +500,32 @@ def test_conditioned_gaussian_matches_sigma(gauss, gauss_table_32, rng):
     ref = sample_sigma(32, 12_000, rng)
     res = stats.ks_2samp(out.samples[:, 0], ref[:, 0])
     assert res.pvalue > 0.001
+
+
+def test_conditioned_draws_equal_the_one_shot_lookup(bimodal,
+                                                     bimodal_table_32,
+                                                     monkeypatch):
+    count = 3 * BLOCK // kacsphere._SAMPLER_GRID   # each step spans blocks
+    fast = sample_conditioned(bimodal, 32, count, bimodal_table_32,
+                              np.random.default_rng(11))
+    monkeypatch.setattr(PartitionTable, "conv_density",
+                        _one_shot_conv_density)
+    slow = sample_conditioned(bimodal, 32, count, bimodal_table_32,
+                              np.random.default_rng(11))
+    assert fast.samples.shape == (count, 32)
+    assert np.array_equal(_bits(fast.samples), _bits(slow.samples))
+    assert fast.n_resampled == slow.n_resampled
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True, "3"])
+def test_conditioned_rejects_bad_count(gauss, gauss_table_32, rng, count):
+    with pytest.raises(DimensionError, match="count"):
+        sample_conditioned(gauss, 32, count, gauss_table_32, rng)
+
+
+def test_conditioned_zero_count(gauss, gauss_table_32, rng):
+    out = sample_conditioned(gauss, 32, 0, gauss_table_32, rng)
+    assert out.samples.shape == (0, 32) and out.n_resampled == 0
 
 
 def test_conditioned_bimodal_marginal(bimodal, bimodal_table_32, rng):

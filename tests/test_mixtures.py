@@ -177,6 +177,12 @@ def test_curve_rejects_bad_js(two_atoms, rng, js):
         marginal_entropy_curve(two_atoms, js, rng, mc_count=20)
 
 
+@pytest.mark.parametrize("j", [2.5, 2.0, True, 0, -1, "3"])
+def test_marginal_rejects_bad_j(two_atoms, j):
+    with pytest.raises(DimensionError, match="j must be a positive integer"):
+        mixture_marginal(two_atoms, j)
+
+
 def test_log_marginal_matches_direct(two_atoms, rng):
     V = rng.normal(size=(50, 3))
     direct = np.log(sum(a * np.prod(f.pdf(V), axis=1)

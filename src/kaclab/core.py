@@ -37,6 +37,7 @@ __all__ = [
     "ProductGridDensity",
     "RateReport",
     "make_empirical",
+    "merge_atoms",
     "loglog_fit",
     "gauss_quadrature",
     "spectrum_power",
@@ -167,20 +168,8 @@ class DiscreteMeasure:
 
     def merged(self) -> "DiscreteMeasure":
         """Merge atoms whose coordinates agree within ``ATOM_MERGE_TOL``."""
-        order = np.lexsort(self.points.T[::-1])
-        pts = self.points[order]
-        wts = self.weights[order]
-        keep_pts = [pts[0]]
-        keep_wts = [wts[0]]
-        for p, w in zip(pts[1:], wts[1:]):
-            if np.max(np.abs(p - keep_pts[-1])) <= ATOM_MERGE_TOL:
-                keep_wts[-1] += w
-            else:
-                keep_pts.append(p)
-                keep_wts.append(w)
-        w = np.array(keep_wts)
-        return DiscreteMeasure(self.dim, np.array(keep_pts), w / w.sum(),
-                               self.particle_dim)
+        pts, w = merge_atoms(self.points, self.weights)
+        return DiscreteMeasure(self.dim, pts, w, self.particle_dim)
 
     def moment(self, k: float) -> float:
         """M_k = sum_a w_a <z_a>^k with <z> = sqrt(1 + |z|^2)."""
@@ -355,6 +344,51 @@ class RateReport:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
+
+def merge_atoms(points: np.ndarray, weights: np.ndarray):
+    """Distinct atoms of a weighted point set, sorted, with weights summing to 1.
+
+    The atoms are sorted lexicographically, and each joins the current
+    group when it lies within ``ATOM_MERGE_TOL`` (max norm) of the group's
+    first atom; otherwise it starts a new group. Each group keeps its first
+    point and the sum of its weights, added in sorted order. Returns
+    ``(points, weights / weights.sum())``.
+    """
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
+    new = _group_starts(pts)
+    w = np.bincount(new.cumsum() - 1, weights=weights[order])
+    return pts[new], w / w.sum()
+
+
+def _group_starts(pts: np.ndarray) -> np.ndarray:
+    """Mask of the atoms of sorted ``pts`` that start a group of merge_atoms.
+
+    Where each atom equals its predecessor or lies farther than the
+    tolerance from it, chaining each atom to its predecessor gives the
+    first-atom groups. A run that holds a close but unequal pair is settled
+    one atom at a time by the first-atom rule. A gap in the first
+    coordinate wider than the tolerance starts a group under either rule,
+    so such a run reaches from one of those gaps to the next.
+    """
+    step = np.abs(pts[1:] - pts[:-1]).max(axis=1)
+    new = np.empty(len(pts), dtype=bool)
+    new[0] = True
+    np.greater(step, ATOM_MERGE_TOL, out=new[1:])
+    close = (step > 0) & ~new[1:]
+    if close.any():
+        bounds = np.append(np.flatnonzero(
+            np.diff(pts[:, 0], prepend=-np.inf) > ATOM_MERGE_TOL), len(pts))
+        runs = np.searchsorted(bounds, np.flatnonzero(close) + 1,
+                               side="right") - 1
+        for r in np.unique(runs):
+            first = bounds[r]
+            for i in range(first + 1, bounds[r + 1]):
+                new[i] = np.max(np.abs(pts[i] - pts[first])) > ATOM_MERGE_TOL
+                if new[i]:
+                    first = i
+    return new
+
 
 def make_empirical(X: Configuration, group: int = 1) -> DiscreteMeasure:
     """Empirical measure of a configuration on E^group.

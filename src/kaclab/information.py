@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from . import core
@@ -185,44 +184,62 @@ def fisher_dual_lower_bound(f: Density, psi, dpsi) -> float:
 # sample-based entropy
 # ---------------------------------------------------------------------------
 
-def _kl_estimate(pts: np.ndarray) -> float:
-    n, d = pts.shape
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2)
-    eps = dist[:, 1]
-    log_vd = d * math.log(2.0) if d == 1 else (
-        d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0))
-    h_diff = (d * np.mean(np.log(eps)) + log_vd
-              + digamma(n) - digamma(1))
+def _kl_estimate(x: np.ndarray, order: np.ndarray, keep: np.ndarray) -> float:
+    """Kozachenko-Leonenko estimate of int f log f from the kept draws.
+
+    ``order`` sorts ``x`` and ``keep`` masks it. On the line a point's
+    nearest neighbour is one of its two neighbours in sorted order, so its
+    distance is the smaller adjacent gap among the kept points. The
+    distances go back to sample order before their logs are averaged.
+    """
+    idx = order[keep[order]]
+    gaps = np.diff(x[idx])
+    eps = np.empty(len(x))
+    eps[idx] = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    h_diff = (np.mean(np.log(eps[keep])) + math.log(2.0)
+              + digamma(len(idx)) - digamma(1))
     return -float(h_diff)   # package sign convention: int f log f
 
 
 def entropy_knn(samples: np.ndarray) -> InfoValue:
-    """Nearest-neighbor estimate of int f log f with jackknife stderr.
+    """Nearest-neighbour estimate of int f log f from 1-D draws, with stderr.
 
-    Duplicate sample points are dropped (with a warning count) since the
-    estimator needs strictly positive neighbor distances.
+    One stable sort of the draws gives every nearest-neighbour distance,
+    for the whole sample and for each of the 10 jackknife blocks, which
+    are taken in sample order. Duplicate draws are dropped (each first
+    occurrence stays, and the drops are counted as warnings) since the
+    estimator needs positive distances. Samples with more than one
+    column, or a non-finite draw, raise ``DimensionError``.
     """
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 1:
-        pts = pts.T
-    n = len(pts)
-    if n < 50:
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 2 and 1 in x.shape:
+        x = x.ravel()
+    if x.ndim != 1:
+        raise DimensionError(
+            f"entropy_knn takes 1-D samples, got shape {x.shape}")
+    if len(x) < 50:
         raise DimensionError("need at least 50 samples")
-    uniq = np.unique(pts, axis=0)
-    n_dup = n - len(uniq)
+    if not np.all(np.isfinite(x)):
+        raise DimensionError("samples must be finite")
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    n_dup = len(x) - int(first.sum())
     if n_dup:
-        pts = uniq
-        if len(pts) < 50:
+        kept = np.zeros(len(x), dtype=bool)
+        kept[order[first]] = True
+        x, order = x[kept], (np.cumsum(kept) - 1)[order[first]]
+        if len(x) < 50:
             raise DimensionError("too few distinct samples after dedup")
-    full = _kl_estimate(pts)
+    n = len(x)
+    full = _kl_estimate(x, order, np.ones(n, dtype=bool))
     m = 10   # jackknife blocks
-    blocks = np.array_split(np.arange(len(pts)), m)
     loo = []
-    for b in blocks:
-        mask = np.ones(len(pts), dtype=bool)
-        mask[b] = False
-        loo.append(_kl_estimate(pts[mask]))
+    for b in np.array_split(np.arange(n), m):
+        keep = np.ones(n, dtype=bool)
+        keep[b] = False
+        loo.append(_kl_estimate(x, order, keep))
     loo = np.array(loo)
     se = math.sqrt((m - 1) / m * float(np.sum((loo - loo.mean()) ** 2)))
     return InfoValue(full, "knn_estimator", 1, stderr=se, n_warnings=n_dup)
@@ -282,23 +299,21 @@ def _check_symmetric(F: DiscreteMeasure):
     if j < 2:
         return
     rng = np.random.default_rng(0)
-    base = F.merged()
+    base_pts, base_w = core.merge_atoms(F.points, F.weights)
     for _ in range(4):
         a, b = rng.choice(j, size=2, replace=False)
         perm = list(range(j))
         perm[a], perm[b] = perm[b], perm[a]
         cols = np.concatenate([np.arange(c * d, (c + 1) * d) for c in perm])
-        swapped = DiscreteMeasure(F.dim, F.points[:, cols], F.weights,
-                                  particle_dim=d).merged()
-        if (swapped.n_atoms != base.n_atoms
-                or not np.allclose(swapped.points, base.points, atol=1e-9)
-                or not np.allclose(swapped.weights, base.weights, atol=1e-9)):
+        pts, w = core.merge_atoms(F.points[:, cols], F.weights)
+        if (len(w) != len(base_w)
+                or not np.allclose(pts, base_pts, atol=1e-9)
+                or not np.allclose(w, base_w, atol=1e-9)):
             raise DimensionError("measure is not permutation symmetric")
 
 
 def _discrete_h(F: DiscreteMeasure) -> float:
-    w = F.merged().weights
-    return float(np.sum(_xlogx(w)))
+    return float(np.sum(_xlogx(core.merge_atoms(F.points, F.weights)[1])))
 
 
 def superadditivity_check(F: DiscreteMeasure, i: int, j: int):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import (Configuration, DimensionError, DiscreteMeasure,
-                         GridDensity, ProductGridDensity, QuadratureError, bimodal_density,
-                         gauss_quadrature, gaussian_density, loglog_fit,
-                         make_empirical, spectrum_power, uniform_density)
+from kaclab.core import (ATOM_MERGE_TOL, Configuration, DimensionError,
+                         DiscreteMeasure, GridDensity, ProductGridDensity,
+                         QuadratureError, bimodal_density, gauss_quadrature,
+                         gaussian_density, loglog_fit, make_empirical,
+                         merge_atoms, spectrum_power, uniform_density)
 
 
 def test_configuration_invariants():
@@ -178,6 +179,64 @@ def test_merged_preserves_mass_and_is_idempotent(n_atoms, seed):
     again = merged.merged()
     assert again.n_atoms == merged.n_atoms
     np.testing.assert_allclose(again.weights, merged.weights)
+
+
+def _merged_loop(points, weights):
+    """Oracle: the sequential merge, one atom at a time in sorted order."""
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
+    wts = weights[order]
+    keep_pts = [pts[0]]
+    keep_wts = [wts[0]]
+    for p, w in zip(pts[1:], wts[1:]):
+        if np.max(np.abs(p - keep_pts[-1])) <= ATOM_MERGE_TOL:
+            keep_wts[-1] += w
+        else:
+            keep_pts.append(p)
+            keep_wts.append(w)
+    w = np.array(keep_wts)
+    return np.array(keep_pts), w / w.sum()
+
+
+def _merge_cases():
+    rng = np.random.default_rng(11)
+    for t in range(600):
+        dim = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 60))
+        if t % 3 == 0:      # integer grid: exact duplicates
+            pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+        elif t % 3 == 1:    # steps of about half the tolerance: chains
+            pts = (rng.integers(0, 4, size=(n, dim))
+                   * ATOM_MERGE_TOL * rng.uniform(0.3, 0.7))
+        else:
+            pts = rng.normal(size=(n, dim))
+        yield pts, rng.dirichlet(np.ones(n))
+
+
+def test_merge_atoms_matches_sequential_loop():
+    for pts, w in _merge_cases():
+        got_pts, got_w = merge_atoms(pts, w)
+        want_pts, want_w = _merged_loop(pts, w)
+        np.testing.assert_array_equal(got_pts, want_pts)
+        np.testing.assert_array_equal(got_w, want_w)
+        m = DiscreteMeasure(pts.shape[1], pts, w).merged()
+        np.testing.assert_array_equal(m.weights, want_w)
+
+
+def test_merge_compares_with_the_group_first_atom():
+    # 0.6e-12 steps chain all three atoms, but the third lies 1.2e-12
+    # from the first, so it starts a second atom
+    pts = np.array([[0.0], [0.6e-12], [1.2e-12]])
+    m = DiscreteMeasure(1, pts, np.full(3, 1.0 / 3.0)).merged()
+    assert m.n_atoms == 2
+    np.testing.assert_array_equal(m.points[:, 0], [0.0, 1.2e-12])
+    # in the plane an atom can join the group across a chain break:
+    # (0.6e-12, -0.9e-12) is 1.8e-12 from its predecessor but within the
+    # tolerance of the first atom
+    pts = np.array([[0.0, 0.0], [0.5e-12, 0.9e-12], [0.6e-12, -0.9e-12]])
+    got_pts, got_w = merge_atoms(pts, np.full(3, 1.0 / 3.0))
+    assert len(got_w) == 1
+    np.testing.assert_array_equal(got_pts, [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 37])

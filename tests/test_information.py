@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
@@ -166,6 +168,65 @@ def test_entropy_knn_duplicates_warn(rng):
     x[100:200] = x[0]
     est = entropy_knn(x)
     assert est.n_warnings == 100
+
+
+def _kl_tree(pts):
+    n = len(pts)
+    dist, _ = cKDTree(pts).query(pts, k=2)
+    return -float(np.mean(np.log(dist[:, 1])) + math.log(2.0)
+                  + digamma(n) - digamma(1))
+
+
+def _entropy_knn_tree(x):
+    """Oracle: one KD-tree for the sample and one for each jackknife block."""
+    pts = np.asarray(x, dtype=float).reshape(-1, 1)
+    m = 10
+    loo = []
+    for b in np.array_split(np.arange(len(pts)), m):
+        mask = np.ones(len(pts), dtype=bool)
+        mask[b] = False
+        loo.append(_kl_tree(pts[mask]))
+    loo = np.array(loo)
+    se = math.sqrt((m - 1) / m * float(np.sum((loo - loo.mean()) ** 2)))
+    return _kl_tree(pts), se
+
+
+@pytest.mark.parametrize("dens", [gaussian_density(), uniform_density(0, 1)],
+                         ids=["gaussian", "uniform"])
+def test_entropy_knn_equals_kdtree_oracle(dens):
+    x = dens.sampler(np.random.default_rng(31), 30_000)
+    est = entropy_knn(x)
+    assert (est.value, est.stderr) == _entropy_knn_tree(x)
+    row = entropy_knn(x.reshape(1, -1))
+    assert (row.value, row.stderr) == (est.value, est.stderr)
+
+
+def test_entropy_knn_duplicates_equal_oracle_on_first_occurrences(rng):
+    x = gaussian_density().sampler(rng, 2_000)
+    x[[50, 700, 1999]] = x[[10, 10, 1500]]
+    est = entropy_knn(x)
+    _, first = np.unique(x, return_index=True)
+    assert est.n_warnings == 3
+    assert (est.value, est.stderr) == _entropy_knn_tree(x[np.sort(first)])
+
+
+def test_entropy_knn_one_duplicate_keeps_stderr():
+    # the jackknife blocks stay in sample order when a duplicate is dropped
+    x = gaussian_density().sampler(np.random.default_rng(5), 30_000)
+    clean = entropy_knn(x)
+    x[1] = x[0]
+    dup = entropy_knn(x)
+    assert dup.n_warnings == 1
+    assert abs(dup.stderr - clean.stderr) <= 0.1 * clean.stderr
+
+
+def test_entropy_knn_rejects_two_columns_and_nan(rng):
+    with pytest.raises(DimensionError):
+        entropy_knn(rng.normal(size=(500, 2)))
+    x = rng.normal(size=500)
+    x[7] = np.nan
+    with pytest.raises(DimensionError):
+        entropy_knn(x)
 
 
 def test_entropy_knn_needs_samples():

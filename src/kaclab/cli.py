@@ -6,8 +6,9 @@ or clears the partition-table cache. Configuration comes from an optional
 JSON config file with command-line flags winning over file values. Exit
 codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
 (including a config value out of range, such as too few replicas, or N
-values out of order or too small) or input that breaks a hypothesis of the
-experiment (``HypothesisError``).
+values out of order or too small, and a ``cache build --max-n`` below 32,
+the smallest N of the rate tables) or input that breaks a hypothesis of
+the experiment (``HypothesisError``).
 """
 from __future__ import annotations
 
@@ -201,9 +202,13 @@ def _cmd_cache(args) -> int:
             shutil.rmtree(root)
         print(f"cleared {root}")
         return 0
+    ns = [n for n in (32, 64, 128, 256, 512, 1024) if n <= args.max_n]
+    if not ns:
+        print(f"cache build needs --max-n >= 32, the smallest N of the rate "
+              f"tables, got {args.max_n}", file=sys.stderr)
+        return _USAGE_ERROR
     density = gaussian_density() if args.density == "gaussian" \
         else bimodal_density()
-    ns = [n for n in (32, 64, 128, 256, 512, 1024) if n <= args.max_n]
     table = sphere_table(density, args.max_n, _rate_ks(ns))
     print(f"built table for {table.density_name} (max_N={table.max_N}, "
           f"{len(table.ks)} convolutions) in {root}")

@@ -37,6 +37,7 @@ __all__ = [
     "ProductGridDensity",
     "RateReport",
     "make_empirical",
+    "group_atoms",
     "merge_atoms",
     "loglog_fit",
     "gauss_quadrature",
@@ -153,6 +154,8 @@ class DiscreteMeasure:
             raise DimensionError("dim must be a multiple of particle_dim")
         if not np.all(np.isfinite(points)):
             raise DimensionError("atom points must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise DimensionError("weights must be finite")
         if np.any(weights < -1e-15):
             raise DimensionError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -257,6 +260,25 @@ class GridFunction(Grid):
         return float(np.sum((self.xs - m) ** 2 * self.values) * self.spacing)
 
 
+def _unit_mass(vals: np.ndarray, cell: float) -> np.ndarray:
+    """Grid density values clamped at 0 and scaled to unit mass.
+
+    ``cell`` is the length or area of one grid cell. Non-finite values,
+    and values below -1e-12 times max(1, largest value), raise
+    ``DimensionError``. Returns a new array; ``vals`` is kept.
+    """
+    if not np.all(np.isfinite(vals)):
+        raise DimensionError("grid values must be finite")
+    if np.any(vals < -1e-12 * max(1.0, vals.max(initial=0.0))):
+        raise DimensionError("grid values must be nonnegative")
+    vals = np.maximum(vals, 0.0)
+    mass = vals.sum() * cell
+    if mass <= 0:
+        raise DimensionError("grid density has no mass")
+    vals /= mass
+    return vals
+
+
 @dataclass(frozen=True)
 class GridDensity(GridFunction):
     """Density values on a ``Grid``; M must be a power of two.
@@ -271,14 +293,7 @@ class GridDensity(GridFunction):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_points,):
             raise DimensionError("values must have shape (n_points,)")
-        if np.any(vals < -1e-12 * max(1.0, vals.max(initial=0.0))):
-            raise DimensionError("grid values must be nonnegative")
-        vals = np.maximum(vals, 0.0)     # a copy: the caller's array is kept
-        mass = vals.sum() * self.spacing
-        if mass <= 0:
-            raise DimensionError("grid density has no mass")
-        vals /= mass
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _unit_mass(vals, self.spacing))
 
     def standardized(self) -> "GridDensity":
         """Rescale to mean 0, variance 1 (resampled on the same grid)."""
@@ -304,12 +319,8 @@ class ProductGridDensity(Grid):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_points, self.n_points):
             raise DimensionError("values must be (n_points, n_points)")
-        vals = np.maximum(vals, 0.0)     # a copy: the caller's array is kept
-        mass = vals.sum() * self.spacing ** 2
-        if mass <= 0:
-            raise DimensionError("grid density has no mass")
-        vals /= mass
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           _unit_mass(vals, self.spacing ** 2))
 
     def marginal(self, axis: int = 0) -> GridDensity:
         vals = self.values.sum(axis=1 - axis) * self.spacing
@@ -345,24 +356,30 @@ class RateReport:
 # operations
 # ---------------------------------------------------------------------------
 
-def merge_atoms(points: np.ndarray, weights: np.ndarray):
-    """Distinct atoms of a weighted point set, sorted, with weights summing to 1.
+def group_atoms(points: np.ndarray):
+    """The package's one rule for when two points are the same atom.
 
-    The atoms are sorted lexicographically, and each joins the current
+    The points are sorted lexicographically, and each joins the current
     group when it lies within ``ATOM_MERGE_TOL`` (max norm) of the group's
-    first atom; otherwise it starts a new group. Each group keeps its first
-    point and the sum of its weights, added in sorted order. Returns
-    ``(points, weights / weights.sum())``.
+    first point; otherwise it starts a new group. Returns the groups' first
+    points, the sort order and each sorted point's group index.
     """
     order = np.lexsort(points.T[::-1])
     pts = points[order]
     new = _group_starts(pts)
-    w = np.bincount(new.cumsum() - 1, weights=weights[order])
-    return pts[new], w / w.sum()
+    return pts[new], order, new.cumsum() - 1
+
+
+def merge_atoms(points: np.ndarray, weights: np.ndarray):
+    """The atoms of ``group_atoms`` and their weights, summed in sorted
+    order and normalised to sum 1."""
+    atoms, order, group = group_atoms(points)
+    w = np.bincount(group, weights=weights[order])
+    return atoms, w / w.sum()
 
 
 def _group_starts(pts: np.ndarray) -> np.ndarray:
-    """Mask of the atoms of sorted ``pts`` that start a group of merge_atoms.
+    """Mask of the atoms of sorted ``pts`` that start a group of group_atoms.
 
     Where each atom equals its predecessor or lies farther than the
     tolerance from it, chaining each atom to its predecessor gives the

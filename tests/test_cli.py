@@ -141,6 +141,15 @@ def test_cache_build_and_clear(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
+def test_cache_build_below_the_smallest_rate_n_is_usage_error(tmp_path):
+    env = {"KACLAB_CACHE_DIR": str(tmp_path / "cache")}
+    for max_n in ("31", "2", "0", "-5"):
+        res = run_cli(["cache", "build", "--max-n", max_n], env=env)
+        assert res.returncode == 2, res.stderr
+        assert "--max-n >= 32" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "cache").exists()
+
+
 def test_uniform_conditioned_density_is_usage_error(tmp_path, capsys):
     # the uniform density breaks the partition table's hypotheses
     cfg = tmp_path / "cfg.json"

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from kaclab.core import (ATOM_MERGE_TOL, Configuration, DimensionError,
                          DiscreteMeasure, GridDensity, ProductGridDensity,
                          QuadratureError, bimodal_density, gauss_quadrature,
-                         gaussian_density, loglog_fit, make_empirical,
-                         merge_atoms, spectrum_power, uniform_density)
+                         gaussian_density, group_atoms, loglog_fit,
+                         make_empirical, merge_atoms, spectrum_power,
+                         uniform_density)
 
 
 def test_configuration_invariants():
@@ -26,6 +27,9 @@ def test_discrete_measure_invariants():
         DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array([0.5, 0.6]))
     with pytest.raises(DimensionError):
         DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]):
+        with pytest.raises(DimensionError, match="finite"):
+            DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array(bad))
 
 
 def test_make_empirical_basic():
@@ -167,6 +171,22 @@ def test_grid_carriers_normalize_a_copy(carrier, shape, power):
     assert g.values is not vals
 
 
+@pytest.mark.parametrize("carrier, shape", [
+    (GridDensity, (64,)), (ProductGridDensity, (64, 64))])
+def test_grid_carriers_reject_bad_values(carrier, shape):
+    # both carriers share one rule: non-finite values and values below
+    # -1e-12 max(1, largest value) raise, and no mass raises
+    for bad, message in ((np.nan, "finite"), (np.inf, "finite"),
+                         (-np.inf, "finite"), (-5.0, "nonnegative"),
+                         (-1e-11, "nonnegative")):
+        vals = np.ones(shape)
+        vals.flat[3] = bad
+        with pytest.raises(DimensionError, match=message):
+            carrier(4.0, 64, vals)
+    with pytest.raises(DimensionError, match="no mass"):
+        carrier(4.0, 64, np.zeros(shape))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
 def test_merged_preserves_mass_and_is_idempotent(n_atoms, seed):
@@ -221,6 +241,16 @@ def test_merge_atoms_matches_sequential_loop():
         np.testing.assert_array_equal(got_w, want_w)
         m = DiscreteMeasure(pts.shape[1], pts, w).merged()
         np.testing.assert_array_equal(m.weights, want_w)
+
+
+def test_group_atoms_indexes_the_merged_atoms():
+    for pts, w in _merge_cases():
+        atoms, order, group = group_atoms(pts)
+        np.testing.assert_array_equal(atoms, _merged_loop(pts, w)[0])
+        np.testing.assert_array_equal(order, np.lexsort(pts.T[::-1]))
+        # each sorted point lies within the tolerance of its group's atom
+        assert np.all(np.diff(group) >= 0) and group[-1] == len(atoms) - 1
+        assert np.abs(pts[order] - atoms[group]).max() <= ATOM_MERGE_TOL
 
 
 def test_merge_compares_with_the_group_first_atom():

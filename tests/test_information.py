@@ -5,11 +5,13 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from kaclab import core
 from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
-                         gaussian_density, uniform_density)
-from kaclab.information import (_xlogx, entropy, entropy_knn, fisher,
-                                fisher_dual_lower_bound,
+                         gaussian_density, merge_atoms, uniform_density)
+from kaclab.experiments import ExperimentConfig
+from kaclab.information import (_xlogx, discrete_marginal, entropy,
+                                entropy_knn, fisher, fisher_dual_lower_bound,
                                 fisher_superadditivity_grid, hwi_check,
                                 relative_entropy, relative_fisher,
                                 superadditivity_check, w2_quantile)
@@ -94,6 +96,74 @@ def test_relative_entropy_discrete():
     assert relative_entropy(f, g).value == pytest.approx(expected)
     h = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
     assert math.isinf(relative_entropy(f, h).value)
+
+
+def _relative_entropy_rounded_keys(f, g):
+    """Oracle: the merged laws matched by atoms rounded to 9 decimals."""
+    fm, gm = f.merged(), g.merged()
+    gl = {tuple(np.round(p, 9)): w for p, w in zip(gm.points, gm.weights)}
+    total = 0.0
+    for p, w in zip(fm.points, fm.weights):
+        if w <= 0:
+            continue
+        q = gl.get(tuple(np.round(p, 9)), 0.0)
+        if q <= 0:
+            return math.inf
+        total += w * math.log(w / q)
+    return total / fm.j
+
+
+def test_relative_entropy_discrete_uses_the_merge_tolerance():
+    # atoms 1e-10 apart are distinct atoms (the rounded keys matched them);
+    # atoms 1e-13 apart, inside ATOM_MERGE_TOL, are one atom
+    g = DiscreteMeasure(1, [[0.0], [1.0]], [0.5, 0.5])
+    far = DiscreteMeasure(1, [[1e-10], [1.0]], [0.5, 0.5])
+    near = DiscreteMeasure(1, [[1e-13], [1.0]], [0.5, 0.5])
+    assert relative_entropy(far, g).value == math.inf
+    assert relative_entropy(near, g).value == 0.0
+    assert _relative_entropy_rounded_keys(far, g) == 0.0
+    # an atom of f split into two atoms of g within the tolerance
+    split = DiscreteMeasure(1, [[0.0], [5e-13], [1.0]], [0.25, 0.25, 0.5])
+    assert relative_entropy(g, split).value == 0.0
+
+
+def test_relative_entropy_discrete_value_type_and_spaces():
+    pts = np.array([[0.0], [1.0]])
+    f = DiscreteMeasure(1, pts, [0.5, 0.5])
+    g = DiscreteMeasure(1, pts, [0.25, 0.75])
+    val = relative_entropy(f, g)
+    assert type(val.value) is float
+    assert type(relative_entropy(f, DiscreteMeasure(1, [[0.0]], [1.0])).value) is float
+    plane = DiscreteMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    pairs = DiscreteMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5],
+                            particle_dim=2)
+    for a, b in ((f, plane), (plane, f), (plane, pairs)):
+        with pytest.raises(DimensionError):
+            relative_entropy(a, b)
+
+
+def test_relative_entropy_discrete_matches_rounded_keys_when_separated(rng):
+    # well-separated atoms, shuffled and partly repeated, in 1 to 3 dims;
+    # g charges every atom of f and some more
+    for _ in range(200):
+        dim = int(rng.integers(1, 4))
+        atoms = rng.integers(-5, 6, size=(int(rng.integers(1, 12)), dim))
+        atoms = np.unique(atoms.astype(float) * 0.37, axis=0)
+        n = len(atoms)
+        pick = rng.integers(0, n, size=int(rng.integers(n, 3 * n)))
+        f = DiscreteMeasure(dim, atoms[pick], rng.dirichlet(np.ones(len(pick))))
+        g = DiscreteMeasure(dim, atoms[rng.permutation(n)],
+                            rng.dirichlet(np.ones(n)), particle_dim=1)
+        got = relative_entropy(f, g).value
+        want = _relative_entropy_rounded_keys(f, g)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+        if n > 1:   # g misses one atom of f's support
+            miss = atoms[pick[0]]
+            keep = np.any(atoms != miss, axis=1)
+            h = DiscreteMeasure(dim, atoms[keep],
+                                rng.dirichlet(np.ones(int(keep.sum()))))
+            assert relative_entropy(f, h).value == math.inf
+            assert _relative_entropy_rounded_keys(f, h) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +394,152 @@ def test_superadditivity_three_variables(rng):
     F = DiscreteMeasure(3, pts, pmf.ravel())
     lhs, rhs = superadditivity_check(F, 1, 2)
     assert lhs >= rhs - 1e-10
+
+
+def _check_symmetric_spot(F):
+    """Oracle: the symmetry spot check of 4 random transpositions."""
+    j, d = F.j, F.particle_dim
+    if j < 2:
+        return
+    rng = np.random.default_rng(0)
+    base_pts, base_w = merge_atoms(F.points, F.weights)
+    for _ in range(4):
+        a, b = rng.choice(j, size=2, replace=False)
+        perm = list(range(j))
+        perm[a], perm[b] = perm[b], perm[a]
+        cols = np.concatenate([np.arange(c * d, (c + 1) * d) for c in perm])
+        pts, w = merge_atoms(F.points[:, cols], F.weights)
+        if (len(w) != len(base_w)
+                or not np.allclose(pts, base_pts, atol=1e-9)
+                or not np.allclose(w, base_w, atol=1e-9)):
+            raise DimensionError("measure is not permutation symmetric")
+
+
+def _discrete_h(F):
+    return float(np.sum(_xlogx(merge_atoms(F.points, F.weights)[1])))
+
+
+def _superadditivity_oracle(F, i, j):
+    """Oracle: the spot-checked, merge-per-use route."""
+    _check_symmetric_spot(F)
+    d = F.particle_dim
+
+    def marginal(coords):
+        cols = np.concatenate([np.arange(c * d, (c + 1) * d) for c in coords])
+        return DiscreteMeasure(len(cols), F.points[:, cols], F.weights,
+                               particle_dim=d).merged()
+
+    return _discrete_h(F), (_discrete_h(marginal(range(i)))
+                            + _discrete_h(marginal(range(i, i + j))))
+
+
+def _suite_laws(seed):
+    """The information suite's 1000 symmetric laws, drawn as it draws them."""
+    rng = ExperimentConfig(seed=seed).rng(7)
+    for t in range(1000):
+        if t % 5 == 4:
+            pmf = symmetric_pmf(2, 3, rng)
+            pts = enumerate_configs(2, 3).astype(float)
+            yield DiscreteMeasure(3, pts, pmf.ravel()), 1, 2
+        else:
+            S = int(rng.integers(2, 4))
+            raw = rng.dirichlet(np.ones(S * S)).reshape(S, S)
+            pts = enumerate_configs(S, 2).astype(float)
+            yield DiscreteMeasure(2, pts, (0.5 * (raw + raw.T)).ravel()), 1, 1
+
+
+@pytest.mark.parametrize("seed", [424242, 4518])
+def test_superadditivity_matches_the_spot_check_route_on_suite_laws(seed):
+    for F, i, j in _suite_laws(seed):
+        lhs, rhs = superadditivity_check(F, i, j)
+        want_lhs, want_rhs = _superadditivity_oracle(F, i, j)
+        assert lhs == want_lhs
+        assert abs(rhs - want_rhs) <= 1e-12
+
+
+def test_superadditivity_merges_each_law_once(monkeypatch):
+    calls = []
+
+    def counted(points, weights):
+        calls.append(points.shape)
+        return merge_atoms(points, weights)
+
+    monkeypatch.setattr(core, "merge_atoms", counted)
+    pts = enumerate_configs(3, 4).astype(float)
+    F = DiscreteMeasure(4, pts, symmetric_pmf(3, 4,
+                                              np.random.default_rng(2)).ravel())
+    superadditivity_check(F, 1, 3)
+    # F once, then each marginal once
+    assert calls == [(81, 4), (81, 1), (81, 3)]
+
+
+def test_superadditivity_checks_every_permutation():
+    # all mass on (0, 0, 1, 0, 0): no transposition of coordinates 0, 1, 3
+    # or 4 moves it, and the 4 random transpositions of the spot check
+    # never touch coordinate 2
+    pts = enumerate_configs(2, 5).astype(float)
+    w = np.zeros(len(pts))
+    w[np.flatnonzero((pts == [0, 0, 1, 0, 0]).all(axis=1))] = 1.0
+    F = DiscreteMeasure(5, pts, w)
+    assert _superadditivity_oracle(F, 2, 3) == (0.0, 0.0)
+    with pytest.raises(DimensionError):
+        superadditivity_check(F, 2, 3)
+    # the uniform law on the configurations with one 1 is symmetric
+    one = pts.sum(axis=1) == 1
+    F = DiscreteMeasure(5, pts[one], np.full(5, 0.2))
+    lhs, rhs = superadditivity_check(F, 2, 3)
+    assert lhs == pytest.approx(-math.log(5.0))
+    assert lhs >= rhs
+
+
+def test_superadditivity_blocks_of_pairs(rng):
+    # particle_dim = 2: the permutations move whole blocks of two columns
+    atoms = rng.normal(size=(4, 2))
+    a, b = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    pts = np.hstack([atoms[a.ravel()], atoms[b.ravel()]])
+    raw = rng.dirichlet(np.ones(16)).reshape(4, 4)
+    F = DiscreteMeasure(4, pts, (0.5 * (raw + raw.T)).ravel(), particle_dim=2)
+    lhs, rhs = superadditivity_check(F, 1, 1)
+    assert lhs >= rhs - 1e-10
+    # swapping the two columns inside each particle is no permutation of
+    # particles, and it breaks the symmetry
+    G = DiscreteMeasure(4, pts[:, [0, 1, 3, 2]], F.weights, particle_dim=2)
+    with pytest.raises(DimensionError):
+        superadditivity_check(G, 1, 1)
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (-1, 3), (1.0, 1),
+                                  (1, 1.5), (True, 1)])
+def test_superadditivity_rejects_bad_block_sizes(i, j):
+    pts = enumerate_configs(2, 2).astype(float)
+    F = DiscreteMeasure(2, pts, np.full(4, 0.25))
+    with pytest.raises(DimensionError, match="positive integers"):
+        superadditivity_check(F, i, j)
+
+
+def test_discrete_marginal():
+    # a law on pairs of points of the plane, marginal on each particle
+    pts = np.array([[0.0, 0.0, 1.0, 2.0],
+                    [1.0, 2.0, 0.0, 0.0],
+                    [1.0, 2.0, 1.0, 2.0],
+                    [0.0, 0.0, 0.0, 1e-13]])
+    F = DiscreteMeasure(4, pts, [0.1, 0.2, 0.3, 0.4], particle_dim=2)
+    m0 = discrete_marginal(F, [0])
+    assert (m0.dim, m0.particle_dim, m0.j) == (2, 2, 1)
+    np.testing.assert_array_equal(m0.points, [[0.0, 0.0], [1.0, 2.0]])
+    np.testing.assert_allclose(m0.weights, [0.5, 0.5], rtol=1e-15)
+    m1 = discrete_marginal(F, [1])
+    np.testing.assert_array_equal(m1.points, [[0.0, 0.0], [1.0, 2.0]])
+    np.testing.assert_allclose(m1.weights, [0.6, 0.4], rtol=1e-15)
+    # both particles, swapped: the atoms of F with their blocks swapped,
+    # sorted, and none merged
+    m10 = discrete_marginal(F, [1, 0])
+    assert (m10.dim, m10.j) == (4, 2)
+    np.testing.assert_array_equal(m10.points, [[0.0, 0.0, 1.0, 2.0],
+                                               [0.0, 1e-13, 0.0, 0.0],
+                                               [1.0, 2.0, 0.0, 0.0],
+                                               [1.0, 2.0, 1.0, 2.0]])
+    np.testing.assert_allclose(m10.weights, [0.2, 0.4, 0.1, 0.3], rtol=1e-15)
 
 
 def test_tensorization_identities_on_grids():

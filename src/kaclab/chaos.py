@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Density, DimensionError, DiscreteMeasure,
-                   SizeError, check_reps)
+                   SizeError, check_reps, is_int, symmetric_group_generators)
 from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_discrete,
-                        w1_line)
+                        w1_discrete_batch, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
@@ -196,13 +196,14 @@ def enumerate_configs(n_symbols: int, N: int,
 
 @functools.lru_cache(maxsize=None)
 def _occupation_classes(n_symbols: int, N: int):
-    """counts[x, s], the number of coordinates of configuration x (in
-    ``enumerate_configs`` order) equal to s, and the index of x's class of
-    equal counts. Both arrays are cached and read-only."""
+    """The occupation classes: counts[c, s], the number of coordinates
+    equal to s in each configuration of class c, and for each
+    configuration x (in ``enumerate_configs`` order) the index of its
+    class. Both arrays are cached and read-only."""
     configs = enumerate_configs(n_symbols, N)
-    counts = np.stack([(configs == s).sum(axis=1) for s in range(n_symbols)],
-                      axis=1)
-    _, inverse = np.unique(counts, axis=0, return_inverse=True)
+    counts, inverse = np.unique(
+        np.stack([(configs == s).sum(axis=1) for s in range(n_symbols)],
+                 axis=1), axis=0, return_inverse=True)
     counts.flags.writeable = False
     inverse.flags.writeable = False
     return counts, inverse
@@ -217,56 +218,65 @@ def symmetric_pmf(n_symbols: int, N: int,
     return (p / p.sum()).reshape((n_symbols,) * N)
 
 
-def _validate_symmetry(pmf: np.ndarray, rng: np.random.Generator):
-    N = pmf.ndim
-    for _ in range(4):
-        a, b = rng.choice(N, size=2, replace=False)
-        if not np.allclose(pmf, np.swapaxes(pmf, a, b), atol=1e-12):
+def _validate_symmetry(pmf: np.ndarray):
+    """Raise unless pmf is unchanged, to 1e-12 in every entry, under the
+    generators of S_N acting on its axes."""
+    for perm in symmetric_group_generators(pmf.ndim):
+        if np.max(np.abs(pmf - pmf.transpose(perm))) > 1e-12:
             raise DimensionError("pmf is not permutation symmetric")
 
 
-def grunbaum_exact(pmf: np.ndarray, j: int,
-                   rng: np.random.Generator | None = None):
-    """Exact marginal-vs-empirical comparison on the alphabet {0..S-1}.
+def _empirical_moment(pmf: np.ndarray, j: int) -> np.ndarray:
+    """E[mu_X^{tensor j}] for X of law pmf, mu_X its empirical measure:
+    the sum over occupation classes c of the class mass m_c times
+    q_c^{tensor j}, q_c the class's empirical law."""
+    S, N = pmf.shape[0], pmf.ndim
+    counts, inverse = _occupation_classes(S, N)
+    mass = np.bincount(inverse, pmf.ravel(), len(counts))
+    q = counts / float(N)
+    # label 0 is the class, labels 1..j the j coordinates
+    return np.einsum(mass, [0], *[x for a in range(1, j + 1)
+                                  for x in (q, [0, a])],
+                     list(range(1, j + 1)))
 
-    Returns (tv, bound, w1, w1_bound): the total-variation mass between the
-    j-th marginal and the j-th moment of the empirical measure, its
-    combinatorial bound 2 j (j-1)/N, and the transport distance with its
-    bound j (j-1)/N.
+
+def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
+    """Exact marginal-vs-empirical comparison on the alphabet {0..S-1}, for
+    each (pmf, j) in cases, an iterable read once; no pmf is kept past its
+    own case.
+
+    Per case returns (tv, bound, w1, w1_bound): the total-variation mass
+    between the j-th marginal and the j-th moment of the empirical measure,
+    its combinatorial bound 2 j (j-1)/N, and the transport distance with
+    its bound j (j-1)/N. All transport distances are solved in one
+    ``w1_discrete_batch`` call, so the j >= 2 LPs are one LP.
     """
-    rng = rng if rng is not None else np.random.default_rng(1)
-    N = pmf.ndim
-    S = pmf.shape[0]
-    if j > N:
-        raise DimensionError("j must not exceed N")
-    _validate_symmetry(pmf, rng)
-    symbols = np.arange(S, dtype=float)
+    pairs, parts = [], []
+    for pmf, j in cases:
+        N = pmf.ndim
+        S = pmf.shape[0]
+        if not (is_int(j) and 1 <= j <= N):
+            raise DimensionError(f"need an integer 1 <= j <= N = {N}, "
+                                 f"got {j!r}")
+        _validate_symmetry(pmf)
+        symbols = np.arange(S, dtype=float)
 
-    marg = pmf.copy()
-    for _ in range(N - j):
-        marg = marg.sum(axis=-1)
+        marg = pmf.copy()
+        for _ in range(N - j):
+            marg = marg.sum(axis=-1)
+        hat = _empirical_moment(pmf, j)
 
-    p = pmf.ravel()
-    q = _occupation_classes(S, N)[0] / float(N)
-    if j == 1:
-        hat = p @ q
-    elif j == 2:
-        hat = np.einsum("x,xs,xt->st", p, q, q)
-    elif j == 3:
-        hat = np.einsum("x,xs,xt,xu->stu", p, q, q, q)
-    else:
-        raise DimensionError("exact empirical moments shipped for j <= 3")
-
-    tv = float(np.abs(marg - hat).sum())
-    bound = 2.0 * j * (j - 1) / N
-
-    pts = np.stack(np.meshgrid(*([symbols] * j), indexing="ij"),
-                   axis=-1).reshape(-1, j)
-    mu = DiscreteMeasure(j, pts, np.maximum(marg.ravel(), 0.0)
-                         / marg.sum())
-    nu = DiscreteMeasure(j, pts, np.maximum(hat.ravel(), 0.0) / hat.sum())
-    w1 = w1_discrete(mu, nu, BOUNDED_L1)
-    return tv, bound, w1, j * (j - 1) / N
+        pts = np.stack(np.meshgrid(*([symbols] * j), indexing="ij"),
+                       axis=-1).reshape(-1, j)
+        pairs.append((
+            DiscreteMeasure(j, pts, np.maximum(marg.ravel(), 0.0)
+                            / marg.sum()),
+            DiscreteMeasure(j, pts, np.maximum(hat.ravel(), 0.0)
+                            / hat.sum())))
+        parts.append((float(np.abs(marg - hat).sum()),
+                      2.0 * j * (j - 1) / N, j * (j - 1) / N))
+    return [(tv, bound, w1, w1_bound) for (tv, bound, w1_bound), w1
+            in zip(parts, w1_discrete_batch(pairs, BOUNDED_L1))]
 
 
 def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
@@ -280,11 +290,10 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     """
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
-    rng = np.random.default_rng(2)   # symmetry spot checks
     N = F.ndim
     S = F.shape[0]
-    _validate_symmetry(F, rng)
-    _validate_symmetry(G, rng)
+    _validate_symmetry(F)
+    _validate_symmetry(G)
     vals = enumerate_configs(S, N, budget=4096).astype(float)
 
     # full LP on aligned coordinates

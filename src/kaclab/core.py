@@ -39,6 +39,7 @@ __all__ = [
     "make_empirical",
     "group_atoms",
     "merge_atoms",
+    "symmetric_group_generators",
     "loglog_fit",
     "gauss_quadrature",
     "spectrum_power",
@@ -376,6 +377,13 @@ def merge_atoms(points: np.ndarray, weights: np.ndarray):
     atoms, order, group = group_atoms(points)
     w = np.bincount(group, weights=weights[order])
     return atoms, w / w.sum()
+
+
+def symmetric_group_generators(n: int) -> list:
+    """The transposition (0 1) and the cycle (0 1 ... n-1), which generate
+    S_n, as index lists; at n = 2 they coincide and one is returned, at
+    n = 1 none. A law is symmetric iff these two leave it unchanged."""
+    return [[1, 0, *range(2, n)], [*range(1, n), 0]][:n - 1]
 
 
 def _group_starts(pts: np.ndarray) -> np.ndarray:

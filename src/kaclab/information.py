@@ -311,8 +311,8 @@ def superadditivity_check(F: DiscreteMeasure, i: int, j: int):
     if F.j != n:
         raise DimensionError(f"F lives on E^{F.j}, expected E^{n}")
     pts, w = core.merge_atoms(F.points, F.weights)
-    for perm in ([1, 0, *range(2, n)], [*range(1, n), 0])[:n - 1]:
-        # the particle blocks of each atom, permuted (at n = 2 once)
+    for perm in core.symmetric_group_generators(n):
+        # the particle blocks of each atom, permuted
         moved = pts.reshape(len(w), n, d)[:, perm].reshape(len(w), -1)
         order = np.lexsort(moved.T[::-1])
         if max(np.abs(moved[order] - pts).max(),

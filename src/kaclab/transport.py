@@ -28,15 +28,13 @@ __all__ = [
     "TransportPlan",
     "BOUNDED_L1",
     "NORMALIZED_L2_SQ",
-    "cost_config",
     "cost_matrix",
     "w1_config",
     "w1_config_bruteforce",
     "w1_line",
     "w1_discrete",
-    "w1_dual_lower_bound",
+    "w1_discrete_batch",
     "tensorization_check",
-    "pair_tensorization_check",
     "product_measure",
     "TRUNCATION",
 ]
@@ -101,14 +99,6 @@ def _ground_cost(diff: np.ndarray, spec: CostSpec) -> np.ndarray:
     if spec.kind == "bounded_l1":
         return np.minimum(dist, TRUNCATION)
     return dist ** 2
-
-
-def cost_config(X: Configuration, Y: Configuration,
-                spec: CostSpec = BOUNDED_L1) -> float:
-    """Normalized cost between two aligned configurations."""
-    if (X.d, X.n_particles) != (Y.d, Y.n_particles):
-        raise DimensionError("configurations must share d and N")
-    return float(np.mean(_ground_cost(X.particles - Y.particles, spec)))
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -206,44 +196,75 @@ def w1_line(xa, wa, xb, wb) -> float:
 
 def w1_config_bruteforce(X: Configuration, Y: Configuration,
                          spec: CostSpec = BOUNDED_L1) -> float:
-    """Exhaustive minimum over all N! relabelings (oracle, N <= 9)."""
+    """Exhaustive minimum over all N! relabelings (oracle, N <= 9), every
+    relabeling's mean cost taken in one gather."""
     n = X.n_particles
     if n > 9:
         raise SizeError(f"factorial oracle limited to N <= 9, got {n}")
     costs = _ground_cost(X.particles[:, None] - Y.particles[None], spec)
-    best = math.inf
-    idx = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        best = min(best, float(costs[idx, perm].mean()))
-    return best
+    perms = np.fromiter(itertools.chain.from_iterable(
+        itertools.permutations(range(n))), dtype=np.intp,
+        count=n * math.factorial(n)).reshape(-1, n)
+    return float(costs[np.arange(n), perms].mean(axis=1).min())
 
 
-def _transport_lp(costs: np.ndarray, w_src: np.ndarray,
-                  w_tgt: np.ndarray) -> TransportPlan:
-    """Exact transportation LP via HiGHS."""
-    n, m = costs.shape
-    if n * m > _LP_EDGE_BUDGET:
-        raise SizeError(f"LP would have {n * m} edges "
+def _transport_lps(problems) -> list[TransportPlan]:
+    """Exact transportation LPs (costs, w_src, w_tgt), all solved as one
+    block-diagonal LP via HiGHS.
+
+    The blocks share no variable and no constraint, so the joint optimum
+    is optimal in every block. Each block's cost is read as c_b . x_b (with
+    one block, the LP's objective) and its plan is validated. The edge
+    budget holds for the whole LP.
+    """
+    if not problems:
+        return []
+    edges = sum(costs.size for costs, _, _ in problems)
+    if edges > _LP_EDGE_BUDGET:
+        raise SizeError(f"LP would have {edges} edges "
                         f"(budget {_LP_EDGE_BUDGET}); reduce the instance")
-    # equality constraints: row sums = w_src, col sums = w_tgt (drop one,
-    # it is implied by total mass 1); flow (i, jj) is variable i*m + jj
-    flows = np.arange(n * m).reshape(n, m)
-    cols = np.concatenate([flows.ravel(), flows[:, :-1].T.ravel()])
-    indptr = np.concatenate([m * np.arange(n + 1),
-                             n * m + n * np.arange(1, m)])
-    A = csr_matrix((np.ones(len(cols)), cols, indptr),
-                   shape=(n + m - 1, n * m))
-    b = np.concatenate([w_src, w_tgt[:-1]])
-    res = linprog(costs.ravel(), A_eq=A, b_eq=b,
+    # per block, equality constraints: row sums = w_src, col sums = w_tgt
+    # (drop one, it is implied by equal totals); flow (i, jj) of a block at
+    # offset off is variable off + i*m + jj
+    cols, lens, b, off = [], [], [], 0
+    for costs, w_src, w_tgt in problems:
+        n, m = costs.shape
+        flows = off + np.arange(n * m).reshape(n, m)
+        cols += [flows.ravel(), flows[:, :-1].T.ravel()]
+        lens += [np.full(n, m), np.full(m - 1, n)]
+        b += [w_src, w_tgt[:-1]]
+        off += n * m
+    lens = np.concatenate(lens)
+    cols = np.concatenate(cols)
+    A = csr_matrix((np.ones(len(cols)), cols,
+                    np.concatenate([[0], np.cumsum(lens)])),
+                   shape=(len(lens), off))
+    res = linprog(np.concatenate([c.ravel() for c, _, _ in problems]),
+                  A_eq=A, b_eq=np.concatenate(b),
                   bounds=(0, None), method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise SizeError(f"transport LP failed: {res.message}")
-    flow = res.x.reshape(n, m)
-    i, jj = np.nonzero(flow > 1e-15)
-    flows = np.column_stack([i, jj, flow[i, jj]])
-    return TransportPlan(flows, float(res.fun), w_src.copy(), w_tgt.copy())
+    plans, off = [], 0
+    for costs, w_src, w_tgt in problems:
+        x = res.x[off:off + costs.size]
+        off += costs.size
+        cost = (float(res.fun) if len(problems) == 1
+                else float(costs.ravel() @ x))
+        flow = x.reshape(costs.shape)
+        i, jj = np.nonzero(flow > 1e-15)
+        plan = TransportPlan(np.column_stack([i, jj, flow[i, jj]]), cost,
+                             w_src.copy(), w_tgt.copy())
+        plan.validate(costs)
+        plans.append(plan)
+    return plans
+
+
+def _transport_lp(costs: np.ndarray, w_src: np.ndarray,
+                  w_tgt: np.ndarray) -> TransportPlan:
+    """Exact transportation LP via HiGHS: one block of ``_transport_lps``."""
+    return _transport_lps([(costs, w_src, w_tgt)])[0]
 
 
 def _quantile_plan(costs: np.ndarray, mu: DiscreteMeasure,
@@ -266,52 +287,44 @@ def _quantile_plan(costs: np.ndarray, mu: DiscreteMeasure,
                          mu.weights.copy(), nu.weights.copy())
 
 
-def w1_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                spec: CostSpec = BOUNDED_L1) -> float:
-    """Exact optimal cost of the transportation problem between mu and nu.
+def w1_discrete_batch(pairs, spec: CostSpec = BOUNDED_L1) -> list[float]:
+    """Exact optimal cost of the transportation problem of each pair
+    (mu, nu).
 
     The cost is W1 for the bounded cost and the squared normalized W2 for
     the quadratic cost. Measures on the line take ``w1_line`` under the
     bounded cost and the quantile coupling under the quadratic cost, other
-    equal-size uniform inputs the exact assignment, everything else the LP.
+    equal-size uniform pairs the exact assignment, and all the rest one
+    block-diagonal LP.
     """
-    mu = mu.merged()
-    nu = nu.merged()
-    if mu.dim == nu.dim == 1 and spec.kind == "bounded_l1":
-        return w1_line(mu.points[:, 0], mu.weights,
-                       nu.points[:, 0], nu.weights)
-    costs = cost_matrix(mu, nu, spec)
-    if mu.dim == 1:
-        return _quantile_plan(costs, mu, nu).cost
-    n, m = costs.shape
-    uniform = (n == m
-               and np.allclose(mu.weights, 1.0 / n, atol=1e-12)
-               and np.allclose(nu.weights, 1.0 / m, atol=1e-12))
-    if uniform:
-        rows, cols = linear_sum_assignment(costs)
-        return float(costs[rows, cols].mean())
-    return _transport_lp(costs, mu.weights, nu.weights).cost
+    out, lps, at = [0.0] * len(pairs), [], []
+    for k, (mu, nu) in enumerate(pairs):
+        mu = mu.merged()
+        nu = nu.merged()
+        if mu.dim == nu.dim == 1 and spec.kind == "bounded_l1":
+            out[k] = w1_line(mu.points[:, 0], mu.weights,
+                             nu.points[:, 0], nu.weights)
+            continue
+        costs = cost_matrix(mu, nu, spec)
+        n, m = costs.shape
+        if mu.dim == 1:
+            out[k] = _quantile_plan(costs, mu, nu).cost
+        elif (n == m and np.allclose(mu.weights, 1.0 / n, atol=1e-12)
+              and np.allclose(nu.weights, 1.0 / m, atol=1e-12)):
+            rows, cols = linear_sum_assignment(costs)
+            out[k] = float(costs[rows, cols].mean())
+        else:
+            lps.append((costs, mu.weights, nu.weights))
+            at.append(k)
+    for k, plan in zip(at, _transport_lps(lps)):
+        out[k] = plan.cost
+    return out
 
 
-def w1_dual_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, witness,
-                        spec: CostSpec = BOUNDED_L1) -> float:
-    """Kantorovich dual value of a 1-Lipschitz witness, a lower bound on W1.
-
-    The Lipschitz constraint is validated pairwise on the atom set against
-    the truncated ground distance.
-    """
-    pts = np.vstack([mu.points, nu.points])
-    vals = np.asarray(witness(pts), dtype=float)
-    atoms = DiscreteMeasure(mu.dim, pts, np.full(len(pts), 1.0 / len(pts)),
-                            mu.particle_dim)
-    dmat = cost_matrix(atoms, atoms, spec)
-    gap = np.abs(vals[:, None] - vals[None, :]) - dmat
-    if np.max(gap) > 1e-9:
-        raise DimensionError(
-            f"witness violates the Lipschitz bound by {np.max(gap):.3e}")
-    nmu = mu.n_atoms
-    return float(np.sum(vals[:nmu] * mu.weights)
-                 - np.sum(vals[nmu:] * nu.weights))
+def w1_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                spec: CostSpec = BOUNDED_L1) -> float:
+    """``w1_discrete_batch`` of the one pair (mu, nu)."""
+    return w1_discrete_batch([(mu, nu)], spec)[0]
 
 
 def product_measure(*measures: DiscreteMeasure) -> DiscreteMeasure:
@@ -333,21 +346,23 @@ def product_measure(*measures: DiscreteMeasure) -> DiscreteMeasure:
     return DiscreteMeasure(dim, pts, wts / wts.sum(), particle_dim=d)
 
 
-def tensorization_check(f: DiscreteMeasure, g: DiscreteMeasure,
-                        N: int) -> tuple[float, float]:
-    """Both sides of W1(f tensor N, g tensor N) = W1(f, g), independently.
+def tensorization_check(draws) -> np.ndarray:
+    """Both sides of three identities for each draw (f, g, h), independently:
 
-    The left side is the LP on the materialized product space with the
-    normalized cost; the right side is the distance on the base space.
+        W1(f^2, g^2) = W1(f, g),  W1(f^3, g^3) = W1(f, g)  and
+        2 W1(f x h, g x h) = W1(f, g),
+
+    powers and x being tensor products. Returns shape (len(draws), 3, 2):
+    per draw and identity, (lhs, rhs). The left sides are the distances on
+    the materialized product spaces with the normalized cost, the right
+    side the distance on the base space; all are solved in one
+    ``w1_discrete_batch`` call, so the product-space LPs are one LP.
     """
-    return (w1_discrete(product_measure(*([f] * N)),
-                        product_measure(*([g] * N)), BOUNDED_L1),
-            w1_discrete(f, g, BOUNDED_L1))
-
-
-def pair_tensorization_check(f: DiscreteMeasure, g: DiscreteMeasure,
-                             h: DiscreteMeasure) -> tuple[float, float]:
-    """Both sides of 2 W1(f tensor h, g tensor h) = W1(f, g)."""
-    return (2.0 * w1_discrete(product_measure(f, h), product_measure(g, h),
-                              BOUNDED_L1),
-            w1_discrete(f, g, BOUNDED_L1))
+    pairs = []
+    for f, g, h in draws:
+        pairs += [(product_measure(f, f), product_measure(g, g)),
+                  (product_measure(f, f, f), product_measure(g, g, g)),
+                  (product_measure(f, h), product_measure(g, h)), (f, g)]
+    w = np.array(w1_discrete_batch(pairs, BOUNDED_L1)).reshape(-1, 4)
+    lhs = w[:, :3] * [1.0, 1.0, 2.0]
+    return np.stack([lhs, np.repeat(w[:, 3:], 3, axis=1)], axis=-1)

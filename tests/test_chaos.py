@@ -10,6 +10,7 @@ from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
                           omega_inf, omega_j, omega_j_sigma_quadrature,
                           omega_n, pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
+from kaclab.chaos import _empirical_moment
 from kaclab.transport import w1_config
 
 
@@ -214,7 +215,7 @@ def test_symmetric_pmf_is_symmetric(rng):
 def test_grunbaum_first_marginal_exact(rng):
     for _ in range(5):
         pmf = symmetric_pmf(2, int(rng.integers(4, 9)), rng)
-        tv, _, w1, _ = grunbaum_exact(pmf, 1, rng=rng)
+        [(tv, _, w1, _)] = grunbaum_exact([(pmf, 1)])
         assert tv <= 1e-12
         assert w1 <= 1e-9
 
@@ -225,7 +226,7 @@ def test_grunbaum_bound_random_pmfs(rng):
         N = int(rng.integers(4, 9))
         pmf = symmetric_pmf(S, N, rng)
         j = 2 if N < 6 else int(rng.integers(2, 4))
-        tv, bound, w1, w1_bound = grunbaum_exact(pmf, j, rng=rng)
+        [(tv, bound, w1, w1_bound)] = grunbaum_exact([(pmf, j)])
         assert tv <= bound + 1e-12
         assert w1 <= w1_bound + 1e-9
 
@@ -238,15 +239,96 @@ def test_grunbaum_product_measure(rng):
         shape = [1] * N
         shape[axis] = 2
         pmf = pmf * p.reshape(shape)
-    tv, bound, _, _ = grunbaum_exact(pmf, 2, rng=rng)
+    [(tv, bound, _, _)] = grunbaum_exact([(pmf, 2)])
     assert 0.0 < tv <= bound
 
 
-def test_grunbaum_rejects_asymmetric(rng):
+def test_grunbaum_rejects_asymmetric():
     pmf = np.zeros((2, 2, 2))
     pmf[1, 0, 0] = 1.0
     with pytest.raises(DimensionError):
-        grunbaum_exact(pmf, 2, rng=rng)
+        grunbaum_exact([(pmf, 2)])
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 6])
+def test_point_masses_off_the_diagonal_are_asymmetric(N):
+    # all mass on one configuration with a single 1: at N = 5 with the
+    # 1 in place 2, four random transpositions drawn from default_rng(0)
+    # all missed the asymmetry; the generators of S_N move every place
+    for k in range(N):
+        pmf = np.zeros((2,) * N)
+        pmf[tuple(int(i == k) for i in range(N))] = 1.0
+        with pytest.raises(DimensionError):
+            grunbaum_exact([(pmf, 1)])
+        with pytest.raises(DimensionError):
+            grunbaum_exact([(pmf, 2)])
+        with pytest.raises(DimensionError):
+            pushforward_identity_exact(pmf, pmf)
+    pmf = np.zeros((2,) * N)
+    pmf[(0,) * N] = 1.0
+    assert grunbaum_exact([(pmf, 2)])[0][0] == 0.0
+
+
+@pytest.mark.parametrize("S,N", [(2, 4), (3, 5), (2, 7)])
+def test_relative_asymmetry_of_1e_8_is_rejected(S, N, rng):
+    # np.allclose's default rtol = 1e-5 let this through: bend by 1e-8 the
+    # largest mass on a configuration whose first two symbols differ
+    pmf = symmetric_pmf(S, N, rng)
+    configs = enumerate_configs(S, N)
+    flat = pmf.ravel().copy()
+    flat[np.argmax(np.where(configs[:, 0] != configs[:, 1], flat, 0.0))] \
+        *= 1.0 + 1e-8
+    bent = flat.reshape(pmf.shape)
+    with pytest.raises(DimensionError):
+        grunbaum_exact([(bent, 2)])
+    with pytest.raises(DimensionError):
+        pushforward_identity_exact(bent, pmf)
+    grunbaum_exact([(pmf, 2)])
+
+
+def test_grunbaum_rejects_bad_block_size(rng):
+    pmf = symmetric_pmf(2, 4, rng)
+    for j in (0, 5, 2.0):
+        with pytest.raises(DimensionError):
+            grunbaum_exact([(pmf, j)])
+
+
+def _dense_empirical_moment(pmf, j):
+    """The j-th moment of the empirical measure summed over all S^N
+    configurations: the oracle for the occupation-class sum."""
+    S, N = pmf.shape[0], pmf.ndim
+    configs = enumerate_configs(S, N)
+    q = np.stack([(configs == s).sum(axis=1) for s in range(S)],
+                 axis=1) / float(N)
+    p = pmf.ravel()
+    if j == 1:
+        return p @ q
+    if j == 2:
+        return np.einsum("x,xs,xt->st", p, q, q)
+    return np.einsum("x,xs,xt,xu->stu", p, q, q, q)
+
+
+@pytest.mark.parametrize("S", [2, 3])
+def test_class_moments_match_dense_einsum(S, rng):
+    for N in range(4, 11):
+        pmf = symmetric_pmf(S, N, rng)
+        for j in (1, 2, 3):
+            np.testing.assert_allclose(_empirical_moment(pmf, j),
+                                       _dense_empirical_moment(pmf, j),
+                                       rtol=0, atol=1e-13)
+
+
+def test_grunbaum_batch_matches_one_at_a_time(rng):
+    cases = []
+    for _ in range(12):
+        S, N = int(rng.integers(2, 4)), int(rng.integers(4, 9))
+        pmf = symmetric_pmf(S, N, rng)
+        cases += [(pmf, 1), (pmf, 2), (pmf, 3)]
+    batched = grunbaum_exact(cases)
+    for case, got in zip(cases, batched):
+        [one] = grunbaum_exact([case])
+        assert got[:2] == one[:2] and got[3] == one[3]
+        assert got[2] == pytest.approx(one[2], abs=1e-12)
 
 
 def test_pushforward_equal_laws(rng):

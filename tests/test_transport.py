@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import Configuration, DimensionError, DiscreteMeasure
+from kaclab.core import (Configuration, DimensionError, DiscreteMeasure,
+                         SizeError)
 from kaclab.transport import (BOUNDED_L1, NORMALIZED_L2_SQ, TRUNCATION,
-                              CostSpec, cost_config, cost_matrix,
-                              pair_tensorization_check, product_measure,
+                              CostSpec, cost_matrix, product_measure,
                               tensorization_check, w1_config,
                               w1_config_bruteforce, w1_discrete,
-                              w1_dual_lower_bound, w1_line)
-from kaclab import transport
+                              w1_discrete_batch, w1_line)
+from kaclab import experiments, transport
 from kaclab.chaos import (enumerate_configs, grunbaum_exact, omega_inf,
                           omega_j, omega_n, pushforward_identity_exact,
                           sigma_sampler, symmetric_pmf)
-from kaclab.transport import _quantile_plan, _transport_lp
+from kaclab.transport import _quantile_plan, _transport_lp, _transport_lps
 
 
 def conf(*xs):
@@ -32,21 +33,6 @@ def uniform_atoms(rng, n, spread=2.0):
 def random_measure(rng, n, spread=2.0):
     return DiscreteMeasure(1, rng.uniform(-spread, spread, (n, 1)),
                            rng.dirichlet(np.ones(n)))
-
-
-# ---------------------------------------------------------------------------
-# cost_config
-# ---------------------------------------------------------------------------
-
-def test_cost_config_zero_on_equal():
-    X = conf(0.3, -1.2, 4.0)
-    assert cost_config(X, X) == 0.0
-
-
-def test_cost_config_hand_values():
-    assert cost_config(conf(0.0, 0.0), conf(0.5, 3.0)) == pytest.approx(0.75)
-    assert cost_config(conf(0.0), conf(2.0),
-                       NORMALIZED_L2_SQ) == pytest.approx(4.0)
 
 
 def test_cost_spec_validation():
@@ -89,7 +75,32 @@ def test_w1_config_below_identity_coupling():
     for _ in range(20):
         X = Configuration(1, 5, rng.normal(size=5))
         Y = Configuration(1, 5, rng.normal(size=5))
-        assert w1_config(X, Y)[0] <= cost_config(X, Y) + 1e-12
+        aligned = np.mean(np.minimum(np.abs(X.particles - Y.particles),
+                                     TRUNCATION))
+        assert w1_config(X, Y)[0] <= aligned + 1e-12
+
+
+def _w1_config_bruteforce_looped(X, Y):
+    """One relabeling at a time: the oracle for the one-gather brute force."""
+    n = X.n_particles
+    costs = transport._ground_cost(X.particles[:, None] - Y.particles[None],
+                                   BOUNDED_L1)
+    best = math.inf
+    idx = np.arange(n)
+    for perm in itertools.permutations(range(n)):
+        best = min(best, float(costs[idx, perm].mean()))
+    return best
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_w1_config_bruteforce_equals_looped_oracle(d):
+    rng = np.random.default_rng(30 + d)
+    for n in range(2, 8):
+        for _ in range(4):
+            X = Configuration(d, n, rng.normal(size=n * d))
+            Y = Configuration(d, n, rng.normal(size=n * d))
+            assert w1_config_bruteforce(X, Y) == \
+                _w1_config_bruteforce_looped(X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +345,7 @@ def test_line_solves_reach_neither_lp_nor_assignment(monkeypatch, gauss):
     for n in (1, 4, 9):
         w1_discrete(random_measure(rng, n), random_measure(rng, n + 2))
         w1_discrete(uniform_atoms(rng, n), uniform_atoms(rng, n))
-    grunbaum_exact(symmetric_pmf(3, 5, rng), 1, rng=rng)
+    grunbaum_exact([(symmetric_pmf(3, 5, rng), 1)])
     sampler = sigma_sampler()
     omega_inf(sampler, gauss, 16, 4, rng=rng)
     omega_n(sampler, gauss, 16, 4, rng)
@@ -342,8 +353,162 @@ def test_line_solves_reach_neither_lp_nor_assignment(monkeypatch, gauss):
 
 
 # ---------------------------------------------------------------------------
+# the block-diagonal LP: one HiGHS solve for many transport problems
+# ---------------------------------------------------------------------------
+
+def _lp_blocks(rng):
+    """Random transport problems, among them 1 x m and n x 1 blocks,
+    zero-cost blocks and blocks with equal marginals under a metric cost,
+    whose optimum is 0."""
+    blocks = []
+    for k in range(40):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if k % 8 == 1:
+            n = 1
+        elif k % 8 == 2:
+            m = 1
+        costs = rng.uniform(0.0, 1.0, (n, m))
+        if k % 8 == 3:
+            costs[:] = 0.0
+        w_src, w_tgt = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        if k % 8 == 4:
+            x = rng.uniform(0.0, 1.0, n)
+            costs = np.abs(x[:, None] - x[None, :])
+            w_tgt = w_src.copy()
+        blocks.append((costs, w_src, w_tgt))
+    return blocks
+
+
+def test_batched_lp_matches_one_block_solves():
+    rng = np.random.default_rng(40)
+    blocks = _lp_blocks(rng)
+    plans = _transport_lps(blocks)
+    assert len(plans) == len(blocks)
+    for (costs, w_src, w_tgt), plan in zip(blocks, plans):
+        assert plan.validate(costs)
+        one = _transport_lp(costs, w_src, w_tgt)
+        assert plan.cost == pytest.approx(one.cost, abs=1e-12)
+        if 1 in costs.shape:
+            # the product plan is the only feasible one
+            assert plan.cost == pytest.approx(
+                float(np.sum(np.outer(w_src, w_tgt) * costs)), abs=1e-12)
+        if not costs.any():
+            assert plan.cost == 0.0
+        if np.array_equal(w_src, w_tgt) and not np.diag(costs).any():
+            assert plan.cost == pytest.approx(0.0, abs=1e-12)
+
+
+def _one_block_matrix(n, m):
+    """The transportation LP's constraint matrix as one problem per call
+    built it: n row sums, then the first m - 1 column sums."""
+    from scipy.sparse import csr_matrix
+    flows = np.arange(n * m).reshape(n, m)
+    cols = np.concatenate([flows.ravel(), flows[:, :-1].T.ravel()])
+    indptr = np.concatenate([m * np.arange(n + 1),
+                             n * m + n * np.arange(1, m)])
+    return csr_matrix((np.ones(len(cols)), cols, indptr),
+                      shape=(n + m - 1, n * m))
+
+
+def test_one_block_builds_the_single_problem_lp(monkeypatch):
+    seen = []
+    real = transport.linprog
+
+    def spy(c, **kwargs):
+        seen.append((c, kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    rng = np.random.default_rng(41)
+    for n, m in ((1, 1), (1, 5), (4, 1), (3, 7), (6, 6)):
+        costs = rng.uniform(size=(n, m))
+        w_src, w_tgt = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        _transport_lp(costs, w_src, w_tgt)
+        c, kwargs = seen[-1]
+        A, ref = kwargs["A_eq"], _one_block_matrix(n, m)
+        assert A.shape == ref.shape
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+        assert np.array_equal(c, costs.ravel())
+        assert np.array_equal(kwargs["b_eq"],
+                              np.concatenate([w_src, w_tgt[:-1]]))
+
+
+def test_batched_lp_edge_budget_is_for_the_whole_lp(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LP over budget reached the solver")
+
+    monkeypatch.setattr(transport, "linprog", forbidden)
+    n = 400
+    block = (np.zeros((n, n)), np.full(n, 1.0 / n), np.full(n, 1.0 / n))
+    count = transport._LP_EDGE_BUDGET // (n * n) + 1
+    with pytest.raises(SizeError):
+        _transport_lps([block] * count)
+    assert _transport_lps([]) == []
+
+
+def test_w1_discrete_batch_routes_like_single_pairs():
+    rng = np.random.default_rng(42)
+    pairs = []
+    for k in range(30):
+        if k % 3 == 0:      # the line: w1_line
+            pairs.append((random_measure(rng, 4), random_measure(rng, 3)))
+        elif k % 3 == 1:    # uniform equal size in 2-D: the assignment
+            pairs.append(tuple(DiscreteMeasure(2, rng.normal(size=(5, 2)),
+                                               np.full(5, 0.2))
+                               for _ in range(2)))
+        else:               # weighted in 2-D: the batched LP
+            pairs.append(tuple(DiscreteMeasure(2, rng.normal(size=(n, 2)),
+                                               rng.dirichlet(np.ones(n)))
+                               for n in (3, 4)))
+    batched = w1_discrete_batch(pairs)
+    for k, ((mu, nu), val) in enumerate(zip(pairs, batched)):
+        single = w1_discrete(mu, nu)
+        if k % 3 == 2:
+            assert val == pytest.approx(single, abs=1e-12)
+        else:
+            assert val == single
+
+
+def test_identities_make_ten_lp_solves(monkeypatch):
+    calls = []
+    real = transport.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counted)
+    res = experiments.run_identities(experiments.ExperimentConfig())
+    assert all(a.passed for a in res.assertions)
+    # one tensorization LP, eight pushforward LPs, one Grunbaum LP
+    assert len(calls) <= 10
+
+
+# ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
+
+def w1_dual_lower_bound(mu, nu, witness, spec=BOUNDED_L1):
+    """Kantorovich dual value of a 1-Lipschitz witness, a lower bound on W1.
+
+    The Lipschitz constraint is validated pairwise on the atom set against
+    the truncated ground distance.
+    """
+    pts = np.vstack([mu.points, nu.points])
+    vals = np.asarray(witness(pts), dtype=float)
+    atoms = DiscreteMeasure(mu.dim, pts, np.full(len(pts), 1.0 / len(pts)),
+                            mu.particle_dim)
+    dmat = cost_matrix(atoms, atoms, spec)
+    gap = np.abs(vals[:, None] - vals[None, :]) - dmat
+    if np.max(gap) > 1e-9:
+        raise DimensionError(
+            f"witness violates the Lipschitz bound by {np.max(gap):.3e}")
+    nmu = mu.n_atoms
+    return float(np.sum(vals[:nmu] * mu.weights)
+                 - np.sum(vals[nmu:] * nu.weights))
+
 
 def test_dual_zero_witness():
     rng = np.random.default_rng(8)
@@ -383,33 +548,38 @@ def test_dual_rejects_steep_witness():
 def test_tensorization_equal_measures():
     rng = np.random.default_rng(11)
     f = random_measure(rng, 3)
-    lhs, rhs = tensorization_check(f, f, 3)
-    assert lhs == pytest.approx(0.0, abs=1e-10)
-    assert rhs == pytest.approx(0.0, abs=1e-12)
+    [sides] = tensorization_check([(f, f, random_measure(rng, 2))])
+    np.testing.assert_allclose(sides[:, 0], 0.0, atol=1e-10)
+    np.testing.assert_allclose(sides[:, 1], 0.0, atol=1e-12)
 
 
 def test_tensorization_diracs():
     f = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
     g = DiscreteMeasure(1, np.array([[0.3]]), np.array([1.0]))
-    lhs, rhs = tensorization_check(f, g, 3)
-    assert lhs == pytest.approx(0.3) and rhs == pytest.approx(0.3)
+    [sides] = tensorization_check([(f, g, f)])
+    np.testing.assert_allclose(sides, 0.3)
 
 
 def test_tensorization_random_pairs():
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        f = random_measure(rng, 3)
-        g = random_measure(rng, 3)
-        lhs, rhs = tensorization_check(f, g, 2)
-        assert abs(lhs - rhs) <= 1e-9
-        lhs, rhs = pair_tensorization_check(f, g, random_measure(rng, 2))
-        assert abs(lhs - rhs) <= 1e-9
+    draws = [(random_measure(rng, 3), random_measure(rng, 3),
+              random_measure(rng, 2)) for _ in range(5)]
+    sides = tensorization_check(draws)
+    assert sides.shape == (5, 3, 2)
+    assert np.max(np.abs(sides[..., 0] - sides[..., 1])) <= 1e-9
+    for (f, g, h), row in zip(draws, sides):
+        assert row[0, 0] == pytest.approx(
+            w1_discrete(product_measure(f, f), product_measure(g, g)),
+            abs=1e-12)
+        assert row[2, 0] == pytest.approx(
+            2.0 * w1_discrete(product_measure(f, h), product_measure(g, h)),
+            abs=1e-12)
+        assert row[0, 1] == w1_discrete(f, g)
 
 
 def test_product_measure_budget():
     rng = np.random.default_rng(13)
     f = random_measure(rng, 10)
-    from kaclab.core import SizeError
     with pytest.raises(SizeError):
         product_measure(*([f] * 8))
 

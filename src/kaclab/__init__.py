@@ -15,8 +15,8 @@ Modules:
 """
 from .core import (Configuration, Density, DiscreteMeasure, GridDensity,
                    ProductGridDensity, RateReport, bimodal_density,
-                   gaussian_density, gauss_quadrature, loglog_fit,
-                   make_empirical, uniform_density)
+                   gaussian_density, gaussian_mixture, gauss_quadrature,
+                   loglog_fit, make_empirical, uniform_density)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,7 @@ __all__ = [
     "RateReport",
     "bimodal_density",
     "gaussian_density",
+    "gaussian_mixture",
     "gauss_quadrature",
     "loglog_fit",
     "make_empirical",

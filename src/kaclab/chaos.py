@@ -284,9 +284,8 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
 
     lhs solves the transportation LP between the two laws on the full
     configuration space with the normalized truncated cost; rhs solves it
-    between the induced laws on unordered configurations with the
-    relabeling-minimal cost, each entry one ``w1_line`` solve. The two
-    optima agree.
+    between the induced laws on the occupation classes with the
+    relabeling-minimal cost. The two optima agree.
     """
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
@@ -301,14 +300,14 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
         np.abs(vals[:, None, :] - vals[None, :, :]), TRUNCATION).mean(axis=2)
     lhs = _transport_lp(cost_full, F.ravel(), G.ravel()).cost
 
-    # quotient LP on sorted representatives with relabeling-minimal cost
-    sorted_vals = np.sort(vals, axis=1)
-    classes, inverse = np.unique(sorted_vals, axis=0, return_inverse=True)
-    massF = np.bincount(inverse, F.ravel(), len(classes))
-    massG = np.bincount(inverse, G.ravel(), len(classes))
-    ones = np.ones(N)
-    cost_q = np.array([[w1_line(a, ones, b, ones) for b in classes]
-                       for a in classes])
+    # quotient LP on occupation classes: distinct integer symbols cost
+    # TRUNCATION <= 1 each, so a best relabeling pairs equal symbols, and
+    # classes with counts c_a, c_b cost T (N - sum_s min(c_a, c_b)(s)) / N
+    counts, inverse = _occupation_classes(S, N)
+    massF = np.bincount(inverse, F.ravel(), len(counts))
+    massG = np.bincount(inverse, G.ravel(), len(counts))
+    cost_q = TRUNCATION * (
+        N - np.minimum(counts[:, None], counts).sum(axis=2)) / N
     rhs = _transport_lp(cost_q, massF, massG).cost
     return lhs, rhs
 

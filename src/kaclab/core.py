@@ -44,6 +44,7 @@ __all__ = [
     "gauss_quadrature",
     "spectrum_power",
     "normal_pdf",
+    "gaussian_mixture",
     "gaussian_density",
     "uniform_density",
     "bimodal_density",
@@ -199,6 +200,7 @@ class Density:
     support: tuple[float, float] = (-math.inf, math.inf)
     raw_moments: dict = field(default_factory=dict)
     boundary_positive: bool = False   # pdf > 0 at a finite support edge
+    components: tuple | None = None   # gaussian_mixture's (w, means, var)
 
     def quad_bounds(self) -> tuple[float, float]:
         """Effective integration bounds (truncated for unbounded support)."""
@@ -460,10 +462,10 @@ def loglog_fit(ns: Sequence[int], values: Sequence[float],
                       (float(slope - tq * se), float(slope + tq * se)))
 
 
-def gauss_quadrature(f: Callable, a: float, b: float, tol: float = 1e-10,
-                     limit: int = 400) -> float:
+def gauss_quadrature(f: Callable, a: float, b: float,
+                     tol: float = 1e-10) -> float:
     """Adaptive integral of f over [a, b] to absolute tolerance tol."""
-    val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit)
+    val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=400)
     if err > max(tol, abs(val) * tol) * 10:
         raise QuadratureError("quadrature did not reach tolerance", val, err)
     return val
@@ -504,20 +506,66 @@ def _gauss_raw_moment(k: int, m: float, s: float) -> float:
                * math.prod(range(1, i, 2)) for i in range(0, k + 1, 2))
 
 
-def gaussian_density(mean: float = 0.0, var: float = 1.0) -> Density:
-    """Gaussian with the given mean and variance."""
+def gaussian_mixture(weights, means, var: float, name: str) -> Density:
+    """The Gaussian mixture sum_c w_c N(m_c, var), one variance for all.
+
+    log_pdf is a log-sum-exp over the components and the score is
+    -(v - sum_c r_c m_c) / var, r_c the responsibilities, so both stay
+    exact in the tails, where the pdf underflows. One component runs the
+    plain Gaussian formulas float for float; labels are drawn only for two
+    or more.
+    """
+    weights, means = tuple(map(float, weights)), tuple(map(float, means))
+    if not (weights and len(weights) == len(means)
+            and all(w > 0 for w in weights) and abs(sum(weights) - 1) <= 1e-12
+            and all(map(math.isfinite, means)) and 0 < var < math.inf):
+        raise HypothesisError(
+            f"{name}: need positive weights summing to 1, as many finite "
+            f"means and 0 < var < inf; got {weights}, {means}, {var!r}")
     sd = math.sqrt(var)
+    comps = tuple(zip(weights, means))
+    log_w = [math.log(w) for w in weights]
+    locs, cum = np.array(means), np.cumsum(weights)[:-1]
+
+    def log_terms(v):   # log w_c - (v - m_c)^2 / (2 var), and their logsumexp
+        terms = [-((v - m) ** 2) / (2 * var) + lw
+                 for m, lw in zip(means, log_w)]
+        lse = terms[0]
+        for t in terms[1:]:
+            lse = np.logaddexp(lse, t)
+        return terms, lse
+
+    def score(v):
+        v = np.asarray(v, dtype=float)
+        terms, lse = log_terms(v)
+        return -(v - sum(np.exp(t - lse) * m
+                         for t, m in zip(terms, means))) / var
+
+    def sampler(rng, size):
+        label = (np.searchsorted(cum, rng.random(size), side="right")
+                 if len(comps) > 1 else 0)
+        return locs[label] + sd * rng.standard_normal(size)
+
     return Density(
-        name=f"gaussian(m={mean:g},var={var:g})",
-        pdf=lambda v: normal_pdf((np.asarray(v) - mean) / sd) / sd,
-        log_pdf=lambda v: (-((np.asarray(v) - mean) ** 2) / (2 * var)
+        name=name,
+        pdf=lambda v: sum(w * normal_pdf((np.asarray(v, dtype=float) - m) / sd)
+                          for w, m in comps) / sd,
+        log_pdf=lambda v: (log_terms(np.asarray(v, dtype=float))[1]
                            - math.log(sd * SQRT_2PI)),
-        score=lambda v: -(np.asarray(v, dtype=float) - mean) / var,
-        sampler=lambda rng, size: mean + sd * rng.standard_normal(size),
-        support=(-math.inf, math.inf),
-        raw_moments={k: _gauss_raw_moment(k, mean, sd) for k in range(1, 9)},
-        cdf=lambda v: _Phi((np.asarray(v) - mean) / sd),
+        score=score,
+        sampler=sampler,
+        cdf=lambda v: sum(w * _Phi((np.asarray(v, dtype=float) - m) / sd)
+                          for w, m in comps),
+        raw_moments={k: sum(w * _gauss_raw_moment(k, m, sd) for w, m in comps)
+                     for k in range(1, 9)},
+        components=(weights, means, float(var)),
     )
+
+
+def gaussian_density(mean: float = 0.0, var: float = 1.0) -> Density:
+    """Gaussian with the given mean and variance: one mixture component."""
+    return gaussian_mixture((1.0,), (mean,), var,
+                            f"gaussian(m={mean:g},var={var:g})")
 
 
 def uniform_density(a: float = 0.0, b: float = 1.0) -> Density:
@@ -556,39 +604,12 @@ def bimodal_density(separation: float = 1.0, width: float = 0.5,
     visibly non-gaussian while keeping every polynomial moment finite.
     """
     w1, w2 = weights
-    if abs(w1 + w2 - 1.0) > 1e-12:
-        raise HypothesisError("mixture weights must sum to 1")
     a1 = -separation
     a2 = separation * w1 / w2
     mean = w1 * a1 + w2 * a2
     var = w1 * (width ** 2 + a1 ** 2) + w2 * (width ** 2 + a2 ** 2) - mean ** 2
     sc = math.sqrt(var)
-    m1, m2, s = (a1 - mean) / sc, (a2 - mean) / sc, width / sc
-
-    def pdf(v):
-        v = np.asarray(v, dtype=float)
-        return (w1 * normal_pdf((v - m1) / s)
-                + w2 * normal_pdf((v - m2) / s)) / s
-
-    def dpdf(v):
-        v = np.asarray(v, dtype=float)
-        return -(w1 * normal_pdf((v - m1) / s) * (v - m1)
-                 + w2 * normal_pdf((v - m2) / s) * (v - m2)) / s ** 3
-
-    def sampler(rng, size):
-        comp = rng.random(size) < w1
-        z = rng.standard_normal(size)
-        return np.where(comp, m1, m2) + s * z
-
-    return Density(
-        name=f"bimodal(sep={separation:g},w={width:g},p={w1:g})",
-        pdf=pdf,
-        log_pdf=lambda v: np.log(np.maximum(pdf(v), 1e-320)),
-        score=lambda v: dpdf(v) / np.maximum(pdf(v), 1e-320),
-        sampler=sampler,
-        support=(-math.inf, math.inf),
-        raw_moments={k: w1 * _gauss_raw_moment(k, m1, s)
-                     + w2 * _gauss_raw_moment(k, m2, s) for k in range(1, 9)},
-        cdf=lambda v: (w1 * _Phi((np.asarray(v) - m1) / s)
-                       + w2 * _Phi((np.asarray(v) - m2) / s)),
-    )
+    s = width / sc
+    return gaussian_mixture(
+        weights, ((a1 - mean) / sc, (a2 - mean) / sc), s * s,
+        f"bimodal(sep={separation:g},w={width:g},p={w1:g})")

@@ -39,7 +39,6 @@ from .core import (Density, DimensionError, HypothesisError, KaclabError,
 from .information import relative_entropy
 
 __all__ = [
-    "SphereConfig",
     "PartitionTable",
     "ConditionedSample",
     "sample_sigma",
@@ -70,24 +69,6 @@ _SAMPLER_GRID = 384
 # Query points per block of a table lookup: its four reused 128 kB buffers
 # stay in cache, where whole-query temporaries do not.
 _LOOKUP_BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class SphereConfig:
-    """A single point on the sphere sum(v_i^2) = N."""
-
-    N: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", coords)
-        if self.N < 5:
-            raise DimensionError("sphere configurations need N >= 5")
-        if coords.shape != (self.N,):
-            raise DimensionError("coords must have length N")
-        if abs(float(coords @ coords) - self.N) > 1e-9 * self.N:
-            raise DimensionError("configuration violates the sphere constraint")
 
 
 def sample_sigma(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,10 +110,6 @@ def sigma_marginal_log_pdf(N: int, ell: int, V: np.ndarray) -> np.ndarray:
 def sigma_marginal_pdf(N: int, ell: int, V: np.ndarray) -> np.ndarray:
     """Exact marginal density; zero outside the ball of squared radius N."""
     return np.exp(sigma_marginal_log_pdf(N, ell, V))
-
-
-def _gauss_log_pdf(v: np.ndarray) -> np.ndarray:
-    return -0.5 * v ** 2 - 0.5 * math.log(2.0 * math.pi)
 
 
 def marginal_gauss_l1(N: int, ell: int = 1) -> float:
@@ -526,14 +503,14 @@ def entropy_chaos_gap(f: Density, N: int, table: PartitionTable) -> float:
     int log(f/gamma) dF^N_1 - (1/N) log Z'_N, with F^N_1 = f theta_{N,1};
     everything is quadrature plus one table lookup.
     """
+    gauss = gaussian_density()
     v, th = theta1_on_grid(f, N, table)
     fv = f.pdf(v)
     log_ratio = np.where(fv > 1e-300,
-                         np.log(np.maximum(fv, 1e-300)) - _gauss_log_pdf(v), 0.0)
+                         np.log(np.maximum(fv, 1e-300)) - gauss.log_pdf(v), 0.0)
     term = float(np.trapezoid(log_ratio * fv * th, v))
     log_zn = float(table.log_zprime(N, float(N)))
-    return abs(term - log_zn / N
-               - relative_entropy(f, gaussian_density()).value)
+    return abs(term - log_zn / N - relative_entropy(f, gauss).value)
 
 
 def fisher_chaos_terms(f: Density, N: int, table: PartitionTable,

@@ -10,8 +10,9 @@ from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
                           omega_inf, omega_j, omega_j_sigma_quadrature,
                           omega_n, pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
-from kaclab.chaos import _empirical_moment
-from kaclab.transport import w1_config
+from kaclab import chaos
+from kaclab.chaos import _empirical_moment, _occupation_classes
+from kaclab.transport import w1_config, w1_line
 
 
 def test_estimate_value_range_enforced():
@@ -344,6 +345,25 @@ def test_pushforward_random_pairs(rng):
         G = symmetric_pmf(S, N, rng)
         lhs, rhs = pushforward_identity_exact(F, G)
         assert abs(lhs - rhs) <= 1e-9
+
+
+@pytest.mark.parametrize("S, N", [(2, 5), (3, 4), (2, 7), (3, 5), (2, 6)])
+def test_pushforward_quotient_cost_matches_w1_line(S, N, rng, monkeypatch):
+    # the closed-form class cost against one exact w1_line solve per pair
+    # of class representatives; the full-space LP is solved first
+    costs = []
+    solve = chaos._transport_lp
+    monkeypatch.setattr(chaos, "_transport_lp",
+                        lambda c, a, b: costs.append(c) or solve(c, a, b))
+    F, G = symmetric_pmf(S, N, rng), symmetric_pmf(S, N, rng)
+    lhs, rhs = pushforward_identity_exact(F, G)
+    counts, _ = _occupation_classes(S, N)
+    reps = [np.repeat(np.arange(S, dtype=float), c) for c in counts]
+    ones = np.ones(N)
+    oracle = np.array([[w1_line(a, ones, b, ones) for b in reps]
+                       for a in reps])
+    assert np.max(np.abs(costs[1] - oracle)) <= 1e-15
+    assert abs(lhs - rhs) <= 1e-9
 
 
 def test_pushforward_tensor_powers_give_base_distance(rng):

@@ -92,7 +92,7 @@ def test_kernel_oracles_names_the_checked_k(tmp_path):
 
 def test_cli_import_skips_scipy_stats_and_signal():
     # neither subpackage is used; importing either costs about half a
-    # second of every run's start-up
+    # second of every run's start-up and of perfbench's import-only setup_s
     code = ("import sys, kaclab.cli, kaclab.experiments; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
             "if m in sys.modules))")

@@ -112,3 +112,51 @@ def test_rate_run_report(ugrid):
     run = clt_rate_run(ugrid, [4, 8, 16, 32], "uniform")
     assert run.report.fitted_slope < -0.6
     assert len(run.sup_errors) == 4
+
+
+def _binomial_iterate(f, N, xs):
+    """The exact rescaled N-fold self-convolution of a two-component
+    Gaussian mixture f: sum_j Binom(j; N, w1) N(mu_j, var) at xs, with
+    mu_j = (j m1 + (N - j) m2) / sqrt(N), and its second derivative."""
+    (w1, w2), (m1, m2), var = f.components
+    sd = math.sqrt(var)
+    value, second = np.zeros_like(xs), np.zeros_like(xs)
+    for j in range(N + 1):
+        z = (xs - (j * m1 + (N - j) * m2) / math.sqrt(N)) / sd
+        term = math.comb(N, j) * w1 ** j * w2 ** (N - j) * normal_pdf(z) / sd
+        value += term
+        second += (z * z - 1.0) * term / var
+    return value, second
+
+
+@pytest.mark.parametrize("name, f", [
+    ("bimodal", bimodal_density()),
+    ("skew-bimodal", bimodal_density(weights=(0.7, 0.3)))])
+def test_iterate_matches_the_binomial_mixture_at_every_suite_n(name, f):
+    """iterate_clt against the closed form, on the suite's own grid.
+
+    The spectrum power is exact up to rounding; the one approximation is
+    the linear interpolation in ``_rescaled``, which reads the unscaled
+    convolution c(y) = g_N(y / sqrt N) / sqrt N between nodes h apart at
+    y = sqrt(N) x. Its error is at most h^2/8 sup|c''|, so in the rescaled
+    values at most h^2/(8N) sup|g_N''|. The renormalisation to unit mass
+    divides by 1 + d, with |d| <= h^2/(8N) int|g_N''|, adding up to
+    |d| sup g_N. Rounding: each of the N spectrum factors carries the
+    forward FFT's relative error of about log2(p) eps near the peak, and
+    the inverse FFT adds as much, so it stays below
+    (N + 1) log2(p) eps sup g_N, p the padded length.
+    """
+    g = standardize(_clt_base(name))
+    h, eps = g.spacing, np.finfo(float).eps
+    for N in (4, 8, 16, 32, 64, 128, 256, 512):
+        exact, second = _binomial_iterate(f, N, g.xs)
+        p = 2 ** math.ceil(math.log2(g.n_points * (math.sqrt(N) * 1.4 + 2)))
+        interp = h * h / (8 * N) * (np.max(np.abs(second))
+                                    + np.sum(np.abs(second)) * h
+                                    * np.max(exact))
+        rounding = (N + 1) * math.log2(p) * eps * np.max(exact)
+        gap = np.max(np.abs(iterate_clt(g, N).values - exact))
+        assert gap <= interp + rounding, (N, gap, interp, rounding)
+        if math.isqrt(N) ** 2 == N:
+            # sqrt(N) x_i lands on a node: no interpolation error at all
+            assert gap <= rounding, (N, gap, rounding)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import (ATOM_MERGE_TOL, Configuration, DimensionError,
-                         DiscreteMeasure, GridDensity, ProductGridDensity,
-                         QuadratureError, bimodal_density, gauss_quadrature,
-                         gaussian_density, group_atoms, loglog_fit,
-                         make_empirical, merge_atoms, spectrum_power,
-                         uniform_density)
+from kaclab.core import (ATOM_MERGE_TOL, SQRT_2PI, Configuration,
+                         DimensionError, DiscreteMeasure, GridDensity,
+                         HypothesisError, ProductGridDensity, QuadratureError,
+                         _Phi, _gauss_raw_moment, bimodal_density,
+                         gauss_quadrature, gaussian_density, gaussian_mixture,
+                         group_atoms, loglog_fit, make_empirical, merge_atoms,
+                         normal_pdf, spectrum_power, uniform_density)
 
 
 def test_configuration_invariants():
@@ -122,7 +123,7 @@ def test_gauss_quadrature_basics():
 def test_gauss_quadrature_failure_carries_estimate():
     with pytest.raises(QuadratureError) as err:
         gauss_quadrature(lambda x: math.sin(1.0 / (abs(x) + 1e-12)), 0.0, 1.0,
-                         1e-13, limit=3)
+                         1e-13)
     assert err.value.best_estimate is not None
 
 
@@ -143,6 +144,143 @@ def test_density_moments_match_quadrature():
     for k in (2, 4, 6):
         quad = gauss_quadrature(lambda v: v ** k * f.pdf(v), -12, 12, 1e-10)
         assert abs(quad - f.raw_moments[k]) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-mixture carrier against independent closed forms
+# ---------------------------------------------------------------------------
+
+def _reference_gaussian(mean, var):
+    """N(mean, var) written out term by term."""
+    sd = math.sqrt(var)
+    return dict(
+        pdf=lambda v: normal_pdf((np.asarray(v) - mean) / sd) / sd,
+        log_pdf=lambda v: (-((np.asarray(v) - mean) ** 2) / (2 * var)
+                           - math.log(sd * SQRT_2PI)),
+        score=lambda v: -(np.asarray(v, dtype=float) - mean) / var,
+        sampler=lambda rng, size: mean + sd * rng.standard_normal(size),
+        raw_moments={k: _gauss_raw_moment(k, mean, sd) for k in range(1, 9)},
+        cdf=lambda v: _Phi((np.asarray(v) - mean) / sd))
+
+
+def _reference_bimodal(separation=1.0, width=0.5, weights=(0.5, 0.5)):
+    """The standardised two-component mixture of ``bimodal_density``, with
+    the pdf, cdf, moments and sampler written out for two components."""
+    w1, w2 = weights
+    a1, a2 = -separation, separation * w1 / w2
+    mean = w1 * a1 + w2 * a2
+    var = w1 * (width ** 2 + a1 ** 2) + w2 * (width ** 2 + a2 ** 2) - mean ** 2
+    sc = math.sqrt(var)
+    m1, m2, s = (a1 - mean) / sc, (a2 - mean) / sc, width / sc
+
+    def pdf(v):
+        v = np.asarray(v, dtype=float)
+        return (w1 * normal_pdf((v - m1) / s)
+                + w2 * normal_pdf((v - m2) / s)) / s
+
+    def sampler(rng, size):
+        comp = rng.random(size) < w1
+        z = rng.standard_normal(size)
+        return np.where(comp, m1, m2) + s * z
+
+    return dict(
+        pdf=pdf, sampler=sampler, means=(m1, m2), sd=s,
+        raw_moments={k: w1 * _gauss_raw_moment(k, m1, s)
+                     + w2 * _gauss_raw_moment(k, m2, s) for k in range(1, 9)},
+        cdf=lambda v: (w1 * _Phi((np.asarray(v) - m1) / s)
+                       + w2 * _Phi((np.asarray(v) - m2) / s)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("mean, var", [
+    (0.0, 1.0), (0, 1), (1.5, 4.0), (-0.7, 0.25), (2.0, 1.0), (0.3, 1.7),
+    (-3.0, 1e-2)])
+def test_one_component_carrier_is_bitwise_the_gaussian(mean, var):
+    f, ref = gaussian_density(mean, var), _reference_gaussian(mean, var)
+    vs = np.linspace(-40.0, 40.0, 8001)
+    for fn in ("pdf", "log_pdf", "score", "cdf"):
+        assert np.array_equal(_bits(getattr(f, fn)(vs)), _bits(ref[fn](vs)))
+        for v in (0.0, mean, -12.5):   # scalars, and the sign of a zero score
+            assert _bits(getattr(f, fn)(v)) == _bits(ref[fn](v))
+    assert f.raw_moments == ref["raw_moments"]
+    draws = [fn(np.random.default_rng(5), 1000)
+             for fn in (f.sampler, ref["sampler"])]
+    assert np.array_equal(_bits(draws[0]), _bits(draws[1]))
+    assert f.components == ((1.0,), (float(mean),), float(var))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.7, 0.3)])
+def test_bimodal_carrier_is_bitwise_the_two_component_forms(weights):
+    f, ref = bimodal_density(weights=weights), _reference_bimodal(
+        weights=weights)
+    assert f.components[:2] == (weights, ref["means"])
+    assert math.sqrt(f.components[2]) == ref["sd"]
+    vs = np.linspace(-40.0, 40.0, 8001)
+    for fn in ("pdf", "cdf"):
+        assert np.array_equal(_bits(getattr(f, fn)(vs)), _bits(ref[fn](vs)))
+    assert f.raw_moments == ref["raw_moments"]
+    for size in (1000, (50, 7)):
+        assert np.array_equal(
+            _bits(f.sampler(np.random.default_rng(5), size)),
+            _bits(ref["sampler"](np.random.default_rng(5), size)))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.7, 0.3)])
+def test_bimodal_score_and_log_pdf_are_exact_in_the_tails(weights):
+    # far out the pdf underflows; the log-sum-exp forms must not
+    f = bimodal_density(weights=weights)
+    (w1, w2), (m1, m2), var = f.components
+    for v in (15.0, 20.0, 30.0, -15.0, -20.0, -30.0):
+        a = np.array([math.log(w1) - (v - m1) ** 2 / (2 * var),
+                      math.log(w2) - (v - m2) ** 2 / (2 * var)])
+        top = a.max()
+        log_pdf = (top + math.log(np.exp(a - top).sum())
+                   - 0.5 * math.log(2 * math.pi * var))
+        r = np.exp(a - top) / np.exp(a - top).sum()
+        score = -(r[0] * (v - m1) + r[1] * (v - m2)) / var
+        assert f.log_pdf(v) == pytest.approx(log_pdf, rel=1e-12)
+        assert f.score(v) == pytest.approx(score, rel=1e-12)
+
+
+def test_mixture_carrier_rejects_invalid_components():
+    ok = dict(weights=(0.5, 0.5), means=(-1.0, 1.0), var=0.5, name="m")
+    gaussian_mixture(**ok)
+    for bad in (dict(weights=(1.2, -0.2)), dict(weights=(1.0, 0.0)),
+                dict(weights=(0.5, 0.6)), dict(weights=(0.5, np.nan)),
+                dict(weights=()), dict(means=(-1.0, 1.0, 2.0)),
+                dict(var=0.0), dict(var=-1.0), dict(var=np.inf),
+                dict(var=np.nan), dict(means=(np.nan, 1.0)),
+                dict(means=(-np.inf, 1.0))):
+        with pytest.raises(HypothesisError):
+            gaussian_mixture(**{**ok, **bad})
+    with pytest.raises(HypothesisError):
+        gaussian_density(0.0, 0.0)
+    with pytest.raises(HypothesisError):
+        bimodal_density(weights=(0.5, 0.6))
+
+
+def test_three_component_mixture_matches_its_components():
+    w, m, var = (0.2, 0.5, 0.3), (-2.0, 0.0, 1.5), 0.4
+    f = gaussian_mixture(w, m, var, "three")
+    parts = [gaussian_density(mc, var) for mc in m]
+    vs = np.linspace(-6.0, 6.0, 241)
+    mix = sum(wc * p.pdf(vs) for wc, p in zip(w, parts))
+    assert np.allclose(f.pdf(vs), mix, rtol=1e-14, atol=0.0)
+    assert np.allclose(f.cdf(vs), sum(wc * p.cdf(vs) for wc, p in
+                                      zip(w, parts)), rtol=1e-14, atol=0.0)
+    assert np.allclose(f.log_pdf(vs), np.log(mix), rtol=1e-13, atol=0.0)
+    dmix = sum(wc * p.pdf(vs) * p.score(vs) for wc, p in zip(w, parts))
+    assert np.allclose(f.score(vs), dmix / mix, rtol=1e-12, atol=1e-13)
+    for k in range(1, 9):
+        assert f.raw_moments[k] == pytest.approx(
+            sum(wc * p.raw_moments[k] for wc, p in zip(w, parts)), rel=1e-14)
+    draws = f.sampler(np.random.default_rng(2), 200_000)
+    assert abs(draws.mean() - f.raw_moments[1]) < 4 * math.sqrt(
+        (f.raw_moments[2] - f.raw_moments[1] ** 2) / 200_000)
+    assert f.validate()
 
 
 def test_grid_density_invariants():

@@ -11,7 +11,7 @@ from kaclab.core import (DimensionError, HypothesisError, KaclabError,
                          SizeError, bimodal_density, gauss_quadrature,
                          gaussian_density, uniform_density)
 from kaclab.experiments import _rate_ks
-from kaclab.kacsphere import (CACHE_ENV_VAR, PartitionTable, SphereConfig,
+from kaclab.kacsphere import (CACHE_ENV_VAR, PartitionTable,
                               build_partition_table, cache_path,
                               marginal_gauss_l1, entropy_chaos_gap,
                               fisher_chaos_terms, load_table,
@@ -23,13 +23,6 @@ from kaclab.kacsphere import (CACHE_ENV_VAR, PartitionTable, SphereConfig,
 # ---------------------------------------------------------------------------
 # uniform sphere law
 # ---------------------------------------------------------------------------
-
-def test_sphere_config_invariant():
-    v = np.ones(8) * math.sqrt(1.0)
-    SphereConfig(8, v * math.sqrt(8.0 / (v @ v)))
-    with pytest.raises(DimensionError):
-        SphereConfig(8, np.ones(8) * 2.0)
-
 
 def test_sample_sigma_on_sphere(rng):
     s = sample_sigma(12, 2000, rng)

@@ -23,7 +23,6 @@ from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
     "ChaosEstimate",
-    "iid_sampler",
     "sigma_sampler",
     "mixture_sampler",
     "omega_inf",
@@ -63,12 +62,6 @@ class ChaosEstimate:
 # ---------------------------------------------------------------------------
 # samplers: (N, rng) -> one configuration as a length-N vector
 # ---------------------------------------------------------------------------
-
-def iid_sampler(f: Density):
-    def draw(N: int, rng: np.random.Generator) -> np.ndarray:
-        return f.sampler(rng, N)
-    return draw
-
 
 def sigma_sampler():
     """Uniform sphere law, one row of ``kacsphere.sample_sigma``."""

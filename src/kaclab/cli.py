@@ -1,14 +1,12 @@
 """Experiment runner CLI.
 
 Subcommands: ``run <name>`` executes one named experiment and writes a CSV
-of rows plus a JSON summary; ``list`` prints the registry; ``cache`` builds
-or clears the partition-table cache. Configuration comes from an optional
-JSON config file with command-line flags winning over file values. Exit
-codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
-(including a config value out of range, such as too few replicas, or N
-values out of order or too small, and a ``cache build --max-n`` below 32,
-the smallest N of the rate tables) or input that breaks a hypothesis of
-the experiment (``HypothesisError``).
+of rows plus a JSON summary; ``list`` prints the registry. Configuration
+comes from an optional JSON config file with command-line flags winning
+over file values. Exit codes: 0 all assertions passed, 1 an assertion
+failed, 2 usage error (including a config value out of range, such as too
+few replicas, or N values out of order or too small) or input that breaks
+a hypothesis of the experiment (``HypothesisError``).
 """
 from __future__ import annotations
 
@@ -17,16 +15,11 @@ import csv
 import dataclasses
 import json
 import math
-import os
-import shutil
 import sys
 
-from .core import (HypothesisError, bimodal_density, gaussian_density,
-                   is_int)
+from .core import HypothesisError, is_int
 from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
-                          ExperimentResult, run_experiment, sphere_table,
-                          _rate_ks)
-from .kacsphere import cache_path, cache_root
+                          ExperimentResult, run_experiment)
 
 _USAGE_ERROR = 2
 
@@ -81,12 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=["csv", "json"])
 
     sub.add_parser("list", help="list experiments and the claims they probe")
-
-    cache = sub.add_parser("cache", help="partition-table cache control")
-    cache.add_argument("action", choices=["build", "clear"])
-    cache.add_argument("--density", default="bimodal",
-                       choices=["gaussian", "bimodal"])
-    cache.add_argument("--max-n", type=int, default=1024, dest="max_n")
     return p
 
 
@@ -195,27 +182,6 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    root = cache_root()
-    if args.action == "clear":
-        if os.path.isdir(root):
-            shutil.rmtree(root)
-        print(f"cleared {root}")
-        return 0
-    ns = [n for n in (32, 64, 128, 256, 512, 1024) if n <= args.max_n]
-    if not ns:
-        print(f"cache build needs --max-n >= 32, the smallest N of the rate "
-              f"tables, got {args.max_n}", file=sys.stderr)
-        return _USAGE_ERROR
-    density = gaussian_density() if args.density == "gaussian" \
-        else bimodal_density()
-    table = sphere_table(density, args.max_n, _rate_ks(ns))
-    print(f"built table for {table.density_name} (max_N={table.max_N}, "
-          f"{len(table.ks)} convolutions) in {root}")
-    print(f"cache file: {cache_path(table.density_name, table.max_N, table.ks)}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -223,8 +189,6 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "cache":
-        return _cmd_cache(args)
     parser.print_help()
     return _USAGE_ERROR
 

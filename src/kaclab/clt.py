@@ -43,11 +43,6 @@ class CltIterate(GridFunction):
     h * sum(values) = 1; negative lobes are kept.
     """
 
-    def to_grid_density(self) -> GridDensity:
-        """Clamped nonnegative view (display only)."""
-        return GridDensity(self.half_width, self.n_points,
-                           np.maximum(self.values, 0.0))
-
 
 @dataclass(frozen=True)
 class CltRun:

@@ -506,6 +506,15 @@ def _gauss_raw_moment(k: int, m: float, s: float) -> float:
                * math.prod(range(1, i, 2)) for i in range(0, k + 1, 2))
 
 
+def _check_weights(weights, name: str):
+    """Raise HypothesisError unless the mixture weights are positive and
+    sum to 1 (within 1e-12)."""
+    if not (weights and all(w > 0 for w in weights)
+            and abs(sum(weights) - 1) <= 1e-12):
+        raise HypothesisError(f"{name}: need positive weights summing to 1, "
+                              f"got {tuple(weights)}")
+
+
 def gaussian_mixture(weights, means, var: float, name: str) -> Density:
     """The Gaussian mixture sum_c w_c N(m_c, var), one variance for all.
 
@@ -516,12 +525,12 @@ def gaussian_mixture(weights, means, var: float, name: str) -> Density:
     or more.
     """
     weights, means = tuple(map(float, weights)), tuple(map(float, means))
-    if not (weights and len(weights) == len(means)
-            and all(w > 0 for w in weights) and abs(sum(weights) - 1) <= 1e-12
+    _check_weights(weights, name)
+    if not (len(weights) == len(means)
             and all(map(math.isfinite, means)) and 0 < var < math.inf):
         raise HypothesisError(
-            f"{name}: need positive weights summing to 1, as many finite "
-            f"means and 0 < var < inf; got {weights}, {means}, {var!r}")
+            f"{name}: need as many finite means as weights and "
+            f"0 < var < inf; got {means}, {var!r}")
     sd = math.sqrt(var)
     comps = tuple(zip(weights, means))
     log_w = [math.log(w) for w in weights]
@@ -604,6 +613,9 @@ def bimodal_density(separation: float = 1.0, width: float = 0.5,
     visibly non-gaussian while keeping every polynomial moment finite.
     """
     w1, w2 = weights
+    name = f"bimodal(sep={separation:g},w={width:g},p={w1:g})"
+    # before the arithmetic below divides by w2 and takes a square root
+    _check_weights(weights, name)
     a1 = -separation
     a2 = separation * w1 / w2
     mean = w1 * a1 + w2 * a2
@@ -611,5 +623,4 @@ def bimodal_density(separation: float = 1.0, width: float = 0.5,
     sc = math.sqrt(var)
     s = width / sc
     return gaussian_mixture(
-        weights, ((a1 - mean) / sc, (a2 - mean) / sc), s * s,
-        f"bimodal(sep={separation:g},w={width:g},p={w1:g})")
+        weights, ((a1 - mean) / sc, (a2 - mean) / sc), s * s, name)

@@ -24,7 +24,6 @@ __all__ = [
     "relative_entropy",
     "fisher",
     "relative_fisher",
-    "fisher_dual_lower_bound",
     "entropy_knn",
     "hwi_check",
     "superadditivity_check",
@@ -45,10 +44,6 @@ class InfoValue:
     j: int = 1
     stderr: float | None = None
     n_warnings: int = 0
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
 
 
 def _expect(f: Density, g, tol: float) -> float:
@@ -78,12 +73,10 @@ def entropy(f) -> InfoValue:
     """H(f) = int f log f, by quadrature on the support."""
     if isinstance(f, Density):
         return InfoValue(_expect(f, f.log_pdf, 1e-10), "quadrature", 1)
-    if isinstance(f, GridDensity):
-        return InfoValue(float(np.sum(_xlogx(f.values)) * f.spacing),
-                         "quadrature", 1)
-    if isinstance(f, ProductGridDensity):
-        val = float(np.sum(_xlogx(f.values)) * f.spacing ** 2)
-        return InfoValue(val / 2.0, "quadrature", 2)
+    if isinstance(f, (GridDensity, ProductGridDensity)):
+        j = 2 if isinstance(f, ProductGridDensity) else 1
+        return InfoValue(float(np.sum(_xlogx(f.values)) * f.spacing ** j) / j,
+                         "quadrature", j)
     raise DimensionError(f"cannot compute entropy of {type(f).__name__}")
 
 
@@ -175,11 +168,6 @@ def relative_fisher(f: Density, g: Density) -> InfoValue:
     """I(f|g) = int |(log f/g)'|^2 f, by quadrature."""
     return InfoValue(_expect(f, lambda v: (f.score(v) - g.score(v)) ** 2,
                              1e-9), "quadrature", 1)
-
-
-def fisher_dual_lower_bound(f: Density, psi, dpsi) -> float:
-    """Dual value int (-psi^2/4 - psi') f, a lower bound on I(f)."""
-    return _expect(f, lambda v: -psi(v) ** 2 / 4.0 - dpsi(v), 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,12 @@ __all__ = [
     "build_partition_table",
     "theta",
     "theta_h_ratio",
+    "theta_l1_distance",
     "sample_conditioned",
     "entropy_chaos_gap",
     "fisher_chaos_terms",
     "save_table",
     "load_table",
-    "cache_root",
     "cache_path",
     "CACHE_ENV_VAR",
 ]
@@ -245,9 +245,6 @@ class PartitionTable:
             out = (np.log(hk) + gammaln(k / 2.0) + (k / 2.0) * math.log(2.0)
                    - (k / 2.0 - 1.0) * np.log(rsq) + rsq / 2.0)
         return np.where(hk > 0.0, out, -np.inf)
-
-    def zprime(self, k: int, rsq) -> np.ndarray:
-        return np.exp(self.log_zprime(k, rsq))
 
 
 def _u_cell_masses(f: Density, edges: np.ndarray) -> np.ndarray:
@@ -484,7 +481,7 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
 # entropy and Fisher chaos quantities
 # ---------------------------------------------------------------------------
 
-def theta1_on_grid(f: Density, N: int, table: PartitionTable):
+def _theta1_on_grid(f: Density, N: int, table: PartitionTable):
     vmax = min(math.sqrt(N) * 0.999, max(abs(b) for b in f.quad_bounds()))
     v = np.linspace(-vmax, vmax, 20001)
     return v, theta(N, 1, v[:, None], table)
@@ -492,7 +489,7 @@ def theta1_on_grid(f: Density, N: int, table: PartitionTable):
 
 def theta_l1_distance(f: Density, N: int, table: PartitionTable) -> float:
     """L1 norm of (theta_{N,1} - 1) f: the marginal distance to f."""
-    v, th = theta1_on_grid(f, N, table)
+    v, th = _theta1_on_grid(f, N, table)
     return float(np.trapezoid(np.abs(th - 1.0) * f.pdf(v), v))
 
 
@@ -504,7 +501,7 @@ def entropy_chaos_gap(f: Density, N: int, table: PartitionTable) -> float:
     everything is quadrature plus one table lookup.
     """
     gauss = gaussian_density()
-    v, th = theta1_on_grid(f, N, table)
+    v, th = _theta1_on_grid(f, N, table)
     fv = f.pdf(v)
     log_ratio = np.where(fv > 1e-300,
                          np.log(np.maximum(fv, 1e-300)) - gauss.log_pdf(v), 0.0)
@@ -529,7 +526,7 @@ def fisher_chaos_terms(f: Density, N: int, table: PartitionTable,
         lambda v: (f.score(v) + v) ** 2 * f.pdf(v) * (1 + v * v), lo, hi, 1e-8)
     if not math.isfinite(weight):
         raise HypothesisError("f fails the weighted Fisher hypothesis")
-    v, th = theta1_on_grid(f, N, table)
+    v, th = _theta1_on_grid(f, N, table)
     fv = f.pdf(v)
     main = float(np.trapezoid((f.score(v) + v) ** 2 * fv * th, v))
     correction = math.nan
@@ -603,17 +600,13 @@ def load_table(path: str) -> PartitionTable:
     return PartitionTable(name, max_N, *scalars, tuple(ks), windows)
 
 
-def cache_root() -> str:
-    """The partition-table cache directory: ``$KACLAB_CACHE_DIR``, else
-    ``~/.cache/kaclab``."""
-    return os.environ.get(CACHE_ENV_VAR,
+def cache_path(density_name: str, max_N: int, ks) -> str:
+    """The table's cache file under ``$KACLAB_CACHE_DIR``, else under
+    ``~/.cache/kaclab``; the directory is made if missing."""
+    import hashlib
+    root = os.environ.get(CACHE_ENV_VAR,
                           os.path.join(os.path.expanduser("~"), ".cache",
                                        "kaclab"))
-
-
-def cache_path(density_name: str, max_N: int, ks) -> str:
-    import hashlib
-    root = cache_root()
     os.makedirs(root, exist_ok=True)
     # the key holds the requested spacing _DU, not the table's rounded du
     key = hashlib.sha256(

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import (Density, DimensionError, Grid, GridDensity,
-                   ProductGridDensity, RateReport, check_reps, is_int,
-                   loglog_fit)
+from .core import (DimensionError, Grid, GridDensity, ProductGridDensity,
+                   RateReport, check_reps, is_int, loglog_fit)
 from .information import _xlogx, entropy, fisher
 from .sobolev import HsKernel, phi_s
 
@@ -111,26 +110,26 @@ def mixture_log_marginal(pi: Mixture, V: np.ndarray) -> np.ndarray:
     return logsumexp(terms, axis=0)
 
 
-def level3_entropy(pi: Mixture) -> float:
-    """Mixture average of the one-body entropy (affine by construction)."""
+def _level3(pi: Mixture, functional) -> float:
+    """Mixture average of a one-body functional; an infinite atom value
+    makes it infinite."""
     total = 0.0
     for a, f in pi.atoms:
-        h = entropy(f).value
-        if math.isinf(h):
+        val = functional(f).value
+        if math.isinf(val):
             return math.inf
-        total += a * h
+        total += a * val
     return total
+
+
+def level3_entropy(pi: Mixture) -> float:
+    """Mixture average of the one-body entropy (affine by construction)."""
+    return _level3(pi, entropy)
 
 
 def level3_fisher(pi: Mixture) -> float:
     """Mixture average of the one-body Fisher information."""
-    total = 0.0
-    for a, f in pi.atoms:
-        i = fisher(f).value
-        if math.isinf(i):
-            return math.inf
-        total += a * i
-    return total
+    return _level3(pi, fisher)
 
 
 @dataclass(frozen=True)

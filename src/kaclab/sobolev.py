@@ -63,9 +63,6 @@ class HsKernel:
     phi0: float
     lipschitz_bound: float
 
-    def __call__(self, z):
-        return phi_s(z, self)
-
 
 def make_hs_kernel(s: float) -> HsKernel:
     """The kernel for exponent s > 1/2, with its value at 0 and Lipschitz

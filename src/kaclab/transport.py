@@ -115,6 +115,15 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return total / j
 
 
+def _relabeling_costs(X: Configuration, Y: Configuration,
+                      spec: CostSpec) -> np.ndarray:
+    """Ground cost of every particle pair (X_i, Y_k); X and Y must share
+    d and N."""
+    if (X.d, X.n_particles) != (Y.d, Y.n_particles):
+        raise DimensionError("configurations must share d and N")
+    return _ground_cost(X.particles[:, None] - Y.particles[None], spec)
+
+
 def w1_config(X: Configuration, Y: Configuration,
               spec: CostSpec = BOUNDED_L1) -> tuple[float, np.ndarray]:
     """Minimum over particle relabelings of the normalized cost.
@@ -123,10 +132,8 @@ def w1_config(X: Configuration, Y: Configuration,
     between the two empirical measures. Returns (cost, permutation) with
     Y reindexed by the permutation matching X order.
     """
-    if (X.d, X.n_particles) != (Y.d, Y.n_particles):
-        raise DimensionError("configurations must share d and N")
     n = X.n_particles
-    costs = _ground_cost(X.particles[:, None] - Y.particles[None], spec)
+    costs = _relabeling_costs(X, Y, spec)
     rows, cols = linear_sum_assignment(costs)
     perm = cols[np.argsort(rows)]
     return float(costs[np.arange(n), perm].mean()), perm
@@ -201,7 +208,7 @@ def w1_config_bruteforce(X: Configuration, Y: Configuration,
     n = X.n_particles
     if n > 9:
         raise SizeError(f"factorial oracle limited to N <= 9, got {n}")
-    costs = _ground_cost(X.particles[:, None] - Y.particles[None], spec)
+    costs = _relabeling_costs(X, Y, spec)
     perms = np.fromiter(itertools.chain.from_iterable(
         itertools.permutations(range(n))), dtype=np.intp,
         count=n * math.factorial(n)).reshape(-1, n)

@@ -6,7 +6,7 @@ import pytest
 from kaclab.core import (Configuration, DimensionError, SizeError,
                          gaussian_density)
 from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
-                          iid_sampler, mixture_sampler, omega1_counterexample,
+                          mixture_sampler, omega1_counterexample,
                           omega_inf, omega_j, omega_j_sigma_quadrature,
                           omega_n, pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
@@ -27,7 +27,7 @@ def test_estimate_value_range_enforced():
 # ---------------------------------------------------------------------------
 
 def test_omega_n_same_law_same_stream_is_zero(gauss, rng):
-    est = omega_n(iid_sampler(gauss), gauss, 32, 10, rng)
+    est = omega_n(lambda N, r: gauss.sampler(r, N), gauss, 32, 10, rng)
     assert est.value == 0.0
     assert est.upper_bound
 
@@ -46,7 +46,8 @@ def test_omega_n_independent_draws_scale(gauss, rng):
         return gauss.sampler(np.random.default_rng(r.integers(2 ** 62)), n)
 
     est = omega_n(fresh, gauss, 64, 60, rng)
-    oinf = omega_inf(iid_sampler(gauss), gauss, 64, 60, rng=rng)
+    oinf = omega_inf(lambda N, r: gauss.sampler(r, N), gauss, 64, 60,
+                     rng=rng)
     assert est.value > 0.0
     assert est.value <= 3.0 * 2.0 * oinf.value
     assert est.value >= 2.0 * oinf.value / 3.0
@@ -86,15 +87,17 @@ def test_omega_n_matches_per_replica_assignment(gauss):
 def test_monte_carlo_quantifiers_need_two_replicas(gauss, rng):
     for reps in (0, 1):
         with pytest.raises(SizeError):
-            omega_inf(iid_sampler(gauss), gauss, 8, reps, rng=rng)
+            omega_inf(lambda N, r: gauss.sampler(r, N), gauss, 8, reps,
+                      rng=rng)
         with pytest.raises(SizeError):
-            omega_n(iid_sampler(gauss), gauss, 8, reps, rng)
+            omega_n(lambda N, r: gauss.sampler(r, N), gauss, 8, reps, rng)
         with pytest.raises(SizeError):
-            omega_j(iid_sampler(gauss), gauss, 1, 8, reps, rng=rng)
+            omega_j(lambda N, r: gauss.sampler(r, N), gauss, 1, 8, reps,
+                    rng=rng)
 
 
 def test_omega_inf_reports_reference_budget(gauss, rng):
-    est = omega_inf(iid_sampler(gauss), gauss, 16, 20, rng=rng)
+    est = omega_inf(lambda N, r: gauss.sampler(r, N), gauss, 16, 20, rng=rng)
     assert est.reference_size == 64
     assert est.meta["reference_bias_scale"] == pytest.approx(0.125)
     assert 0.0 <= est.value <= 1.0
@@ -102,8 +105,8 @@ def test_omega_inf_reports_reference_budget(gauss, rng):
 
 def test_omega_inf_iid_rate(gauss, rng):
     ns = [16, 32, 64, 128, 256]
-    vals = [omega_inf(iid_sampler(gauss), gauss, n, 40, rng=rng).value
-            for n in ns]
+    vals = [omega_inf(lambda N, r: gauss.sampler(r, N), gauss, n, 40,
+                      rng=rng).value for n in ns]
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert -0.6 < slope < -0.35
 
@@ -180,7 +183,8 @@ def test_probe_marginal_vs_empirical(gauss, rng):
         oinf = omega_inf(sigma_sampler(), gauss, N, 48, rng=rng)
         for j in (2, 3):
             oj = omega_j(sigma_sampler(), gauss, j, N, 512, rng=rng)
-            floor = omega_j(iid_sampler(gauss), gauss, j, N, 512, rng=rng)
+            floor = omega_j(lambda N, r: gauss.sampler(r, N), gauss, j, N,
+                            512, rng=rng)
             slack = 3.0 * (oj.stderr + oinf.stderr + floor.stderr)
             assert oj.value <= oinf.value + j * j / N + floor.value + slack
 

@@ -258,8 +258,12 @@ def test_mixture_carrier_rejects_invalid_components():
             gaussian_mixture(**{**ok, **bad})
     with pytest.raises(HypothesisError):
         gaussian_density(0.0, 0.0)
-    with pytest.raises(HypothesisError):
-        bimodal_density(weights=(0.5, 0.6))
+    # the bimodal checks its weights before its own arithmetic, which
+    # divides by w2 and takes the square root of a variance
+    for weights in ((1.0, 0.0), (0.0, 1.0), (1.2, -0.2), (0.5, 0.6)):
+        with pytest.raises(HypothesisError,
+                           match="need positive weights summing to 1"):
+            bimodal_density(weights=weights)
 
 
 def test_three_component_mixture_matches_its_components():

@@ -10,8 +10,8 @@ from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
                          gaussian_density, merge_atoms, uniform_density)
 from kaclab.experiments import ExperimentConfig
-from kaclab.information import (_xlogx, discrete_marginal, entropy,
-                                entropy_knn, fisher, fisher_dual_lower_bound,
+from kaclab.information import (_expect, _xlogx, discrete_marginal, entropy,
+                                entropy_knn, fisher,
                                 fisher_superadditivity_grid, hwi_check,
                                 relative_entropy, relative_fisher,
                                 superadditivity_check, w2_quantile)
@@ -192,6 +192,12 @@ def test_relative_fisher_gaussian_shift():
     # I(gamma(.-m) | gamma) = m^2
     val = relative_fisher(gaussian_density(0.7), gaussian_density()).value
     assert val == pytest.approx(0.49, abs=1e-8)
+
+
+def fisher_dual_lower_bound(f, psi, dpsi) -> float:
+    """Dual value int (-psi^2/4 - psi') f, a lower bound on I(f): the
+    oracle the two tests below hold fisher against."""
+    return _expect(f, lambda v: -psi(v) ** 2 / 4.0 - dpsi(v), 1e-9)
 
 
 def test_fisher_dual_bounds():

@@ -158,14 +158,14 @@ def test_table_gaussian_zprime_is_one(gauss_table_32):
     for k in (8, 16, 32):
         sd = math.sqrt(2.0 * k)
         rs = np.linspace(max(k - 2 * sd, k / 3.0), k + 2 * sd, 41)
-        zp = t.zprime(k, rs)
+        zp = np.exp(t.log_zprime(k, rs))
         assert np.max(np.abs(zp - 1.0)) < 1e-3
 
 
 def test_table_bimodal_zprime_trend(bimodal_rate_table):
     t = bimodal_rate_table
     target = math.sqrt(2.0) / t.Sigma
-    devs = [abs(float(t.zprime(N, float(N))) / target - 1.0)
+    devs = [abs(float(np.exp(t.log_zprime(N, float(N)))) / target - 1.0)
             for N in (32, 128, 1024)]
     assert devs[0] < 0.01
     assert devs[-1] < devs[0]
@@ -282,6 +282,19 @@ def test_incomplete_table_file_raises(tmp_path, gauss_table_32):
             fh.write(bad)
         with pytest.raises(KaclabError):
             load_table(path)
+
+
+def test_cache_path_is_under_the_env_dir_else_home(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
+    path = cache_path("g", 16, [2, 1, 2])
+    assert os.path.dirname(path) == str(tmp_path / "env")
+    assert os.path.isdir(tmp_path / "env")
+    assert os.path.basename(path).startswith("ptable_")
+    assert path == cache_path("g", 16, (1, 2))
+    monkeypatch.delenv(CACHE_ENV_VAR)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert cache_path("g", 16, [1, 2]) == os.path.join(
+        tmp_path, "home", ".cache", "kaclab", os.path.basename(path))
 
 
 def test_sphere_table_rebuilds_a_truncated_cache_file(tmp_path, monkeypatch,

@@ -103,6 +103,19 @@ def test_w1_config_bruteforce_equals_looped_oracle(d):
                 _w1_config_bruteforce_looped(X, Y)
 
 
+def test_w1_config_and_bruteforce_reject_mismatched_configurations():
+    pairs = [(Configuration(1, 3, [0.0, 1.0, 2.0]),
+              Configuration(1, 4, [0.0, 1.0, 2.0, 3.0])),
+             (Configuration(1, 2, [0.0, 1.0]),
+              Configuration(2, 2, [0.0, 0.0, 1.0, 1.0]))]
+    for X, Y in pairs:
+        for a, b in ((X, Y), (Y, X)):
+            with pytest.raises(DimensionError, match="share d and N"):
+                w1_config(a, b)
+            with pytest.raises(DimensionError, match="share d and N"):
+                w1_config_bruteforce(a, b)
+
+
 # ---------------------------------------------------------------------------
 # w1_line and its oracles: the assignment, the brute force, the LP, and the
 # O(n^2) dynamic program (the conftest fixture w1_line_batch) for large n

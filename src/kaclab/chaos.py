@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (Density, DimensionError, DiscreteMeasure,
                    SizeError, check_reps, is_int, symmetric_group_generators)
-from .transport import (BOUNDED_L1, TRUNCATION, _transport_lp, w1_discrete,
+from .transport import (TRUNCATION, _transport_lp, w1_discrete,
                         w1_discrete_batch, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
@@ -147,7 +147,7 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
             return w1_line(a[:, 0], ones, b[:, 0], ones)
         mu = DiscreteMeasure(j, a, np.full(len(a), 1.0 / len(a)))
         nu = DiscreteMeasure(j, b, np.full(len(b), 1.0 / len(b)))
-        return w1_discrete(mu, nu, BOUNDED_L1)
+        return w1_discrete(mu, nu)
 
     val = value_of(pool, ref)
     batches = np.array_split(np.arange(mc_reps), n_batches)
@@ -269,7 +269,7 @@ def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
         parts.append((float(np.abs(marg - hat).sum()),
                       2.0 * j * (j - 1) / N, j * (j - 1) / N))
     return [(tv, bound, w1, w1_bound) for (tv, bound, w1_bound), w1
-            in zip(parts, w1_discrete_batch(pairs, BOUNDED_L1))]
+            in zip(parts, w1_discrete_batch(pairs))]
 
 
 def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
@@ -291,7 +291,7 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     # full LP on aligned coordinates
     cost_full = np.minimum(
         np.abs(vals[:, None, :] - vals[None, :, :]), TRUNCATION).mean(axis=2)
-    lhs = _transport_lp(cost_full, F.ravel(), G.ravel()).cost
+    lhs = _transport_lp(cost_full, F.ravel(), G.ravel())
 
     # quotient LP on occupation classes: distinct integer symbols cost
     # TRUNCATION <= 1 each, so a best relabeling pairs equal symbols, and
@@ -301,7 +301,7 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     massG = np.bincount(inverse, G.ravel(), len(counts))
     cost_q = TRUNCATION * (
         N - np.minimum(counts[:, None], counts).sum(axis=2)) / N
-    rhs = _transport_lp(cost_q, massF, massG).cost
+    rhs = _transport_lp(cost_q, massF, massG)
     return lhs, rhs
 
 
@@ -331,7 +331,7 @@ def omega1_counterexample(g: Density, h: Density, Ns, rng: np.random.Generator,
         ref = np.column_stack([ref1(pool2, rng), ref1(pool2, rng)])
         mu = DiscreteMeasure(2, pool, np.full(pool2, 1.0 / pool2))
         nu = DiscreteMeasure(2, ref, np.full(pool2, 1.0 / pool2))
-        om2 = w1_discrete(mu, nu, BOUNDED_L1)
+        om2 = w1_discrete(mu, nu)
         results[N] = (om1, om2)
     return {
         "reference": "half-half average of the two component densities",

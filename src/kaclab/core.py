@@ -214,24 +214,6 @@ class Density:
             hi = mean + QUAD_SIGMA_CUTOFF * sd
         return lo, hi
 
-    def validate(self):
-        """Check normalization and the score/log-pdf consistency contract."""
-        lo, hi = self.quad_bounds()
-        mass = gauss_quadrature(self.pdf, lo, hi, 1e-8)
-        if abs(mass - 1.0) > 1e-7:
-            raise HypothesisError(f"{self.name}: pdf mass {mass} is not 1")
-        vs = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 211)
-        vs = vs[self.pdf(vs) > 1e-10]
-        h = 1e-6
-        fd = (self.log_pdf(vs + h) - self.log_pdf(vs - h)) / (2 * h)
-        sc = self.score(vs)
-        rel = np.abs(fd - sc) / np.maximum(1.0, np.abs(sc))
-        if np.max(rel) > 1e-5:
-            raise HypothesisError(
-                f"{self.name}: score deviates from d/dv log pdf by "
-                f"{np.max(rel):.2e}")
-        return True
-
 
 @dataclass(frozen=True)
 class Grid:

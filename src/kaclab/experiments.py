@@ -293,9 +293,9 @@ def run_kernel_oracles(cfg: ExperimentConfig) -> ExperimentResult:
     for _ in range(500):
         mu = _random_discrete(rng, int(rng.integers(2, 7)), spread=3.0)
         nu = _random_discrete(rng, int(rng.integers(2, 7)), spread=3.0)
-        w1 = transport.w1_discrete(mu, nu, transport.BOUNDED_L1)
-        w2 = math.sqrt(transport.w1_discrete(
-            mu, nu, transport.NORMALIZED_L2_SQ))
+        w1 = transport.w1_discrete(mu, nu)
+        w2 = transport.w2_line(mu.points[:, 0], mu.weights,
+                               nu.points[:, 0], nu.weights)
         if w1 > w2 + 1e-10:
             n_order += 1
         mk = mu.moment(k) + nu.moment(k)
@@ -573,14 +573,13 @@ def run_information(cfg: ExperimentConfig) -> ExperimentResult:
               n_viol == 0, f"{n_viol} violations")
 
     n_viol = 0
-    c_e = 1.0   # flat-space constant; the inequality also ships with the
-    # conservative choice 8, exposed through the same parameter
+    c_e = information.HWI_C_E
     for _ in range(50):
         f = gaussian_density(float(rng.uniform(-1, 1)),
                              float(rng.uniform(0.5, 2.0)))
         g = gaussian_density(float(rng.uniform(-1, 1)),
                              float(rng.uniform(0.5, 2.0)))
-        lhs, rhs, vac = information.hwi_check(f, g, c_e)
+        lhs, rhs, vac = information.hwi_check(f, g)
         if not vac and lhs > rhs + 1e-6:
             n_viol += 1
     res.add_row(0, "hwi_violations", n_viol, 0.0, f"C_E={c_e}")

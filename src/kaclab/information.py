@@ -26,6 +26,7 @@ __all__ = [
     "relative_fisher",
     "entropy_knn",
     "hwi_check",
+    "HWI_C_E",
     "superadditivity_check",
     "fisher_superadditivity_grid",
     "w2_quantile",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 _DENSITY_FLOOR = 1e-14
+
+# The flat-space constant C_E of the transport-information inequality.
+HWI_C_E = 1.0
 
 
 @dataclass(frozen=True)
@@ -130,10 +134,18 @@ def relative_entropy(f, g) -> InfoValue:
 # Fisher information
 # ---------------------------------------------------------------------------
 
+def _central_diff(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Central difference of grid values along one axis, the values taken
+    as 0 outside the grid."""
+    v = np.moveaxis(values, axis, 0)
+    zero = np.zeros_like(v[:1])
+    padded = np.concatenate([zero, v, zero])
+    return np.moveaxis((padded[2:] - padded[:-2]) / (2.0 * h), 0, axis)
+
+
 def _grid_fisher_raw(values: np.ndarray, h: float) -> float:
     """Non-normalized int (f')^2 / f with central differences."""
-    padded = np.concatenate([[0.0], values, [0.0]])
-    deriv = (padded[2:] - padded[:-2]) / (2.0 * h)
+    deriv = _central_diff(values, h)
     mask = values > _DENSITY_FLOOR
     return float(np.sum(deriv[mask] ** 2 / values[mask]) * h)
 
@@ -255,8 +267,9 @@ def w2_quantile(f: Density, g: Density) -> float:
     return math.sqrt(max(_expect(f, sq_shift, 1e-8), 0.0))
 
 
-def hwi_check(f: Density, g: Density, c_e: float = 1.0):
-    """Both sides of H(f) <= H(g) + C_E W2(f, g) sqrt(I(f)) on E = R.
+def hwi_check(f: Density, g: Density):
+    """Both sides of H(f) <= H(g) + C_E W2(f, g) sqrt(I(f)) on E = R, with
+    C_E = ``HWI_C_E``.
 
     Returns (lhs, rhs, vacuous); interval supports are rejected since the
     flat-space transport inequality is what is being exercised.
@@ -268,7 +281,7 @@ def hwi_check(f: Density, g: Density, c_e: float = 1.0):
     i_f = fisher(f).value
     if math.isinf(i_f):
         return lhs, math.inf, True
-    rhs = c_e * w2_quantile(f, g) * math.sqrt(i_f)
+    rhs = HWI_C_E * w2_quantile(f, g) * math.sqrt(i_f)
     return lhs, rhs, False
 
 
@@ -315,14 +328,14 @@ def superadditivity_check(F: DiscreteMeasure, i: int, j: int):
 def fisher_superadditivity_grid(F: ProductGridDensity):
     """Non-normalized Fisher superadditivity on a two-variable grid density.
 
-    Returns (lhs, rhs) = (I_2(F), I_1(F_1) + I_1(F_2)).
+    Returns (lhs, rhs) = (I_2(F), I_1(F_1) + I_1(F_2)). Both sides take
+    the same central differences, with F taken as 0 outside the grid, so
+    a product F gives lhs = rhs.
     """
     h = F.spacing
     vals = F.values
-    gx = np.zeros_like(vals)
-    gy = np.zeros_like(vals)
-    gx[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2 * h)
-    gy[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2 * h)
+    gx = _central_diff(vals, h, 0)
+    gy = _central_diff(vals, h, 1)
     mask = vals > _DENSITY_FLOOR
     lhs = float(np.sum((gx[mask] ** 2 + gy[mask] ** 2) / vals[mask]) * h * h)
     rhs = (_grid_fisher_raw(F.marginal(0).values, h)

@@ -152,10 +152,10 @@ def hs_w1_bridge_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     constant follows the truncate-mollify-dualize argument in d = 1;
     it is generous but concrete.
     """
-    from .transport import BOUNDED_L1, w1_discrete
+    from .transport import w1_discrete
     if s < 1 or k <= 0:
         raise DimensionError("bridge check needs s >= 1 and k > 0")
-    w1 = w1_discrete(mu, nu, BOUNDED_L1)
+    w1 = w1_discrete(mu, nu)
     hs = math.sqrt(hs_dist_sq(mu, nu, make_hs_kernel(s)))
     mk = mu.moment(k) + nu.moment(k)
     c_d = 6.0 * math.sqrt(10.0)

@@ -1,21 +1,21 @@
 """Exact optimal transport on configurations and discrete measures.
 
-Costs are the normalized bounded distance (average over particles of the
-truncated euclidean distance) and the normalized squared distance. On the
-line, weighted measures under the bounded cost take one exact routine,
-``w1_line``, a sorted scan over the Kantorovich-Rubinstein dual, and
-under the quadratic cost the quantile (north-west corner) coupling. The
-assignment solver, exact for equal-size uniform empirical measures and
-the path for d > 1, and the general transportation LP (HiGHS), which
-covers everything else, are the oracles for both line routines.
-Entropic or otherwise regularized solvers are deliberately absent from
-all correctness paths.
+There is one cost: the normalized bounded distance, the average over
+particles of the euclidean distance truncated at ``TRUNCATION``. On the
+line, weighted measures take one exact routine, ``w1_line``, a sorted
+scan over the Kantorovich-Rubinstein dual. The assignment solver, exact
+for equal-size uniform empirical measures and the path for d > 1, and the
+general transportation LP (HiGHS), which covers everything else, are its
+oracles. The quadratic cost enters only on the line, where ``w2_line``
+gives the exact W2 from the quantile (north-west corner) coupling, for
+the moment interpolation between W1 and W2; configurations and measures
+off the line have no quadratic cost. Entropic or otherwise regularized
+solvers are deliberately absent from all correctness paths.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -24,14 +24,11 @@ from scipy.sparse import csr_matrix
 from .core import (Configuration, DimensionError, DiscreteMeasure, SizeError)
 
 __all__ = [
-    "CostSpec",
-    "TransportPlan",
-    "BOUNDED_L1",
-    "NORMALIZED_L2_SQ",
     "cost_matrix",
     "w1_config",
     "w1_config_bruteforce",
     "w1_line",
+    "w2_line",
     "w1_discrete",
     "w1_discrete_batch",
     "tensorization_check",
@@ -41,91 +38,41 @@ __all__ = [
 
 _LP_EDGE_BUDGET = 1_200_000
 _PRODUCT_ATOM_BUDGET = 100_000
-# absolute slack of TransportPlan.validate (flows, marginals and cost)
+# absolute slack of _check_plan (flows, marginals and cost)
 _PLAN_TOL = 1e-10
 
 # The bounded cost caps each particle's distance at this value.
 TRUNCATION = 1.0
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    """Ground cost on E^j: truncated-l1 average or squared-l2 average."""
-
-    kind: str = "bounded_l1"
-
-    def __post_init__(self):
-        if self.kind not in ("bounded_l1", "normalized_l2_sq"):
-            raise DimensionError(f"unknown cost kind {self.kind!r}")
-
-
-BOUNDED_L1 = CostSpec("bounded_l1")
-NORMALIZED_L2_SQ = CostSpec("normalized_l2_sq")
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """An exact optimal plan between two discrete measures."""
-
-    flows: np.ndarray           # (k, 3) rows (i, j, mass)
-    cost: float
-    source_weights: np.ndarray
-    target_weights: np.ndarray
-
-    def validate(self, costs: np.ndarray):
-        i = self.flows[:, 0].astype(int)
-        j = self.flows[:, 1].astype(int)
-        m = self.flows[:, 2]
-        if np.any(m < -_PLAN_TOL):
-            raise DimensionError("plan has negative flow")
-        row = np.zeros_like(self.source_weights)
-        col = np.zeros_like(self.target_weights)
-        np.add.at(row, i, m)
-        np.add.at(col, j, m)
-        if np.max(np.abs(row - self.source_weights)) > _PLAN_TOL:
-            raise DimensionError("plan row sums differ from source weights")
-        if np.max(np.abs(col - self.target_weights)) > _PLAN_TOL:
-            raise DimensionError("plan column sums differ from target weights")
-        if abs(float(np.sum(m * costs[i, j])) - self.cost) \
-                > _PLAN_TOL * max(1.0, abs(self.cost)):
-            raise DimensionError("plan cost inconsistent with flows")
-        return True
-
-
-def _ground_cost(diff: np.ndarray, spec: CostSpec) -> np.ndarray:
-    """Per-particle ground cost of displacements diff of shape (..., d)."""
+def _ground_cost(diff: np.ndarray) -> np.ndarray:
+    """Per-particle bounded cost of displacements diff of shape (..., d)."""
     dist = (np.abs(diff[..., 0]) if diff.shape[-1] == 1
             else np.sqrt(np.sum(diff ** 2, axis=-1)))
-    if spec.kind == "bounded_l1":
-        return np.minimum(dist, TRUNCATION)
-    return dist ** 2
+    return np.minimum(dist, TRUNCATION)
 
 
-def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                spec: CostSpec = BOUNDED_L1) -> np.ndarray:
-    """Pairwise normalized cost between atoms of mu and nu."""
+def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Pairwise normalized bounded cost between atoms of mu and nu."""
     if mu.dim != nu.dim or mu.particle_dim != nu.particle_dim:
         raise DimensionError("measures must share dim and particle_dim")
     j, d = mu.j, mu.particle_dim
     total = np.zeros((mu.n_atoms, nu.n_atoms))
     for b in range(j):
         sl = slice(b * d, (b + 1) * d)
-        total += _ground_cost(mu.points[:, None, sl] - nu.points[None, :, sl],
-                              spec)
+        total += _ground_cost(mu.points[:, None, sl] - nu.points[None, :, sl])
     return total / j
 
 
-def _relabeling_costs(X: Configuration, Y: Configuration,
-                      spec: CostSpec) -> np.ndarray:
+def _relabeling_costs(X: Configuration, Y: Configuration) -> np.ndarray:
     """Ground cost of every particle pair (X_i, Y_k); X and Y must share
     d and N."""
     if (X.d, X.n_particles) != (Y.d, Y.n_particles):
         raise DimensionError("configurations must share d and N")
-    return _ground_cost(X.particles[:, None] - Y.particles[None], spec)
+    return _ground_cost(X.particles[:, None] - Y.particles[None])
 
 
-def w1_config(X: Configuration, Y: Configuration,
-              spec: CostSpec = BOUNDED_L1) -> tuple[float, np.ndarray]:
+def w1_config(X: Configuration, Y: Configuration) -> tuple[float, np.ndarray]:
     """Minimum over particle relabelings of the normalized cost.
 
     Solved exactly by min-cost assignment; equals the transport distance
@@ -133,10 +80,30 @@ def w1_config(X: Configuration, Y: Configuration,
     Y reindexed by the permutation matching X order.
     """
     n = X.n_particles
-    costs = _relabeling_costs(X, Y, spec)
+    costs = _relabeling_costs(X, Y)
     rows, cols = linear_sum_assignment(costs)
     perm = cols[np.argsort(rows)]
     return float(costs[np.arange(n), perm].mean()), perm
+
+
+def _line_atoms(xa, wa, xb, wb):
+    """The atoms and masses of a transport problem on the line as float
+    arrays, and the total mass; raises unless both atom sets are nonempty
+    with one mass per atom, all finite, the masses nonnegative and the
+    totals equal and positive."""
+    arrays = [np.asarray(v, dtype=float) for v in (xa, wa, xb, wb)]
+    xa, wa, xb, wb = arrays
+    if not (xa.ndim == xb.ndim == 1 and xa.shape == wa.shape
+            and xb.shape == wb.shape and len(xa) and len(xb)):
+        raise DimensionError(f"need two nonempty atom sets with one mass "
+                             f"per atom, got shapes {[v.shape for v in arrays]}")
+    total = float(wa.sum())
+    if not (all(np.all(np.isfinite(v)) for v in arrays)
+            and min(wa.min(), wb.min()) >= 0
+            and total > 0 and abs(total - wb.sum()) <= 1e-9 * total):
+        raise DimensionError("atoms and masses must be finite and the masses "
+                             "nonnegative with equal positive totals")
+    return xa, wa, xb, wb, total
 
 
 def w1_line(xa, wa, xb, wb) -> float:
@@ -153,18 +120,7 @@ def w1_line(xa, wa, xb, wb) -> float:
     2 L_k and trims L_k off both ends (the "slope trick"), in an array over
     the sorted distinct slopes. Integer masses keep equal slopes equal.
     """
-    arrays = [np.asarray(v, dtype=float) for v in (xa, wa, xb, wb)]
-    xa, wa, xb, wb = arrays
-    if not (xa.ndim == xb.ndim == 1 and xa.shape == wa.shape
-            and xb.shape == wb.shape and len(xa) and len(xb)):
-        raise DimensionError(f"need two nonempty atom sets with one mass "
-                             f"per atom, got shapes {[v.shape for v in arrays]}")
-    total = float(wa.sum())
-    if not (all(np.all(np.isfinite(v)) for v in arrays)
-            and min(wa.min(), wb.min()) >= 0
-            and total > 0 and abs(total - wb.sum()) <= 1e-9 * total):
-        raise DimensionError("atoms and masses must be finite and the masses "
-                             "nonnegative with equal positive totals")
+    xa, wa, xb, wb, total = _line_atoms(xa, wa, xb, wb)
     z = np.concatenate([xa, xb])
     order = np.argsort(z, kind="stable")
     F = np.cumsum(np.concatenate([wa, -wb])[order])[:-1]
@@ -201,28 +157,63 @@ def w1_line(xa, wa, xb, wb) -> float:
     return (v0 + sum(s * ln for s, ln in zip(slopes, lens) if s > 0)) / total
 
 
-def w1_config_bruteforce(X: Configuration, Y: Configuration,
-                         spec: CostSpec = BOUNDED_L1) -> float:
+def w2_line(xa, wa, xb, wb) -> float:
+    """Exact W2 under the quadratic cost (x - y)^2, per unit mass, between
+    atoms xa of masses wa and xb of masses wb on the line (the input of
+    ``w1_line``).
+
+    The quantile (north-west corner) coupling is optimal for every convex
+    cost of x - y: the sorted atoms' cumulative masses are merged, and
+    each interval between consecutive breakpoints carries its mass from
+    the atom of xa to the atom of xb whose cumulative mass first exceeds
+    the interval's left end. Repeated and massless atoms need no merge.
+    """
+    xa, wa, xb, wb, total = _line_atoms(xa, wa, xb, wb)
+    a = np.argsort(xa, kind="stable")
+    b = np.argsort(xb, kind="stable")
+    ca = np.clip(np.cumsum(wa[a])[:-1] / total, 0.0, 1.0)
+    cb = np.clip(np.cumsum(wb[b])[:-1] / float(wb.sum()), 0.0, 1.0)
+    cuts = np.unique(np.concatenate([[0.0, 1.0], ca, cb]))
+    i = a[np.searchsorted(ca, cuts[:-1], side="right")]
+    j = b[np.searchsorted(cb, cuts[:-1], side="right")]
+    return math.sqrt(float(np.sum(np.diff(cuts) * (xa[i] - xb[j]) ** 2)))
+
+
+def w1_config_bruteforce(X: Configuration, Y: Configuration) -> float:
     """Exhaustive minimum over all N! relabelings (oracle, N <= 9), every
     relabeling's mean cost taken in one gather."""
     n = X.n_particles
     if n > 9:
         raise SizeError(f"factorial oracle limited to N <= 9, got {n}")
-    costs = _relabeling_costs(X, Y, spec)
+    costs = _relabeling_costs(X, Y)
     perms = np.fromiter(itertools.chain.from_iterable(
         itertools.permutations(range(n))), dtype=np.intp,
         count=n * math.factorial(n)).reshape(-1, n)
     return float(costs[np.arange(n), perms].mean(axis=1).min())
 
 
-def _transport_lps(problems) -> list[TransportPlan]:
-    """Exact transportation LPs (costs, w_src, w_tgt), all solved as one
-    block-diagonal LP via HiGHS.
+def _check_plan(flow: np.ndarray, costs: np.ndarray, w_src: np.ndarray,
+                w_tgt: np.ndarray, cost: float):
+    """Raise unless the flow matrix is a plan between w_src and w_tgt whose
+    cost under ``costs`` is ``cost``, each within ``_PLAN_TOL``."""
+    if np.any(flow < -_PLAN_TOL):
+        raise DimensionError("plan has negative flow")
+    if np.max(np.abs(flow.sum(axis=1) - w_src)) > _PLAN_TOL:
+        raise DimensionError("plan row sums differ from source weights")
+    if np.max(np.abs(flow.sum(axis=0) - w_tgt)) > _PLAN_TOL:
+        raise DimensionError("plan column sums differ from target weights")
+    if abs(float(np.sum(flow * costs)) - cost) > _PLAN_TOL * max(1.0, abs(cost)):
+        raise DimensionError("plan cost inconsistent with flows")
+
+
+def _transport_lps(problems) -> list[float]:
+    """Exact optimal costs of transportation LPs (costs, w_src, w_tgt), all
+    solved as one block-diagonal LP via HiGHS.
 
     The blocks share no variable and no constraint, so the joint optimum
     is optimal in every block. Each block's cost is read as c_b . x_b (with
-    one block, the LP's objective) and its plan is validated. The edge
-    budget holds for the whole LP.
+    one block, the LP's objective) and checked against its plan by
+    ``_check_plan``. The edge budget holds for the whole LP.
     """
     if not problems:
         return []
@@ -253,85 +244,54 @@ def _transport_lps(problems) -> list[TransportPlan]:
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise SizeError(f"transport LP failed: {res.message}")
-    plans, off = [], 0
+    out, off = [], 0
     for costs, w_src, w_tgt in problems:
         x = res.x[off:off + costs.size]
         off += costs.size
         cost = (float(res.fun) if len(problems) == 1
                 else float(costs.ravel() @ x))
-        flow = x.reshape(costs.shape)
-        i, jj = np.nonzero(flow > 1e-15)
-        plan = TransportPlan(np.column_stack([i, jj, flow[i, jj]]), cost,
-                             w_src.copy(), w_tgt.copy())
-        plan.validate(costs)
-        plans.append(plan)
-    return plans
+        _check_plan(x.reshape(costs.shape), costs, w_src, w_tgt, cost)
+        out.append(cost)
+    return out
 
 
 def _transport_lp(costs: np.ndarray, w_src: np.ndarray,
-                  w_tgt: np.ndarray) -> TransportPlan:
+                  w_tgt: np.ndarray) -> float:
     """Exact transportation LP via HiGHS: one block of ``_transport_lps``."""
     return _transport_lps([(costs, w_src, w_tgt)])[0]
 
 
-def _quantile_plan(costs: np.ndarray, mu: DiscreteMeasure,
-                   nu: DiscreteMeasure) -> TransportPlan:
-    """North-west corner coupling of two measures on the line: the sorted
-    atoms' cumulative weights are merged and each interval between
-    consecutive breakpoints is one flow. It is optimal for every convex
-    cost of x - y, the quadratic one included."""
-    a = np.argsort(mu.points[:, 0], kind="stable")
-    b = np.argsort(nu.points[:, 0], kind="stable")
-    ca = np.clip(np.cumsum(mu.weights[a])[:-1], 0.0, 1.0)
-    cb = np.clip(np.cumsum(nu.weights[b])[:-1], 0.0, 1.0)
-    cuts = np.unique(np.concatenate([[0.0, 1.0], ca, cb]))
-    lo = cuts[:-1]
-    i = a[np.searchsorted(ca, lo, side="right")]
-    j = b[np.searchsorted(cb, lo, side="right")]
-    mass = np.diff(cuts)
-    flows = np.column_stack([i, j, mass])
-    return TransportPlan(flows, float(np.sum(mass * costs[i, j])),
-                         mu.weights.copy(), nu.weights.copy())
+def w1_discrete_batch(pairs) -> list[float]:
+    """Exact W1 between the measures of each pair (mu, nu).
 
-
-def w1_discrete_batch(pairs, spec: CostSpec = BOUNDED_L1) -> list[float]:
-    """Exact optimal cost of the transportation problem of each pair
-    (mu, nu).
-
-    The cost is W1 for the bounded cost and the squared normalized W2 for
-    the quadratic cost. Measures on the line take ``w1_line`` under the
-    bounded cost and the quantile coupling under the quadratic cost, other
-    equal-size uniform pairs the exact assignment, and all the rest one
-    block-diagonal LP.
+    Measures on the line take ``w1_line``, other equal-size uniform pairs
+    the exact assignment, and all the rest one block-diagonal LP.
     """
     out, lps, at = [0.0] * len(pairs), [], []
     for k, (mu, nu) in enumerate(pairs):
         mu = mu.merged()
         nu = nu.merged()
-        if mu.dim == nu.dim == 1 and spec.kind == "bounded_l1":
+        if mu.dim == nu.dim == 1:
             out[k] = w1_line(mu.points[:, 0], mu.weights,
                              nu.points[:, 0], nu.weights)
             continue
-        costs = cost_matrix(mu, nu, spec)
+        costs = cost_matrix(mu, nu)
         n, m = costs.shape
-        if mu.dim == 1:
-            out[k] = _quantile_plan(costs, mu, nu).cost
-        elif (n == m and np.allclose(mu.weights, 1.0 / n, atol=1e-12)
-              and np.allclose(nu.weights, 1.0 / m, atol=1e-12)):
+        if (n == m and np.allclose(mu.weights, 1.0 / n, atol=1e-12)
+                and np.allclose(nu.weights, 1.0 / m, atol=1e-12)):
             rows, cols = linear_sum_assignment(costs)
             out[k] = float(costs[rows, cols].mean())
         else:
             lps.append((costs, mu.weights, nu.weights))
             at.append(k)
-    for k, plan in zip(at, _transport_lps(lps)):
-        out[k] = plan.cost
+    for k, cost in zip(at, _transport_lps(lps)):
+        out[k] = cost
     return out
 
 
-def w1_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                spec: CostSpec = BOUNDED_L1) -> float:
+def w1_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """``w1_discrete_batch`` of the one pair (mu, nu)."""
-    return w1_discrete_batch([(mu, nu)], spec)[0]
+    return w1_discrete_batch([(mu, nu)])[0]
 
 
 def product_measure(*measures: DiscreteMeasure) -> DiscreteMeasure:
@@ -370,6 +330,6 @@ def tensorization_check(draws) -> np.ndarray:
         pairs += [(product_measure(f, f), product_measure(g, g)),
                   (product_measure(f, f, f), product_measure(g, g, g)),
                   (product_measure(f, h), product_measure(g, h)), (f, g)]
-    w = np.array(w1_discrete_batch(pairs, BOUNDED_L1)).reshape(-1, 4)
+    w = np.array(w1_discrete_batch(pairs)).reshape(-1, 4)
     lhs = w[:, :3] * [1.0, 1.0, 2.0]
     return np.stack([lhs, np.repeat(w[:, 3:], 3, axis=1)], axis=-1)

@@ -557,6 +557,18 @@ def test_tensorization_identities_on_grids():
     assert lhs / 2.0 == pytest.approx(fisher(g).value, abs=1e-6)
 
 
+def test_fisher_tensorizes_on_a_product_grid_with_mass_at_the_edges():
+    # f = 1 + cos(pi x) / 2 on [-1, 1) is 1/2 at the grid's edges, so the
+    # edge rows carry Fisher information; both sides take the same
+    # zero-padded central differences, and the product law gives lhs = rhs
+    g = GridDensity(1.0, 256, np.ones(256))
+    f = 1.0 + 0.5 * np.cos(np.pi * g.xs)
+    lhs, rhs = fisher_superadditivity_grid(
+        ProductGridDensity(1.0, 256, np.outer(f, f)))
+    assert rhs > 30.0
+    assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
 def test_fisher_superadditivity_on_correlated_grid():
     g = GridDensity.from_density(gaussian_density(), 10.0, 512)
     xs = g.xs

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from kaclab.core import (Configuration, DimensionError, DiscreteMeasure,
                          SizeError)
-from kaclab.transport import (BOUNDED_L1, NORMALIZED_L2_SQ, TRUNCATION,
-                              CostSpec, cost_matrix, product_measure,
+from kaclab.transport import (TRUNCATION, cost_matrix, product_measure,
                               tensorization_check, w1_config,
                               w1_config_bruteforce, w1_discrete,
-                              w1_discrete_batch, w1_line)
+                              w1_discrete_batch, w1_line, w2_line)
 from kaclab import experiments, transport
 from kaclab.chaos import (enumerate_configs, grunbaum_exact, omega_inf,
                           omega_j, omega_n, pushforward_identity_exact,
                           sigma_sampler, symmetric_pmf)
-from kaclab.transport import _quantile_plan, _transport_lp, _transport_lps
+from kaclab.transport import _check_plan, _transport_lp, _transport_lps
 
 
 def conf(*xs):
@@ -33,11 +32,6 @@ def uniform_atoms(rng, n, spread=2.0):
 def random_measure(rng, n, spread=2.0):
     return DiscreteMeasure(1, rng.uniform(-spread, spread, (n, 1)),
                            rng.dirichlet(np.ones(n)))
-
-
-def test_cost_spec_validation():
-    with pytest.raises(DimensionError):
-        CostSpec("unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +77,7 @@ def test_w1_config_below_identity_coupling():
 def _w1_config_bruteforce_looped(X, Y):
     """One relabeling at a time: the oracle for the one-gather brute force."""
     n = X.n_particles
-    costs = transport._ground_cost(X.particles[:, None] - Y.particles[None],
-                                   BOUNDED_L1)
+    costs = transport._ground_cost(X.particles[:, None] - Y.particles[None])
     best = math.inf
     idx = np.arange(n)
     for perm in itertools.permutations(range(n)):
@@ -203,8 +196,7 @@ def test_w1_line_matches_lp_on_weighted_pairs():
             p, q = rng.uniform(-3, 3, (n, 1)), rng.uniform(-3, 3, (m, 1))
         wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
         lp = _transport_lp(cost_matrix(DiscreteMeasure(1, p, wa),
-                                       DiscreteMeasure(1, q, wb)),
-                           wa, wb).cost
+                                       DiscreteMeasure(1, q, wb)), wa, wb)
         assert w1_line(p[:, 0], wa, q[:, 0], wb) == pytest.approx(lp, abs=1e-12)
 
 
@@ -296,37 +288,67 @@ def test_w1_discrete_matches_w1_config_on_empirical():
 
 
 def test_transport_plan_marginals_validate():
+    # the product plan of two measures passes the check; breaking its sign,
+    # a row sum, a column sum or its cost each fails it
     rng = np.random.default_rng(7)
     mu = random_measure(rng, 5).merged()
     nu = random_measure(rng, 3).merged()
-    costs = cost_matrix(mu, nu, BOUNDED_L1)
-    plan = _transport_lp(costs, mu.weights, nu.weights)
-    assert plan.validate(costs)
-    assert w1_discrete(mu, nu) == pytest.approx(plan.cost, abs=1e-12)
+    costs = cost_matrix(mu, nu)
+    plan = np.outer(mu.weights, nu.weights)
+    cost = float(np.sum(plan * costs))
+    _check_plan(plan, costs, mu.weights, nu.weights, cost)
+    # mass moved around a cycle keeps every marginal, mass moved along a
+    # row keeps the row sums, and mass added at one cell keeps neither
+    cycle, row_move, added = (np.zeros_like(plan) for _ in range(3))
+    cycle[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    row_move[0, :2] = [1e-6, -1e-6]
+    added[0, 0] = 1e-6
+    broken = [(plan - (plan[0, 0] + 1e-6) * cycle, cost, "negative flow"),
+              (plan + added, cost, "row sums"),
+              (plan + row_move, cost, "column sums"),
+              (plan, cost + 1e-6, "cost")]
+    for flow, c, what in broken:
+        with pytest.raises(DimensionError, match=what):
+            _check_plan(flow, costs, mu.weights, nu.weights, c)
+    assert w1_discrete(mu, nu) == pytest.approx(
+        _transport_lp(costs, mu.weights, nu.weights), abs=1e-12)
 
 
 def test_quantile_plan_matches_lp():
-    # half the pairs sit on a half-integer grid, so atoms tie across the
-    # two measures and repeated points merge within one
+    # w2_line's quantile coupling against the LP on the squared-distance
+    # matrix; half the pairs sit on a half-integer grid, so atoms tie
+    # across the two measures and repeat within one
     rng = np.random.default_rng(17)
     for k in range(240):
         n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         if k % 2:
-            p = rng.integers(-3, 4, size=(n, 1)) * 0.5
-            q = rng.integers(-3, 4, size=(m, 1)) * 0.5
+            p = rng.integers(-3, 4, size=n) * 0.5
+            q = rng.integers(-3, 4, size=m) * 0.5
         else:
-            p = rng.normal(size=(n, 1))
-            q = rng.normal(size=(m, 1))
-        mu = DiscreteMeasure(1, p, rng.dirichlet(np.ones(n)))
-        nu = DiscreteMeasure(1, q, rng.dirichlet(np.ones(m)))
-        val = w1_discrete(mu, nu, NORMALIZED_L2_SQ)
-        mu, nu = mu.merged(), nu.merged()
-        costs = cost_matrix(mu, nu, NORMALIZED_L2_SQ)
-        plan = _quantile_plan(costs, mu, nu)
-        assert plan.validate(costs)
-        lp = _transport_lp(costs, mu.weights, nu.weights).cost
-        assert plan.cost == pytest.approx(lp, abs=1e-12)
-        assert val == pytest.approx(plan.cost, abs=1e-12)
+            p = rng.normal(size=n)
+            q = rng.normal(size=m)
+        wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        lp = _transport_lp((p[:, None] - q[None, :]) ** 2, wa, wb)
+        assert w2_line(p, wa, q, wb) ** 2 == pytest.approx(lp, abs=1e-12)
+
+
+def test_w2_line_hand_values():
+    # a shift moves every atom by its length; one atom splits over two
+    assert w2_line([0.0, 1.0], [1.0, 1.0], [2.5, 3.5], [1.0, 1.0]) == 2.5
+    assert w2_line([0.0], [1.0], [-1.0, 1.0], [0.5, 0.5]) == 1.0
+    # repeated and massless atoms change nothing
+    assert w2_line([0.0, 0.0, 5.0], [0.25, 0.75, 0.0], [2.0], [1.0]) == 2.0
+
+
+def test_w2_line_rejects_bad_input():
+    x, w = np.zeros(3), np.ones(3)
+    for xa, wa, xb, wb in ((x[:0], w[:0], x, w), (x, w, x[:0], w[:0]),
+                           (np.array([0.0, np.nan, 0.0]), w, x, w),
+                           (x, w, x, np.array([1.0, np.nan, 1.0])),
+                           (x, np.array([2.0, -1.0, 2.0]), x, w),
+                           (x, w, x, 2.0 * w)):
+        with pytest.raises(DimensionError):
+            w2_line(xa, wa, xb, wb)
 
 
 @settings(max_examples=20, deadline=None)
@@ -395,20 +417,19 @@ def _lp_blocks(rng):
 def test_batched_lp_matches_one_block_solves():
     rng = np.random.default_rng(40)
     blocks = _lp_blocks(rng)
-    plans = _transport_lps(blocks)
-    assert len(plans) == len(blocks)
-    for (costs, w_src, w_tgt), plan in zip(blocks, plans):
-        assert plan.validate(costs)
+    values = _transport_lps(blocks)
+    assert len(values) == len(blocks)
+    for (costs, w_src, w_tgt), value in zip(blocks, values):
         one = _transport_lp(costs, w_src, w_tgt)
-        assert plan.cost == pytest.approx(one.cost, abs=1e-12)
+        assert value == pytest.approx(one, abs=1e-12)
         if 1 in costs.shape:
             # the product plan is the only feasible one
-            assert plan.cost == pytest.approx(
+            assert value == pytest.approx(
                 float(np.sum(np.outer(w_src, w_tgt) * costs)), abs=1e-12)
         if not costs.any():
-            assert plan.cost == 0.0
+            assert value == 0.0
         if np.array_equal(w_src, w_tgt) and not np.diag(costs).any():
-            assert plan.cost == pytest.approx(0.0, abs=1e-12)
+            assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def _one_block_matrix(n, m):
@@ -503,7 +524,7 @@ def test_identities_make_ten_lp_solves(monkeypatch):
 # duality
 # ---------------------------------------------------------------------------
 
-def w1_dual_lower_bound(mu, nu, witness, spec=BOUNDED_L1):
+def w1_dual_lower_bound(mu, nu, witness):
     """Kantorovich dual value of a 1-Lipschitz witness, a lower bound on W1.
 
     The Lipschitz constraint is validated pairwise on the atom set against
@@ -513,7 +534,7 @@ def w1_dual_lower_bound(mu, nu, witness, spec=BOUNDED_L1):
     vals = np.asarray(witness(pts), dtype=float)
     atoms = DiscreteMeasure(mu.dim, pts, np.full(len(pts), 1.0 / len(pts)),
                             mu.particle_dim)
-    dmat = cost_matrix(atoms, atoms, spec)
+    dmat = cost_matrix(atoms, atoms)
     gap = np.abs(vals[:, None] - vals[None, :]) - dmat
     if np.max(gap) > 1e-9:
         raise DimensionError(
@@ -619,7 +640,7 @@ def test_marginal_contraction(N, j):
     configs = enumerate_configs(2, N).astype(float)
     costs = np.minimum(np.abs(configs[:, None, :] - configs[None, :, :]),
                        1.0).mean(axis=2)
-    full = _transport_lp(costs, F.ravel(), G.ravel()).cost
+    full = _transport_lp(costs, F.ravel(), G.ravel())
     marg = w1_discrete(_pmf_marginal_measure(F, j, symbols),
                        _pmf_marginal_measure(G, j, symbols))
     assert marg <= 2.0 * full + 1e-9
@@ -635,8 +656,8 @@ def test_w1_le_w2_and_interpolation():
     for _ in range(60):
         mu = random_measure(rng, int(rng.integers(2, 6)), spread=3.0)
         nu = random_measure(rng, int(rng.integers(2, 6)), spread=3.0)
-        w1 = w1_discrete(mu, nu, BOUNDED_L1)
-        w2 = math.sqrt(w1_discrete(mu, nu, NORMALIZED_L2_SQ))
+        w1 = w1_discrete(mu, nu)
+        w2 = w2_line(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
         assert w1 <= w2 + 1e-10
         mk = mu.moment(k) + nu.moment(k)
         assert w2 <= 2 ** 1.5 * mk ** (1 / k) * w1 ** (0.5 - 1 / k) + 1e-10

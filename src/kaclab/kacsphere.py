@@ -7,8 +7,9 @@ restricted and renormalized to the sphere. All partition-function work
 happens through the iterated convolution of the law of v^2, computed once
 on a fine grid in the Fourier domain and queried in the log domain, since
 the gamma-function prefactors overflow long before N reaches 300. The
-masses are folded onto a period that covers the widest window first, so
-the transforms are as short as the windows rather than the whole grid.
+masses are folded onto a period that covers the widest window, and each
+window is inverted at its own shorter period, so the transforms are as
+short as the windows rather than the whole grid.
 
 Key identities used below, with h the law of v^2 under f:
 
@@ -248,10 +249,41 @@ class PartitionTable:
 
 
 def _u_cell_masses(f: Density, edges: np.ndarray) -> np.ndarray:
-    """Exact cell masses of the law of v^2 under f, via the CDF."""
+    """Exact cell masses of the law of v^2 under f, via the CDF.
+
+    Cell i holds (cdf(r_{i+1}) - cdf(r_i)) + (cdf(-r_i) - cdf(-r_{i+1})),
+    r = sqrt(edges). For a monotone cdf bounded by 1, every mass past the
+    first edge with cdf(r) == 1 and cdf(-r) == 0 is exactly 0, so that edge
+    is found by bisection and the cdf is evaluated once at +r and once at
+    -r, on the edges up to it only; the masses are bitwise those of the
+    formula on the whole grid. Raises HypothesisError if an evaluated cdf
+    value leaves [0, 1] or a mass comes out negative.
+    """
     r = np.sqrt(edges)
     cdf = f.cdf
-    return (cdf(r[1:]) - cdf(r[:-1])) + (cdf(-r[:-1]) - cdf(-r[1:]))
+
+    def saturated(i):
+        return cdf(r[i:i + 1])[0] == 1.0 and cdf(-r[i:i + 1])[0] == 0.0
+
+    lo, cut = 0, len(r) - 1
+    if saturated(cut):
+        while lo < cut:     # the first saturated edge lies in [lo, cut]
+            mid = (lo + cut) // 2
+            if saturated(mid):
+                cut = mid
+            else:
+                lo = mid + 1
+    right, left = cdf(r[:cut + 1]), cdf(-r[:cut + 1])
+    masses = np.zeros(len(r) - 1)
+    masses[:cut] = (right[1:] - right[:-1]) + (left[:-1] - left[1:])
+    if not (min(right.min(), left.min()) >= 0.0
+            and max(right.max(), left.max()) <= 1.0):
+        raise HypothesisError(f"{f.name}: cdf leaves [0, 1] on the u-grid")
+    if not masses.min() >= 0.0:
+        i = int(np.argmin(masses))
+        raise HypothesisError(f"{f.name}: cdf is not monotone: cell {i} of "
+                              f"the u-grid has mass {masses[i]:.3g}")
+    return masses
 
 
 def _window_bounds(k: int, E: float, Sigma: float,
@@ -268,19 +300,25 @@ def _window_bounds(k: int, E: float, Sigma: float,
 def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     """Tabulate h^{*k} for the requested k values (default: all k <= max_N).
 
-    Hypotheses enforced: centered, unit variance, finite sixth moment and a
-    bounded density. Cell masses of the law of v^2 come from the CDF, so
-    the inverse-square-root singularity at zero costs no accuracy; powers
-    of the spectrum are exact up to floating point, and the grid is kept
-    fine enough that the gaussian reference reproduces Z' = 1 to about 2e-5.
+    Hypotheses enforced: centered, unit variance, finite sixth moment, a
+    bounded density and a monotone cdf valued in [0, 1]. Cell masses of the
+    law of v^2 come from the CDF, so the inverse-square-root singularity at
+    zero costs no accuracy; powers of the spectrum are exact up to floating
+    point, and the grid is kept fine enough that the gaussian reference
+    reproduces Z' = 1 to about 2e-5. The cdf is evaluated only up to the
+    first edge where it saturates (cdf(r) == 1 and cdf(-r) == 0 in floating
+    point); every later mass is exactly 0 (see ``_u_cell_masses``).
 
     The m cell masses are folded modulo P, the smallest power of two that
     covers the widest window's mass range (at most 2m), so every spectrum
-    power and inverse FFT has length P rather than 2m. This is exact: every
-    (2m/P)-th bin of the 2m-point spectrum is the spectrum of the folded
-    masses, so the folded k-th power at t is sum_j h^{*k}(t + jP), which
-    differs from h^{*k}(t) on a window only by mass outside that window's
-    range, the mass the table already treats as zero.
+    power has length P rather than 2m. Each window is then inverted at its
+    own period P_k, the smallest power of two covering its range, capped at
+    P: the inverse FFT of every (P/P_k)-th bin of the k-th power. This is
+    exact: every (2m/P)-th bin of the 2m-point spectrum is the spectrum of
+    the masses folded mod P, and so on down to P_k, so the inverse at t is
+    sum_j h^{*k}(t + j P_k), which differs from h^{*k}(t) on the window
+    only by mass outside that window's range, the mass the table already
+    treats as zero.
     """
     failures = []
     mean = f.raw_moments.get(1)
@@ -328,7 +366,9 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
         cur = block if cur is None else cur * block
         cur_k = k
         i0, i1 = bounds[k]
-        dens = np.fft.irfft(cur, n=P)[np.arange(i0, min(i1, m)) % P]
+        P_k = min(P, 1 << (i1 - i0 - 1).bit_length())
+        dens = np.fft.irfft(cur[::P // P_k], n=P_k)
+        dens = dens[np.arange(i0, min(i1, m)) % P_k]
         windows[k] = (i0, np.maximum(dens, 0.0) / du)
     return PartitionTable(f.name, max_N, du, u_max, E, Sigma, tuple(ks), windows)
 

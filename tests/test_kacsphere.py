@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import warnings
@@ -171,28 +172,76 @@ def test_table_bimodal_zprime_trend(bimodal_rate_table):
     assert devs[-1] < devs[0]
 
 
+def _grid_edges(max_N):
+    """The table's u-grid for max_N: the spacing and the m + 1 cell edges."""
+    u_max = 8.0 * max_N
+    m = int(2 ** math.ceil(math.log2(u_max / kacsphere._DU)))
+    du = u_max / m
+    return du, np.concatenate([[0.0], du * (np.arange(m) + 0.5)])
+
+
+def _full_grid_masses(f, edges):
+    """The cell masses of the law of v^2 from four cdf calls on every edge."""
+    r = np.sqrt(edges)
+    return (f.cdf(r[1:]) - f.cdf(r[:-1])) + (f.cdf(-r[:-1]) - f.cdf(-r[1:]))
+
+
+@pytest.mark.parametrize("density, max_N, saturates", [
+    (gaussian_density, 1024, True),
+    (bimodal_density, 1024, True),
+    (lambda: uniform_density(-math.sqrt(3.0), math.sqrt(3.0)), 1024, True),
+    # u_max = 64: the gaussian cdf never reaches 1 on the grid, so every
+    # edge is evaluated
+    (gaussian_density, 8, False)])
+def test_cell_masses_are_bitwise_the_full_grid_formula(density, max_N,
+                                                       saturates):
+    f = density()
+    _, edges = _grid_edges(max_N)
+    masses = kacsphere._u_cell_masses(f, edges)
+    ref = _full_grid_masses(f, edges)
+    assert masses.dtype == ref.dtype and masses.shape == ref.shape
+    assert masses.tobytes() == ref.tobytes()
+    r_max = np.sqrt(edges[-1:])
+    assert (f.cdf(r_max) == 1.0 and f.cdf(-r_max) == 0.0) == saturates
+
+
+@pytest.mark.parametrize("cdf", [
+    # in [0, 1] but decreasing on stretches
+    lambda v: 0.5 + 0.4 * np.sin(np.asarray(v, dtype=float)),
+    # monotone but above 1
+    lambda v: 1.5 * np.clip(0.5 + np.asarray(v, dtype=float) / 4.0, 0.0, 1.0),
+    lambda v: np.full(np.shape(v), np.nan)])
+def test_cell_masses_reject_a_broken_cdf(cdf):
+    f = dataclasses.replace(gaussian_density(), cdf=cdf)
+    with pytest.raises(HypothesisError, match="cdf"):
+        kacsphere._u_cell_masses(f, _grid_edges(8)[1])
+    with pytest.raises(HypothesisError, match="cdf"):
+        build_partition_table(f, 8, [2])
+
+
 def _unfolded_table(f, max_N, ks):
     """The table by the unfolded transform: the cell masses zero-padded to
-    2m, one 2m-point inverse FFT per k, then the window slice."""
+    2m, one 2m-point inverse FFT per k, then the window slice. Also returns
+    each window's unclipped index range."""
     lo, hi = f.quad_bounds()
     E = gauss_quadrature(lambda v: v * v * f.pdf(v), lo, hi, 1e-10)
     Sigma = math.sqrt(gauss_quadrature(
         lambda v: (v * v - E) ** 2 * f.pdf(v), lo, hi, 1e-10))
     u_max = 8.0 * max_N
-    m = int(2 ** math.ceil(math.log2(u_max / kacsphere._DU)))
-    du = u_max / m
+    du, edges = _grid_edges(max_N)
+    m = len(edges) - 1
     p = np.zeros(2 * m)
-    p[:m] = kacsphere._u_cell_masses(
-        f, np.concatenate([[0.0], du * (np.arange(m) + 0.5)]))
+    p[:m] = _full_grid_masses(f, edges)
     spectrum = np.fft.rfft(p)
-    windows = {}
+    windows, ranges = {}, {}
     for k in ks:
         dens = np.fft.irfft(spectrum ** k, n=2 * m)[:m]
         width = max(24.0 * math.sqrt(k) * Sigma, 120.0) + 60.0
         i0 = int(max(0.0, k * E - width) / du)
         i1 = int(min(u_max, k * E + width) / du) + 1
         windows[k] = (i0, np.maximum(dens[i0:i1], 0.0) / du)
-    return du, u_max, E, Sigma, windows
+        ranges[k] = (i0, int((k * E + width) / du) + 1)
+    return du, u_max, E, Sigma, windows, ranges
 
 
 @pytest.mark.parametrize("density", [gaussian_density, bimodal_density])
@@ -214,7 +263,7 @@ def test_table_fold_matches_unfolded_transform(density, max_N, ks, folded,
     with monkeypatch.context() as mp:
         mp.setattr(np.fft, "irfft", recording_irfft)
         table = build_partition_table(f, max_N, ks)
-    du, u_max, E, Sigma, windows = _unfolded_table(f, max_N, ks)
+    du, u_max, E, Sigma, windows, ranges = _unfolded_table(f, max_N, ks)
     assert table.ks == tuple(ks)
     assert (table.du, table.u_max, table.E, table.Sigma) == (du, u_max, E,
                                                              Sigma)
@@ -223,6 +272,12 @@ def test_table_fold_matches_unfolded_transform(density, max_N, ks, folded,
         ref_start, ref = windows[k]
         assert (start, len(vals)) == (ref_start, len(ref))
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12 * ref.max())
+    # one inverse FFT per k, each at the smallest power of two covering the
+    # window's range, capped at the table period: that of the widest range,
+    # itself capped at 2m
+    pow2 = [1 << (i1 - i0 - 1).bit_length() for i0, i1 in ranges.values()]
+    period = min(max(pow2), 2 * round(u_max / du))
+    assert periods == [min(n, period) for n in pow2]
     assert (max(periods) < 2 * round(u_max / du)) == folded
 
 

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .core import DimensionError, DiscreteMeasure, KaclabError
+from .core import DimensionError, DiscreteMeasure, KaclabError, gl_panels
 
 __all__ = [
     "HsKernel",
@@ -101,17 +100,6 @@ def hs_dist_sq(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return max(val, 0.0)
 
 
-def _gl_panels(a: float, b: float, panel: float):
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    n_panels = max(1, int(math.ceil((b - a) / panel)))
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    return xs, ws
-
-
 def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
                               s: float) -> float:
     """Independent oracle: int |mu_hat - nu_hat|^2 <xi>^{-2s} d xi.
@@ -120,10 +108,11 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
     on oscillation-resolving Gauss-Legendre panels; the tail is summed
     pairwise with adaptive oscillatory quadrature on [_XI_HEAD, inf).
     """
+    from scipy import integrate
     pts, wts = _signed_atoms(mu, nu)
     span = float(pts.max() - pts.min()) if len(pts) > 1 else 1.0
     panel = min(0.25, math.pi / (2.0 * max(span, 1.0)))
-    xs, ws = _gl_panels(0.0, _XI_HEAD, panel)
+    xs, ws = gl_panels(0.0, _XI_HEAD, math.ceil(_XI_HEAD / panel))
     phase = np.exp(-1j * np.outer(xs, pts))
     hat = phase @ wts
     head = 2.0 * float(np.sum(ws * np.abs(hat) ** 2 * (1 + xs ** 2) ** (-s)))

@@ -91,11 +91,12 @@ def test_kernel_oracles_names_the_checked_k(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats_and_signal():
-    # neither subpackage is used; importing either costs about half a
-    # second of every run's start-up and of perfbench's import-only setup_s
+    # stats and signal are not used, and importing either costs about half
+    # a second of every run's start-up and of perfbench's import-only
+    # setup_s; integrate is imported only inside the Fourier oracle
     code = ("import sys, kaclab.cli, kaclab.experiments; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', "
+            "'scipy.integrate') if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))

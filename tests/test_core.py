@@ -118,13 +118,18 @@ def test_gauss_quadrature_basics():
     assert abs(second - mc) < 3.0 * math.sqrt(2.0 / 200_000)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:The maximum number of subdivisions")
 def test_gauss_quadrature_failure_carries_estimate():
+    tol = 1e-13
     with pytest.raises(QuadratureError) as err:
-        gauss_quadrature(lambda x: math.sin(1.0 / (abs(x) + 1e-12)), 0.0, 1.0,
-                         1e-13)
+        gauss_quadrature(lambda x: np.sin(1.0 / (np.abs(x) + 1e-12)), 0.0,
+                         1.0, tol)
     assert err.value.best_estimate is not None
+    assert err.value.error_estimate > tol
+
+
+def test_gauss_quadrature_nan_integrand_raises():
+    with pytest.raises(QuadratureError):
+        gauss_quadrature(lambda x: x * math.nan, 0.0, 1.0)
 
 
 def validate(f):

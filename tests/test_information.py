@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
@@ -75,6 +76,14 @@ def test_relative_entropy_basics():
 def test_relative_entropy_support_violation_is_infinite():
     assert math.isinf(relative_entropy(gaussian_density(),
                                        uniform_density(0, 1)).value)
+    # the violation lies inside f's support, not only in its tails
+    assert math.isinf(relative_entropy(uniform_density(0, 1),
+                                       uniform_density(0, 0.5)).value)
+
+
+def test_relative_entropy_inside_the_reference_support_is_finite():
+    val = relative_entropy(uniform_density(0, 0.5), uniform_density(0, 1))
+    assert val.value == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_relative_entropy_mixture_matches_monte_carlo(rng):
@@ -225,6 +234,56 @@ def test_fisher_dual_random_fields_stay_below(rng):
 
 
 # ---------------------------------------------------------------------------
+# the Gauss-Legendre functionals against QUADPACK
+# ---------------------------------------------------------------------------
+
+# the densities that test_core's test_shipped_densities_validate covers
+SHIPPED = [
+    gaussian_density(),
+    gaussian_density(1.5, 4.0),
+    uniform_density(0.0, 1.0),
+    uniform_density(-math.sqrt(3.0), math.sqrt(3.0)),
+    bimodal_density(),
+    bimodal_density(weights=(0.7, 0.3)),
+]
+
+
+def quadpack_expect(f, g):
+    """int g f over f.quad_bounds() by adaptive QUADPACK on scalar calls,
+    zero where f is below the floor: the oracle of the fixed rule."""
+    lo, hi = f.quad_bounds()
+
+    def integrand(v):
+        p = float(f.pdf(v))
+        return float(g(v)) * p if p > 1e-14 else 0.0
+
+    val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12,
+                            limit=400)
+    return val
+
+
+def assert_within(got, want, tol):
+    """The bound gauss_quadrature's callers ask for, without its factor 10."""
+    assert abs(got - want) <= max(tol, abs(want) * tol)
+
+
+@pytest.mark.parametrize("f", SHIPPED, ids=lambda f: f.name)
+def test_functionals_match_quadpack(f):
+    gauss = gaussian_density()
+    assert_within(entropy(f).value, quadpack_expect(f, f.log_pdf), 1e-10)
+    assert_within(relative_entropy(f, gauss).value,
+                  quadpack_expect(f, lambda v: math.log(f.pdf(v))
+                                  - math.log(gauss.pdf(v))), 1e-10)
+    if f.boundary_positive:
+        return
+    assert_within(fisher(f).value,
+                  quadpack_expect(f, lambda v: f.score(v) ** 2), 1e-9)
+    assert_within(relative_fisher(f, gauss).value,
+                  quadpack_expect(f, lambda v: (f.score(v)
+                                                - gauss.score(v)) ** 2), 1e-9)
+
+
+# ---------------------------------------------------------------------------
 # sample-based entropy
 # ---------------------------------------------------------------------------
 
@@ -328,6 +387,15 @@ def test_w2_quantile_gaussians():
         == pytest.approx(0.5, abs=1e-4)
     assert w2_quantile(gaussian_density(0, 0.25), gaussian_density(0, 4.0)) \
         == pytest.approx(1.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_w2_quantile_matches_the_gaussian_closed_form(seed):
+    m1, m2, v1, v2 = np.random.default_rng(seed).uniform(
+        [-2.0, -2.0, 0.25, 0.25], [2.0, 2.0, 4.0, 4.0])
+    want = math.hypot(m1 - m2, math.sqrt(v1) - math.sqrt(v2))
+    got = w2_quantile(gaussian_density(m1, v1), gaussian_density(m2, v2))
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_hwi_trivial_and_shift():

@@ -5,7 +5,10 @@ power: marginal transport distance for fixed block size, full-space
 transport distance with normalized cost, and the expected empirical-
 measure distance. Monte Carlo estimators are flagged as the bounds they
 are; the finite-alphabet identities are computed exactly by enumeration
-and linear programming.
+and linear programming, and the first-marginal counterexample (a half-half
+mixture of two Gaussian tensor powers) in closed form: omega_1 = 0 by an
+identity of densities, omega_2 by a certified Kantorovich-Rubinstein
+lower bound.
 """
 from __future__ import annotations
 
@@ -15,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Density, DimensionError, DiscreteMeasure,
-                   SizeError, check_reps, is_int, symmetric_group_generators)
+from .core import (Density, DimensionError, DiscreteMeasure, HypothesisError,
+                   SizeError, _Phi, check_reps, gaussian_mixture, is_int,
+                   normal_pdf, symmetric_group_generators)
 from .transport import (TRUNCATION, _transport_lp, w1_discrete,
                         w1_discrete_batch, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
@@ -24,7 +28,6 @@ from .kacsphere import marginal_gauss_l1, sample_sigma
 __all__ = [
     "ChaosEstimate",
     "sigma_sampler",
-    "mixture_sampler",
     "omega_inf",
     "omega_n",
     "omega_j",
@@ -66,16 +69,6 @@ class ChaosEstimate:
 def sigma_sampler():
     """Uniform sphere law, one row of ``kacsphere.sample_sigma``."""
     return lambda N, rng: sample_sigma(N, 1, rng)[0]
-
-
-def mixture_sampler(components, weights):
-    """All-coordinates-from-one-component mixture of tensor powers."""
-    weights = np.asarray(weights, dtype=float)
-
-    def draw(N: int, rng: np.random.Generator) -> np.ndarray:
-        i = rng.choice(len(components), p=weights)
-        return components[i].sampler(rng, N)
-    return draw
 
 
 def omega_inf(sampler, f: Density, N: int, mc_reps: int,
@@ -133,8 +126,8 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
     exact transport distance: ``w1_line`` for j = 1, the exact assignment
     otherwise.
     """
-    if j > N:
-        raise DimensionError("j must not exceed N")
+    if not (is_int(j) and 1 <= j <= N):
+        raise DimensionError(f"need an integer 1 <= j <= N = {N}, got {j!r}")
     check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     n_batches = max(2, min(4, mc_reps // 8))
@@ -305,36 +298,42 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     return lhs, rhs
 
 
-def omega1_counterexample(g: Density, h: Density, Ns, rng: np.random.Generator,
-                          pool1: int = 1 << 17, pool2: int = 1024) -> dict:
-    """First-marginal blindness of the chaos measurement.
+def _clip_mean(f: Density, c: float) -> float:
+    """E_f clip(2 (x - c), -1, 1) in closed form over the Gaussian
+    components of f: the two tails plus twice the mean of x - c on the
+    ramp |x - c| <= 1/2."""
+    weights, means, var = f.components
+    sd, m = math.sqrt(var), np.asarray(means)
+    lo, hi = (c - 0.5 - m) / sd, (c + 0.5 - m) / sd
+    P_lo, P_hi = _Phi(lo), _Phi(hi)
+    ramp = (m - c) * (P_hi - P_lo) + sd * (normal_pdf(lo) - normal_pdf(hi))
+    return float(np.dot(weights, 1.0 - P_hi - P_lo + 2.0 * ramp))
 
-    The half-half mixture of two tensor powers has first marginal equal to
-    the average density, so the one-variable quantifier, the exact
-    ``w1_line`` distance between two pools of pool1 draws, sits at its
-    discretization floor, while the two-variable quantifier stays bounded
-    away from zero. Returns per-N estimates plus the reference assertion.
+
+def omega1_counterexample(g: Density, h: Density, Ns) -> dict:
+    """First-marginal blindness of the chaos measurement, in closed form.
+
+    Every j-marginal of F^N = (g^{(x)N} + h^{(x)N}) / 2 is
+    (g^{(x)j} + h^{(x)j}) / 2, whatever N >= j. The first is the reference
+    f = (g + h) / 2, so omega_1 = 0 exactly; "reference_gap" is the largest
+    distance between the pdf of the Gaussian mixture carrying f and
+    (g.pdf + h.pdf) / 2 on a grid. With c the mean of f and
+    t = clip(2 (x - c), -1, 1), the Kantorovich-Rubinstein test function
+    t(x1) t(x2) / 4 is 1-Lipschitz for the cost sum_i min(|x_i - y_i|, 1) / 2
+    and certifies omega_2 >= (E_g t - E_h t)^2 / 16. "estimates" maps each
+    N to (omega_1, that bound). g and h must be Gaussian mixtures of one
+    variance.
     """
-    sampler = mixture_sampler((g, h), [0.5, 0.5])
-
-    def ref1(n, r):
-        comp = r.integers(0, 2, size=n).astype(bool)
-        return np.where(comp, g.sampler(r, n), h.sampler(r, n))
-
-    results = {}
-    for N in Ns:
-        x1 = ref1(pool1, rng)
-        y1 = ref1(pool1, rng)
-        om1 = w1_line(x1, np.ones(pool1), y1, np.ones(pool1))
-
-        pool = np.array([sampler(N, rng)[:2] for _ in range(pool2)])
-        ref = np.column_stack([ref1(pool2, rng), ref1(pool2, rng)])
-        mu = DiscreteMeasure(2, pool, np.full(pool2, 1.0 / pool2))
-        nu = DiscreteMeasure(2, ref, np.full(pool2, 1.0 / pool2))
-        om2 = w1_discrete(mu, nu)
-        results[N] = (om1, om2)
-    return {
-        "reference": "half-half average of the two component densities",
-        "reference_is_mixture": True,
-        "estimates": results,
-    }
+    if (g.components is None or h.components is None
+            or g.components[2] != h.components[2]):
+        raise HypothesisError(f"need Gaussian mixtures of one variance, got "
+                              f"{g.name} and {h.name}")
+    if not all(is_int(N) and N >= 2 for N in Ns):
+        raise DimensionError(f"omega_2 needs integers N >= 2, got {Ns!r}")
+    (wg, mg, var), (wh, mh, _) = g.components, h.components
+    f = gaussian_mixture([w / 2 for w in wg + wh], mg + mh, var, "half-half")
+    xs = np.linspace(*f.quad_bounds(), 4001)
+    gap = float(np.max(np.abs(f.pdf(xs) - (g.pdf(xs) + h.pdf(xs)) / 2)))
+    c = f.raw_moments[1]
+    bound = (_clip_mean(g, c) - _clip_mean(h, c)) ** 2 / 16.0
+    return {"reference_gap": gap, "estimates": {N: (0.0, bound) for N in Ns}}

@@ -34,8 +34,6 @@ _CONFIG_VALUES = {
     "seed": ("an int", is_int),
     # a Monte Carlo standard error needs two replicas
     "mc_reps": ("an int >= 2", lambda v: v is None or (is_int(v) and v >= 2)),
-    "reference_size": ("a positive int",
-                       lambda v: v is None or (is_int(v) and v > 0)),
     # the mixtures suite's H^{-s} probe is run for s >= 1 only
     "s": ("a number >= 1", lambda v: _is_number(v) and v >= 1),
     # the interpolation exponent 1/2 - 1/k must be positive
@@ -66,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--density", choices=DENSITIES)
     run.add_argument("--ns", help="comma-separated N values")
     run.add_argument("--mc-reps", type=int, dest="mc_reps")
-    run.add_argument("--reference-size", type=int, dest="reference_size")
     run.add_argument("--seed", type=int)
     run.add_argument("--s", type=float)
     run.add_argument("--k", type=float)
@@ -92,8 +89,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg.experiment = args.name
     # a bad value in the file is an error even where a flag overrides it
     _check_values(cfg)
-    for key in ("density", "mc_reps", "reference_size", "seed", "s", "k",
-                "output", "format"):
+    for key in ("density", "mc_reps", "seed", "s", "k", "output", "format"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)

@@ -45,7 +45,6 @@ class ExperimentConfig:
     density: str = "bimodal"
     ns: list | None = None
     mc_reps: int | None = None
-    reference_size: int | None = None
     seed: int = 424242
     s: float = 1.0
     k: float = 4.0
@@ -601,14 +600,13 @@ def run_information(cfg: ExperimentConfig) -> ExperimentResult:
 def run_counterexample(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult("omega1-counterexample")
     ns = cfg.ns or [32, 64, 128, 256, 512]
-    g = gaussian_density()
-    h = gaussian_density(2.0)
-    report = chaos.omega1_counterexample(
-        g, h, ns, cfg.rng(8), pool2=cfg.reference_size or 1024)
+    report = chaos.omega1_counterexample(gaussian_density(),
+                                         gaussian_density(2.0), ns)
     worst1, worst2 = 0.0, 1.0
     for N, (om1, om2) in report["estimates"].items():
-        res.add_row(N, "omega_1", om1)
-        res.add_row(N, "omega_2", om2)
+        res.add_row(N, "omega_1", om1, meta="exact; independent of N")
+        res.add_row(N, "omega_2", om2,
+                    meta="exact lower bound; independent of N")
         worst1 = max(worst1, om1)
         worst2 = min(worst2, om2)
     res.check("one-variable quantifier stays at its floor (<= 0.02)",
@@ -616,7 +614,8 @@ def run_counterexample(cfg: ExperimentConfig) -> ExperimentResult:
     res.check("two-variable quantifier stays separated (>= 0.05)",
               worst2 >= 0.05, f"min = {worst2:.4f}")
     res.check("reference is the half-half average density",
-              report["reference_is_mixture"], report["reference"])
+              report["reference_gap"] <= 1e-12,
+              f"max pdf gap = {report['reference_gap']:.1e}")
     res.check("separation factor exceeds 5 at the largest N",
               worst2 > 5.0 * worst1, f"{worst2:.3f} vs 5 x {worst1:.3f}")
     return res

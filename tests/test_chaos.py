@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from kaclab.core import (Configuration, DimensionError, SizeError,
-                         gaussian_density)
+from kaclab.core import (Configuration, DimensionError, DiscreteMeasure,
+                         HypothesisError, SizeError, gaussian_density,
+                         gaussian_mixture, uniform_density)
 from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
-                          mixture_sampler, omega1_counterexample,
+                          omega1_counterexample,
                           omega_inf, omega_j, omega_j_sigma_quadrature,
                           omega_n, pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
 from kaclab import chaos
-from kaclab.chaos import _empirical_moment, _occupation_classes
-from kaclab.transport import w1_config, w1_line
+from kaclab.chaos import _clip_mean, _empirical_moment, _occupation_classes
+from kaclab.transport import cost_matrix, w1_config, w1_line
 
 
 def test_estimate_value_range_enforced():
@@ -138,6 +139,12 @@ def test_omega_j_pooled_and_quadrature(gauss, rng):
     assert quad.value <= est.value
     with pytest.raises(DimensionError):
         omega_j(sigma_sampler(), gauss, 5, 4, 16, rng=rng)
+
+
+@pytest.mark.parametrize("j", [0, -1, 1.5, 9])
+def test_omega_j_needs_an_integer_block_size_up_to_N(gauss, rng, j):
+    with pytest.raises(DimensionError, match="1 <= j <= N = 8"):
+        omega_j(lambda N, r: gauss.sampler(r, N), gauss, j, 8, 16, rng=rng)
 
 
 def test_omega_1_is_exact_on_its_pool(gauss, w1_line_batch):
@@ -390,26 +397,73 @@ def test_pushforward_tensor_powers_give_base_distance(rng):
 # first-marginal counterexample
 # ---------------------------------------------------------------------------
 
-def test_counterexample_identical_components_vanish(gauss, rng):
-    rep = omega1_counterexample(gauss, gaussian_density(0.0, 1.0 + 1e-12),
-                                [32], rng, pool1=1 << 14, pool2=1024)
-    om1, om2 = rep["estimates"][32]
-    assert om1 < 0.03
-    assert om2 < 0.1    # only the pooled-estimator floor remains
+def test_counterexample_identical_components_vanish(gauss):
+    rep = omega1_counterexample(gauss, gaussian_density(0.0, 1.0), [32])
+    assert rep["estimates"] == {32: (0.0, 0.0)}
+    assert rep["reference_gap"] <= 1e-15
 
 
-def test_counterexample_separated_components(gauss, rng):
-    rep = omega1_counterexample(gauss, gaussian_density(2.0), [32, 256], rng,
-                                pool1=1 << 15, pool2=512)
-    for n, (om1, om2) in rep["estimates"].items():
-        assert om1 <= 0.03
-        assert om2 >= 0.05
-    assert rep["reference_is_mixture"]
+def test_counterexample_separated_components(gauss):
+    h = gaussian_density(2.0)
+    rep = omega1_counterexample(gauss, h, [32, 256])
+    # t = clip(2 (x - 1), -1, 1) is odd about the midpoint 1, so a_g = -a_h
+    assert _clip_mean(h, 1.0) == pytest.approx(0.663020, abs=1e-6)
+    assert _clip_mean(gauss, 1.0) == pytest.approx(-_clip_mean(h, 1.0),
+                                                   abs=1e-15)
+    bound = rep["estimates"][32][1]
+    assert bound == pytest.approx(0.109899036812, abs=1e-12)
+    assert rep["estimates"] == {32: (0.0, bound), 256: (0.0, bound)}
+    assert rep["reference_gap"] <= 1e-15
 
 
-def test_mixture_sampler_draws_single_component(gauss, rng):
-    h = gaussian_density(20.0)
-    samp = mixture_sampler([gauss, h], [0.5, 0.5])
-    x = samp(16, rng)
-    # all coordinates come from the same component: no half-half splits
-    assert (x > 10).all() or (x < 10).all()
+def test_clip_mean_matches_quadrature():
+    f = gaussian_mixture((0.3, 0.7), (-0.4, 1.9), 0.6, "two")
+    xs = np.linspace(-12.0, 14.0, 200001)
+    for c in (-1.0, 0.75, 3.0):
+        t = np.clip(2.0 * (xs - c), -1.0, 1.0)
+        assert _clip_mean(f, c) == pytest.approx(
+            np.trapezoid(t * f.pdf(xs), xs), abs=1e-9)
+
+
+def test_counterexample_test_function_is_one_lipschitz(rng):
+    # |phi(x) - phi(y)| <= the omega_2 cost for phi = t(x1) t(x2) / 4,
+    # t = clip(2 (x - c), -1, 1): the Kantorovich-Rubinstein certificate
+    c = 1.0
+
+    def phi(p):
+        t = np.clip(2.0 * (p - c), -1.0, 1.0)
+        return t[:, 0] * t[:, 1] / 4.0
+    x = rng.normal(c, 1.0, size=(400, 2))
+    y = np.concatenate([rng.normal(c, 1.0, size=(200, 2)),
+                        x[:200] + rng.normal(0.0, 0.05, size=(200, 2))])
+    w = np.full(400, 1.0 / 400)
+    cost = cost_matrix(DiscreteMeasure(2, x, w), DiscreteMeasure(2, y, w))
+    assert np.all(np.abs(phi(x)[:, None] - phi(y)[None, :]) <= cost + 1e-15)
+
+
+@pytest.mark.parametrize("N", [32, 256])
+def test_counterexample_bound_below_monte_carlo(gauss, N):
+    # the pooled-block estimate of omega_2 for the half-half mixture of
+    # tensor powers sits at or above the certified lower bound
+    h = gaussian_density(2.0)
+    rep = omega1_counterexample(gauss, h, [N])
+    ref = gaussian_mixture((0.5, 0.5), (0.0, 2.0), 1.0, "half-half")
+
+    def mixture_of_powers(n, r):
+        return (gauss, h)[r.integers(2)].sampler(r, n)
+    est = omega_j(mixture_of_powers, ref, 2, N, 1024,
+                  rng=np.random.default_rng(N))
+    assert est.value >= rep["estimates"][N][1] - 3.0 * est.stderr
+
+
+def test_counterexample_needs_gaussian_mixtures_of_one_variance(gauss):
+    for g, h in ((uniform_density(), gauss), (gauss, uniform_density()),
+                 (gauss, gaussian_density(2.0, 4.0))):
+        with pytest.raises(HypothesisError, match="one variance"):
+            omega1_counterexample(g, h, [32])
+
+
+@pytest.mark.parametrize("N", [1, 2.0])
+def test_counterexample_needs_two_coordinates(gauss, N):
+    with pytest.raises(DimensionError, match="N >= 2"):
+        omega1_counterexample(gauss, gaussian_density(2.0), [32, N])

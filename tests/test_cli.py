@@ -47,8 +47,8 @@ def test_bad_config_is_usage_error(tmp_path):
     # one value of the wrong type or out of range per checked key
     for bad in ({"not_a_key": 1}, {"threads": 2}, {"density": "foo"}, 5,
                 {"seed": "x"}, {"seed": 1.5}, {"mc_reps": "10"}, {"mc_reps": 1},
-                {"reference_size": 2.0}, {"reference_size": -5},
-                {"reference_size": 0}, {"s": "1"}, {"s": 0.3}, {"k": True},
+                {"mc_reps": 2.0}, {"mc_reps": -5}, {"seed": True},
+                {"s": "1"}, {"s": 0.3}, {"k": True},
                 {"k": 0}, {"k": 2}, {"ns": 5}, {"ns": [16, "32"]},
                 {"ns": [8, 4, 16, 32, 64, 128]}, {"output": 3},
                 {"format": "xml"}):
@@ -106,26 +106,49 @@ def test_cli_import_skips_scipy_stats_and_signal():
     assert res.stdout.strip() == "[]"
 
 
+# a small poincare-rate run: it draws its replicas from the seed
+SEEDED_RUN = ["run", "poincare-rate", "--ns", "16,32,64,128",
+              "--mc-reps", "50"]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "mc_reps": 50}))
-    stem = tmp_path / "mix"
-    code = main(["run", "omega1-counterexample", "--config", str(cfg),
-                 "--seed", "7", "--ns", "32", "--output", str(stem)])
+    stem = tmp_path / "pr"
+    code = main(["run", "poincare-rate", "--config", str(cfg),
+                 "--seed", "7", "--ns", "16,32,64,128", "--output", str(stem)])
     assert code == 0
-    summary = json.loads((tmp_path / "mix.json").read_text())
+    summary = json.loads((tmp_path / "pr.json").read_text())
     assert summary["config"]["seed"] == 7
     assert summary["config"]["mc_reps"] == 50
-    assert summary["config"]["ns"] == [32]
+    assert summary["config"]["ns"] == [16, 32, 64, 128]
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "omega1-counterexample", "--ns", "32,64",
-                 "--output", str(a)]) == 0
-    assert main(["run", "omega1-counterexample", "--ns", "32,64",
-                 "--output", str(b)]) == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    for stem, seed in (("a", "7"), ("b", "7"), ("c", "8")):
+        assert main([*SEEDED_RUN, "--seed", seed,
+                     "--output", str(tmp_path / stem)]) == 0
+    a, b, c = ((tmp_path / f"{stem}.csv").read_bytes() for stem in "abc")
+    assert a == b
+    assert a != c
+
+
+def test_removed_reference_size_is_usage_error(tmp_path, capsys):
+    # omega1-counterexample draws nothing, so it has no reference sample
+    # whose size could be set
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "omega1-counterexample", "--reference-size", "8",
+              "--output", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reference-size" in \
+        capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reference_size": 8}))
+    assert main(["run", "omega1-counterexample", "--config", str(cfg),
+                 "--output", str(tmp_path / "x")]) == 2
+    assert "unknown config keys: ['reference_size']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cache_subcommand_is_a_usage_error(tmp_path):
@@ -209,11 +232,10 @@ def test_failing_experiment_exits_one(tmp_path, monkeypatch):
 
 
 def test_seeded_runs_are_byte_identical_across_processes(tmp_path):
-    stems = [tmp_path / "p1", tmp_path / "p2"]
-    for stem in stems:
-        res = run_cli(["run", "omega1-counterexample", "--seed", "4518",
-                       "--output", str(stem)])
+    for stem, seed in (("p1", "4518"), ("p2", "4518"), ("p3", "4519")):
+        res = run_cli([*SEEDED_RUN, "--seed", seed,
+                       "--output", str(tmp_path / stem)])
         assert res.returncode == 0, res.stderr
-    assert (tmp_path / "p1.csv").read_bytes() == \
-        (tmp_path / "p2.csv").read_bytes()
-
+    p1, p2, p3 = ((tmp_path / f"p{i}.csv").read_bytes() for i in (1, 2, 3))
+    assert p1 == p2
+    assert p1 != p3

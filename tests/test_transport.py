@@ -211,9 +211,9 @@ def test_w1_line_matches_dp_at_large_n(n, w1_line_batch):
 
 
 def test_w1_line_below_sorted_coupling_at_2_17():
-    # omega1-counterexample's omega_1: two pools of 2^17 draws from the
-    # half-half N(0, 1) / N(2, 1) mixture; their monotone coupling is only
-    # an upper bound on the distance
+    # a large bimodal instance: two pools of 2^17 draws from the half-half
+    # N(0, 1) / N(2, 1) mixture; their monotone coupling is only an upper
+    # bound on the truncated-cost distance
     rng = np.random.default_rng(20)
     n = 1 << 17
     x, y = rng.normal(size=(2, n)) + rng.choice([0.0, 2.0], size=(2, n))

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import (DimensionError, Grid, GridDensity, ProductGridDensity,
-                   RateReport, check_reps, is_int, loglog_fit)
-from .information import _xlogx, entropy, fisher
+from .core import (QUAD_SIGMA_CUTOFF, DimensionError, Grid, GridDensity,
+                   HypothesisError, ProductGridDensity, RateReport, check_reps,
+                   gauss_quadrature, is_int, loglog_fit, normal_pdf)
+from .information import entropy, fisher
 from .sobolev import HsKernel, phi_s
 
 __all__ = [
@@ -41,8 +42,8 @@ class Mixture:
 
     def __post_init__(self):
         alphas = [a for a, _ in self.atoms]
-        if any(a <= 0 for a in alphas):
-            raise DimensionError("mixture weights must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in alphas):
+            raise DimensionError("mixture weights must be finite and positive")
         if abs(sum(alphas) - 1.0) > 1e-12:
             raise DimensionError("mixture weights must sum to 1")
         names = [f.name for _, f in self.atoms]
@@ -58,37 +59,25 @@ class Mixture:
         return rng.choice(self.count, size=count, p=alphas)
 
 
-# Rows of the j = 2 marginal summed per block; 256 rows of 4096 doubles is
-# 8 MB, so the blocked entropy never holds the dense M x M grid.
-_PAIR_BLOCK_ROWS = 256
-
-
-def _marginal_grid(pi: Mixture):
-    """Half-width L and size M of the marginals' grid, and the atom pdf
-    rows P (shape atoms x M) on its points xs, clamped at 0."""
-    L = max(max(abs(b) for b in f.quad_bounds()) for _, f in pi.atoms) + 2.0
-    M = 2 ** 12
-    xs = Grid(L, M).xs
-    P = np.maximum(np.stack([f.pdf(xs) for _, f in pi.atoms]), 0.0)
-    return L, M, P
-
-
 def mixture_marginal(pi: Mixture, j: int):
     """The j-variable marginal: gridded for j <= 2, a sampler for j >= 3.
 
-    The j = 2 grid is the dense M x M carrier; it is the test oracle of the
-    blocked entropy in ``marginal_entropy_curve`` and is not used there.
+    The grids sample the atom pdfs, clamped at 0, on 4096 points over the
+    atoms' quadrature bounds widened by 2; j = 2 is the dense M x M carrier.
     The sampler draws an atom per row and then j i.i.d. coordinates from it.
+    These are the oracles of ``marginal_entropy_curve``'s exact route,
+    which uses none of them.
     """
     if not is_int(j) or j < 1:
         raise DimensionError(f"j must be a positive integer, got {j!r}")
     if j <= 2:
-        L, M, P = _marginal_grid(pi)
-        alphas = [a for a, _ in pi.atoms]
+        L = max(max(abs(b) for b in f.quad_bounds()) for _, f in pi.atoms) + 2
+        M = 2 ** 12
+        xs = Grid(L, M).xs
+        P = [(a, np.maximum(f.pdf(xs), 0.0)) for a, f in pi.atoms]
         if j == 1:
-            return GridDensity(L, M, sum(a * p for a, p in zip(alphas, P)))
-        return ProductGridDensity(L, M, sum(a * np.outer(p, p)
-                                            for a, p in zip(alphas, P)))
+            return GridDensity(L, M, sum(a * p for a, p in P))
+        return ProductGridDensity(L, M, sum(a * np.outer(p, p) for a, p in P))
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
         which = pi.atom_sampler(rng, count)
@@ -136,89 +125,96 @@ def level3_fisher(pi: Mixture) -> float:
 class MarginalEntropyCurve:
     js: tuple
     values: tuple
-    stderrs: tuple
+    tolerance: float
     level3: float
-    monotone_within_3se: bool
-    below_level3_within_3se: bool
+    monotone: bool
+    below_level3: bool
     gap_report: RateReport | None
 
 
-def _pair_marginal_entropy(pi: Mixture) -> float:
-    """H(pi_2)/2 on the j = 2 grid, from the rank-r factorisation.
+# The relative tolerance of the curve's quadratures; ``information.entropy``,
+# behind ``level3_entropy``, integrates at the same one.
+_QUAD_TOL = 1e-10
 
-    The marginal sum_a alpha_a p_a p_a^T is P^T (alpha P) / mass with mass
-    h^2 sum_a alpha_a (sum_x p_a(x))^2, so x log x is summed over blocks of
-    its rows and the M x M grid is never built.
-    """
-    L, M, P = _marginal_grid(pi)
-    h2 = Grid(L, M).spacing ** 2
-    alphas = np.array([a for a, _ in pi.atoms])
-    mass = h2 * float(np.sum(alphas * P.sum(axis=1) ** 2))
-    if mass <= 0:
-        raise DimensionError("grid density has no mass")
-    W = alphas[:, None] * P / mass
-    total = 0.0
-    for start in range(0, M, _PAIR_BLOCK_ROWS):
-        block = P[:, start:start + _PAIR_BLOCK_ROWS].T @ W
-        total += float(np.sum(_xlogx(block)))
-    return total * h2 / 2.0
+
+def _check_positive_ints(values, name: str) -> list:
+    values = list(values)
+    for v in values:
+        if not is_int(v) or v < 1:
+            raise DimensionError(
+                f"{name} must hold positive integers, got {v!r}")
+    return values
 
 
 def _check_js(js) -> list:
-    js = list(js)
-    for j in js:
-        if not is_int(j) or j < 1:
-            raise DimensionError(f"js must hold positive integers, got {j!r}")
+    js = _check_positive_ints(js, "js")
     if len(set(js)) != len(js):
         raise DimensionError(f"js must not repeat a value, got {js}")
     return sorted(int(j) for j in js)
 
 
-def marginal_entropy_curve(pi: Mixture, js, rng: np.random.Generator,
-                           mc_count: int = 20000) -> MarginalEntropyCurve:
-    """Normalized marginal entropies H(pi_j) along js, with the gap fit.
+def _gaussian_atoms(pi: Mixture):
+    """Means of the atoms and their shared variance; HypothesisError
+    unless every atom is one Gaussian and all share one variance."""
+    comps = [f.components for _, f in pi.atoms]
+    if (any(c is None or len(c[0]) != 1 for c in comps)
+            or len({c[2] for c in comps}) != 1):
+        raise HypothesisError(
+            "the marginal entropies need single-Gaussian atoms of one "
+            f"variance, got {', '.join(f.name for _, f in pi.atoms)}")
+    return np.array([c[1][0] for c in comps]), comps[0][2]
 
-    j = 1 is an exact grid quadrature. j = 2 is the same quadrature on the
-    M x M grid, summed over row blocks of its rank-r factorisation (r the
-    number of atoms) in O(M) memory; ``mixture_marginal(pi, 2)`` is its
-    dense oracle. Larger blocks use the unbiased plug-in (1/j) E log
-    pi_j(V) over draws of the marginal itself, with batch stderr. The gap
-    to the level-3 entropy is fit as a power law in j over the blocks where
-    it clears 3 standard errors. js must be distinct positive integers.
+
+def marginal_entropy_curve(pi: Mixture, js) -> MarginalEntropyCurve:
+    """Normalized marginal entropies H(pi_j)/j along js, with the gap fit.
+
+    The atoms must be Gaussians N(m_a, v) of one variance v. Then log pi_j
+    depends on x only through |x|^2 and S = sum_i x_i, and
+
+      H(pi_j)/j = -log(2 pi v)/2 - sum_a alpha_a (v + m_a^2)/(2 v)
+                  + (1/j) E LSE_c(log alpha_c + (m_c S - j m_c^2/2)/v),
+
+    with S ~ N(j m_a, j v) under atom a. The expectation is one
+    ``gauss_quadrature`` in z = (S - j m_a)/sqrt(j v) over
+    +/- QUAD_SIGMA_CUTOFF. That quadrature and the one of each atom's
+    entropy in ``level3_entropy`` (all atoms share that entropy) accept an
+    error estimate of at most 10 max(tol, |I| tol), I the integral, so
+    neither a value nor level3 is estimated off by more than half of
+    ``tolerance`` = 20 tol max(1, |level3|, max_j |E LSE|/j). The
+    monotonicity, the level-3 bound and the choice of the gaps that enter
+    the power-law fit in j are all judged against it. js must be distinct
+    positive integers; ``mixture_marginal`` holds the oracles.
     """
     js = _check_js(js)
-    n_batches = 20
-    check_reps(mc_count, n_batches)
+    means, var = _gaussian_atoms(pi)
+    alphas = np.array([a for a, _ in pi.atoms])
     h3 = level3_entropy(pi)
-    values, stderrs = [], []
+    base = (-0.5 * math.log(2.0 * math.pi * var)
+            - float(np.dot(alphas, var + means ** 2)) / (2.0 * var))
+    log_w = np.log(alphas)[:, None, None]
+    m = means[:, None, None]
+    values, scale = [], max(1.0, abs(h3))
     for j in js:
-        if j <= 2:
-            values.append(entropy(mixture_marginal(pi, 1)).value if j == 1
-                          else _pair_marginal_entropy(pi))
-            stderrs.append(0.0)
-            continue
-        sampler = mixture_marginal(pi, j)
-        V = sampler(mc_count, rng)
-        logs = mixture_log_marginal(pi, V) / j
-        batches = np.array_split(logs, n_batches)
-        bmeans = np.array([b.mean() for b in batches])
-        values.append(float(logs.mean()))
-        stderrs.append(float(bmeans.std(ddof=1) / math.sqrt(n_batches)))
+        def integrand(z):   # sum_a alpha_a LSE(j m_a + sqrt(j v) z) phi(z)
+            S = j * means[:, None] + math.sqrt(j * var) * z
+            lse = logsumexp(log_w + (m * S - j * m ** 2 / 2.0) / var, axis=0)
+            return (alphas @ lse) * normal_pdf(z)
+
+        expected = gauss_quadrature(integrand, -QUAD_SIGMA_CUTOFF,
+                                    QUAD_SIGMA_CUTOFF, _QUAD_TOL)
+        values.append(base + expected / j)
+        scale = max(scale, abs(expected) / j)
+    tolerance = 20.0 * _QUAD_TOL * scale
     values = np.array(values)
-    stderrs = np.array(stderrs)
-    tol = 3.0 * np.sqrt(stderrs[1:] ** 2 + stderrs[:-1] ** 2) + 1e-12
-    monotone = bool(np.all(np.diff(values) >= -tol))
-    below = bool(np.all(values <= h3 + 3.0 * stderrs + 1e-12))
+    monotone = bool(np.all(np.diff(values) >= -tolerance))
+    below = bool(np.all(values <= h3 + tolerance))
     gaps = h3 - values
-    usable = gaps > 3.0 * stderrs + 1e-12
+    sel = np.nonzero(gaps > tolerance)[0]
     report = None
-    if usable.sum() >= 4:
-        sel = np.nonzero(usable)[0]
-        report = loglog_fit([js[i] for i in sel], gaps[sel],
-                            [stderrs[i] for i in sel])
-    return MarginalEntropyCurve(tuple(js), tuple(values.tolist()),
-                                tuple(stderrs.tolist()), h3, monotone, below,
-                                report)
+    if len(sel) >= 4:
+        report = loglog_fit([js[i] for i in sel], gaps[sel])
+    return MarginalEntropyCurve(tuple(js), tuple(values.tolist()), tolerance,
+                                h3, monotone, below, report)
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,9 @@ def definetti_cauchy_probe(pi: Mixture, Ns, kernel: HsKernel,
     the mixture. The exact one-atom law (kernel at zero minus the expected
     kernel of an independent pair, divided by N) is returned alongside for
     single-atom mixtures, and the uniform bound 2 Phi(0)/N is checked.
+    Ns must hold positive integers; that is checked before any draw.
     """
+    Ns = _check_positive_ints(Ns, "Ns")
     check_reps(mc_reps)
     xs_by_atom = []
     cross_by_atom = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import kaclab
-from kaclab import cli, mixtures
+from kaclab import cli
 from kaclab.cli import main
 from kaclab.core import QuadratureError
 from kaclab.experiments import EXPERIMENTS
@@ -192,21 +193,19 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
-def test_mc_reps_leaves_the_mixtures_entropy_draws_alone(tmp_path,
-                                                         monkeypatch):
-    # --mc-reps counts replicas; the marginal-entropy curve's 20000 draws
-    # are a sample size of their own
-    seen = []
-    curve = mixtures.marginal_entropy_curve
-
-    def recording_curve(pi, js, rng, mc_count):
-        seen.append(mc_count)
-        return curve(pi, js, rng, mc_count=mc_count)
-    monkeypatch.setattr(mixtures, "marginal_entropy_curve", recording_curve)
-    code = main(["run", "mixtures", "--mc-reps", "5",
-                 "--output", str(tmp_path / "mx")])
-    assert code in (0, 1)
-    assert seen == [20000]
+def test_mixtures_entropy_rows_are_exact_at_every_seed(tmp_path):
+    # the marginal-entropy curve draws nothing, so the seed cannot move it
+    rows = []
+    for seed in ("424242", "4518"):
+        stem = tmp_path / f"mx{seed}"
+        assert main(["run", "mixtures", "--seed", seed,
+                     "--output", str(stem)]) == 0
+        with open(f"{stem}.csv", newline="") as fh:
+            rows.append([r for r in csv.DictReader(fh)
+                         if r["quantity"] == "marginal_entropy"])
+    assert len(rows[0]) == 12
+    assert rows[0] == rows[1]
+    assert all(float(r["stderr"]) == 0.0 for r in rows[0])
 
 
 def test_internal_library_error_is_not_usage_error(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kaclab.core import (DimensionError, SizeError, gaussian_density,
-                         uniform_density)
+from kaclab.core import (DimensionError, HypothesisError, SizeError,
+                         bimodal_density, gaussian_density, uniform_density)
 from kaclab import mixtures
 from kaclab.information import entropy, fisher, _grid_fisher_raw
 from kaclab.mixtures import (DeFinettiProbe, Mixture, definetti_cauchy_probe,
@@ -33,6 +33,13 @@ def test_mixture_invariants():
         Mixture(((0.5, gaussian_density()), (0.6, gaussian_density(1.0))))
     with pytest.raises(DimensionError):
         Mixture(((0.5, gaussian_density()), (0.5, gaussian_density())))
+
+
+def test_mixture_rejects_a_nan_weight():
+    # a NaN fails neither "a <= 0" nor "|sum - 1| > 1e-12"
+    with pytest.raises(DimensionError, match="finite"):
+        Mixture(((math.nan, gaussian_density(-3.0)),
+                 (0.5, gaussian_density(3.0))))
 
 
 def test_single_atom_marginal_is_tensor_power():
@@ -108,28 +115,79 @@ def test_level3_fisher_dominates_marginal_information(two_atoms):
         <= level3_fisher(two_atoms) + 1e-9
 
 
-def test_single_atom_curve_is_flat(rng):
+def label_entropy_bound(pi, j):
+    """An upper bound on H(C | X), C the atom label of a draw X of pi_j.
+
+    j (level3 - H(pi_j)/j) = H(C) - H(C | X) for any mixture. For two
+    Gaussian atoms of one variance v the label is misread with probability
+    at most sqrt(alpha_1 alpha_2) rho^j, rho = exp(-(m_1 - m_2)^2 / (8 v))
+    the Bhattacharyya coefficient of the atoms, and Fano's inequality for a
+    binary label bounds H(C | X) by the binary entropy of that probability.
+    """
+    (a1, f1), (a2, f2) = pi.atoms
+    (_, (m1,), v), (_, (m2,), _) = f1.components, f2.components
+    p = min(0.5, math.sqrt(a1 * a2) * math.exp(-j * (m1 - m2) ** 2 / (8 * v)))
+    return -p * math.log(p) - (1 - p) * math.log1p(-p)
+
+
+def plugin_entropy(pi, j, rng, count=20000, batches=20):
+    """The plug-in Monte Carlo (1/j) E log pi_j(V) over draws V of the
+    marginal itself, and its batch standard error."""
+    logs = mixture_log_marginal(pi, mixture_marginal(pi, j)(count, rng)) / j
+    means = np.array([b.mean() for b in np.array_split(logs, batches)])
+    return float(logs.mean()), float(means.std(ddof=1) / math.sqrt(batches))
+
+
+def test_single_atom_curve_is_flat():
+    # pi_j is the tensor power, so H(pi_j)/j is the atom's entropy for all j
     pi = Mixture(((1.0, gaussian_density()),))
-    curve = marginal_entropy_curve(pi, [1, 2, 4, 8], rng, mc_count=4000)
-    assert np.max(np.abs(np.array(curve.values) - GAUSS_ENTROPY)) < 0.02
+    js = [1, 2, 3, 4, 8, 16, 32, 64]
+    curve = marginal_entropy_curve(pi, js)
+    assert curve.js == tuple(js)
+    for v in curve.values:
+        assert abs(v - curve.level3) <= curve.tolerance
+    assert curve.monotone and curve.below_level3
     assert curve.gap_report is None
 
 
-def test_two_atom_curve(two_atoms, rng):
+def test_two_atom_curve(two_atoms):
     js = [1, 2, 3, 4, 8, 16, 32]
-    curve = marginal_entropy_curve(two_atoms, js, rng, mc_count=8000)
-    assert curve.monotone_within_3se
-    assert curve.below_level3_within_3se
+    curve = marginal_entropy_curve(two_atoms, js)
+    assert curve.monotone
+    assert curve.below_level3
     gap16 = curve.level3 - curve.values[js.index(16)]
-    assert gap16 * 16 == pytest.approx(math.log(2.0), rel=0.15)
+    assert gap16 * 16 == pytest.approx(math.log(2.0), abs=16 * curve.tolerance
+                                       + label_entropy_bound(two_atoms, 16))
     assert -1.2 < curve.gap_report.fitted_slope < -0.8
+
+
+def test_separated_atoms_gap_tends_to_the_weights_entropy():
+    pi = Mixture(((0.25, gaussian_density(-3.0)),
+                  (0.75, gaussian_density(3.0))))
+    shannon = -sum(a * math.log(a) for a, _ in pi.atoms)
+    js = [1, 2, 4, 8, 16, 32, 64]
+    curve = marginal_entropy_curve(pi, js)
+    for j, v in zip(js, curve.values):
+        # j gap = H(C) - H(C | X), with 0 <= H(C | X) <= the bound
+        jgap = j * (curve.level3 - v)
+        assert jgap <= shannon + j * curve.tolerance
+        if j >= 8:
+            assert jgap >= (shannon - label_entropy_bound(pi, j)
+                            - j * curve.tolerance)
+
+
+def test_exact_curve_matches_the_plugin_oracle(two_atoms, rng):
+    curve = marginal_entropy_curve(two_atoms, [3, 8, 32])
+    for j, exact in zip(curve.js, curve.values):
+        value, se = plugin_entropy(two_atoms, j, rng)
+        assert abs(value - exact) <= 4.0 * se, j
 
 
 ORACLE_MIXTURES = {
     "pm3-equal": ((0.5, gaussian_density(-3.0)), (0.5, gaussian_density(3.0))),
     "quarter": ((0.25, gaussian_density(-3.0)),
                 (0.75, gaussian_density(3.0))),
-    # the uniform atom puts pdf zeros and jumps on the grid
+    # the uniform atom is no Gaussian
     "three-with-uniform": ((0.2, gaussian_density(-2.0)),
                            (0.5, uniform_density(-1.0, 1.5)),
                            (0.3, gaussian_density(4.0))),
@@ -137,33 +195,56 @@ ORACLE_MIXTURES = {
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MIXTURES))
-def test_pair_entropy_matches_dense_oracle(name, rng):
+def test_pair_entropy_matches_dense_oracle(name):
     pi = Mixture(ORACLE_MIXTURES[name])
-    curve = marginal_entropy_curve(pi, [2], rng, mc_count=20)
-    dense = entropy(mixture_marginal(pi, 2)).value
-    assert curve.values[0] == pytest.approx(dense, rel=1e-12, abs=0.0)
+    if name == "three-with-uniform":
+        with pytest.raises(HypothesisError):
+            marginal_entropy_curve(pi, [2])
+        return
+    curve = marginal_entropy_curve(pi, [1, 2])
+    # The grids are Riemann sums of integrands that have decayed to nothing
+    # well before the grid's edges, so by Poisson summation their aliasing
+    # error is of order exp(-2 pi^2 v / h^2), negligible next to the
+    # rounding of the sum. Its M^j terms x log x share one sign where the
+    # density is below 1, so that rounding is at most M^j eps |value|.
+    for j, exact in zip(curve.js, curve.values):
+        grid = mixture_marginal(pi, j)
+        assert grid.values.max() < 1.0
+        dense = entropy(grid).value
+        rounding = grid.n_points ** j * np.finfo(float).eps * abs(dense)
+        assert abs(exact - dense) <= curve.tolerance + rounding
 
 
-def test_single_atom_pair_entropy_tensorizes(rng):
+@pytest.mark.parametrize("atoms", [
+    ((0.5, bimodal_density()), (0.5, gaussian_density(3.0))),
+    ((0.5, gaussian_density(0.0, 1.0)), (0.5, gaussian_density(2.0, 4.0))),
+    ((0.5, gaussian_density()), (0.5, uniform_density(-1.0, 1.0))),
+], ids=["two-component-atom", "unequal-variances", "uniform-atom"])
+def test_curve_refuses_atoms_outside_its_hypothesis(atoms):
+    with pytest.raises(HypothesisError, match="one variance"):
+        marginal_entropy_curve(Mixture(atoms), [1, 2, 3])
+
+
+def test_single_atom_pair_entropy_tensorizes():
     pi = Mixture(((1.0, gaussian_density(0.5)),))
-    curve = marginal_entropy_curve(pi, [1, 2], rng, mc_count=20)
+    curve = marginal_entropy_curve(pi, [1, 2])
     assert abs(curve.values[1] - curve.values[0]) < 1e-9
 
 
-def test_pair_entropy_builds_no_dense_grid(two_atoms, rng, monkeypatch):
+def test_pair_entropy_builds_no_dense_grid(two_atoms, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the j = 2 entropy built the dense M x M grid")
 
     monkeypatch.setattr(mixtures, "ProductGridDensity", refuse)
-    curve = marginal_entropy_curve(two_atoms, [1, 2, 3], rng, mc_count=200)
+    curve = marginal_entropy_curve(two_atoms, [1, 2, 3])
     assert curve.js == (1, 2, 3)
 
 
-def test_pair_entropy_memory_is_blocked(two_atoms, rng):
+def test_pair_entropy_memory_is_blocked(two_atoms):
     # the dense 4096 x 4096 path peaked at 656 MB traced
     tracemalloc.start()
     try:
-        marginal_entropy_curve(two_atoms, [1, 2], rng, mc_count=20)
+        marginal_entropy_curve(two_atoms, [1, 2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,9 +253,9 @@ def test_pair_entropy_memory_is_blocked(two_atoms, rng):
 
 @pytest.mark.parametrize("js", [[3, 3, 4], [1, 3, 3, 4, 8, 16], [1, 2.5],
                                 [0, 1], [-2, 1], [1, True], [1, "2"]])
-def test_curve_rejects_bad_js(two_atoms, rng, js):
+def test_curve_rejects_bad_js(two_atoms, js):
     with pytest.raises(DimensionError, match="js"):
-        marginal_entropy_curve(two_atoms, js, rng, mc_count=20)
+        marginal_entropy_curve(two_atoms, js)
 
 
 @pytest.mark.parametrize("j", [2.5, 2.0, True, 0, -1, "3"])
@@ -205,12 +286,18 @@ def test_definetti_single_atom_exact_law(kern, rng):
 
 
 def test_mixture_estimators_refuse_too_few_draws(two_atoms, kern, rng):
-    # one replica has no standard error; fewer draws than the 20 entropy
-    # batches leave a batch empty
+    # one replica has no standard error
     with pytest.raises(SizeError):
         definetti_cauchy_probe(two_atoms, [16], kern, rng, mc_reps=1)
-    with pytest.raises(SizeError):
-        marginal_entropy_curve(two_atoms, [4], rng, mc_count=19)
+
+
+@pytest.mark.parametrize("Ns", [[0, 16, 32, 64], [16, 32, 64, 128.5]])
+def test_definetti_probe_checks_ns_before_any_draw(two_atoms, kern, Ns):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionError, match="Ns must hold positive"):
+        definetti_cauchy_probe(two_atoms, Ns, kern, rng, mc_reps=20)
+    assert rng.bit_generator.state == state
 
 
 def test_definetti_two_atoms(two_atoms, kern, rng):

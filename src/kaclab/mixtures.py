@@ -16,10 +16,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (QUAD_SIGMA_CUTOFF, DimensionError, Grid, GridDensity,
-                   HypothesisError, ProductGridDensity, RateReport, check_reps,
+                   HypothesisError, ProductGridDensity, RateReport,
                    gauss_quadrature, is_int, loglog_fit, normal_pdf)
 from .information import entropy, fisher
-from .sobolev import HsKernel, phi_s
+from .sobolev import HsKernel, hs_pair_expectation
 
 __all__ = [
     "Mixture",
@@ -46,17 +46,14 @@ class Mixture:
             raise DimensionError("mixture weights must be finite and positive")
         if abs(sum(alphas) - 1.0) > 1e-12:
             raise DimensionError("mixture weights must sum to 1")
-        names = [f.name for _, f in self.atoms]
-        if len(set(names)) != len(names):
+        # an atom is known by its Gaussian components, or else by its name
+        keys = [f.components or f.name for _, f in self.atoms]
+        if len(set(keys)) != len(keys):
             raise DimensionError("mixture atoms must be distinct")
 
     @property
     def count(self) -> int:
         return len(self.atoms)
-
-    def atom_sampler(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        alphas = np.array([a for a, _ in self.atoms])
-        return rng.choice(self.count, size=count, p=alphas)
 
 
 def mixture_marginal(pi: Mixture, j: int):
@@ -80,7 +77,7 @@ def mixture_marginal(pi: Mixture, j: int):
         return ProductGridDensity(L, M, sum(a * np.outer(p, p) for a, p in P))
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        which = pi.atom_sampler(rng, count)
+        which = rng.choice(pi.count, size=count, p=[a for a, _ in pi.atoms])
         out = np.empty((count, j))
         for i, (_, f) in enumerate(pi.atoms):
             rows = which == i
@@ -221,67 +218,25 @@ def marginal_entropy_curve(pi: Mixture, js) -> MarginalEntropyCurve:
 class DeFinettiProbe:
     ns: tuple
     values: tuple
-    stderrs: tuple
-    exact_one_atom: tuple | None
     bound_violations: int
     report: RateReport
 
 
-def definetti_cauchy_probe(pi: Mixture, Ns, kernel: HsKernel,
-                           rng: np.random.Generator,
-                           mc_reps: int = 200) -> DeFinettiProbe:
-    """Monte Carlo negative-Sobolev convergence of empirical mixtures.
+def definetti_cauchy_probe(pi: Mixture, Ns,
+                           kernel: HsKernel) -> DeFinettiProbe:
+    """Expected squared H^{-s} distance of empirical measures to their atom.
 
-    Draws an atom, then N i.i.d. coordinates, and measures the squared
-    kernel distance between the empirical measure and the drawn atom: the
-    diagonal coupling, an upper bound for the lifted squared distance to
-    the mixture. The exact one-atom law (kernel at zero minus the expected
-    kernel of an independent pair, divided by N) is returned alongside for
-    single-atom mixtures, and the uniform bound 2 Phi(0)/N is checked.
-    Ns must hold positive integers; that is checked before any draw.
+    For X of N i.i.d. coordinates from the atom f_a, drawn with weight
+    alpha_a, the squared kernel distance between X's empirical measure and
+    f_a (the diagonal coupling) bounds the lifted one to the mixture. Its
+    expectation is (Phi(0) - p_a) / N, p_a = E Phi(Y - Y') for Y, Y' i.i.d.
+    f_a from ``hs_pair_expectation``: Gaussian-mixture atoms only. The
+    values are exact; Ns must hold positive integers.
     """
     Ns = _check_positive_ints(Ns, "Ns")
-    check_reps(mc_reps)
-    xs_by_atom = []
-    cross_by_atom = []
-    expect_pair = []
-    for _, f in pi.atoms:
-        lo, hi = f.quad_bounds()
-        ys = np.linspace(lo, hi, 4001)
-        fy = f.pdf(ys)
-        fy = fy / np.trapezoid(fy, ys)
-        xq = np.linspace(lo - 2, hi + 2, 2001)
-        conv = np.array([np.trapezoid(phi_s(np.abs(x - ys), kernel) * fy, ys)
-                         for x in xq])
-        xs_by_atom.append(xq)
-        cross_by_atom.append(conv)
-        expect_pair.append(float(np.trapezoid(conv * np.interp(
-            xq, ys, fy, left=0.0, right=0.0), xq)))
-
-    values, stderrs = [], []
-    violations = 0
-    phi0 = kernel.phi0
-    for N in Ns:
-        which = pi.atom_sampler(rng, mc_reps)
-        vals = np.empty(mc_reps)
-        for r in range(mc_reps):
-            i = int(which[r])
-            _, f = pi.atoms[i]
-            x = f.sampler(rng, N)
-            diffs = np.abs(x[:, None] - x[None, :])
-            quad = float(np.sum(phi_s(diffs, kernel))) / N ** 2
-            cross = float(np.mean(np.interp(x, xs_by_atom[i],
-                                            cross_by_atom[i])))
-            vals[r] = quad - 2.0 * cross + expect_pair[i]
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(mc_reps))
-        if mean > 2.0 * phi0 / N + 3.0 * se:
-            violations += 1
-        values.append(max(mean, 1e-300))
-        stderrs.append(se)
-    exact = None
-    if pi.count == 1:
-        exact = tuple((phi0 - expect_pair[0]) / N for N in Ns)
-    report = loglog_fit(Ns, values, stderrs)
+    gap = sum(a * (kernel.phi0 - hs_pair_expectation(f, kernel))
+              for a, f in pi.atoms)
+    values = [gap / N for N in Ns]
+    violations = sum(v > 2.0 * kernel.phi0 / N for v, N in zip(values, Ns))
     return DeFinettiProbe(tuple(int(n) for n in Ns), tuple(values),
-                          tuple(stderrs), exact, violations, report)
+                          violations, loglog_fit(Ns, values))

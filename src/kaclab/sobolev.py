@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import kv
+from scipy.special import gammaln, kv, kve, poch
 
-from .core import DimensionError, DiscreteMeasure, KaclabError, gl_panels
+from .core import (QUAD_SIGMA_CUTOFF, Density, DimensionError,
+                   DiscreteMeasure, HypothesisError, KaclabError,
+                   gauss_quadrature, gl_panels)
 
 __all__ = [
     "HsKernel",
@@ -24,11 +26,27 @@ __all__ = [
     "phi_s",
     "hs_dist_sq",
     "hs_dist_sq_fourier_oracle",
+    "hs_pair_expectation",
     "hs_w1_bridge_check",
 ]
 
 _NEG_CLAMP = 1e-9
 _XI_HEAD = 60.0   # end of the Fourier oracle's Gauss-Legendre head
+PAIR_QUAD_TOL = 1e-12   # relative tolerance of hs_pair_expectation
+
+
+def _log_kv(nu: float, r: np.ndarray) -> np.ndarray:
+    """log K_nu(r), r > 0, by the stable upward recurrence K_{mu+k+1} =
+    K_{mu+k-1} + 2 (mu + k) K_{mu+k} / r in ratios from mu = nu mod 1,
+    whose orders (and 1 - mu) are too low for kve to overflow."""
+    mu = nu - math.floor(nu)
+    base = kve(mu, r)
+    out = np.log(base) - r
+    rho = kve(1.0 - mu, r) / base + 2.0 * mu / r   # K_{mu+1} / K_mu
+    for k in range(1, math.floor(nu) + 1):
+        out += np.log(rho)
+        rho = 1.0 / rho + 2.0 * (mu + k) / r
+    return out
 
 
 def _phi_closed(s: float, r):
@@ -37,6 +55,9 @@ def _phi_closed(s: float, r):
     This is the Matern form (2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2}
     K_{s-1/2}(r). For integer s = n + 1 the Bessel order is a half-integer
     and the kernel is e^{-r} times a polynomial of degree n (DLMF 10.49.12).
+    Otherwise the product is taken where it and its factors are normal
+    floats, and summed in logs elsewhere: in the far tail, for r far below
+    the order, and above s = 171.6, where Gamma(s) overflows.
     """
     r = np.asarray(r, dtype=float)
     if float(s).is_integer():
@@ -47,11 +68,17 @@ def _phi_closed(s: float, r):
                 for k in range(n + 1)]
         return math.pi * np.exp(-r) * np.polyval(coef, r)
     nu = s - 0.5
-    phi0 = math.sqrt(math.pi) * gamma_fn(s - 0.5) / gamma_fn(s)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = (2.0 * math.sqrt(math.pi) / gamma_fn(s)) \
-            * (r / 2.0) ** nu * kv(nu, r)
-    return np.where(r < 1e-12, phi0, np.nan_to_num(vals, nan=phi0))
+    with np.errstate(all="ignore"):
+        scale, bessel = (r / 2.0) ** nu, kv(nu, r)
+        out = (2.0 * math.sqrt(math.pi) / gamma_fn(s)) * scale * bessel
+    tiny = np.finfo(float).tiny
+    logs = (r > 0) & ~((np.minimum(scale, bessel) >= tiny)
+                       & (tiny <= out) & (out < math.inf))
+    out = np.where(r == 0, math.sqrt(math.pi) / poch(nu, 0.5), out)
+    rl = r[logs]
+    out[logs] = np.exp(math.log(2.0 * math.sqrt(math.pi)) - gammaln(s)
+                       + nu * np.log(rl / 2.0) + _log_kv(nu, rl))
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,6 +158,27 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
             cache[key] = val
         tail += pv * cache[key]
     return head + 2.0 * tail
+
+
+def hs_pair_expectation(f: Density, kernel: HsKernel) -> float:
+    """E Phi(Y - Y') for Y, Y' i.i.d. from a Gaussian-mixture density f.
+
+    On the Fourier side, for f = sum_c w_c N(m_c, v), this is
+    2 int_0^Xi |sum_c w_c e^{i xi m_c}|^2 e^{-v xi^2} <xi>^{-2s} d xi with
+    Xi = QUAD_SIGMA_CUTOFF / sqrt(2 v): one ``gauss_quadrature``.
+    """
+    if f.components is None:
+        raise HypothesisError("the pair expectation needs a "
+                              f"Gaussian-mixture atom, got {f.name}")
+    w, m, v = (np.asarray(c, dtype=float) for c in f.components)
+
+    def integrand(xi):
+        hat = np.exp(1j * np.outer(xi, m)) @ w
+        return (np.abs(hat) ** 2 * np.exp(-v * xi ** 2)
+                * (1.0 + xi ** 2) ** -kernel.s)
+
+    return 2.0 * gauss_quadrature(integrand, 0.0, QUAD_SIGMA_CUTOFF
+                                  / math.sqrt(2.0 * v), PAIR_QUAD_TOL)
 
 
 def hs_w1_bridge_check(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -194,18 +194,20 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
 
 
 def test_mixtures_entropy_rows_are_exact_at_every_seed(tmp_path):
-    # the marginal-entropy curve draws nothing, so the seed cannot move it
-    rows = []
-    for seed in ("424242", "4518"):
-        stem = tmp_path / f"mx{seed}"
-        assert main(["run", "mixtures", "--seed", seed,
-                     "--output", str(stem)]) == 0
+    # the mixtures suite draws nothing, so neither the seed nor the
+    # replica count can move a byte of its CSV
+    rows, csvs = [], []
+    for i, args in enumerate((["--seed", "424242"], ["--seed", "4518"],
+                              ["--seed", "424242", "--mc-reps", "50"])):
+        stem = tmp_path / f"mx{i}"
+        assert main(["run", "mixtures", *args, "--output", str(stem)]) == 0
         with open(f"{stem}.csv", newline="") as fh:
             rows.append([r for r in csv.DictReader(fh)
                          if r["quantity"] == "marginal_entropy"])
+        csvs.append((tmp_path / f"mx{i}.csv").read_bytes())
     assert len(rows[0]) == 12
-    assert rows[0] == rows[1]
     assert all(float(r["stderr"]) == 0.0 for r in rows[0])
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
 
 def test_internal_library_error_is_not_usage_error(tmp_path, monkeypatch):

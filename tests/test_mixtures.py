@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kaclab.core import (DimensionError, HypothesisError, SizeError,
-                         bimodal_density, gaussian_density, uniform_density)
+from kaclab.core import (DimensionError, HypothesisError, bimodal_density,
+                         gaussian_density, gaussian_mixture, uniform_density)
 from kaclab import mixtures
 from kaclab.information import entropy, fisher, _grid_fisher_raw
 from kaclab.mixtures import (DeFinettiProbe, Mixture, definetti_cauchy_probe,
                              level3_entropy, level3_fisher,
                              marginal_entropy_curve, mixture_log_marginal,
                              mixture_marginal)
-from kaclab.sobolev import make_hs_kernel
+from kaclab.sobolev import hs_pair_expectation, make_hs_kernel, phi_s
 
 GAUSS_ENTROPY = -0.5 * math.log(2 * math.pi * math.e)
 
@@ -33,6 +33,17 @@ def test_mixture_invariants():
         Mixture(((0.5, gaussian_density()), (0.6, gaussian_density(1.0))))
     with pytest.raises(DimensionError):
         Mixture(((0.5, gaussian_density()), (0.5, gaussian_density())))
+    # one law under two names
+    with pytest.raises(DimensionError, match="distinct"):
+        Mixture(((0.5, gaussian_density(0.0)),
+                 (0.5, gaussian_mixture((1.0,), (0.0,), 1.0, "other"))))
+
+
+def test_mixture_tells_atoms_apart_beyond_their_names():
+    # the names print the means to 6 digits; the components keep them
+    pi = Mixture(((0.5, gaussian_density(3.0)),
+                  (0.5, gaussian_density(3.0000001))))
+    assert pi.count == 2
 
 
 def test_mixture_rejects_a_nan_weight():
@@ -272,36 +283,101 @@ def test_log_marginal_matches_direct(two_atoms, rng):
                                atol=1e-10)
 
 
-def test_definetti_single_atom_exact_law(kern, rng):
+def test_definetti_single_atom_exact_law(kern):
     pi = Mixture(((1.0, gaussian_density()),))
-    probe = definetti_cauchy_probe(pi, [16, 32, 64, 128], kern, rng,
-                                   mc_reps=200)
+    probe = definetti_cauchy_probe(pi, [16, 32, 64, 128], kern)
     assert isinstance(probe, DeFinettiProbe)
-    for v, e, se in zip(probe.values, probe.exact_one_atom, probe.stderrs):
-        assert abs(v - e) <= 4.0 * se
-    # exact law is a clean inverse-N decay
-    ratios = [probe.exact_one_atom[i] / probe.exact_one_atom[i + 1]
-              for i in range(3)]
-    np.testing.assert_allclose(ratios, 2.0, rtol=1e-10)
-
-
-def test_mixture_estimators_refuse_too_few_draws(two_atoms, kern, rng):
-    # one replica has no standard error
-    with pytest.raises(SizeError):
-        definetti_cauchy_probe(two_atoms, [16], kern, rng, mc_reps=1)
+    # at s = 1, Phi(z) = pi e^{-|z|} and Y - Y' ~ N(0, 2), so
+    # E Phi(Y - Y') = pi e erfc(1)
+    gap = math.pi * (1.0 - math.e * math.erfc(1.0))
+    for N, v in zip(probe.ns, probe.values):
+        assert v == pytest.approx(gap / N, rel=1e-13)
+    # the law is a clean inverse-N decay
+    ratios = [probe.values[i] / probe.values[i + 1] for i in range(3)]
+    np.testing.assert_allclose(ratios, 2.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("Ns", [[0, 16, 32, 64], [16, 32, 64, 128.5]])
-def test_definetti_probe_checks_ns_before_any_draw(two_atoms, kern, Ns):
-    rng = np.random.default_rng(7)
-    state = rng.bit_generator.state
+def test_definetti_probe_checks_ns_before_any_draw(two_atoms, kern, Ns,
+                                                   monkeypatch):
+    # the probe draws nothing; its Ns are checked before any quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature ran before the Ns were checked")
+
+    monkeypatch.setattr(mixtures, "hs_pair_expectation", refuse)
     with pytest.raises(DimensionError, match="Ns must hold positive"):
-        definetti_cauchy_probe(two_atoms, Ns, kern, rng, mc_reps=20)
-    assert rng.bit_generator.state == state
+        definetti_cauchy_probe(two_atoms, Ns, kern)
 
 
-def test_definetti_two_atoms(two_atoms, kern, rng):
-    probe = definetti_cauchy_probe(two_atoms, [16, 32, 64, 128], kern, rng,
-                                   mc_reps=150)
-    assert -1.1 < probe.report.fitted_slope < -0.9
+def test_definetti_two_atoms(two_atoms, kern):
+    probe = definetti_cauchy_probe(two_atoms, [16, 32, 64, 128], kern)
+    assert probe.report.fitted_slope == pytest.approx(-1.0, abs=1e-12)
     assert probe.bound_violations == 0
+
+
+def test_definetti_probe_refuses_a_non_gaussian_atom(kern):
+    pi = Mixture(((0.5, gaussian_density()), (0.5, uniform_density(-1, 1))))
+    with pytest.raises(HypothesisError, match="Gaussian-mixture"):
+        definetti_cauchy_probe(pi, [16, 32, 64, 128], kern)
+
+
+def trapezoid_cross_table(f, kernel, n_ys=4001, n_xq=2001):
+    """The cross term E Phi(x - Y), Y ~ f, on a grid of x, and the pair
+    term E Phi(Y - Y') from it, both by trapezoids: the tables of the
+    probe's earlier Monte Carlo route."""
+    lo, hi = f.quad_bounds()
+    ys = np.linspace(lo, hi, n_ys)
+    fy = f.pdf(ys)
+    fy = fy / np.trapezoid(fy, ys)
+    xq = np.linspace(lo - 2, hi + 2, n_xq)
+    conv = np.array([np.trapezoid(phi_s(np.abs(x - ys), kernel) * fy, ys)
+                     for x in xq])
+    pair = float(np.trapezoid(conv * np.interp(
+        xq, ys, fy, left=0.0, right=0.0), xq))
+    return xq, conv, pair
+
+
+def monte_carlo_probe(pi, Ns, kernel, rng, mc_reps=200):
+    """Means and standard errors of the squared H^{-s} distance between
+    the empirical measure of X ~ f_a^N and f_a, a drawn from pi: the
+    probe's earlier Monte Carlo estimator."""
+    tables = [trapezoid_cross_table(f, kernel) for _, f in pi.atoms]
+    means, stderrs = [], []
+    for N in Ns:
+        which = rng.choice(pi.count, size=mc_reps,
+                           p=[a for a, _ in pi.atoms])
+        vals = np.empty(mc_reps)
+        for r in range(mc_reps):
+            i = int(which[r])
+            xq, conv, pair = tables[i]
+            x = pi.atoms[i][1].sampler(rng, N)
+            diffs = np.abs(x[:, None] - x[None, :])
+            quad = float(np.sum(phi_s(diffs, kernel))) / N ** 2
+            cross = float(np.mean(np.interp(x, xq, conv)))
+            vals[r] = quad - 2.0 * cross + pair
+        means.append(float(vals.mean()))
+        stderrs.append(float(vals.std(ddof=1) / math.sqrt(mc_reps)))
+    return means, stderrs
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("atoms", [
+    ((0.5, gaussian_density(-3.0)), (0.5, gaussian_density(3.0))),
+    ((1.0, gaussian_density()),),
+], ids=["two-atoms", "single-atom"])
+def test_probe_is_the_mean_of_the_monte_carlo_oracle(atoms, s, rng):
+    pi, kernel, Ns = Mixture(atoms), make_hs_kernel(s), [16, 32, 64, 128]
+    exact = definetti_cauchy_probe(pi, Ns, kernel).values
+    means, stderrs = monte_carlo_probe(pi, Ns, kernel, rng)
+    for N, e, m, se in zip(Ns, exact, means, stderrs):
+        assert abs(m - e) <= 4.0 * se, N
+
+
+def test_pair_expectation_matches_the_trapezoid_table(kern):
+    f = gaussian_mixture((0.3, 0.7), (-1.0, 2.0), 0.5, "two-component")
+    fine = trapezoid_cross_table(f, kern)[2]
+    coarse = trapezoid_cross_table(f, kern, 2001, 1001)[2]
+    # the table's error is O(h^2), about 3e-6 here: halving its grids
+    # moves it by three times that error
+    err = abs(fine - coarse) / 3.0
+    assert abs(hs_pair_expectation(f, kern) - fine) <= 2.0 * err

@@ -6,9 +6,12 @@ import pytest
 from scipy.special import gamma, kv
 
 from kaclab import sobolev
-from kaclab.core import DimensionError, DiscreteMeasure, KaclabError
+from kaclab.core import (DimensionError, DiscreteMeasure, HypothesisError,
+                         KaclabError, gauss_quadrature, gaussian_density,
+                         uniform_density)
 from kaclab.sobolev import (hs_dist_sq, hs_dist_sq_fourier_oracle,
-                            hs_w1_bridge_check, make_hs_kernel, phi_s)
+                            hs_pair_expectation, hs_w1_bridge_check,
+                            make_hs_kernel, phi_s)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,47 @@ def test_far_tail_is_the_closed_form(kern1):
     assert phi_s(70.0, kern1) == pytest.approx(math.pi * math.exp(-70.0),
                                                rel=1e-14)
     assert phi_s(5000.0, kern1) == 0.0
+
+
+def test_phi0_is_finite_above_gamma_overflow():
+    # Gamma(s) overflows above s = 171.6; phi0 = sqrt(pi) Gamma(s - 1/2)
+    # / Gamma(s) does not
+    phi0 = make_hs_kernel(200.5).phi0
+    assert phi0 == pytest.approx(
+        math.sqrt(math.pi) * math.exp(math.lgamma(200.0) - math.lgamma(200.5)),
+        rel=1e-12)
+
+
+def test_far_tail_at_non_integer_s_is_zero():
+    # (r/2)^nu overflows and K_nu(r) underflows; the kernel is 0, not phi0
+    assert phi_s(3e6, make_hs_kernel(60.5)) == 0.0
+
+
+@pytest.mark.parametrize("s, rs", [(60.5, [1e-5, 1e-3, 0.5, 4.0, 30.0]),
+                                   (200.5, [1e-3, 4.0, 30.0])])
+def test_large_order_kernel_matches_its_fourier_integral(s, rs):
+    # where kve overflows (r far below the order) the kernel is summed in
+    # logs by the Bessel recurrence; Phi(r) = 2 int_0^inf cos(xi r)
+    # (1 + xi^2)^{-s} d xi, and (1 + xi^2)^{-s} < 1e-42 beyond xi = 2
+    kern = make_hs_kernel(s)
+    for r in rs:
+        direct = gauss_quadrature(
+            lambda xi: 2.0 * np.cos(xi * r) * (1.0 + xi * xi) ** -s, 0.0, 2.0,
+            1e-13)
+        assert phi_s(r, kern) == pytest.approx(direct, rel=1e-11, abs=1e-300)
+
+
+@pytest.mark.parametrize("v", [0.25, 1.0, 4.0])
+def test_pair_expectation_closed_form_at_s1(kern1, v):
+    # Phi(z) = pi e^{-|z|} and Y - Y' ~ N(0, 2 v), so
+    # E Phi(Y - Y') = pi e^v erfc(sqrt(v))
+    p = hs_pair_expectation(gaussian_density(0.0, v), kern1)
+    assert abs(p - math.pi * math.exp(v) * math.erfc(math.sqrt(v))) <= 1e-13
+
+
+def test_pair_expectation_needs_a_gaussian_mixture(kern1):
+    with pytest.raises(HypothesisError, match="Gaussian-mixture"):
+        hs_pair_expectation(uniform_density(), kern1)
 
 
 def test_lipschitz_bound(kern2):

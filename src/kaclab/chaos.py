@@ -21,8 +21,8 @@ import numpy as np
 from .core import (Density, DimensionError, DiscreteMeasure, HypothesisError,
                    SizeError, _Phi, check_reps, gaussian_mixture, is_int,
                    normal_pdf, symmetric_group_generators)
-from .transport import (TRUNCATION, _transport_lp, w1_discrete,
-                        w1_discrete_batch, w1_line)
+from .transport import (_LP_EDGE_BUDGET, TRUNCATION, _transport_lp,
+                        cost_matrix, w1_discrete, w1_discrete_batch, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
@@ -271,20 +271,21 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     lhs solves the transportation LP between the two laws on the full
     configuration space with the normalized truncated cost; rhs solves it
     between the induced laws on the occupation classes with the
-    relabeling-minimal cost. The two optima agree.
+    relabeling-minimal cost. The two optima agree. Past the LP's edge
+    budget, ``SizeError`` comes before any cost is built.
     """
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
     N = F.ndim
     S = F.shape[0]
+    vals = enumerate_configs(S, N, budget=math.isqrt(_LP_EDGE_BUDGET))
     _validate_symmetry(F)
     _validate_symmetry(G)
-    vals = enumerate_configs(S, N, budget=4096).astype(float)
 
     # full LP on aligned coordinates
-    cost_full = np.minimum(
-        np.abs(vals[:, None, :] - vals[None, :, :]), TRUNCATION).mean(axis=2)
-    lhs = _transport_lp(cost_full, F.ravel(), G.ravel())
+    mu = DiscreteMeasure(N, vals, F.ravel())
+    nu = DiscreteMeasure(N, vals, G.ravel())
+    lhs = _transport_lp(cost_matrix(mu, nu), mu.weights, nu.weights)
 
     # quotient LP on occupation classes: distinct integer symbols cost
     # TRUNCATION <= 1 each, so a best relabeling pairs equal symbols, and

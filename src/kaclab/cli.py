@@ -47,7 +47,9 @@ _CONFIG_VALUES = {
 }
 
 # per suite that reads ns: the fewest N values its rate fits need (clt-rate
-# also fits its skew tail from the third N on), and the smallest N it runs
+# also fits its skew tail from the third N on), and the smallest N it runs;
+# the sphere suites start at N = 3, where the first marginal of sigma^N,
+# proportional to (1 - v^2/N)^((N-3)/2), becomes bounded
 _NS_LIMITS = {"poincare-rate": (4, 5), "clt-rate": (6, 2),
               "conditioned-products": (4, 3), "entropy-chaos": (4, 3),
               "omega1-counterexample": (0, 2), "mixtures": (4, 1)}

@@ -325,7 +325,6 @@ class RateReport:
 
     ns: tuple
     values: tuple
-    stderrs: tuple
     fitted_slope: float
     fitted_intercept: float
     slope_ci: tuple[float, float]
@@ -341,7 +340,6 @@ class RateReport:
             raise DimensionError("slope_ci must contain fitted_slope")
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "stderrs", tuple(float(s) for s in self.stderrs))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +420,7 @@ def make_empirical(X: Configuration, group: int = 1) -> DiscreteMeasure:
     return DiscreteMeasure(group * X.d, pts, w, particle_dim=X.d).merged()
 
 
-def loglog_fit(ns: Sequence[int], values: Sequence[float],
-               stderrs: Sequence[float] | None = None) -> RateReport:
+def loglog_fit(ns: Sequence[int], values: Sequence[float]) -> RateReport:
     """Fit log(value) = slope * log(n) + intercept by least squares.
 
     The 95% confidence interval uses the standard normal-theory formula
@@ -444,9 +441,7 @@ def loglog_fit(ns: Sequence[int], values: Sequence[float],
     s2 = float(resid @ resid) / dof
     se = math.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
     tq = stdtrit(dof, 0.975)
-    if stderrs is None:
-        stderrs = [0.0] * len(ns)
-    return RateReport(tuple(int(n) for n in ns), tuple(values), tuple(stderrs),
+    return RateReport(tuple(int(n) for n in ns), tuple(values),
                       float(slope), float(intercept),
                       (float(slope - tq * se), float(slope + tq * se)))
 

@@ -35,7 +35,7 @@ from scipy.optimize import brentq
 from scipy.special import betainc, gammainc, gammaln
 
 from .core import (Density, DimensionError, HypothesisError, KaclabError,
-                   check_reps, gauss_quadrature, gaussian_density, is_int,
+                   gauss_quadrature, gaussian_density, is_int,
                    spectrum_power)
 from .information import relative_entropy
 
@@ -142,19 +142,21 @@ def marginal_gauss_l1(N: int, ell: int = 1) -> float:
     return float(2.0 * (sphere - gauss))
 
 
-def radial_projection_cost(N: int, mc_reps: int,
-                           rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo mean of the normalized l1 projection displacement.
-
-    E |P(V) - V|_1 over iid Gaussian V, an upper bound for the transport
-    distance between the uniform sphere law and the Gaussian tensor power.
+def radial_projection_cost(N: int) -> float:
+    """Exact mean of the normalized l1 displacement of P(V) = sqrt(N) V/|V|
+    from iid Gaussian V: an upper bound on the transport distance between
+    the uniform sphere law and the Gaussian tensor power. R = |V|/sqrt(N)
+    is independent of u = V/|V|, so the mean is E|1 - R| E A with
+    A = sum_i |u_i|/sqrt(N), E R E A = E|V_1| = sqrt(2/pi) and
+    E|1 - R| = E R - 1 + 2 (P(chi2_N < N) - E R P(chi2_{N+1} < N)).
     """
-    check_reps(mc_reps)
-    z = rng.standard_normal((mc_reps, N))
-    norm2 = np.sqrt(np.mean(z ** 2, axis=1))
-    cost = np.abs(1.0 / norm2 - 1.0) * np.mean(np.abs(z), axis=1)
-    cost = np.minimum(cost, 1.0)
-    return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(mc_reps))
+    if not (is_int(N) and N >= 1):
+        raise DimensionError(f"need a positive integer N, got {N!r}")
+    mean_r = math.sqrt(2.0 / N) * math.exp(gammaln((N + 1) / 2.0)
+                                           - gammaln(N / 2.0))
+    mean_gap = (mean_r - 1.0 + 2.0 * (gammainc(N / 2.0, N / 2.0)
+                - mean_r * gammainc((N + 1) / 2.0, N / 2.0)))
+    return float(mean_gap * math.sqrt(2.0 / math.pi) / mean_r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,20 @@ def test_pushforward_equal_laws(rng):
     lhs, rhs = pushforward_identity_exact(F, F)
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pushforward_refuses_a_large_alphabet_before_any_cost(rng):
+    # 2^11 configurations need 4.2M LP edges against a budget of 1.2M; the
+    # (n, n, N) cost tensor this refusal spares peaked at 784 MB
+    F = symmetric_pmf(2, 11, rng)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="2048 configurations"):
+            pushforward_identity_exact(F, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_pushforward_random_pairs(rng):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import kaclab
-from kaclab import cli
+from kaclab import chaos, cli
 from kaclab.cli import main
 from kaclab.core import QuadratureError
 from kaclab.experiments import EXPERIMENTS
@@ -191,6 +191,30 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
         assert code == 2, args
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_poincare_rate_projection_rows_are_exact_and_mc_reps_is_unclamped(
+        tmp_path, monkeypatch):
+    # the radial-projection rows draw nothing; --mc-reps is the replica
+    # count of the coupled omega_N rows, passed on as given
+    seen = []
+    omega_n = chaos.omega_n
+
+    def recording(sampler, f, N, mc_reps, rng):
+        seen.append(mc_reps)
+        return omega_n(sampler, f, N, 2, rng)
+    monkeypatch.setattr(chaos, "omega_n", recording)
+    rows = []
+    for seed in ("424242", "4518"):
+        stem = tmp_path / seed
+        main(["run", "poincare-rate", "--ns", "16,32,64,128", "--mc-reps",
+              "500", "--seed", seed, "--output", str(stem)])
+        with open(f"{stem}.csv", newline="") as fh:
+            rows.append([r for r in csv.DictReader(fh)
+                         if r["quantity"] == "radial_projection_l1"])
+    assert seen == [500] * 8
+    assert rows[0] == rows[1] and len(rows[0]) == 4
+    assert all(r["stderr"] == "0" for r in rows[0])
 
 
 def test_mixtures_entropy_rows_are_exact_at_every_seed(tmp_path):

@@ -8,8 +8,9 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from kaclab import experiments, kacsphere
+from kaclab.chaos import omega_n, sigma_sampler
 from kaclab.core import (DimensionError, HypothesisError, KaclabError,
-                         SizeError, bimodal_density, gauss_quadrature,
+                         bimodal_density, gauss_quadrature,
                          gaussian_density, uniform_density)
 from kaclab.experiments import _rate_ks
 from kaclab.kacsphere import (CACHE_ENV_VAR, PartitionTable,
@@ -130,13 +131,59 @@ def test_marginal_l1_converges_to_gaussian():
     assert slope < -0.8    # observed rate is one over N
 
 
-def test_radial_projection_rate(rng):
+def test_radial_projection_rate():
     ns = [16, 32, 64, 128, 256]
-    vals = [radial_projection_cost(n, 400, rng)[0] for n in ns]
+    vals = [radial_projection_cost(n) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert -0.65 < slope < -0.35
-    with pytest.raises(SizeError):
-        radial_projection_cost(16, 1, rng)
+
+
+def radial_projection_draws(N, count, rng):
+    """(1/N) sum_i |P(V)_i - V_i| for count Gaussian draws V, unclipped:
+    the projection cost's earlier Monte Carlo estimator."""
+    z = rng.standard_normal((count, N))
+    norm2 = np.sqrt(np.mean(z ** 2, axis=1))
+    return np.abs(1.0 / norm2 - 1.0) * np.mean(np.abs(z), axis=1)
+
+
+def _mean_and_stderr(vals):
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
+
+
+@pytest.mark.parametrize("N", [5, 16, 128, 512])
+def test_radial_projection_cost_is_the_monte_carlo_mean(N, rng):
+    mean, se = _mean_and_stderr(radial_projection_draws(N, 4000, rng))
+    assert abs(mean - radial_projection_cost(N)) <= 4.0 * se
+
+
+@pytest.mark.parametrize("N", [5, 16])
+def test_clipped_projection_cost_sits_below_the_exact_mean(N, rng):
+    # min(x, 1) <= x: clipping each draw at the cost's cap only lowers it
+    vals = np.minimum(radial_projection_draws(N, 4000, rng), 1.0)
+    mean, se = _mean_and_stderr(vals)
+    assert mean <= radial_projection_cost(N) + 3.0 * se
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_coupled_omega_n_sits_below_the_projection_cost(N, gauss, rng):
+    # each replica's best relabeling costs at most the identity matching
+    # of P(V) with V, untruncated, whose mean is the projection cost
+    est = omega_n(sigma_sampler(), gauss, N, 200, rng)
+    assert est.value <= radial_projection_cost(N) + 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("N", [10 ** 3, 10 ** 4])
+def test_radial_projection_cost_large_n_expansion(N):
+    # sqrt(N) E|1 - R| E A = sqrt(2) / pi (1 + 1/(4N) + O(1/N^2))
+    value = radial_projection_cost(N)
+    assert abs(math.sqrt(N) * value * math.pi / math.sqrt(2.0) - 1.0
+               - 0.25 / N) <= 1.0 / N ** 2
+
+
+@pytest.mark.parametrize("N", [0, 2.5, True])
+def test_radial_projection_cost_rejects_bad_n(N):
+    with pytest.raises(DimensionError):
+        radial_projection_cost(N)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -337,11 +338,26 @@ def trapezoid_cross_table(f, kernel, n_ys=4001, n_xq=2001):
     return xq, conv, pair
 
 
+@functools.lru_cache(maxsize=None)
+def unit_gaussian_cross_table(kernel):
+    """The trapezoid table of N(0, 1), built once per kernel."""
+    return trapezoid_cross_table(gaussian_density(), kernel)
+
+
+def translated_cross_table(f, kernel):
+    """The trapezoid table of f = N(m, 1): the table of N(0, 1) with its
+    x-grid shifted by m, since f's grids are those of N(0, 1) shifted."""
+    (_,), (m,), var = f.components
+    assert var == 1.0, f.name
+    xq, conv, pair = unit_gaussian_cross_table(kernel)
+    return xq + m, conv, pair
+
+
 def monte_carlo_probe(pi, Ns, kernel, rng, mc_reps=200):
     """Means and standard errors of the squared H^{-s} distance between
-    the empirical measure of X ~ f_a^N and f_a, a drawn from pi: the
-    probe's earlier Monte Carlo estimator."""
-    tables = [trapezoid_cross_table(f, kernel) for _, f in pi.atoms]
+    the empirical measure of X ~ f_a^N and f_a, a drawn from pi, for
+    atoms N(m_a, 1): the probe's earlier Monte Carlo estimator."""
+    tables = [translated_cross_table(f, kernel) for _, f in pi.atoms]
     means, stderrs = [], []
     for N in Ns:
         which = rng.choice(pi.count, size=mc_reps,

@@ -1,12 +1,21 @@
 """Local central limit theorem harness.
 
-The N-fold self-convolution of a standardized density, rescaled back to
-unit variance, is computed entirely in the frequency domain: the
-characteristic function is taken on the dual lattice of the grid as its
-scaled DFT (the lattice spectrum), raised to the N-th power by binary
-exponentiation in complex arithmetic, and inverted on the original grid.
-The characteristic-function bound checks read the same lattice spectrum.
-Small negative lobes of the inverse transform are kept signed; the
+The rate curves read the N-fold self-convolution of a standardized
+density, rescaled back to unit variance, straight from the density's
+characteristic function in closed form (``Density.cf``). On the grid
+x_k = -L + k h, h = 2L/m, the powered cf(xi/sqrt N)^N is sampled on the
+dual lattice xi_j = pi j / L, 0 <= j <= m/2, and inverted with one m-point
+FFT; by Poisson summation that is the rescaled density at the grid
+points, up to aliasing from |x| > L and the powered cf beyond the Nyquist
+frequency, which is checked. The j = 0 term is cf(0) = 1, so the unit
+mass is exact. The characteristic-function bound checks read the same cf
+on the same lattice.
+
+Two grid routes stay as independent oracles of the convolution: the
+lattice spectrum of a gridded density, padded to hold the unscaled
+convolution and interpolated back onto the grid (``iterate_clt``), and
+the direct real-space convolution (``iterate_clt_realspace``).
+Small negative lobes of an inverse transform are kept signed; the
 sup-norm comparison against the Gaussian is on the signed difference.
 """
 from __future__ import annotations
@@ -16,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionError, GridDensity, GridFunction, KaclabError,
-                   RateReport, loglog_fit, normal_pdf, spectrum_power)
+from .core import (Density, DimensionError, Grid, GridDensity, GridFunction,
+                   HypothesisError, KaclabError, RateReport, loglog_fit,
+                   normal_pdf, spectrum_power)
 
 __all__ = [
     "CltIterate",
     "CltRun",
     "standardize",
+    "iterate_clt_cf",
     "iterate_clt",
     "iterate_clt_realspace",
     "sup_error",
@@ -30,10 +41,12 @@ __all__ = [
     "clt_rate_run",
 ]
 
-DEFAULT_HALF_WIDTH = 12.0
-DEFAULT_N_POINTS = 2 ** 14
+# the grid of the rate curves: x_k = -12 + k h, m = 2^14
+CLT_GRID = Grid(12.0, 2 ** 14)
 _ALIAS_TOL = 1e-6
 _CF_NOISE_FLOOR = 1e-12
+# largest |E v| and |E v^2 - 1| of a base the cf route accepts
+_STANDARD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,51 @@ class CltRun:
     sup_errors: tuple
     report: RateReport
     bend: float   # slope(first half) - slope(second half), pre-asymptotic bend
+
+
+def _standard_cf(f: Density):
+    """The cf of a standardized base; HypothesisError otherwise."""
+    if f.cf is None:
+        raise HypothesisError(f"{f.name}: the local CLT harness needs a "
+                              f"characteristic function in closed form")
+    mean = f.raw_moments.get(1, math.nan)
+    second = f.raw_moments.get(2, math.nan)
+    if not (abs(mean) <= _STANDARD_TOL
+            and abs(second - 1.0) <= _STANDARD_TOL):
+        raise HypothesisError(f"{f.name}: the local CLT harness needs mean 0 "
+                              f"and variance 1, got E v = {mean!r}, "
+                              f"E v^2 = {second!r}")
+    return f.cf
+
+
+def _lattice(grid: Grid) -> np.ndarray:
+    """The dual lattice xi_j = pi j / L, 0 <= j <= m/2, of the grid."""
+    return math.pi / grid.half_width * np.arange(grid.n_points // 2 + 1)
+
+
+def iterate_clt_cf(f: Density, N: int, grid: Grid = CLT_GRID) -> CltIterate:
+    """sqrt(N) f^{*N}(sqrt(N) x) on the grid, from f's closed-form cf.
+
+    cf(-xi_j/sqrt N)^N = conj(cf(xi_j/sqrt N)^N) on the dual lattice is
+    the spectrum of the rescaled convolution; since e^{-i xi_j x_k} =
+    (-1)^j e^{-2 pi i jk/m}, its inverse is irfft((-1)^j spectrum) / h.
+    The base must be standardized and have a cf (HypothesisError); a
+    powered cf above ``_ALIAS_TOL`` at the Nyquist edge raises KaclabError.
+    """
+    cf = _standard_cf(f)
+    if N < 2:
+        raise DimensionError("need N >= 2")
+    xi = _lattice(grid)
+    spec = spectrum_power(cf(-xi / math.sqrt(N)), N)
+    n_edge = max(4, len(spec) // 50)
+    edge = float(np.max(np.abs(spec[-n_edge:])))
+    if edge > _ALIAS_TOL:
+        raise KaclabError(
+            f"aliasing check failed at N={N}: powered cf level {edge:.2e} "
+            f"at the Nyquist edge exceeds {_ALIAS_TOL}; use a finer grid")
+    spec = np.where(np.arange(len(spec)) % 2, -spec, spec)
+    vals = np.fft.irfft(spec, n=grid.n_points) / grid.spacing
+    return CltIterate(grid.half_width, grid.n_points, vals)
 
 
 def standardize(g: GridDensity) -> GridDensity:
@@ -73,7 +131,8 @@ def _rescaled(conv: np.ndarray, xs_conv: np.ndarray, g: GridDensity,
 
 
 def iterate_clt(g: GridDensity, N: int) -> CltIterate:
-    """The N-fold renormalized self-convolution, by spectrum powers.
+    """The N-fold renormalized self-convolution of a gridded base, by
+    spectrum powers: the grid oracle of ``iterate_clt_cf``.
 
     The lattice spectrum (the characteristic function on the dual lattice
     of a grid padded to hold the unscaled convolution support) is raised
@@ -121,26 +180,17 @@ def sup_error(gN: GridFunction) -> float:
     return float(np.max(np.abs(gN.values - normal_pdf(gN.xs))))
 
 
-def _cf_modulus(g: GridDensity) -> tuple[np.ndarray, np.ndarray]:
-    """|cf| on the dual lattice xi_j = j pi / L, 0 <= j < m/2.
-
-    On this lattice e^{-i xi_j x_k} = (-1)^j e^{-2 pi i jk/m}, so the
-    characteristic function is h times the m-point DFT up to a sign.
-    """
-    m = g.n_points
-    xi = math.pi / g.half_width * np.arange(m // 2)
-    return xi, g.spacing * np.abs(np.fft.rfft(g.values))[:m // 2]
-
-
-def char_fn_bounds_check(g: GridDensity) -> tuple[float, float]:
+def char_fn_bounds_check(f: Density) -> tuple[float, float]:
     """Largest small-frequency gaussian-domination radius and tail sup.
 
     Returns (delta, kappa): the bound |cf(xi)| <= e^{-xi^2/4} holds on the
-    lattice up to delta, and kappa = sup of |cf| beyond delta (must stay
-    below 1, otherwise the density is lattice-like and the harness rejects
-    it). Magnitudes below a noise floor count as satisfying the bound.
+    dual lattice xi_j = pi j / L, 0 <= j < m/2, of ``CLT_GRID`` up to
+    delta, and kappa = sup of |cf| beyond delta (must stay below 1,
+    otherwise the density is lattice-like and the harness rejects it).
+    Magnitudes below a noise floor count as satisfying the bound.
     """
-    xi, cf = _cf_modulus(g)
+    xi = _lattice(CLT_GRID)[:-1]
+    cf = np.abs(_standard_cf(f)(xi))
     bound = np.exp(-xi ** 2 / 4.0)
     ok = (cf <= bound + 1e-12) | (cf <= _CF_NOISE_FLOOR)
     ok[0] = True
@@ -157,10 +207,10 @@ def char_fn_bounds_check(g: GridDensity) -> tuple[float, float]:
     return delta, kappa
 
 
-def clt_rate_run(g: GridDensity, ns, name: str = "base") -> CltRun:
-    """Sup-error curve over the given N values with its power-law fit."""
-    g = standardize(g)
-    errs = [sup_error(iterate_clt(g, n)) for n in ns]
+def clt_rate_run(f: Density, ns, name: str = "base") -> CltRun:
+    """Sup-error curve of the cf route over the given N values with its
+    power-law fit."""
+    errs = [sup_error(iterate_clt_cf(f, n)) for n in ns]
     report = loglog_fit(ns, errs)
     half = len(ns) // 2
     bend = 0.0

@@ -195,7 +195,8 @@ class Density:
 
     ``score`` is (log pdf)'; ``sampler`` maps (rng, size) to draws.
     ``raw_moments`` maps order k to E v^k when known in closed form; an
-    order it holds is promised finite.
+    order it holds is promised finite. ``cf``, when known in closed form,
+    is the characteristic function xi -> E e^{i xi v} on real arrays.
     """
 
     name: str
@@ -208,6 +209,7 @@ class Density:
     raw_moments: dict = field(default_factory=dict)
     boundary_positive: bool = False   # pdf > 0 at a finite support edge
     components: tuple | None = None   # gaussian_mixture's (w, means, var)
+    cf: Callable[[np.ndarray], np.ndarray] | None = None
 
     def quad_bounds(self) -> tuple[float, float]:
         """Effective integration bounds (truncated for unbounded support)."""
@@ -528,9 +530,10 @@ def gaussian_mixture(weights, means, var: float, name: str) -> Density:
 
     log_pdf is a log-sum-exp over the components and the score is
     -(v - sum_c r_c m_c) / var, r_c the responsibilities, so both stay
-    exact in the tails, where the pdf underflows. One component runs the
-    plain Gaussian formulas float for float; labels are drawn only for two
-    or more.
+    exact in the tails, where the pdf underflows. The characteristic
+    function is sum_c w_c e^{i xi m_c - var xi^2 / 2}. One component runs
+    the plain Gaussian formulas float for float; labels are drawn only for
+    two or more.
     """
     weights, means = tuple(map(float, weights)), tuple(map(float, means))
     _check_weights(weights, name)
@@ -563,6 +566,11 @@ def gaussian_mixture(weights, means, var: float, name: str) -> Density:
                  if len(comps) > 1 else 0)
         return locs[label] + sd * rng.standard_normal(size)
 
+    def cf(xi):
+        xi = np.asarray(xi, dtype=float)
+        return (np.exp(-var * xi ** 2 / 2)
+                * sum(w * np.exp(1j * m * xi) for w, m in comps))
+
     return Density(
         name=name,
         pdf=lambda v: sum(w * normal_pdf((np.asarray(v, dtype=float) - m) / sd)
@@ -576,6 +584,7 @@ def gaussian_mixture(weights, means, var: float, name: str) -> Density:
         raw_moments={k: sum(w * _gauss_raw_moment(k, m, sd) for w, m in comps)
                      for k in range(1, 9)},
         components=(weights, means, float(var)),
+        cf=cf,
     )
 
 
@@ -586,7 +595,8 @@ def gaussian_density(mean: float = 0.0, var: float = 1.0) -> Density:
 
 
 def uniform_density(a: float = 0.0, b: float = 1.0) -> Density:
-    """Uniform on [a, b]."""
+    """Uniform on [a, b]; its characteristic function is
+    e^{i xi (a + b) / 2} sin(xi w / 2) / (xi w / 2), w = b - a."""
     w = b - a
 
     def pdf(v):
@@ -597,6 +607,10 @@ def uniform_density(a: float = 0.0, b: float = 1.0) -> Density:
         v = np.asarray(v, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where((v >= a) & (v <= b), -math.log(w), -np.inf)
+
+    def cf(xi):   # np.sinc(t) = sin(pi t) / (pi t)
+        xi = np.asarray(xi, dtype=float)
+        return np.exp(0.5j * (a + b) * xi) * np.sinc(xi * w / (2.0 * math.pi))
 
     mid, var = (a + b) / 2.0, w * w / 12.0
     return Density(
@@ -609,6 +623,7 @@ def uniform_density(a: float = 0.0, b: float = 1.0) -> Density:
         raw_moments={1: mid, 2: var + mid ** 2},
         cdf=lambda v: np.clip((np.asarray(v, dtype=float) - a) / w, 0.0, 1.0),
         boundary_positive=True,
+        cf=cf,
     )
 
 

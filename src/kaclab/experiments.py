@@ -357,26 +357,24 @@ def run_poincare(cfg: ExperimentConfig) -> ExperimentResult:
 # 4. local CLT rates
 # ---------------------------------------------------------------------------
 
-def _clt_base(name: str) -> GridDensity:
-    f = (bimodal_density(weights=(0.7, 0.3)) if name == "skew-bimodal"
-         else resolve_density(name))
-    return GridDensity.from_density(f, clt.DEFAULT_HALF_WIDTH,
-                                    clt.DEFAULT_N_POINTS)
+def _clt_density(name: str) -> Density:
+    """A clt-rate base: a standardized density with a closed-form cf."""
+    return (bimodal_density(weights=(0.7, 0.3)) if name == "skew-bimodal"
+            else resolve_density(name))
 
 
 def run_clt(cfg: ExperimentConfig) -> ExperimentResult:
     res = ExperimentResult("clt-rate")
     ns = cfg.ns or [4, 8, 16, 32, 64, 128, 256, 512]
 
-    g = clt.standardize(_clt_base("gaussian"))
-    worst = max(clt.sup_error(clt.iterate_clt(g, n)) for n in ns)
+    g = _clt_density("gaussian")
+    worst = max(clt.sup_error(clt.iterate_clt_cf(g, n)) for n in ns)
     res.add_row(0, "gaussian_fixed_point_sup", worst)
     res.check("gaussian base sup error <= 1e-5 at all N", worst <= 1e-5,
               f"max sup err = {worst:.2e}")
 
-    base_small = GridDensity.from_density(
-        uniform_density(-math.sqrt(3.0), math.sqrt(3.0)), 12.0, 8192)
-    base_small = clt.standardize(base_small)
+    base_small = clt.standardize(GridDensity.from_density(
+        _clt_density("uniform"), 12.0, 8192))
     agree = 0.0
     for n in (2, 3):
         freq = clt.iterate_clt(base_small, n)
@@ -387,7 +385,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentResult:
               agree <= 1e-6, f"sup gap = {agree:.2e}")
 
     for name in ("uniform", "bimodal", "skew-bimodal"):
-        run = clt.clt_rate_run(clt.standardize(_clt_base(name)), ns, name)
+        run = clt.clt_rate_run(_clt_density(name), ns, name)
         for N, e in zip(run.ns, run.sup_errors):
             res.add_row(N, f"sup_error_{name}", e)
         res.fits[f"{name}_slope"] = run.report.fitted_slope
@@ -404,7 +402,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentResult:
             res.fits["skew_tail_slope"] = tail.fitted_slope
             res.add_row(0, "skew_tail_slope", tail.fitted_slope)
 
-    du, kappa = clt.char_fn_bounds_check(clt.standardize(_clt_base("uniform")))
+    du, kappa = clt.char_fn_bounds_check(_clt_density("uniform"))
     res.add_row(0, "uniform_cf_delta", du)
     res.add_row(0, "uniform_cf_kappa", kappa)
     res.check("uniform base cf bounds: delta > 0 and kappa < 1",

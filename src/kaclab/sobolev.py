@@ -163,19 +163,18 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
 def hs_pair_expectation(f: Density, kernel: HsKernel) -> float:
     """E Phi(Y - Y') for Y, Y' i.i.d. from a Gaussian-mixture density f.
 
-    On the Fourier side, for f = sum_c w_c N(m_c, v), this is
-    2 int_0^Xi |sum_c w_c e^{i xi m_c}|^2 e^{-v xi^2} <xi>^{-2s} d xi with
-    Xi = QUAD_SIGMA_CUTOFF / sqrt(2 v): one ``gauss_quadrature``.
+    On the Fourier side this is 2 int_0^Xi |cf(xi)|^2 <xi>^{-2s} d xi, cf
+    the characteristic function ``f.cf``; for f = sum_c w_c N(m_c, v),
+    |cf|^2 carries the factor e^{-v xi^2}, so Xi = QUAD_SIGMA_CUTOFF /
+    sqrt(2 v) ends the integral: one ``gauss_quadrature``.
     """
     if f.components is None:
         raise HypothesisError("the pair expectation needs a "
                               f"Gaussian-mixture atom, got {f.name}")
-    w, m, v = (np.asarray(c, dtype=float) for c in f.components)
+    v = f.components[2]
 
     def integrand(xi):
-        hat = np.exp(1j * np.outer(xi, m)) @ w
-        return (np.abs(hat) ** 2 * np.exp(-v * xi ** 2)
-                * (1.0 + xi ** 2) ** -kernel.s)
+        return np.abs(f.cf(xi)) ** 2 * (1.0 + xi ** 2) ** -kernel.s
 
     return 2.0 * gauss_quadrature(integrand, 0.0, QUAD_SIGMA_CUTOFF
                                   / math.sqrt(2.0 * v), PAIR_QUAD_TOL)

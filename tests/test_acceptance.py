@@ -24,19 +24,20 @@ against the rate and coefficient that the next-order expansion predicts:
   gap is c / N + O(N^-2) (see ``entropy_gap_coefficient``). The test asks for
   a slope in (-1.15, -0.85) and N * gap within 2 % of c at every N.
 
-The cumulants come from the suite's own standardized grid bases and c by
-quadrature of the reference density; the measured values are read from
-the suite's rows and fits.
+The cumulants come from the analytic bases the suite convolves: the
+uniform on [-sqrt 3, sqrt 3] has kappa_3 = 0 and kappa_4 = -6/5 exactly,
+and a Gaussian mixture's come from its components; c comes by quadrature
+of the reference density. The measured values are read from the suite's
+rows and fits.
 """
 import math
 
 import numpy as np
 import pytest
 
-from kaclab import clt
 from kaclab.core import SQRT_2PI, gauss_quadrature
-from kaclab.experiments import (ExperimentConfig, _clt_base, resolve_density,
-                                run_experiment)
+from kaclab.experiments import (ExperimentConfig, _clt_density,
+                                resolve_density, run_experiment)
 
 CRITERIA = [
     ("criterion-1-exact-identities", "identities"),
@@ -65,10 +66,18 @@ def _rel_gap(measured, predicted):
 
 
 def clt_cumulants(name):
-    """(kappa_3, kappa_4) of the standardized grid base clt-rate uses."""
-    g = clt.standardize(_clt_base(name))
-    x, w = g.xs - g.mean(), g.values * g.spacing
-    m2, m3, m4 = (float(np.sum(x ** k * w)) for k in (2, 3, 4))
+    """(kappa_3, kappa_4) of the standardized analytic base clt-rate uses.
+
+    For sum_c w_c N(m_c, v) with mean 0, E x^3 = sum_c w_c (m_c^3 + 3 m_c v)
+    and E x^4 = sum_c w_c (m_c^4 + 6 m_c^2 v + 3 v^2).
+    """
+    if name == "uniform":
+        return 0.0, -1.2
+    w, m, v = (np.asarray(c, dtype=float)
+               for c in _clt_density(name).components)
+    m2 = float(np.sum(w * (m ** 2 + v)))
+    m3 = float(np.sum(w * (m ** 3 + 3.0 * m * v)))
+    m4 = float(np.sum(w * (m ** 4 + 6.0 * m ** 2 * v + 3.0 * v ** 2)))
     return m3, m4 - 3.0 * m2 ** 2
 
 

@@ -398,6 +398,32 @@ def test_w2_quantile_matches_the_gaussian_closed_form(seed):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def _w2_bisection(f, g):
+    """W2 with G^{-1} by 64 bisection steps of g.cdf on g.quad_bounds() at
+    every node, to float precision: the oracle of the Newton quantiles."""
+    glo, ghi = g.quad_bounds()
+
+    def sq_shift(x):
+        u = np.clip(f.cdf(x), 0.0, 1.0)
+        lo, hi = np.full_like(x, glo), np.full_like(x, ghi)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = g.cdf(mid) < u
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return (x - 0.5 * (lo + hi)) ** 2
+
+    return math.sqrt(max(_expect(f, sq_shift, 1e-8), 0.0))
+
+
+@pytest.mark.parametrize("f, g", [
+    (bimodal_density(), gaussian_density()),
+    (gaussian_density(), bimodal_density()),
+    (bimodal_density(weights=(0.7, 0.3)), gaussian_density(0.3, 2.0))])
+def test_w2_quantile_matches_the_bisection_oracle(f, g):
+    assert w2_quantile(f, g) == pytest.approx(_w2_bisection(f, g), rel=1e-12)
+
+
 def test_hwi_trivial_and_shift():
     g = gaussian_density()
     lhs, rhs, vac = hwi_check(g, g)

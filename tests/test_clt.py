@@ -107,8 +107,8 @@ def test_char_fn_bounds_uniform():
 def _half_cell_uniform():
     """A uniform whose edges are half-cell points of the suite's grid, off
     centre: the grid nodes inside sample it by the midpoint rule."""
-    h = CLT_GRID.spacing
-    return uniform_density(CLT_GRID.xs[6000] + h / 2, CLT_GRID.xs[9000] + h / 2)
+    xs, h = CLT_GRID.xs, CLT_GRID.spacing
+    return uniform_density(xs[6000] + h / 2, xs[9000] + h / 2)
 
 
 @pytest.mark.parametrize("name", ["uniform", "bimodal", "skew-bimodal"])
@@ -252,7 +252,8 @@ def test_cf_route_against_the_grid_route_on_the_uniform(ugrid):
         second = np.diff(cf, 2) / h ** 2
         interp = h * h / (8 * N) * (np.max(np.abs(second))
                                     + np.sum(np.abs(second)) * h * np.max(cf))
-        p = 2 ** math.ceil(math.log2(ugrid.n_points * (math.sqrt(N) * 1.4 + 2)))
+        p = 2 ** math.ceil(math.log2(ugrid.n_points
+                                     * (math.sqrt(N) * 1.4 + 2)))
         rounding = ((N + 1) * math.log2(p) + N + math.log2(ugrid.n_points)
                     ) * EPS * np.max(cf)
         gap = np.max(np.abs(iterate_clt(ugrid, N).values - cf))

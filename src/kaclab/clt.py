@@ -43,6 +43,8 @@ __all__ = [
 
 # the grid of the rate curves: x_k = -12 + k h, m = 2^14
 CLT_GRID = Grid(12.0, 2 ** 14)
+# its dual lattice xi_j = pi j / L, 0 <= j <= m/2
+_XI = math.pi / CLT_GRID.half_width * np.arange(CLT_GRID.n_points // 2 + 1)
 _ALIAS_TOL = 1e-6
 _CF_NOISE_FLOOR = 1e-12
 # largest |E v| and |E v^2 - 1| of a base the cf route accepts
@@ -81,13 +83,8 @@ def _standard_cf(f: Density):
     return f.cf
 
 
-def _lattice(grid: Grid) -> np.ndarray:
-    """The dual lattice xi_j = pi j / L, 0 <= j <= m/2, of the grid."""
-    return math.pi / grid.half_width * np.arange(grid.n_points // 2 + 1)
-
-
-def iterate_clt_cf(f: Density, N: int, grid: Grid = CLT_GRID) -> CltIterate:
-    """sqrt(N) f^{*N}(sqrt(N) x) on the grid, from f's closed-form cf.
+def iterate_clt_cf(f: Density, N: int) -> CltIterate:
+    """sqrt(N) f^{*N}(sqrt(N) x) on ``CLT_GRID``, from f's closed-form cf.
 
     cf(-xi_j/sqrt N)^N = conj(cf(xi_j/sqrt N)^N) on the dual lattice is
     the spectrum of the rescaled convolution; since e^{-i xi_j x_k} =
@@ -98,8 +95,7 @@ def iterate_clt_cf(f: Density, N: int, grid: Grid = CLT_GRID) -> CltIterate:
     cf = _standard_cf(f)
     if N < 2:
         raise DimensionError("need N >= 2")
-    xi = _lattice(grid)
-    spec = spectrum_power(cf(-xi / math.sqrt(N)), N)
+    spec = spectrum_power(cf(-_XI / math.sqrt(N)), N)
     n_edge = max(4, len(spec) // 50)
     edge = float(np.max(np.abs(spec[-n_edge:])))
     if edge > _ALIAS_TOL:
@@ -107,8 +103,8 @@ def iterate_clt_cf(f: Density, N: int, grid: Grid = CLT_GRID) -> CltIterate:
             f"aliasing check failed at N={N}: powered cf level {edge:.2e} "
             f"at the Nyquist edge exceeds {_ALIAS_TOL}; use a finer grid")
     spec = np.where(np.arange(len(spec)) % 2, -spec, spec)
-    vals = np.fft.irfft(spec, n=grid.n_points) / grid.spacing
-    return CltIterate(grid.half_width, grid.n_points, vals)
+    vals = np.fft.irfft(spec, n=CLT_GRID.n_points) / CLT_GRID.spacing
+    return CltIterate(CLT_GRID.half_width, CLT_GRID.n_points, vals)
 
 
 def standardize(g: GridDensity) -> GridDensity:
@@ -189,7 +185,7 @@ def char_fn_bounds_check(f: Density) -> tuple[float, float]:
     otherwise the density is lattice-like and the harness rejects it).
     Magnitudes below a noise floor count as satisfying the bound.
     """
-    xi = _lattice(CLT_GRID)[:-1]
+    xi = _XI[:-1]
     cf = np.abs(_standard_cf(f)(xi))
     bound = np.exp(-xi ** 2 / 4.0)
     ok = (cf <= bound + 1e-12) | (cf <= _CF_NOISE_FLOOR)

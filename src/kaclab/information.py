@@ -257,16 +257,20 @@ def entropy_knn(samples: np.ndarray) -> InfoValue:
 
 def _quantile(g: Density, u: np.ndarray, t: np.ndarray,
               gt: np.ndarray) -> np.ndarray:
-    """min{x in [t_0, t_-1] : g.cdf(x) >= u} to float precision, where
-    ``gt`` = g.cdf(t) on the sorted table ``t``.
+    """min{x in [t_0, t_-1] : g.cdf(x) >= u} to the cdf's rounding level,
+    where ``gt`` = g.cdf(t) on the sorted table ``t``.
 
     The table brackets each u with g.cdf(lo) < u <= g.cdf(hi). Newton
     steps on g.pdf, started by linear interpolation across the bracket,
     shrink it; a step that leaves the bracket, or meets an underflowed
     pdf, is replaced by bisection. A node stops after a Newton step from a
-    residual within 4 eps, the cdf's rounding level, or once its bracket
-    is a few ulps wide. u at most g.cdf(t_0) gives t_0, u above
-    g.cdf(t_-1) gives t_-1.
+    residual within 4 eps in absolute terms, or once its bracket is a few
+    ulps wide. So a quantile x lands within about 4 eps / g.pdf(x) of the
+    exact one: float precision where the pdf is of order one, coarser in
+    the tails. Below u = 4 eps every start passes the residual test, and
+    x is one Newton step from the interpolated start, off by up to about
+    a tenth of a table cell; only |g.cdf(x) - u| <= 4 eps holds there.
+    u at most g.cdf(t_0) gives t_0, u above g.cdf(t_-1) gives t_-1.
     """
     i = np.searchsorted(gt, u, side="left")
     out = np.where(i == 0, t[0], t[-1])
@@ -298,9 +302,9 @@ def _quantile(g: Density, u: np.ndarray, t: np.ndarray,
 def w2_quantile(f: Density, g: Density) -> float:
     """1-D quadratic Wasserstein distance via the monotone coupling.
 
-    W2^2 = int (x - G^{-1}(F(x)))^2 f(x) dx, with G^{-1} found to float
-    precision at every node from one cdf table on g.quad_bounds() by
-    safeguarded Newton steps (``_quantile``).
+    W2^2 = int (x - G^{-1}(F(x)))^2 f(x) dx, with G^{-1} found to the
+    cdf's rounding level at every node from one cdf table on
+    g.quad_bounds() by safeguarded Newton steps (``_quantile``).
     """
     t = np.linspace(*g.quad_bounds(), _QUANTILE_CELLS + 1)
     gt = g.cdf(t)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
-from kaclab.core import (Grid, GridDensity, HypothesisError, KaclabError,
+from kaclab.core import (GridDensity, HypothesisError, KaclabError,
                          bimodal_density, gaussian_density, normal_pdf,
                          uniform_density)
 from kaclab.clt import (CLT_GRID, char_fn_bounds_check, clt_rate_run,
@@ -269,8 +269,10 @@ def test_cf_route_needs_a_standardized_cf():
         char_fn_bounds_check(gaussian_density(0.5))
 
 
-def test_cf_route_nyquist_check_fires_on_coarse_grid():
-    # sinc^2 at the Nyquist edge of 1024 points on [-12, 12] is about 4e-5
+def test_cf_route_nyquist_check_fires_on_a_cf_that_does_not_decay():
+    # the Rademacher law (mean 0, variance 1): |cos(xi / sqrt 2)|^2 does not
+    # decay, so the powered cf stays near 1 at the Nyquist edge
+    rademacher = dataclasses.replace(gaussian_density(), cf=np.cos)
     with pytest.raises(KaclabError, match="aliasing"):
-        iterate_clt_cf(UNIFORM, 2, Grid(12.0, 1024))
+        iterate_clt_cf(rademacher, 2)
     iterate_clt_cf(UNIFORM, 2)

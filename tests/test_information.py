@@ -11,7 +11,8 @@ from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
                          gaussian_density, merge_atoms, uniform_density)
 from kaclab.experiments import ExperimentConfig
-from kaclab.information import (_expect, _xlogx, discrete_marginal, entropy,
+from kaclab.information import (_QUANTILE_CELLS, _expect, _quantile,
+                                _xlogx, discrete_marginal, entropy,
                                 entropy_knn, fisher,
                                 fisher_superadditivity_grid, hwi_check,
                                 relative_entropy, relative_fisher,
@@ -398,20 +399,23 @@ def test_w2_quantile_matches_the_gaussian_closed_form(seed):
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def _w2_bisection(f, g):
-    """W2 with G^{-1} by 64 bisection steps of g.cdf on g.quad_bounds() at
-    every node, to float precision: the oracle of the Newton quantiles."""
-    glo, ghi = g.quad_bounds()
+def _bisection_quantile(g, u):
+    """min{x : g.cdf(x) >= u} by 64 bisection steps of g.cdf on
+    g.quad_bounds(), to float precision: the oracle of the Newton
+    quantiles."""
+    lo, hi = (np.full_like(u, b) for b in g.quad_bounds())
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = g.cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
+
+def _w2_bisection(f, g):
+    """W2 with G^{-1} from ``_bisection_quantile`` at every node."""
     def sq_shift(x):
-        u = np.clip(f.cdf(x), 0.0, 1.0)
-        lo, hi = np.full_like(x, glo), np.full_like(x, ghi)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = g.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return (x - 0.5 * (lo + hi)) ** 2
+        return (x - _bisection_quantile(g, np.clip(f.cdf(x), 0.0, 1.0))) ** 2
 
     return math.sqrt(max(_expect(f, sq_shift, 1e-8), 0.0))
 
@@ -422,6 +426,25 @@ def _w2_bisection(f, g):
     (bimodal_density(weights=(0.7, 0.3)), gaussian_density(0.3, 2.0))])
 def test_w2_quantile_matches_the_bisection_oracle(f, g):
     assert w2_quantile(f, g) == pytest.approx(_w2_bisection(f, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [gaussian_density(), bimodal_density(),
+                               gaussian_density(0.3, 2.0)])
+def test_quantile_to_the_cdf_rounding_level(g):
+    """From u = 4 eps to 1 - 4 eps the Newton quantile is within the cdf's
+    resolution 4 eps / g.pdf of the bisection one; below 4 eps only the
+    absolute cdf residual is held to 4 eps."""
+    eps = np.finfo(float).eps
+    t = np.linspace(*g.quad_bounds(), _QUANTILE_CELLS + 1)
+    gt = g.cdf(t)
+    u = np.concatenate([np.logspace(math.log10(4 * eps), -1, 200),
+                        np.linspace(0.1, 0.9, 200),
+                        1.0 - np.logspace(-1, math.log10(4 * eps), 200)])
+    got, want = _quantile(g, u, t, gt), _bisection_quantile(g, u)
+    resolution = 4 * eps / g.pdf(want) + 4 * eps * np.maximum(abs(want), 1.0)
+    assert np.all(np.abs(got - want) <= resolution)
+    deep = np.logspace(-17, math.log10(4 * eps), 50)
+    assert np.all(np.abs(g.cdf(_quantile(g, deep, t, gt)) - deep) <= 4 * eps)
 
 
 def test_hwi_trivial_and_shift():

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Density, DimensionError, DiscreteMeasure, HypothesisError,
-                   SizeError, _Phi, check_reps, gaussian_mixture, is_int,
+from .core import (Density, DimensionError, DiscreteMeasure, SizeError, _Phi,
+                   check_reps, gaussian_components, gaussian_mixture, is_int,
                    normal_pdf, symmetric_group_generators)
-from .transport import (_LP_EDGE_BUDGET, TRUNCATION, _transport_lp,
+from .transport import (_LP_EDGE_BUDGET, TRUNCATION, _transport_lps,
                         cost_matrix, w1_discrete, w1_discrete_batch, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
@@ -285,7 +285,7 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     # full LP on aligned coordinates
     mu = DiscreteMeasure(N, vals, F.ravel())
     nu = DiscreteMeasure(N, vals, G.ravel())
-    lhs = _transport_lp(cost_matrix(mu, nu), mu.weights, nu.weights)
+    [lhs] = _transport_lps([(cost_matrix(mu, nu), mu.weights, nu.weights)])
 
     # quotient LP on occupation classes: distinct integer symbols cost
     # TRUNCATION <= 1 each, so a best relabeling pairs equal symbols, and
@@ -295,7 +295,7 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     massG = np.bincount(inverse, G.ravel(), len(counts))
     cost_q = TRUNCATION * (
         N - np.minimum(counts[:, None], counts).sum(axis=2)) / N
-    rhs = _transport_lp(cost_q, massF, massG)
+    [rhs] = _transport_lps([(cost_q, massF, massG)])
     return lhs, rhs
 
 
@@ -303,7 +303,7 @@ def _clip_mean(f: Density, c: float) -> float:
     """E_f clip(2 (x - c), -1, 1) in closed form over the Gaussian
     components of f: the two tails plus twice the mean of x - c on the
     ramp |x - c| <= 1/2."""
-    weights, means, var = f.components
+    ((weights, means),), var = gaussian_components(f)
     sd, m = math.sqrt(var), np.asarray(means)
     lo, hi = (c - 0.5 - m) / sd, (c + 0.5 - m) / sd
     P_lo, P_hi = _Phi(lo), _Phi(hi)
@@ -325,13 +325,9 @@ def omega1_counterexample(g: Density, h: Density, Ns) -> dict:
     N to (omega_1, that bound). g and h must be Gaussian mixtures of one
     variance.
     """
-    if (g.components is None or h.components is None
-            or g.components[2] != h.components[2]):
-        raise HypothesisError(f"need Gaussian mixtures of one variance, got "
-                              f"{g.name} and {h.name}")
+    ((wg, mg), (wh, mh)), var = gaussian_components(g, h)
     if not all(is_int(N) and N >= 2 for N in Ns):
         raise DimensionError(f"omega_2 needs integers N >= 2, got {Ns!r}")
-    (wg, mg, var), (wh, mh, _) = g.components, h.components
     f = gaussian_mixture([w / 2 for w in wg + wh], mg + mh, var, "half-half")
     xs = np.linspace(*f.quad_bounds(), 4001)
     gap = float(np.max(np.abs(f.pdf(xs) - (g.pdf(xs) + h.pdf(xs)) / 2)))

@@ -30,7 +30,6 @@ from .core import (Density, DimensionError, Grid, GridDensity, GridFunction,
                    normal_pdf, spectrum_power)
 
 __all__ = [
-    "CltIterate",
     "CltRun",
     "standardize",
     "iterate_clt_cf",
@@ -47,16 +46,9 @@ CLT_GRID = Grid(12.0, 2 ** 14)
 _XI = math.pi / CLT_GRID.half_width * np.arange(CLT_GRID.n_points // 2 + 1)
 _ALIAS_TOL = 1e-6
 _CF_NOISE_FLOOR = 1e-12
-# largest |E v| and |E v^2 - 1| of a base the cf route accepts
+# largest |E v| and |E v^2 - 1| of a base the cf route accepts, and of a
+# grid base after ``standardize``
 _STANDARD_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CltIterate(GridFunction):
-    """Signed renormalized density values of one convolution iterate.
-
-    h * sum(values) = 1; negative lobes are kept.
-    """
 
 
 @dataclass(frozen=True)
@@ -83,14 +75,16 @@ def _standard_cf(f: Density):
     return f.cf
 
 
-def iterate_clt_cf(f: Density, N: int) -> CltIterate:
+def iterate_clt_cf(f: Density, N: int) -> GridFunction:
     """sqrt(N) f^{*N}(sqrt(N) x) on ``CLT_GRID``, from f's closed-form cf.
 
     cf(-xi_j/sqrt N)^N = conj(cf(xi_j/sqrt N)^N) on the dual lattice is
     the spectrum of the rescaled convolution; since e^{-i xi_j x_k} =
     (-1)^j e^{-2 pi i jk/m}, its inverse is irfft((-1)^j spectrum) / h.
-    The base must be standardized and have a cf (HypothesisError); a
-    powered cf above ``_ALIAS_TOL`` at the Nyquist edge raises KaclabError.
+    The j = 0 term is cf(0) = 1, so the values have unit mass exactly;
+    negative lobes of the inverse stay signed. The base must be
+    standardized and have a cf (HypothesisError); a powered cf above
+    ``_ALIAS_TOL`` at the Nyquist edge raises KaclabError.
     """
     cf = _standard_cf(f)
     if N < 2:
@@ -104,37 +98,43 @@ def iterate_clt_cf(f: Density, N: int) -> CltIterate:
             f"at the Nyquist edge exceeds {_ALIAS_TOL}; use a finer grid")
     spec = np.where(np.arange(len(spec)) % 2, -spec, spec)
     vals = np.fft.irfft(spec, n=CLT_GRID.n_points) / CLT_GRID.spacing
-    return CltIterate(CLT_GRID.half_width, CLT_GRID.n_points, vals)
+    return GridFunction(CLT_GRID.half_width, CLT_GRID.n_points, vals)
 
 
 def standardize(g: GridDensity) -> GridDensity:
-    out = g.standardized()
-    if abs(out.mean()) > 1e-8 or abs(out.variance() - 1.0) > 1e-6:
-        out = out.standardized()
-    if abs(out.mean()) > 1e-8 or abs(out.variance() - 1.0) > 1e-6:
-        raise DimensionError("grid density cannot be standardized on this grid")
-    return out
+    """g rescaled to mean 0 and variance 1 by repeated
+    ``GridDensity.standardized`` passes, until |mean| and |variance - 1|
+    are at most ``_STANDARD_TOL``; DimensionError if 8 passes do not get
+    there."""
+    for _ in range(8):
+        g = g.standardized()
+        if (abs(g.mean()) <= _STANDARD_TOL
+                and abs(g.variance() - 1.0) <= _STANDARD_TOL):
+            return g
+    raise DimensionError("grid density cannot be standardized on this grid")
 
 
 def _rescaled(conv: np.ndarray, xs_conv: np.ndarray, g: GridDensity,
-              N: int) -> CltIterate:
-    """Resample sqrt(N) g^{*N}(sqrt(N) x) onto the base grid; shared by the
-    frequency and real-space routes so they differ only in the convolution."""
+              N: int) -> GridFunction:
+    """Resample sqrt(N) g^{*N}(sqrt(N) x) onto the base grid and scale it
+    to unit mass, negative lobes kept signed; shared by the frequency and
+    real-space routes so they differ only in the convolution."""
     root = math.sqrt(N)
     vals = root * np.interp(root * g.xs, xs_conv, conv, left=0.0, right=0.0)
     vals = vals / (vals.sum() * g.spacing)
-    return CltIterate(g.half_width, g.n_points, vals)
+    return GridFunction(g.half_width, g.n_points, vals)
 
 
-def iterate_clt(g: GridDensity, N: int) -> CltIterate:
+def iterate_clt(g: GridDensity, N: int) -> GridFunction:
     """The N-fold renormalized self-convolution of a gridded base, by
     spectrum powers: the grid oracle of ``iterate_clt_cf``.
 
     The lattice spectrum (the characteristic function on the dual lattice
     of a grid padded to hold the unscaled convolution support) is raised
     to the N-th power by binary exponentiation and inverted; the rescale
-    back to unit variance happens on the real axis. An aliasing check
-    rejects grids whose dual range no longer contains the spectrum.
+    back to unit variance happens on the real axis, by ``_rescaled``: unit
+    mass, negative lobes kept signed. An aliasing check rejects grids
+    whose dual range no longer contains the spectrum.
     """
     if N < 2:
         raise DimensionError("need N >= 2")
@@ -159,8 +159,9 @@ def iterate_clt(g: GridDensity, N: int) -> CltIterate:
     return _rescaled(conv, xs_conv, g, N)
 
 
-def iterate_clt_realspace(g: GridDensity, N: int) -> CltIterate:
-    """Direct real-space convolution oracle (quadratic cost, small N only)."""
+def iterate_clt_realspace(g: GridDensity, N: int) -> GridFunction:
+    """Direct real-space convolution oracle (quadratic cost, small N only),
+    rescaled by ``_rescaled``: unit mass, negative lobes kept signed."""
     if N > 4:
         raise DimensionError("real-space oracle is for N <= 4")
     h = g.spacing

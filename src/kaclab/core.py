@@ -45,6 +45,7 @@ __all__ = [
     "spectrum_power",
     "normal_pdf",
     "gaussian_mixture",
+    "gaussian_components",
     "gaussian_density",
     "uniform_density",
     "bimodal_density",
@@ -586,6 +587,23 @@ def gaussian_mixture(weights, means, var: float, name: str) -> Density:
         components=(weights, means, float(var)),
         cf=cf,
     )
+
+
+def gaussian_components(*densities: Density):
+    """Each density's mixture (weights, means), and the variance they share.
+
+    The one reader of ``Density.components`` for closed forms (``Mixture``
+    also keys its atoms by them): returns ([(weights, means), ...], var)
+    in the order given, or raises HypothesisError, naming the densities,
+    unless every one is a ``gaussian_mixture`` and all share one variance.
+    """
+    comps = [f.components for f in densities]
+    if (not comps or None in comps
+            or len({var for _, _, var in comps}) != 1):
+        raise HypothesisError(
+            "need Gaussian-mixture densities of one variance, got "
+            + ", ".join(f.name for f in densities))
+    return [(w, m) for w, m, _ in comps], comps[0][2]
 
 
 def gaussian_density(mean: float = 0.0, var: float = 1.0) -> Density:

@@ -97,8 +97,9 @@ def entropy(f) -> InfoValue:
 
 
 def relative_entropy(f, g) -> InfoValue:
-    """H(f|g) = int f log(f/g) >= 0, zero only at f = g; discrete laws are
-    matched atom by atom under ``core.group_atoms``."""
+    """H(f|g) = int f log(f/g) >= 0, zero only at f = g, for two analytic
+    densities or two discrete laws; discrete laws are matched atom by atom
+    under ``core.group_atoms``."""
     if isinstance(f, Density) and isinstance(g, Density):
         # g must be positive wherever f is above the floor; a violation is
         # looked for on the quadrature's own nodes, before integrating
@@ -122,15 +123,6 @@ def relative_entropy(f, g) -> InfoValue:
             return InfoValue(math.inf, "discrete", f.j)
         val = np.sum(p[pos] * np.log(p[pos] / q[pos])) / f.j
         return InfoValue(float(val), "discrete", f.j)
-    if isinstance(f, GridDensity) and isinstance(g, GridDensity):
-        if (f.n_points, f.half_width) != (g.n_points, g.half_width):
-            raise DimensionError("grid densities must share their grid")
-        pos = f.values > _DENSITY_FLOOR
-        if np.any(pos & (g.values <= 0)):
-            return InfoValue(math.inf, "quadrature", 1)
-        val = np.sum(f.values[pos]
-                     * np.log(f.values[pos] / g.values[pos])) * f.spacing
-        return InfoValue(float(val), "quadrature", 1)
     raise DimensionError("relative_entropy needs a matching pair of carriers")
 
 

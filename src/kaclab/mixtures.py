@@ -17,7 +17,8 @@ from scipy.special import logsumexp
 
 from .core import (QUAD_SIGMA_CUTOFF, DimensionError, Grid, GridDensity,
                    HypothesisError, ProductGridDensity, RateReport,
-                   gauss_quadrature, is_int, loglog_fit, normal_pdf)
+                   gauss_quadrature, gaussian_components, is_int, loglog_fit,
+                   normal_pdf)
 from .information import entropy, fisher
 from .sobolev import HsKernel, hs_pair_expectation
 
@@ -150,18 +151,6 @@ def _check_js(js) -> list:
     return sorted(int(j) for j in js)
 
 
-def _gaussian_atoms(pi: Mixture):
-    """Means of the atoms and their shared variance; HypothesisError
-    unless every atom is one Gaussian and all share one variance."""
-    comps = [f.components for _, f in pi.atoms]
-    if (any(c is None or len(c[0]) != 1 for c in comps)
-            or len({c[2] for c in comps}) != 1):
-        raise HypothesisError(
-            "the marginal entropies need single-Gaussian atoms of one "
-            f"variance, got {', '.join(f.name for _, f in pi.atoms)}")
-    return np.array([c[1][0] for c in comps]), comps[0][2]
-
-
 def marginal_entropy_curve(pi: Mixture, js) -> MarginalEntropyCurve:
     """Normalized marginal entropies H(pi_j)/j along js, with the gap fit.
 
@@ -183,7 +172,12 @@ def marginal_entropy_curve(pi: Mixture, js) -> MarginalEntropyCurve:
     positive integers; ``mixture_marginal`` holds the oracles.
     """
     js = _check_js(js)
-    means, var = _gaussian_atoms(pi)
+    atoms = [f for _, f in pi.atoms]
+    comps, var = gaussian_components(*atoms)
+    if any(len(w) != 1 for w, _ in comps):
+        raise HypothesisError("the marginal entropies need one Gaussian per "
+                              f"atom, got {', '.join(f.name for f in atoms)}")
+    means = np.array([m for _, (m,) in comps])
     alphas = np.array([a for a, _ in pi.atoms])
     h3 = level3_entropy(pi)
     base = (-0.5 * math.log(2.0 * math.pi * var)

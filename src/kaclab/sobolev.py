@@ -17,8 +17,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln, kv, kve, poch
 
 from .core import (QUAD_SIGMA_CUTOFF, Density, DimensionError,
-                   DiscreteMeasure, HypothesisError, KaclabError,
-                   gauss_quadrature, gl_panels)
+                   DiscreteMeasure, KaclabError, gauss_quadrature,
+                   gaussian_components, gl_panels)
 
 __all__ = [
     "HsKernel",
@@ -168,10 +168,7 @@ def hs_pair_expectation(f: Density, kernel: HsKernel) -> float:
     |cf|^2 carries the factor e^{-v xi^2}, so Xi = QUAD_SIGMA_CUTOFF /
     sqrt(2 v) ends the integral: one ``gauss_quadrature``.
     """
-    if f.components is None:
-        raise HypothesisError("the pair expectation needs a "
-                              f"Gaussian-mixture atom, got {f.name}")
-    v = f.components[2]
+    _, v = gaussian_components(f)
 
     def integrand(xi):
         return np.abs(f.cf(xi)) ** 2 * (1.0 + xi ** 2) ** -kernel.s

@@ -38,7 +38,8 @@ __all__ = [
 
 _LP_EDGE_BUDGET = 1_200_000
 _PRODUCT_ATOM_BUDGET = 100_000
-# absolute slack of _check_plan (flows, marginals and cost)
+# absolute slack of a plan's flows and marginals, and of the summed costs
+# against the LP objective (relative to max(1, |objective|))
 _PLAN_TOL = 1e-10
 
 # The bounded cost caps each particle's distance at this value.
@@ -192,18 +193,15 @@ def w1_config_bruteforce(X: Configuration, Y: Configuration) -> float:
     return float(costs[np.arange(n), perms].mean(axis=1).min())
 
 
-def _check_plan(flow: np.ndarray, costs: np.ndarray, w_src: np.ndarray,
-                w_tgt: np.ndarray, cost: float):
-    """Raise unless the flow matrix is a plan between w_src and w_tgt whose
-    cost under ``costs`` is ``cost``, each within ``_PLAN_TOL``."""
+def _check_plan(flow: np.ndarray, w_src: np.ndarray, w_tgt: np.ndarray):
+    """Raise unless the flow matrix is a plan between w_src and w_tgt, each
+    flow and marginal within ``_PLAN_TOL``."""
     if np.any(flow < -_PLAN_TOL):
         raise DimensionError("plan has negative flow")
     if np.max(np.abs(flow.sum(axis=1) - w_src)) > _PLAN_TOL:
         raise DimensionError("plan row sums differ from source weights")
     if np.max(np.abs(flow.sum(axis=0) - w_tgt)) > _PLAN_TOL:
         raise DimensionError("plan column sums differ from target weights")
-    if abs(float(np.sum(flow * costs)) - cost) > _PLAN_TOL * max(1.0, abs(cost)):
-        raise DimensionError("plan cost inconsistent with flows")
 
 
 def _transport_lps(problems) -> list[float]:
@@ -211,9 +209,10 @@ def _transport_lps(problems) -> list[float]:
     solved as one block-diagonal LP via HiGHS.
 
     The blocks share no variable and no constraint, so the joint optimum
-    is optimal in every block. Each block's cost is read as c_b . x_b (with
-    one block, the LP's objective) and checked against its plan by
-    ``_check_plan``. The edge budget holds for the whole LP.
+    is optimal in every block. Each block's cost is c_b . x_b, its plan
+    checked by ``_check_plan``; the costs must sum to the LP's objective
+    within ``_PLAN_TOL`` max(1, |objective|). The edge budget holds for
+    the whole LP.
     """
     if not problems:
         return []
@@ -248,17 +247,11 @@ def _transport_lps(problems) -> list[float]:
     for costs, w_src, w_tgt in problems:
         x = res.x[off:off + costs.size]
         off += costs.size
-        cost = (float(res.fun) if len(problems) == 1
-                else float(costs.ravel() @ x))
-        _check_plan(x.reshape(costs.shape), costs, w_src, w_tgt, cost)
-        out.append(cost)
+        _check_plan(x.reshape(costs.shape), w_src, w_tgt)
+        out.append(float(costs.ravel() @ x))
+    if abs(sum(out) - res.fun) > _PLAN_TOL * max(1.0, abs(res.fun)):
+        raise DimensionError("plan costs inconsistent with the LP objective")
     return out
-
-
-def _transport_lp(costs: np.ndarray, w_src: np.ndarray,
-                  w_tgt: np.ndarray) -> float:
-    """Exact transportation LP via HiGHS: one block of ``_transport_lps``."""
-    return _transport_lps([(costs, w_src, w_tgt)])[0]
 
 
 def w1_discrete_batch(pairs) -> list[float]:

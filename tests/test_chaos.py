@@ -378,9 +378,13 @@ def test_pushforward_quotient_cost_matches_w1_line(S, N, rng, monkeypatch):
     # the closed-form class cost against one exact w1_line solve per pair
     # of class representatives; the full-space LP is solved first
     costs = []
-    solve = chaos._transport_lp
-    monkeypatch.setattr(chaos, "_transport_lp",
-                        lambda c, a, b: costs.append(c) or solve(c, a, b))
+    solve = chaos._transport_lps
+
+    def spy(problems):
+        costs.extend(c for c, _, _ in problems)
+        return solve(problems)
+
+    monkeypatch.setattr(chaos, "_transport_lps", spy)
     F, G = symmetric_pmf(S, N, rng), symmetric_pmf(S, N, rng)
     lhs, rhs = pushforward_identity_exact(F, G)
     counts, _ = _occupation_classes(S, N)

@@ -49,6 +49,14 @@ def test_iterate_mass_and_variance(ugrid):
         assert abs(it.variance() - 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("n_points", [8192, CLT_GRID.n_points])
+def test_standardize_meets_the_cf_route_tolerance(n_points):
+    # the suite's gridded uniform and the tests' grid base
+    g = standardize(GridDensity.from_density(UNIFORM, 12.0, n_points))
+    assert abs(g.mean()) <= 1e-12
+    assert abs(g.variance() - 1.0) <= 1e-12
+
+
 def test_triangle_matches_realspace_oracle():
     base = standardize(GridDensity.from_density(
         uniform_density(-math.sqrt(3), math.sqrt(3)), 12.0, 8192))

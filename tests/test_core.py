@@ -9,7 +9,8 @@ from kaclab.core import (ATOM_MERGE_TOL, SQRT_2PI, Configuration,
                          DimensionError, DiscreteMeasure, GridDensity,
                          HypothesisError, ProductGridDensity, QuadratureError,
                          _Phi, _gauss_raw_moment, bimodal_density,
-                         gauss_quadrature, gaussian_density, gaussian_mixture,
+                         gauss_quadrature, gaussian_components,
+                         gaussian_density, gaussian_mixture,
                          group_atoms, loglog_fit, make_empirical, merge_atoms,
                          normal_pdf, spectrum_power, uniform_density)
 
@@ -288,6 +289,30 @@ def test_mixture_carrier_rejects_invalid_components():
         with pytest.raises(HypothesisError,
                            match="need positive weights summing to 1"):
             bimodal_density(weights=weights)
+
+
+def test_gaussian_components_reads_mixtures_of_one_variance():
+    three = gaussian_mixture((0.2, 0.5, 0.3), (-2.0, 0.0, 1.5), 0.4, "three")
+    assert gaussian_components(three) == (
+        [((0.2, 0.5, 0.3), (-2.0, 0.0, 1.5))], 0.4)
+    two = gaussian_mixture((0.25, 0.75), (1.0, 3.0), 0.4, "two")
+    assert gaussian_components(three, gaussian_density(-1.0, 0.4), two) == (
+        [((0.2, 0.5, 0.3), (-2.0, 0.0, 1.5)), ((1.0,), (-1.0,)),
+         ((0.25, 0.75), (1.0, 3.0))], 0.4)
+
+
+@pytest.mark.parametrize("densities", [
+    (uniform_density(-1.0, 1.0),),
+    (gaussian_density(0.0, 1.0), gaussian_density(2.0, 4.0)),
+    (gaussian_density(0.0, 1.0), uniform_density(-1.0, 1.0),
+     gaussian_density(2.0, 4.0)),
+], ids=["uniform", "unequal-variances", "both"])
+def test_gaussian_components_refuses_and_names_the_densities(densities):
+    with pytest.raises(HypothesisError,
+                       match="Gaussian-mixture.*one variance") as err:
+        gaussian_components(*densities)
+    for f in densities:
+        assert f.name in str(err.value)
 
 
 def test_three_component_mixture_matches_its_components():

@@ -16,7 +16,7 @@ from kaclab import experiments, transport
 from kaclab.chaos import (enumerate_configs, grunbaum_exact, omega_inf,
                           omega_j, omega_n, pushforward_identity_exact,
                           sigma_sampler, symmetric_pmf)
-from kaclab.transport import _check_plan, _transport_lp, _transport_lps
+from kaclab.transport import _check_plan, _transport_lps
 
 
 def conf(*xs):
@@ -195,8 +195,9 @@ def test_w1_line_matches_lp_on_weighted_pairs():
         else:
             p, q = rng.uniform(-3, 3, (n, 1)), rng.uniform(-3, 3, (m, 1))
         wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-        lp = _transport_lp(cost_matrix(DiscreteMeasure(1, p, wa),
-                                       DiscreteMeasure(1, q, wb)), wa, wb)
+        lp = _transport_lps([(cost_matrix(DiscreteMeasure(1, p, wa),
+                                          DiscreteMeasure(1, q, wb)),
+                              wa, wb)])[0]
         assert w1_line(p[:, 0], wa, q[:, 0], wb) == pytest.approx(lp, abs=1e-12)
 
 
@@ -289,29 +290,49 @@ def test_w1_discrete_matches_w1_config_on_empirical():
 
 def test_transport_plan_marginals_validate():
     # the product plan of two measures passes the check; breaking its sign,
-    # a row sum, a column sum or its cost each fails it
+    # a row sum or a column sum each fails it
     rng = np.random.default_rng(7)
     mu = random_measure(rng, 5).merged()
     nu = random_measure(rng, 3).merged()
     costs = cost_matrix(mu, nu)
     plan = np.outer(mu.weights, nu.weights)
-    cost = float(np.sum(plan * costs))
-    _check_plan(plan, costs, mu.weights, nu.weights, cost)
+    _check_plan(plan, mu.weights, nu.weights)
     # mass moved around a cycle keeps every marginal, mass moved along a
     # row keeps the row sums, and mass added at one cell keeps neither
     cycle, row_move, added = (np.zeros_like(plan) for _ in range(3))
     cycle[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
     row_move[0, :2] = [1e-6, -1e-6]
     added[0, 0] = 1e-6
-    broken = [(plan - (plan[0, 0] + 1e-6) * cycle, cost, "negative flow"),
-              (plan + added, cost, "row sums"),
-              (plan + row_move, cost, "column sums"),
-              (plan, cost + 1e-6, "cost")]
-    for flow, c, what in broken:
+    broken = [(plan - (plan[0, 0] + 1e-6) * cycle, "negative flow"),
+              (plan + added, "row sums"),
+              (plan + row_move, "column sums")]
+    for flow, what in broken:
         with pytest.raises(DimensionError, match=what):
-            _check_plan(flow, costs, mu.weights, nu.weights, c)
+            _check_plan(flow, mu.weights, nu.weights)
     assert w1_discrete(mu, nu) == pytest.approx(
-        _transport_lp(costs, mu.weights, nu.weights), abs=1e-12)
+        _transport_lps([(costs, mu.weights, nu.weights)])[0], abs=1e-12)
+
+
+def test_block_costs_must_sum_to_the_lp_objective(monkeypatch):
+    # two blocks whose plans pass their own checks, but whose costs c_b . x_b
+    # no longer sum to the objective the solver reports
+    real = transport.linprog
+
+    def shifted(c, **kwargs):
+        res = real(c, **kwargs)
+        res.fun += 1e-6
+        return res
+
+    rng = np.random.default_rng(7)
+    blocks = []
+    for n, m in ((5, 3), (4, 4)):
+        mu = random_measure(rng, n).merged()
+        nu = random_measure(rng, m).merged()
+        blocks.append((cost_matrix(mu, nu), mu.weights, nu.weights))
+    _transport_lps(blocks)
+    monkeypatch.setattr(transport, "linprog", shifted)
+    with pytest.raises(DimensionError, match="cost"):
+        _transport_lps(blocks)
 
 
 def test_quantile_plan_matches_lp():
@@ -328,7 +349,7 @@ def test_quantile_plan_matches_lp():
             p = rng.normal(size=n)
             q = rng.normal(size=m)
         wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-        lp = _transport_lp((p[:, None] - q[None, :]) ** 2, wa, wb)
+        lp = _transport_lps([((p[:, None] - q[None, :]) ** 2, wa, wb)])[0]
         assert w2_line(p, wa, q, wb) ** 2 == pytest.approx(lp, abs=1e-12)
 
 
@@ -420,7 +441,7 @@ def test_batched_lp_matches_one_block_solves():
     values = _transport_lps(blocks)
     assert len(values) == len(blocks)
     for (costs, w_src, w_tgt), value in zip(blocks, values):
-        one = _transport_lp(costs, w_src, w_tgt)
+        one = _transport_lps([(costs, w_src, w_tgt)])[0]
         assert value == pytest.approx(one, abs=1e-12)
         if 1 in costs.shape:
             # the product plan is the only feasible one
@@ -457,7 +478,7 @@ def test_one_block_builds_the_single_problem_lp(monkeypatch):
     for n, m in ((1, 1), (1, 5), (4, 1), (3, 7), (6, 6)):
         costs = rng.uniform(size=(n, m))
         w_src, w_tgt = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-        _transport_lp(costs, w_src, w_tgt)
+        _transport_lps([(costs, w_src, w_tgt)])
         c, kwargs = seen[-1]
         A, ref = kwargs["A_eq"], _one_block_matrix(n, m)
         assert A.shape == ref.shape
@@ -640,7 +661,7 @@ def test_marginal_contraction(N, j):
     configs = enumerate_configs(2, N).astype(float)
     costs = np.minimum(np.abs(configs[:, None, :] - configs[None, :, :]),
                        1.0).mean(axis=2)
-    full = _transport_lp(costs, F.ravel(), G.ravel())
+    full = _transport_lps([(costs, F.ravel(), G.ravel())])[0]
     marg = w1_discrete(_pmf_marginal_measure(F, j, symbols),
                        _pmf_marginal_measure(G, j, symbols))
     assert marg <= 2.0 * full + 1e-9

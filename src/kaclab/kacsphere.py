@@ -65,8 +65,14 @@ _MAGIC = b"KLPT1\x00"
 
 # Partition-table u-grid spacing before rounding to a power-of-two size.
 _DU = 0.004
-# grid points of the sampler's per-coordinate inverse CDF
+# cells of the sampler's per-coordinate inverse CDF, searched in blocks
 _SAMPLER_GRID = 384
+_SAMPLER_BLOCK = 16
+# cell i's index in the grid's positive half, and its block
+_CELL_HALF = np.abs(2 * np.arange(_SAMPLER_GRID) - (_SAMPLER_GRID - 1)) // 2
+_CELL_BLOCK = np.arange(_SAMPLER_GRID) // _SAMPLER_BLOCK
+# resamples of rows that met a zero-mass conditional density
+_MAX_RESAMPLES = 50
 # Query points per block of a table lookup: its four reused 128 kB buffers
 # stay in cache, where whole-query temporaries do not.
 _LOOKUP_BLOCK = 1 << 14
@@ -425,27 +431,23 @@ class ConditionedSample:
     n_resampled: int
 
 
-def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
-                       rng: np.random.Generator,
-                       max_retries: int = 50) -> ConditionedSample:
-    """Exact sequential sampler of the conditioned product law.
+def _require_table_of(f: Density, table: PartitionTable):
+    """Refuse a table built for another density.
 
-    Coordinate by coordinate, v is drawn by inverse CDF on a grid from the
-    conditional density f(v) h^{*(k-1)}(u - v^2) given the remaining
-    squared radius u over k coordinates; the last two coordinates are drawn
-    on the remaining circle from the angle density f(r cos) f(r sin).
-    Radius underflow triggers a resample of the affected rows rather than
-    clamping, which would bias the final circle.
+    ``Density.name`` formats parameters with ``:g`` (six significant
+    digits), so this catches a wrong density but not a parameter change
+    below the sixth digit.
     """
-    if N < 5:
-        raise DimensionError("need N >= 5")
-    if not is_int(count) or count < 0:
-        raise DimensionError(f"count must be a nonnegative integer, "
-                             f"got {count!r}")
-    missing = [k for k in range(2, N) if not table.has_k(k)]
-    if missing or not table.has_k(N - 1):
-        raise KaclabError(f"table is missing convolutions {missing[:5]}...; "
-                          f"build it with all k < N")
+    if table.density_name != f.name:
+        raise KaclabError(f"table was built for {table.density_name!r}, "
+                          f"not for {f.name!r}")
+
+
+def _sequential_draw(f: Density, N: int, count: int, table: PartitionTable,
+                     rng: np.random.Generator):
+    """One pass of the sequential sampler: (rows, failed), where a failed
+    row met a zero-mass conditional density and holds no draw."""
+    G, B = _SAMPLER_GRID, _SAMPLER_BLOCK
     out = np.empty((count, N))
     usq = np.full(count, float(N))
     failed = np.zeros(count, dtype=bool)
@@ -458,29 +460,44 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         act = rows[~failed]
         if len(act) == 0:
             break
-        # one grid per step, shared across rows; infeasible cells get zero
-        # density through the convolution window
+        # one symmetric grid per step, shared across rows: cells i and
+        # G - 1 - i have the same v^2, so the table is read at G/2 points;
+        # infeasible cells get zero density through the convolution window
         vmax = min(vcap, math.sqrt(max(float(usq[act].max()), 1e-12)))
-        grid = np.linspace(-vmax, vmax, _SAMPLER_GRID)
-        step = grid[1] - grid[0]
-        dens = table.conv_density(k - 1, usq[act, None] - grid ** 2)
-        dens *= f.pdf(grid)
-        cum = np.cumsum(dens, axis=1)
+        step = 2.0 * vmax / (G - 1)
+        half = (np.arange(G // 2) + 0.5) * step
+        grid = np.concatenate((-half[::-1], half))
+        pdf = f.pdf(grid)
+        conv = table.conv_density(k - 1, usq[act, None] - half ** 2)
+        # the masses of the G/B blocks of B cells as one product: weights
+        # holds f at cell i's slot (_CELL_HALF[i], i // B), a slot of its
+        # own since mirror cells lie in mirror blocks
+        weights = np.zeros((G // 2, G // B))
+        weights[_CELL_HALF, _CELL_BLOCK] = pdf
+        cum = np.cumsum(conv @ weights, axis=1)
         tot = cum[:, -1]
         bad = tot <= 0.0
         if np.any(bad):
             failed[act[bad]] = True
-            act = act[~bad]
-            cum, tot, dens = cum[~bad], tot[~bad], dens[~bad]
+            act, conv, cum, tot = act[~bad], conv[~bad], cum[~bad], tot[~bad]
         if len(act) == 0:
             continue
         u = rng.random(len(act)) * tot
-        idx = np.minimum((cum < u[:, None]).sum(axis=1), _SAMPLER_GRID - 1)
+        blk = np.minimum((cum < u[:, None]).sum(axis=1), G // B - 1)
         sel = np.arange(len(act))
-        prev = np.where(idx > 0, cum[sel, np.maximum(idx - 1, 0)], 0.0)
+        cells = blk[:, None] * B + np.arange(B)
+        dens = conv[sel[:, None], _CELL_HALF[cells]] * pdf[cells]
+        # ends[:, c] is the mass up to the block's cell c, from the mass
+        # before the block; clamping u to the block's recomputed end keeps
+        # rounding from drawing past its last cell of nonzero density
+        ends = np.cumsum(np.column_stack(
+            (np.where(blk > 0, cum[sel, blk - 1], 0.0), dens)), axis=1)
+        u = np.minimum(u, ends[:, -1])
+        idx = (ends[:, 1:] < u[:, None]).sum(axis=1)
         cell = dens[sel, idx]
-        frac = np.where(cell > 0, (u - prev) / np.maximum(cell, 1e-300), 0.5)
-        v = grid[idx] + (frac - 0.5) * step
+        frac = np.where(cell > 0,
+                        (u - ends[sel, idx]) / np.maximum(cell, 1e-300), 0.5)
+        v = grid[cells[sel, idx]] + (frac - 0.5) * step
         out[act, j] = v
         usq[act] = usq[act] - v ** 2
 
@@ -503,16 +520,48 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         phi = phi_grid[idx] + rng.random(len(act)) * (phi_grid[1] - phi_grid[0])
         out[act, N - 2] = r * np.cos(phi)
         out[act, N - 1] = r * np.sin(phi)
+    return out, failed
 
-    n_fail = int(failed.sum())
-    n_resampled = n_fail
-    if n_fail:
-        if max_retries <= 0:
-            raise KaclabError("conditioned sampler could not complete; "
-                              "table windows are too narrow")
-        redo = sample_conditioned(f, N, n_fail, table, rng, max_retries - 1)
-        out[failed] = redo.samples
-        n_resampled += redo.n_resampled
+
+def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
+                       rng: np.random.Generator) -> ConditionedSample:
+    """Exact sequential sampler of the conditioned product law.
+
+    Coordinate by coordinate, v is drawn by inverse CDF on a grid of
+    ``_SAMPLER_GRID`` cells from the conditional density
+    f(v) h^{*(k-1)}(u - v^2) given the remaining squared radius u over k
+    coordinates; the last two coordinates are drawn on the remaining circle
+    from the angle density f(r cos) f(r sin). The grid is symmetric about
+    0, so h^{*(k-1)} is looked up at half its cells; the draw finds its
+    block of ``_SAMPLER_BLOCK`` cells from the block masses, one matrix
+    product (through BLAS, so draws repeat for a fixed seed and thread
+    count), and searches only that block. Radius underflow triggers a
+    resample of the affected rows rather than clamping, which would bias
+    the final circle; rows still failing after ``_MAX_RESAMPLES`` resamples
+    raise ``KaclabError``.
+    """
+    if N < 5:
+        raise DimensionError("need N >= 5")
+    if not is_int(count) or count < 0:
+        raise DimensionError(f"count must be a nonnegative integer, "
+                             f"got {count!r}")
+    _require_table_of(f, table)
+    missing = [k for k in range(2, N) if not table.has_k(k)]
+    if missing:
+        raise KaclabError(f"table is missing convolutions {missing[:5]}...; "
+                          f"build it with all k < N")
+    out, failed = _sequential_draw(f, N, count, table, rng)
+    n_resampled = 0
+    for _ in range(_MAX_RESAMPLES):
+        redo = np.flatnonzero(failed)
+        if len(redo) == 0:
+            break
+        n_resampled += len(redo)
+        out[redo], failed[redo] = _sequential_draw(f, N, len(redo), table,
+                                                   rng)
+    if np.any(failed):
+        raise KaclabError("conditioned sampler could not complete; "
+                          "table windows are too narrow")
     # exact renormalization onto the sphere (floating drift only)
     norms = np.sqrt(np.sum(out ** 2, axis=1))
     out *= (math.sqrt(N) / norms)[:, None]
@@ -524,6 +573,7 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
 # ---------------------------------------------------------------------------
 
 def _theta1_on_grid(f: Density, N: int, table: PartitionTable):
+    _require_table_of(f, table)
     vmax = min(math.sqrt(N) * 0.999, max(abs(b) for b in f.quad_bounds()))
     v = np.linspace(-vmax, vmax, 20001)
     return v, theta(N, 1, v[:, None], table)

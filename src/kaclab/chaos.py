@@ -22,7 +22,7 @@ from .core import (Density, DimensionError, DiscreteMeasure, SizeError, _Phi,
                    check_reps, gaussian_components, gaussian_mixture, is_int,
                    normal_pdf, symmetric_group_generators)
 from .transport import (_LP_EDGE_BUDGET, TRUNCATION, _transport_lps,
-                        cost_matrix, w1_discrete, w1_discrete_batch, w1_line)
+                        cost_matrix, w1_discrete, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
 
 __all__ = [
@@ -226,6 +226,23 @@ def _empirical_moment(pmf: np.ndarray, j: int) -> np.ndarray:
                      list(range(1, j + 1)))
 
 
+def _quotient_problem(S: int, n: int, p: np.ndarray, q: np.ndarray):
+    """The transportation problem (costs, masses of p, masses of q) between
+    two symmetric laws on {0..S-1}^n, flat in ``enumerate_configs`` order,
+    pushed to the occupation classes with the relabeling-minimal cost.
+
+    Distinct integer symbols cost TRUNCATION <= 1 each, so a best
+    relabeling pairs equal symbols, and classes with counts c_a, c_b cost
+    T (n - sum_s min(c_a, c_b)(s)) / n. For symmetric laws its optimum is
+    the full-space one, the identity ``pushforward_identity_exact`` checks.
+    """
+    counts, inverse = _occupation_classes(S, n)
+    costs = TRUNCATION * (
+        n - np.minimum(counts[:, None], counts).sum(axis=2)) / n
+    return (costs, np.bincount(inverse, p, len(counts)),
+            np.bincount(inverse, q, len(counts)))
+
+
 def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
     """Exact marginal-vs-empirical comparison on the alphabet {0..S-1}, for
     each (pmf, j) in cases, an iterable read once; no pmf is kept past its
@@ -234,10 +251,12 @@ def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
     Per case returns (tv, bound, w1, w1_bound): the total-variation mass
     between the j-th marginal and the j-th moment of the empirical measure,
     its combinatorial bound 2 j (j-1)/N, and the transport distance with
-    its bound j (j-1)/N. All transport distances are solved in one
-    ``w1_discrete_batch`` call, so the j >= 2 LPs are one LP.
+    its bound j (j-1)/N. Both laws are symmetric on {0..S-1}^j, so for
+    j >= 2 the distance is the LP on their occupation classes
+    (``_quotient_problem``), all cases' LPs solved as one; j = 1 takes
+    ``w1_line``.
     """
-    pairs, parts = [], []
+    problems, parts = [], []
     for pmf, j in cases:
         N = pmf.ndim
         S = pmf.shape[0]
@@ -245,34 +264,35 @@ def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
             raise DimensionError(f"need an integer 1 <= j <= N = {N}, "
                                  f"got {j!r}")
         _validate_symmetry(pmf)
-        symbols = np.arange(S, dtype=float)
 
         marg = pmf.copy()
         for _ in range(N - j):
             marg = marg.sum(axis=-1)
         hat = _empirical_moment(pmf, j)
-
-        pts = np.stack(np.meshgrid(*([symbols] * j), indexing="ij"),
-                       axis=-1).reshape(-1, j)
-        pairs.append((
-            DiscreteMeasure(j, pts, np.maximum(marg.ravel(), 0.0)
-                            / marg.sum()),
-            DiscreteMeasure(j, pts, np.maximum(hat.ravel(), 0.0)
-                            / hat.sum())))
+        p = np.maximum(marg.ravel(), 0.0) / marg.sum()
+        q = np.maximum(hat.ravel(), 0.0) / hat.sum()
+        w1 = None
+        if j == 1:
+            symbols = np.arange(S, dtype=float)
+            w1 = w1_line(symbols, p, symbols, q)
+        else:
+            problems.append(_quotient_problem(S, j, p, q))
         parts.append((float(np.abs(marg - hat).sum()),
-                      2.0 * j * (j - 1) / N, j * (j - 1) / N))
-    return [(tv, bound, w1, w1_bound) for (tv, bound, w1_bound), w1
-            in zip(parts, w1_discrete_batch(pairs))]
+                      2.0 * j * (j - 1) / N, w1, j * (j - 1) / N))
+    lps = iter(_transport_lps(problems))
+    return [(tv, bound, next(lps) if w1 is None else w1, w1_bound)
+            for tv, bound, w1, w1_bound in parts]
 
 
 def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     """Full-space vs permutation-quotient transport on the alphabet {0..S-1}.
 
     lhs solves the transportation LP between the two laws on the full
-    configuration space with the normalized truncated cost; rhs solves it
-    between the induced laws on the occupation classes with the
-    relabeling-minimal cost. The two optima agree. Past the LP's edge
-    budget, ``SizeError`` comes before any cost is built.
+    configuration space with the normalized truncated cost; rhs solves
+    ``_quotient_problem``, the LP between the induced laws on the
+    occupation classes with the relabeling-minimal cost. The two optima
+    agree. Past the LP's edge budget, ``SizeError`` comes before any cost
+    is built.
     """
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
@@ -286,16 +306,7 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     mu = DiscreteMeasure(N, vals, F.ravel())
     nu = DiscreteMeasure(N, vals, G.ravel())
     [lhs] = _transport_lps([(cost_matrix(mu, nu), mu.weights, nu.weights)])
-
-    # quotient LP on occupation classes: distinct integer symbols cost
-    # TRUNCATION <= 1 each, so a best relabeling pairs equal symbols, and
-    # classes with counts c_a, c_b cost T (N - sum_s min(c_a, c_b)(s)) / N
-    counts, inverse = _occupation_classes(S, N)
-    massF = np.bincount(inverse, F.ravel(), len(counts))
-    massG = np.bincount(inverse, G.ravel(), len(counts))
-    cost_q = TRUNCATION * (
-        N - np.minimum(counts[:, None], counts).sum(axis=2)) / N
-    [rhs] = _transport_lps([(cost_q, massF, massG)])
+    [rhs] = _transport_lps([_quotient_problem(S, N, F.ravel(), G.ravel())])
     return lhs, rhs
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "merge_atoms",
     "symmetric_group_generators",
     "loglog_fit",
+    "gl_rule",
     "gl_panels",
     "gauss_quadrature",
     "spectrum_power",
@@ -66,7 +67,7 @@ QUAD_SIGMA_CUTOFF = 12.0
 # Panel counts of the coarse and the fine pass of ``gauss_quadrature``.
 QUAD_PANELS = (64, 128)
 
-# The 12-node Gauss-Legendre rule on [-1, 1] that ``gl_panels`` composes.
+# The 12-node Gauss-Legendre rule on [-1, 1] that ``gl_rule`` composes.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -449,19 +450,23 @@ def loglog_fit(ns: Sequence[int], values: Sequence[float]) -> RateReport:
                       (float(slope - tq * se), float(slope + tq * se)))
 
 
-def gl_panels(a: float, b: float, n_panels: int):
+def gl_rule(edges: np.ndarray):
     """Nodes and weights of the composite 12-node Gauss-Legendre rule on
-    ``n_panels`` equal panels of [a, b].
+    the panels between consecutive ``edges``, an increasing array.
 
     The integral of f is ``np.sum(ws * f(xs))``: one call of f on the
     array of all nodes.
     """
-    edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
     ws = (half[:, None] * _GL_WEIGHTS).ravel()
     return xs, ws
+
+
+def gl_panels(a: float, b: float, n_panels: int):
+    """``gl_rule`` on ``n_panels`` equal panels of [a, b]."""
+    return gl_rule(np.linspace(a, b, n_panels + 1))
 
 
 def gauss_quadrature(f: Callable, a: float, b: float,

@@ -71,6 +71,8 @@ _SAMPLER_BLOCK = 16
 # cell i's index in the grid's positive half, and its block
 _CELL_HALF = np.abs(2 * np.arange(_SAMPLER_GRID) - (_SAMPLER_GRID - 1)) // 2
 _CELL_BLOCK = np.arange(_SAMPLER_GRID) // _SAMPLER_BLOCK
+# angles phi_i = 2 pi i / _CIRCLE_GRID of the sampler's final circle
+_CIRCLE_GRID = 1024
 # resamples of rows that met a zero-mass conditional density
 _MAX_RESAMPLES = 50
 # Query points per block of a table lookup: its four reused 128 kB buffers
@@ -443,6 +445,30 @@ def _require_table_of(f: Density, table: PartitionTable):
                           f"not for {f.name!r}")
 
 
+def _block_search(cum: np.ndarray, u: np.ndarray, cell_mass):
+    """Inverse-CDF search of each row's u over cells in blocks of
+    ``_SAMPLER_BLOCK``: cum holds the rows' cumulative block masses, and
+    cell_mass(cells) the masses at an array of cell indices, one row per
+    row of cum. Only the block holding u is read cell by cell.
+
+    Returns (cell, below, mass, u): the drawn cell, the mass before it, its
+    mass, and u clamped to its block's recomputed end, which keeps rounding
+    from drawing past the block's last cell of nonzero mass.
+    """
+    B = _SAMPLER_BLOCK
+    blk = np.minimum((cum < u[:, None]).sum(axis=1), cum.shape[1] - 1)
+    sel = np.arange(len(u))
+    cells = blk[:, None] * B + np.arange(B)
+    dens = cell_mass(cells)
+    # ends[:, c] is the mass up to the block's cell c, from the mass
+    # before the block
+    ends = np.cumsum(np.column_stack(
+        (np.where(blk > 0, cum[sel, blk - 1], 0.0), dens)), axis=1)
+    u = np.minimum(u, ends[:, -1])
+    idx = (ends[:, 1:] < u[:, None]).sum(axis=1)
+    return cells[sel, idx], ends[sel, idx], dens[sel, idx], u
+
+
 def _sequential_draw(f: Density, N: int, count: int, table: PartitionTable,
                      rng: np.random.Generator):
     """One pass of the sequential sampler: (rows, failed), where a failed
@@ -483,41 +509,41 @@ def _sequential_draw(f: Density, N: int, count: int, table: PartitionTable,
         if len(act) == 0:
             continue
         u = rng.random(len(act)) * tot
-        blk = np.minimum((cum < u[:, None]).sum(axis=1), G // B - 1)
-        sel = np.arange(len(act))
-        cells = blk[:, None] * B + np.arange(B)
-        dens = conv[sel[:, None], _CELL_HALF[cells]] * pdf[cells]
-        # ends[:, c] is the mass up to the block's cell c, from the mass
-        # before the block; clamping u to the block's recomputed end keeps
-        # rounding from drawing past its last cell of nonzero density
-        ends = np.cumsum(np.column_stack(
-            (np.where(blk > 0, cum[sel, blk - 1], 0.0), dens)), axis=1)
-        u = np.minimum(u, ends[:, -1])
-        idx = (ends[:, 1:] < u[:, None]).sum(axis=1)
-        cell = dens[sel, idx]
-        frac = np.where(cell > 0,
-                        (u - ends[sel, idx]) / np.maximum(cell, 1e-300), 0.5)
-        v = grid[cells[sel, idx]] + (frac - 0.5) * step
+        sel = np.arange(len(act))[:, None]
+        cell, below, mass, u = _block_search(
+            cum, u, lambda cells: conv[sel, _CELL_HALF[cells]] * pdf[cells])
+        frac = np.where(mass > 0,
+                        (u - below) / np.maximum(mass, 1e-300), 0.5)
+        v = grid[cell] + (frac - 0.5) * step
         out[act, j] = v
         usq[act] = usq[act] - v ** 2
 
-    # final two coordinates on the circle of radius sqrt(usq)
+    # final two coordinates on the circle of radius sqrt(usq), at the
+    # angles phi_i = i step: cos phi_i = cos phi_{M - i} takes its distinct
+    # values at i <= M / 2, M = _CIRCLE_GRID, and sin phi_i =
+    # cos phi_{i - M / 4}, so f(r cos) is evaluated once, at M / 2 + 1
+    # angles, and f(r sin) is its roll by M / 4
+    M = _CIRCLE_GRID
+    step = 2.0 * math.pi / M
     act = rows[~failed]
     if len(act):
         r = np.sqrt(np.maximum(usq[act], 0.0))
-        phi_grid = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-        dens = f.pdf(r[:, None] * np.cos(phi_grid)[None, :]) \
-            * f.pdf(r[:, None] * np.sin(phi_grid)[None, :])
-        cum = np.cumsum(dens, axis=1)
+        mirror = M // 2 - np.abs(np.arange(M) - M // 2)
+        fcos = f.pdf(r[:, None] * np.cos(np.arange(M // 2 + 1) * step))
+        fcos = fcos[:, mirror]
+        dens = fcos * np.roll(fcos, M // 4, axis=1)
+        cum = np.cumsum(dens.reshape(len(act), -1, B).sum(axis=2), axis=1)
         tot = cum[:, -1]
         bad = tot <= 0.0
         if np.any(bad):
             failed[act[bad]] = True
-            act, r, cum, tot = act[~bad], r[~bad], cum[~bad], tot[~bad]
+            act, r, dens, cum, tot = (act[~bad], r[~bad], dens[~bad],
+                                      cum[~bad], tot[~bad])
     if len(act):
         u = rng.random(len(act)) * tot
-        idx = np.minimum((cum < u[:, None]).sum(axis=1), len(phi_grid) - 1)
-        phi = phi_grid[idx] + rng.random(len(act)) * (phi_grid[1] - phi_grid[0])
+        sel = np.arange(len(act))[:, None]
+        cell, _, _, _ = _block_search(cum, u, lambda cells: dens[sel, cells])
+        phi = cell * step + rng.random(len(act)) * step
         out[act, N - 2] = r * np.cos(phi)
         out[act, N - 1] = r * np.sin(phi)
     return out, failed

@@ -212,7 +212,9 @@ def _transport_lps(problems) -> list[float]:
     is optimal in every block. Each block's cost is c_b . x_b, its plan
     checked by ``_check_plan``; the costs must sum to the LP's objective
     within ``_PLAN_TOL`` max(1, |objective|). The edge budget holds for
-    the whole LP.
+    the whole LP. HiGHS presolve is off: on transportation LPs it only
+    costs time and memory (one redundant equality is already dropped), and
+    the optimum does not depend on it.
     """
     if not problems:
         return []
@@ -239,7 +241,8 @@ def _transport_lps(problems) -> list[float]:
     res = linprog(np.concatenate([c.ravel() for c, _, _ in problems]),
                   A_eq=A, b_eq=np.concatenate(b),
                   bounds=(0, None), method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise SizeError(f"transport LP failed: {res.message}")

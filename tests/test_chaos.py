@@ -14,7 +14,8 @@ from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
                           symmetric_pmf)
 from kaclab import chaos
 from kaclab.chaos import _clip_mean, _empirical_moment, _occupation_classes
-from kaclab.transport import cost_matrix, w1_config, w1_line
+from kaclab.transport import (cost_matrix, w1_config, w1_discrete_batch,
+                              w1_line)
 
 
 def test_estimate_value_range_enforced():
@@ -342,6 +343,37 @@ def test_grunbaum_batch_matches_one_at_a_time(rng):
         [one] = grunbaum_exact([case])
         assert got[:2] == one[:2] and got[3] == one[3]
         assert got[2] == pytest.approx(one[2], abs=1e-12)
+
+
+def _grunbaum_full_space_w1(cases):
+    """The transport distances of ``grunbaum_exact`` on the full space
+    {0..S-1}^j: both laws as ``DiscreteMeasure`` pairs through
+    ``w1_discrete_batch``, the oracle for the occupation-class LP."""
+    pairs = []
+    for pmf, j in cases:
+        S, N = pmf.shape[0], pmf.ndim
+        marg = pmf.copy()
+        for _ in range(N - j):
+            marg = marg.sum(axis=-1)
+        hat = _empirical_moment(pmf, j)
+        symbols = np.arange(S, dtype=float)
+        pts = np.stack(np.meshgrid(*([symbols] * j), indexing="ij"),
+                       axis=-1).reshape(-1, j)
+        pairs.append(tuple(DiscreteMeasure(j, pts, np.maximum(m.ravel(), 0.0)
+                                           / m.sum()) for m in (marg, hat)))
+    return w1_discrete_batch(pairs)
+
+
+def test_grunbaum_quotient_matches_the_full_space_route(rng):
+    cases = []
+    for _ in range(48):
+        S, N = int(rng.integers(2, 4)), int(rng.integers(4, 10))
+        j = int(rng.integers(2, min(N, 4) + 1))
+        cases.append((symmetric_pmf(S, N, rng), j))
+    got = [w1 for _, _, w1, _ in grunbaum_exact(cases)]
+    want = _grunbaum_full_space_w1(cases)
+    assert len({(pmf.shape[0], pmf.ndim, j) for pmf, j in cases}) >= 20
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_pushforward_equal_laws(rng):

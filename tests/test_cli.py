@@ -92,9 +92,9 @@ def test_kernel_oracles_names_the_checked_k(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats_and_signal():
-    # stats and signal are not used, and importing either costs about half
-    # a second of every run's start-up and of perfbench's import-only
-    # setup_s; integrate is imported only inside the Fourier oracle
+    # stats, signal and integrate are not used, and importing stats or
+    # signal costs about half a second of every run's start-up and of
+    # perfbench's import-only setup_s
     code = ("import sys, kaclab.cli, kaclab.experiments; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.signal', "
             "'scipy.integrate') if m in sys.modules))")
@@ -105,6 +105,25 @@ def test_cli_import_skips_scipy_stats_and_signal():
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_suites_never_load_scipy_integrate():
+    # the six suites that build no partition table, run in one child: no
+    # suite path, the Fourier oracle's tail included, reaches an adaptive
+    # quadrature
+    code = ("import sys; from kaclab.experiments import ExperimentConfig, "
+            "run_experiment\n"
+            "for name in ('identities', 'kernel-oracles', 'clt-rate', "
+            "'information-suite', 'omega1-counterexample', 'mixtures'):\n"
+            "    run_experiment(ExperimentConfig(experiment=name))\n"
+            "print('scipy.integrate' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 # a small poincare-rate run: it draws its replicas from the seed

@@ -158,6 +158,37 @@ def test_hs_matches_fourier_oracle(rng):
         assert abs(direct - oracle) <= 1e-4 * max(abs(oracle), 1e-12)
 
 
+@pytest.mark.parametrize("s", [0.75, 1.0, 1.5, 2.0])
+def test_fourier_oracle_on_near_coincident_atoms(s):
+    # gaps of 1e-7 and 1e-9 and a shared atom: an adaptive oscillatory
+    # quadrature of the tail returns about 0 for a gap this small, and so
+    # lost 1.7e-2 of the tail at s = 1, d = 1e-8
+    mu = DiscreteMeasure(1, np.array([[0.0], [1e-7], [1.3], [2.5]]),
+                         np.array([0.4, 0.1, 0.3, 0.2]))
+    nu = DiscreteMeasure(1, np.array([[1e-9], [1.3 + 1e-9], [2.5], [-0.6]]),
+                         np.array([0.25, 0.25, 0.35, 0.15]))
+    direct = hs_dist_sq(mu, nu, make_hs_kernel(s))
+    oracle = hs_dist_sq_fourier_oracle(mu, nu, s)
+    assert abs(direct - oracle) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("s", [0.75, 1.0, 1.5, 2.0])
+def test_oracle_tail_matches_adaptive_oscillatory_quadrature(s):
+    # the oracle's oracle: each gap's tail by QAWFE, which resolves gaps
+    # down to about 1e-3, and the gap-0 tail by plain adaptive quadrature;
+    # no gap's tail exceeds the gap-0 tail, the scale of the tolerances
+    from scipy import integrate
+    dens = lambda xi: (1.0 + xi ** 2) ** (-s)
+    gaps = np.array([1e-3, 0.02, 0.5, 1.0, 3.7, 8.0, 15.0])
+    zero, _ = integrate.quad(dens, sobolev._XI_HEAD, np.inf)
+    want = [integrate.quad(dens, sobolev._XI_HEAD, np.inf, weight="cos",
+                           wvar=float(d), limit=200, epsabs=1e-12 * zero)[0]
+            for d in gaps]
+    assert abs(sobolev._tail_at_zero(s) - zero) <= 1e-9 * zero
+    assert np.max(np.abs(sobolev._rotated_tail(gaps, s) - want)) \
+        <= 1e-9 * zero
+
+
 def test_gram_matrix_positive_semidefinite(kern1, rng):
     pts = rng.uniform(-6, 6, 30)
     gram = phi_s(np.abs(pts[:, None] - pts[None, :]), kern1)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Density, DimensionError, DiscreteMeasure, SizeError, _Phi,
-                   check_reps, gaussian_components, gaussian_mixture, is_int,
-                   normal_pdf, symmetric_group_generators)
+                   check_reps, check_symmetric_pmf, gaussian_components,
+                   gaussian_mixture, is_int, normal_pdf)
 from .transport import (_LP_EDGE_BUDGET, TRUNCATION, _transport_lps,
                         cost_matrix, w1_discrete, w1_line)
 from .kacsphere import marginal_gauss_l1, sample_sigma
@@ -204,14 +204,6 @@ def symmetric_pmf(n_symbols: int, N: int,
     return (p / p.sum()).reshape((n_symbols,) * N)
 
 
-def _validate_symmetry(pmf: np.ndarray):
-    """Raise unless pmf is unchanged, to 1e-12 in every entry, under the
-    generators of S_N acting on its axes."""
-    for perm in symmetric_group_generators(pmf.ndim):
-        if np.max(np.abs(pmf - pmf.transpose(perm))) > 1e-12:
-            raise DimensionError("pmf is not permutation symmetric")
-
-
 def _empirical_moment(pmf: np.ndarray, j: int) -> np.ndarray:
     """E[mu_X^{tensor j}] for X of law pmf, mu_X its empirical measure:
     the sum over occupation classes c of the class mass m_c times
@@ -254,16 +246,16 @@ def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
     its bound j (j-1)/N. Both laws are symmetric on {0..S-1}^j, so for
     j >= 2 the distance is the LP on their occupation classes
     (``_quotient_problem``), all cases' LPs solved as one; j = 1 takes
-    ``w1_line``.
+    ``w1_line``. Each pmf must pass ``check_symmetric_pmf``.
     """
     problems, parts = [], []
     for pmf, j in cases:
+        pmf = check_symmetric_pmf(pmf)
         N = pmf.ndim
         S = pmf.shape[0]
         if not (is_int(j) and 1 <= j <= N):
             raise DimensionError(f"need an integer 1 <= j <= N = {N}, "
                                  f"got {j!r}")
-        _validate_symmetry(pmf)
 
         marg = pmf.copy()
         for _ in range(N - j):
@@ -291,16 +283,15 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     configuration space with the normalized truncated cost; rhs solves
     ``_quotient_problem``, the LP between the induced laws on the
     occupation classes with the relabeling-minimal cost. The two optima
-    agree. Past the LP's edge budget, ``SizeError`` comes before any cost
-    is built.
+    agree. Both pmfs must pass ``check_symmetric_pmf``. Past the LP's edge
+    budget, ``SizeError`` comes before any cost is built.
     """
+    F, G = check_symmetric_pmf(F), check_symmetric_pmf(G)
     if F.shape != G.shape:
         raise DimensionError("pmfs must share their shape")
     N = F.ndim
     S = F.shape[0]
     vals = enumerate_configs(S, N, budget=math.isqrt(_LP_EDGE_BUDGET))
-    _validate_symmetry(F)
-    _validate_symmetry(G)
 
     # full LP on aligned coordinates
     mu = DiscreteMeasure(N, vals, F.ravel())

@@ -38,7 +38,7 @@ __all__ = [
     "make_empirical",
     "group_atoms",
     "merge_atoms",
-    "symmetric_group_generators",
+    "check_symmetric_pmf",
     "loglog_fit",
     "gl_rule",
     "gl_panels",
@@ -143,6 +143,17 @@ class Configuration:
         return self.coords.reshape(self.n_particles, self.d)
 
 
+def _check_masses(w: np.ndarray, what: str):
+    """Raise ``DimensionError`` unless the masses w are finite, at least
+    -1e-15 each and sum to 1 within 1e-12."""
+    if not np.all(np.isfinite(w)):
+        raise DimensionError(f"{what} must be finite")
+    if np.any(w < -1e-15):
+        raise DimensionError(f"{what} must be nonnegative")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise DimensionError(f"{what} sum to {w.sum()!r}, not 1")
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely many weighted atoms in R^dim, dim = j * particle_dim."""
@@ -165,12 +176,7 @@ class DiscreteMeasure:
             raise DimensionError("dim must be a multiple of particle_dim")
         if not np.all(np.isfinite(points)):
             raise DimensionError("atom points must be finite")
-        if not np.all(np.isfinite(weights)):
-            raise DimensionError("weights must be finite")
-        if np.any(weights < -1e-15):
-            raise DimensionError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise DimensionError(f"weights sum to {weights.sum()!r}, not 1")
+        _check_masses(weights, "weights")
 
     @property
     def j(self) -> int:
@@ -372,11 +378,22 @@ def merge_atoms(points: np.ndarray, weights: np.ndarray):
     return atoms, w / w.sum()
 
 
-def symmetric_group_generators(n: int) -> list:
-    """The transposition (0 1) and the cycle (0 1 ... n-1), which generate
-    S_n, as index lists; at n = 2 they coincide and one is returned, at
-    n = 1 none. A law is symmetric iff these two leave it unchanged."""
-    return [[1, 0, *range(2, n)], [*range(1, n), 0]][:n - 1]
+def check_symmetric_pmf(pmf) -> np.ndarray:
+    """pmf as a float array; raise ``DimensionError`` unless it is a
+    permutation-symmetric pmf on {0..S-1}^n: every axis of length S,
+    entries that pass the mass rules of ``DiscreteMeasure``, and every
+    entry unchanged, to 1e-12, under the transposition (0 1) and the cycle
+    (0 1 ... n-1), which generate S_n."""
+    pmf = np.asarray(pmf, dtype=float)
+    n = pmf.ndim
+    if n == 0 or len(set(pmf.shape)) > 1:
+        raise DimensionError(f"pmf shape {pmf.shape} is not a cube")
+    _check_masses(pmf, "pmf entries")
+    # at n = 2 the two generators coincide, at n = 1 there are none
+    for perm in [[1, 0, *range(2, n)], [*range(1, n), 0]][:n - 1]:
+        if np.max(np.abs(pmf - pmf.transpose(perm))) > 1e-12:
+            raise DimensionError("pmf is not permutation symmetric")
+    return pmf
 
 
 def _group_starts(pts: np.ndarray) -> np.ndarray:

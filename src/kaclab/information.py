@@ -30,7 +30,6 @@ __all__ = [
     "superadditivity_check",
     "fisher_superadditivity_grid",
     "w2_quantile",
-    "discrete_marginal",
 ]
 
 _DENSITY_FLOOR = 1e-14
@@ -327,42 +326,28 @@ def hwi_check(f: Density, g: Density):
 
 
 # ---------------------------------------------------------------------------
-# superadditivity on discrete and gridded carriers
+# superadditivity on pmf tensors and gridded carriers
 # ---------------------------------------------------------------------------
 
-def discrete_marginal(F: DiscreteMeasure, coords: list[int]) -> DiscreteMeasure:
-    """Marginal of a discrete measure onto the given particle coordinates."""
-    d = F.particle_dim
-    blocks = F.points.reshape(F.n_atoms, F.j, d)[:, coords]
-    pts, w = core.merge_atoms(blocks.reshape(F.n_atoms, -1), F.weights)
-    return DiscreteMeasure(len(coords) * d, pts, w, particle_dim=d)
+def superadditivity_check(pmf: np.ndarray, i: int, j: int):
+    """Non-normalized entropy superadditivity on a symmetric law on the
+    alphabet {0..S-1}, given as its pmf tensor on {0..S-1}^{i+j}, which
+    must pass ``core.check_symmetric_pmf``.
 
-
-def superadditivity_check(F: DiscreteMeasure, i: int, j: int):
-    """Non-normalized entropy superadditivity on a symmetric discrete law.
-
-    Returns (lhs, rhs) = (H_{i+j}(F), H_i(F_i) + H_j(F_j)); the defining
-    inequality is lhs >= rhs. F must be symmetric: its merged atoms may
-    move by at most 1e-9, in a point or a weight, under the transposition
-    (0 1) and the cycle (0 1 ... n-1), which generate S_n.
+    Returns (lhs, rhs) = (H_{i+j}(F), H_i(F_i) + H_j(F_j)), F_i and F_j
+    the marginals on the first i and the last j axes; the defining
+    inequality is lhs >= rhs.
     """
     if not (core.is_int(i) and core.is_int(j) and i >= 1 and j >= 1):
         raise DimensionError(
             f"block sizes must be positive integers, got {i!r} and {j!r}")
-    n, d = i + j, F.particle_dim
-    if F.j != n:
-        raise DimensionError(f"F lives on E^{F.j}, expected E^{n}")
-    pts, w = core.merge_atoms(F.points, F.weights)
-    for perm in core.symmetric_group_generators(n):
-        # the particle blocks of each atom, permuted
-        moved = pts.reshape(len(w), n, d)[:, perm].reshape(len(w), -1)
-        order = np.lexsort(moved.T[::-1])
-        if max(np.abs(moved[order] - pts).max(),
-               np.abs(w[order] - w).max()) > 1e-9:
-            raise DimensionError("measure is not permutation symmetric")
-    lhs = float(np.sum(_xlogx(w)))
-    rhs = sum(float(np.sum(_xlogx(discrete_marginal(F, block).weights)))
-              for block in (range(i), range(i, n)))
+    pmf = core.check_symmetric_pmf(pmf)
+    n = i + j
+    if pmf.ndim != n:
+        raise DimensionError(f"pmf lives on E^{pmf.ndim}, expected E^{n}")
+    lhs = float(np.sum(_xlogx(pmf)))
+    rhs = sum(float(np.sum(_xlogx(pmf.sum(axis=tuple(other)))))
+              for other in (range(i, n), range(i)))
     return lhs, rhs
 
 

@@ -551,7 +551,8 @@ def _sequential_draw(f: Density, N: int, count: int, table: PartitionTable,
 
 def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
                        rng: np.random.Generator) -> ConditionedSample:
-    """Exact sequential sampler of the conditioned product law.
+    """Sequential sampler of the conditioned product law, on its grid and
+    conditioned on no overshoot (see below).
 
     Coordinate by coordinate, v is drawn by inverse CDF on a grid of
     ``_SAMPLER_GRID`` cells from the conditional density
@@ -561,10 +562,13 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
     0, so h^{*(k-1)} is looked up at half its cells; the draw finds its
     block of ``_SAMPLER_BLOCK`` cells from the block masses, one matrix
     product (through BLAS, so draws repeat for a fixed seed and thread
-    count), and searches only that block. Radius underflow triggers a
-    resample of the affected rows rather than clamping, which would bias
-    the final circle; rows still failing after ``_MAX_RESAMPLES`` resamples
-    raise ``KaclabError``.
+    count), and searches only that block. Within its cell a draw is
+    placed uniformly, so one from the outermost feasible cell can overshoot
+    the remaining radius; such a row then meets zero mass and is drawn
+    again rather than clamped, which would bias the final circle. The rows
+    thus follow the grid law conditioned on no overshoot, not the
+    conditioned law exactly. Rows still failing after ``_MAX_RESAMPLES``
+    resamples raise ``KaclabError``.
     """
     if N < 5:
         raise DimensionError("need N >= 5")

@@ -264,6 +264,37 @@ def test_grunbaum_rejects_asymmetric():
         grunbaum_exact([(pmf, 2)])
 
 
+def test_non_cubic_pmfs_are_refused():
+    # this ended in numpy's broadcast error
+    pmf = np.full((2, 3), 1 / 6)
+    with pytest.raises(DimensionError, match="not a cube"):
+        grunbaum_exact([(pmf, 1)])
+    with pytest.raises(DimensionError, match="not a cube"):
+        pushforward_identity_exact(pmf, pmf)
+
+
+def test_negative_masses_are_refused():
+    # grunbaum_exact clipped the -0.1 and returned zeros at j = 1
+    pmf = np.array([[-0.1, 0.3], [0.3, 0.5]])
+    with pytest.raises(DimensionError, match="nonnegative"):
+        grunbaum_exact([(pmf, 1)])
+    with pytest.raises(DimensionError, match="nonnegative"):
+        pushforward_identity_exact(pmf, np.full((2, 2), 0.25))
+
+
+def test_nested_lists_are_read_as_pmfs():
+    # these ended in AttributeError on list.ndim
+    pmf = [[0.5, 0.0], [0.0, 0.5]]
+    assert grunbaum_exact([(pmf, 1)]) == grunbaum_exact([(np.array(pmf), 1)])
+    assert pushforward_identity_exact(pmf, pmf) == (0.0, 0.0)
+
+
+def test_pmfs_of_mass_two_are_refused():
+    # this returned tv = 1.0
+    with pytest.raises(DimensionError, match="sum to"):
+        grunbaum_exact([(np.full((2, 2), 0.5), 2)])
+
+
 @pytest.mark.parametrize("N", [2, 3, 5, 6])
 def test_point_masses_off_the_diagonal_are_asymmetric(N):
     # all mass on one configuration with a single 1: at N = 5 with the

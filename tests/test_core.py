@@ -9,8 +9,9 @@ from kaclab.core import (ATOM_MERGE_TOL, SQRT_2PI, Configuration,
                          DimensionError, DiscreteMeasure, GridDensity,
                          HypothesisError, ProductGridDensity, QuadratureError,
                          _Phi, _gauss_raw_moment, bimodal_density,
-                         gauss_quadrature, gaussian_components,
-                         gaussian_density, gaussian_mixture,
+                         check_symmetric_pmf, gauss_quadrature,
+                         gaussian_components, gaussian_density,
+                         gaussian_mixture,
                          group_atoms, loglog_fit, make_empirical, merge_atoms,
                          normal_pdf, spectrum_power, uniform_density)
 
@@ -32,6 +33,49 @@ def test_discrete_measure_invariants():
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]):
         with pytest.raises(DimensionError, match="finite"):
             DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array(bad))
+
+
+def test_symmetric_pmf_check_in_one_variable():
+    # no generators: any pmf on {0..S-1} is symmetric
+    check_symmetric_pmf(np.array([0.2, 0.8]))
+    check_symmetric_pmf(np.array([0.1, 0.0, 0.9]))
+    with pytest.raises(DimensionError, match="sum to"):
+        check_symmetric_pmf(np.array([0.5, 0.6]))
+
+
+def test_symmetric_pmf_check_in_two_variables():
+    check_symmetric_pmf(np.array([[0.1, 0.3], [0.3, 0.3]]))
+    with pytest.raises(DimensionError, match="not permutation symmetric"):
+        check_symmetric_pmf(np.array([[0.1, 0.6], [0.1, 0.2]]))
+    # an entry gap of 8e-13 passes, of 2e-11 does not
+    check_symmetric_pmf(np.array([[0.1, 0.3 + 4e-13], [0.3 - 4e-13, 0.3]]))
+    with pytest.raises(DimensionError, match="not permutation symmetric"):
+        check_symmetric_pmf(np.array([[0.1, 0.3 + 1e-11],
+                                      [0.3 - 1e-11, 0.3]]))
+
+
+def test_symmetric_pmf_check_in_five_variables():
+    # mass by the number of ones is symmetric
+    ones = np.indices((2,) * 5).sum(axis=0)
+    pmf = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])[ones]
+    check_symmetric_pmf(pmf / pmf.sum())
+    # a point mass off the diagonal: the cycle moves it wherever its 1 is
+    for k in range(5):
+        point = np.zeros((2,) * 5)
+        point[tuple(int(i == k) for i in range(5))] = 1.0
+        with pytest.raises(DimensionError, match="not permutation symmetric"):
+            check_symmetric_pmf(point)
+
+
+# test_chaos refuses a non-cubic pmf, a negative mass and a total of 2
+# through grunbaum_exact and pushforward_identity_exact
+@pytest.mark.parametrize("pmf, match", [
+    (np.array(1.0), "not a cube"),
+    (np.array([[np.nan, 0.3], [0.3, 0.4]]), "finite"),
+])
+def test_symmetric_pmf_check_refuses_what_is_no_pmf(pmf, match):
+    with pytest.raises(DimensionError, match=match):
+        check_symmetric_pmf(pmf)
 
 
 def test_make_empirical_basic():

@@ -6,13 +6,12 @@ from scipy import integrate
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from kaclab import core
 from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
                          gaussian_density, merge_atoms, uniform_density)
 from kaclab.experiments import ExperimentConfig
 from kaclab.information import (_QUANTILE_CELLS, _expect, _quantile,
-                                _xlogx, discrete_marginal, entropy,
+                                _xlogx, entropy,
                                 entropy_knn, fisher,
                                 fisher_superadditivity_grid, hwi_check,
                                 relative_entropy, relative_fisher,
@@ -477,17 +476,13 @@ def test_hwi_sweep(rng):
 
 def test_superadditivity_product_is_equality():
     p = np.array([0.3, 0.7])
-    pts = enumerate_configs(2, 2).astype(float)
-    F = DiscreteMeasure(2, pts, np.outer(p, p).ravel())
-    lhs, rhs = superadditivity_check(F, 1, 1)
+    lhs, rhs = superadditivity_check(np.outer(p, p), 1, 1)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_superadditivity_correlated_pair():
     # mass only on the diagonal of {0,1}^2
-    pts = enumerate_configs(2, 2).astype(float)
-    F = DiscreteMeasure(2, pts, np.array([0.5, 0.0, 0.0, 0.5]))
-    lhs, rhs = superadditivity_check(F, 1, 1)
+    lhs, rhs = superadditivity_check([[0.5, 0.0], [0.0, 0.5]], 1, 1)
     assert lhs == pytest.approx(-math.log(2.0))
     assert rhs == pytest.approx(-2.0 * math.log(2.0))
     assert lhs >= rhs
@@ -497,26 +492,29 @@ def test_superadditivity_sweep(rng):
     for _ in range(100):
         S = int(rng.integers(2, 4))
         raw = rng.dirichlet(np.ones(S * S)).reshape(S, S)
-        sym = 0.5 * (raw + raw.T)
-        pts = enumerate_configs(S, 2).astype(float)
-        F = DiscreteMeasure(2, pts, sym.ravel())
-        lhs, rhs = superadditivity_check(F, 1, 1)
+        lhs, rhs = superadditivity_check(0.5 * (raw + raw.T), 1, 1)
         assert lhs >= rhs - 1e-10
 
 
 def test_superadditivity_rejects_asymmetric():
-    pts = enumerate_configs(2, 2).astype(float)
-    F = DiscreteMeasure(2, pts, np.array([0.1, 0.6, 0.1, 0.2]))
-    with pytest.raises(DimensionError):
-        superadditivity_check(F, 1, 1)
+    with pytest.raises(DimensionError, match="not permutation symmetric"):
+        superadditivity_check(np.array([[0.1, 0.6], [0.1, 0.2]]), 1, 1)
 
 
 def test_superadditivity_three_variables(rng):
-    pmf = symmetric_pmf(2, 3, rng)
-    pts = enumerate_configs(2, 3).astype(float)
-    F = DiscreteMeasure(3, pts, pmf.ravel())
-    lhs, rhs = superadditivity_check(F, 1, 2)
+    lhs, rhs = superadditivity_check(symmetric_pmf(2, 3, rng), 1, 2)
     assert lhs >= rhs - 1e-10
+
+
+def test_superadditivity_rejects_a_pmf_on_the_wrong_space():
+    with pytest.raises(DimensionError, match="expected E\\^2"):
+        superadditivity_check(np.full((2, 2, 2), 0.125), 1, 1)
+
+
+def _as_measure(pmf):
+    """The law of pmf as atoms at the configurations of {0..S-1}^n."""
+    pts = enumerate_configs(pmf.shape[0], pmf.ndim).astype(float)
+    return DiscreteMeasure(pmf.ndim, pts, pmf.ravel())
 
 
 def _check_symmetric_spot(F):
@@ -543,7 +541,7 @@ def _discrete_h(F):
 
 
 def _superadditivity_oracle(F, i, j):
-    """Oracle: the spot-checked, merge-per-use route."""
+    """Oracle: the spot-checked, merge-per-use route on a DiscreteMeasure."""
     _check_symmetric_spot(F)
     d = F.particle_dim
 
@@ -561,108 +559,46 @@ def _suite_laws(seed):
     rng = ExperimentConfig(seed=seed).rng(7)
     for t in range(1000):
         if t % 5 == 4:
-            pmf = symmetric_pmf(2, 3, rng)
-            pts = enumerate_configs(2, 3).astype(float)
-            yield DiscreteMeasure(3, pts, pmf.ravel()), 1, 2
+            yield symmetric_pmf(2, 3, rng), 1, 2
         else:
             S = int(rng.integers(2, 4))
             raw = rng.dirichlet(np.ones(S * S)).reshape(S, S)
-            pts = enumerate_configs(S, 2).astype(float)
-            yield DiscreteMeasure(2, pts, (0.5 * (raw + raw.T)).ravel()), 1, 1
+            yield 0.5 * (raw + raw.T), 1, 1
 
 
 @pytest.mark.parametrize("seed", [424242, 4518])
 def test_superadditivity_matches_the_spot_check_route_on_suite_laws(seed):
-    for F, i, j in _suite_laws(seed):
-        lhs, rhs = superadditivity_check(F, i, j)
-        want_lhs, want_rhs = _superadditivity_oracle(F, i, j)
-        assert lhs == want_lhs
+    # the two routes sum in different orders, so they agree to rounding
+    for pmf, i, j in _suite_laws(seed):
+        lhs, rhs = superadditivity_check(pmf, i, j)
+        want_lhs, want_rhs = _superadditivity_oracle(_as_measure(pmf), i, j)
+        assert abs(lhs - want_lhs) <= 1e-12
         assert abs(rhs - want_rhs) <= 1e-12
-
-
-def test_superadditivity_merges_each_law_once(monkeypatch):
-    calls = []
-
-    def counted(points, weights):
-        calls.append(points.shape)
-        return merge_atoms(points, weights)
-
-    monkeypatch.setattr(core, "merge_atoms", counted)
-    pts = enumerate_configs(3, 4).astype(float)
-    F = DiscreteMeasure(4, pts, symmetric_pmf(3, 4,
-                                              np.random.default_rng(2)).ravel())
-    superadditivity_check(F, 1, 3)
-    # F once, then each marginal once
-    assert calls == [(81, 4), (81, 1), (81, 3)]
 
 
 def test_superadditivity_checks_every_permutation():
     # all mass on (0, 0, 1, 0, 0): no transposition of coordinates 0, 1, 3
     # or 4 moves it, and the 4 random transpositions of the spot check
     # never touch coordinate 2
-    pts = enumerate_configs(2, 5).astype(float)
-    w = np.zeros(len(pts))
-    w[np.flatnonzero((pts == [0, 0, 1, 0, 0]).all(axis=1))] = 1.0
-    F = DiscreteMeasure(5, pts, w)
-    assert _superadditivity_oracle(F, 2, 3) == (0.0, 0.0)
-    with pytest.raises(DimensionError):
-        superadditivity_check(F, 2, 3)
+    pmf = np.zeros((2,) * 5)
+    pmf[0, 0, 1, 0, 0] = 1.0
+    assert _superadditivity_oracle(_as_measure(pmf), 2, 3) == (0.0, 0.0)
+    with pytest.raises(DimensionError, match="not permutation symmetric"):
+        superadditivity_check(pmf, 2, 3)
     # the uniform law on the configurations with one 1 is symmetric
-    one = pts.sum(axis=1) == 1
-    F = DiscreteMeasure(5, pts[one], np.full(5, 0.2))
-    lhs, rhs = superadditivity_check(F, 2, 3)
+    pmf = np.zeros((2,) * 5)
+    for k in range(5):
+        pmf[tuple(int(i == k) for i in range(5))] = 0.2
+    lhs, rhs = superadditivity_check(pmf, 2, 3)
     assert lhs == pytest.approx(-math.log(5.0))
     assert lhs >= rhs
-
-
-def test_superadditivity_blocks_of_pairs(rng):
-    # particle_dim = 2: the permutations move whole blocks of two columns
-    atoms = rng.normal(size=(4, 2))
-    a, b = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-    pts = np.hstack([atoms[a.ravel()], atoms[b.ravel()]])
-    raw = rng.dirichlet(np.ones(16)).reshape(4, 4)
-    F = DiscreteMeasure(4, pts, (0.5 * (raw + raw.T)).ravel(), particle_dim=2)
-    lhs, rhs = superadditivity_check(F, 1, 1)
-    assert lhs >= rhs - 1e-10
-    # swapping the two columns inside each particle is no permutation of
-    # particles, and it breaks the symmetry
-    G = DiscreteMeasure(4, pts[:, [0, 1, 3, 2]], F.weights, particle_dim=2)
-    with pytest.raises(DimensionError):
-        superadditivity_check(G, 1, 1)
 
 
 @pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (-1, 3), (1.0, 1),
                                   (1, 1.5), (True, 1)])
 def test_superadditivity_rejects_bad_block_sizes(i, j):
-    pts = enumerate_configs(2, 2).astype(float)
-    F = DiscreteMeasure(2, pts, np.full(4, 0.25))
     with pytest.raises(DimensionError, match="positive integers"):
-        superadditivity_check(F, i, j)
-
-
-def test_discrete_marginal():
-    # a law on pairs of points of the plane, marginal on each particle
-    pts = np.array([[0.0, 0.0, 1.0, 2.0],
-                    [1.0, 2.0, 0.0, 0.0],
-                    [1.0, 2.0, 1.0, 2.0],
-                    [0.0, 0.0, 0.0, 1e-13]])
-    F = DiscreteMeasure(4, pts, [0.1, 0.2, 0.3, 0.4], particle_dim=2)
-    m0 = discrete_marginal(F, [0])
-    assert (m0.dim, m0.particle_dim, m0.j) == (2, 2, 1)
-    np.testing.assert_array_equal(m0.points, [[0.0, 0.0], [1.0, 2.0]])
-    np.testing.assert_allclose(m0.weights, [0.5, 0.5], rtol=1e-15)
-    m1 = discrete_marginal(F, [1])
-    np.testing.assert_array_equal(m1.points, [[0.0, 0.0], [1.0, 2.0]])
-    np.testing.assert_allclose(m1.weights, [0.6, 0.4], rtol=1e-15)
-    # both particles, swapped: the atoms of F with their blocks swapped,
-    # sorted, and none merged
-    m10 = discrete_marginal(F, [1, 0])
-    assert (m10.dim, m10.j) == (4, 2)
-    np.testing.assert_array_equal(m10.points, [[0.0, 0.0, 1.0, 2.0],
-                                               [0.0, 1e-13, 0.0, 0.0],
-                                               [1.0, 2.0, 0.0, 0.0],
-                                               [1.0, 2.0, 1.0, 2.0]])
-    np.testing.assert_allclose(m10.weights, [0.2, 0.4, 0.1, 0.3], rtol=1e-15)
+        superadditivity_check(np.full((2, 2), 0.25), i, j)
 
 
 def test_tensorization_identities_on_grids():

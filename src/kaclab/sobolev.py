@@ -189,9 +189,9 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
     span = float(pts.max() - pts.min()) if len(pts) > 1 else 1.0
     panel = min(0.25, math.pi / (2.0 * max(span, 1.0)))
     xs, ws = gl_panels(0.0, _XI_HEAD, math.ceil(_XI_HEAD / panel))
-    phase = np.exp(-1j * np.outer(xs, pts))
-    hat = phase @ wts
-    head = 2.0 * float(np.sum(ws * np.abs(hat) ** 2 * (1 + xs ** 2) ** (-s)))
+    arg = np.outer(xs, pts)
+    power = (np.cos(arg) @ wts) ** 2 + (np.sin(arg) @ wts) ** 2
+    head = 2.0 * float(np.sum(ws * power * (1 + xs ** 2) ** (-s)))
 
     gaps, at = np.unique(np.abs(pts[:, None] - pts[None, :]).ravel(),
                          return_inverse=True)

@@ -6,7 +6,10 @@ line, weighted measures take one exact routine, ``w1_line``, a sorted
 scan over the Kantorovich-Rubinstein dual. The assignment solver, exact
 for equal-size uniform empirical measures and the path for d > 1, and the
 general transportation LP (HiGHS), which covers everything else, are its
-oracles. The quadratic cost enters only on the line, where ``w2_line``
+oracles. Where the cost is a graph's shortest-path metric, as on a
+product of finite alphabets, W1 is a min-cost flow over the graph's arcs
+(``_graph_w1``), an LP with one column per arc instead of one per pair of
+atoms. The quadratic cost enters only on the line, where ``w2_line``
 gives the exact W2 from the quantile (north-west corner) coupling, for
 the moment interpolation between W1 and W2; configurations and measures
 off the line have no quadratic cost. Entropic or otherwise regularized
@@ -204,6 +207,25 @@ def _check_plan(flow: np.ndarray, w_src: np.ndarray, w_tgt: np.ndarray):
         raise DimensionError("plan column sums differ from target weights")
 
 
+def _highs(c: np.ndarray, A_eq, b_eq: np.ndarray):
+    """The optimum of min c . x over x >= 0 with A_eq x = b_eq, by the
+    HiGHS dual simplex at 1e-10 feasibility tolerances; raises
+    ``SizeError`` unless it succeeds.
+
+    Presolve is off: on these LPs it only costs time and memory (the one
+    redundant equality is already dropped), and the optimum does not
+    depend on it.
+    """
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise SizeError(f"transport LP failed: {res.message}")
+    return res
+
+
 def _transport_lps(problems) -> list[float]:
     """Exact optimal costs of transportation LPs (costs, w_src, w_tgt), all
     solved as one block-diagonal LP via HiGHS.
@@ -212,9 +234,7 @@ def _transport_lps(problems) -> list[float]:
     is optimal in every block. Each block's cost is c_b . x_b, its plan
     checked by ``_check_plan``; the costs must sum to the LP's objective
     within ``_PLAN_TOL`` max(1, |objective|). The edge budget holds for
-    the whole LP. HiGHS presolve is off: on transportation LPs it only
-    costs time and memory (one redundant equality is already dropped), and
-    the optimum does not depend on it.
+    the whole LP.
     """
     if not problems:
         return []
@@ -238,14 +258,8 @@ def _transport_lps(problems) -> list[float]:
     A = csr_matrix((np.ones(len(cols)), cols,
                     np.concatenate([[0], np.cumsum(lens)])),
                    shape=(len(lens), off))
-    res = linprog(np.concatenate([c.ravel() for c, _, _ in problems]),
-                  A_eq=A, b_eq=np.concatenate(b),
-                  bounds=(0, None), method="highs-ds",
-                  options={"presolve": False,
-                           "primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if not res.success:
-        raise SizeError(f"transport LP failed: {res.message}")
+    res = _highs(np.concatenate([c.ravel() for c, _, _ in problems]),
+                 A, np.concatenate(b))
     out, off = [], 0
     for costs, w_src, w_tgt in problems:
         x = res.x[off:off + costs.size]
@@ -255,6 +269,43 @@ def _transport_lps(problems) -> list[float]:
     if abs(sum(out) - res.fun) > _PLAN_TOL * max(1.0, abs(res.fun)):
         raise DimensionError("plan costs inconsistent with the LP objective")
     return out
+
+
+def _graph_w1(tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray,
+              p: np.ndarray, q: np.ndarray) -> float:
+    """Exact W1 between masses p and q on the nodes 0..n-1 of a connected
+    graph under its shortest-path metric, the arc from tails[k] to
+    heads[k] having length lengths[k] >= 0.
+
+    By Beckmann's formulation this is the min-cost flow: the least
+    lengths . x over flows x >= 0 on the arcs whose divergence (outflow
+    minus inflow) at each node is p - q. One LP column per arc, one row per
+    node but the last, which equal totals imply. The flow is checked: no
+    flow below -``_PLAN_TOL``, every node's divergence within ``_PLAN_TOL``
+    of p - q, and lengths . x within ``_PLAN_TOL`` max(1, |objective|) of
+    the LP's objective.
+    """
+    n, m = len(p), len(lengths)
+    if n == 1:
+        return 0.0      # one node, no arc: no mass moves
+    rows = np.concatenate([tails, heads])
+    cols = np.tile(np.arange(m), 2)
+    signs = np.repeat([1.0, -1.0], m)
+    keep = rows < n - 1
+    A = csr_matrix((signs[keep], (rows[keep], cols[keep])), shape=(n - 1, m))
+    supply = p - q
+    res = _highs(lengths, A, supply[:-1])
+    x = res.x
+    if np.any(x < -_PLAN_TOL):
+        raise DimensionError("flow is negative on an arc")
+    divergence = np.bincount(tails, x, n) - np.bincount(heads, x, n)
+    if np.max(np.abs(divergence - supply)) > _PLAN_TOL:
+        raise DimensionError("flow divergence differs from the mass "
+                             "difference")
+    cost = float(lengths @ x)
+    if abs(cost - res.fun) > _PLAN_TOL * max(1.0, abs(res.fun)):
+        raise DimensionError("flow cost inconsistent with the LP objective")
+    return cost
 
 
 def w1_discrete_batch(pairs) -> list[float]:

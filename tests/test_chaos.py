@@ -12,10 +12,12 @@ from kaclab.chaos import (ChaosEstimate, enumerate_configs, grunbaum_exact,
                           omega_inf, omega_j, omega_j_sigma_quadrature,
                           omega_n, pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
-from kaclab import chaos
-from kaclab.chaos import _clip_mean, _empirical_moment, _occupation_classes
-from kaclab.transport import (cost_matrix, w1_config, w1_discrete_batch,
-                              w1_line)
+from kaclab import chaos, transport
+from kaclab.chaos import (_clip_mean, _empirical_moment, _hamming_arcs,
+                          _occupation_classes)
+from kaclab.transport import (_PLAN_TOL, TRUNCATION, _graph_w1,
+                              _transport_lps, cost_matrix, w1_config,
+                              w1_discrete_batch, w1_line)
 
 
 def test_estimate_value_range_enforced():
@@ -363,6 +365,22 @@ def test_class_moments_match_dense_einsum(S, rng):
                                        rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("S", [2, 3])
+def test_class_keys_match_the_row_unique(S):
+    # the base-(N + 1) keys against np.unique's sort of the count rows
+    for N in range(4, 11):
+        configs = enumerate_configs(S, N)
+        occ = np.stack([(configs == s).sum(axis=1) for s in range(S)],
+                       axis=1)
+        want_counts, want_inverse = np.unique(occ, axis=0,
+                                              return_inverse=True)
+        counts, inverse = _occupation_classes(S, N)
+        for got, want in ((counts, want_counts),
+                          (inverse, want_inverse.ravel())):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def test_grunbaum_batch_matches_one_at_a_time(rng):
     cases = []
     for _ in range(12):
@@ -407,6 +425,90 @@ def test_grunbaum_quotient_matches_the_full_space_route(rng):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def _dense_full_space_w1(S, N, p, q):
+    """The transport distance between masses p and q on {0..S-1}^N, flat in
+    ``enumerate_configs`` order, as the dense transportation LP over all
+    S^2N pairs: the oracle for the Hamming-graph flow."""
+    configs = enumerate_configs(S, N)
+    mu = DiscreteMeasure(N, configs, p)
+    nu = DiscreteMeasure(N, configs, q)
+    return _transport_lps([(cost_matrix(mu, nu), mu.weights, nu.weights)])[0]
+
+
+def _product_law(rng, S, N):
+    """A product law on {0..S-1}^N whose factors differ by coordinate."""
+    law = np.ones(1)
+    for _ in range(N):
+        law = np.multiply.outer(law, rng.dirichlet(np.ones(S))).ravel()
+    return law
+
+
+def test_hamming_arcs_are_the_one_coordinate_moves():
+    # every ordered pair of configurations at Hamming distance 1, once, of
+    # length min(|a - b|, TRUNCATION) / N in the coordinate that moves
+    for S, N in ((2, 3), (3, 2), (3, 3), (4, 2)):
+        configs = enumerate_configs(S, N)
+        tails, heads, lengths = _hamming_arcs(configs, S)
+        assert len(lengths) == S ** N * N * (S - 1)
+        moves = configs[tails] != configs[heads]
+        assert np.all(moves.sum(axis=1) == 1)
+        a, b = configs[tails][moves], configs[heads][moves]
+        np.testing.assert_array_equal(
+            lengths, np.minimum(np.abs(a - b), TRUNCATION) / N)
+        assert len(set(zip(tails.tolist(), heads.tolist()))) == len(tails)
+
+
+def test_hamming_flow_matches_the_dense_lp(rng):
+    # symmetric, non-symmetric and product laws; each of the S^N
+    # divergences of the flow and the 2 S^N marginals of the dense plan is
+    # checked to _PLAN_TOL, and misplaced mass costs at most TRUNCATION <= 1
+    # per unit to move, so the two optima differ by at most this bound
+    for S, N in ((2, 5), (3, 3), (3, 4), (4, 3), (2, 7)):
+        n = S ** N
+        tol = 3 * n * _PLAN_TOL
+        arcs = _hamming_arcs(enumerate_configs(S, N), S)
+        laws = [(symmetric_pmf(S, N, rng).ravel(),
+                 symmetric_pmf(S, N, rng).ravel()),
+                (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))),
+                (_product_law(rng, S, N), _product_law(rng, S, N))]
+        for p, q in laws:
+            assert _graph_w1(*arcs, p, q) == pytest.approx(
+                _dense_full_space_w1(S, N, p, q), abs=tol)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_hamming_flow_truncates_the_symbol_distance(N):
+    # symbols 0 and 2 are 2 apart on the line but cost TRUNCATION, as one
+    # step 0 -> 2 and as two steps 0 -> 1 -> 2
+    configs = enumerate_configs(3, N)
+    p, q = np.zeros(3 ** N), np.zeros(3 ** N)
+    p[0] = q[-1] = 1.0      # all zeros against all twos
+    w1 = _graph_w1(*_hamming_arcs(configs, 3), p, q)
+    assert w1 == pytest.approx(TRUNCATION, abs=3 ** N * _PLAN_TOL)
+    assert _dense_full_space_w1(3, N, p, q) == pytest.approx(
+        TRUNCATION, abs=3 ** N * _PLAN_TOL)
+
+
+def test_pushforward_full_space_lp_has_one_column_per_arc(rng, monkeypatch):
+    sizes = []
+    real = transport.linprog
+
+    def spy(c, **kwargs):
+        sizes.append((len(c), kwargs["A_eq"].shape))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    pushforward_identity_exact(symmetric_pmf(3, 5, rng),
+                               symmetric_pmf(3, 5, rng))
+    # the flow on 243 nodes and 2 430 arcs, then the 21 x 21 class LP
+    assert sizes == [(2430, (242, 2430)), (441, (41, 441))]
+
+
+def test_pushforward_one_symbol_is_zero():
+    pmf = np.ones((1,) * 3)
+    assert pushforward_identity_exact(pmf, pmf) == (0.0, 0.0)
+
+
 def test_pushforward_equal_laws(rng):
     F = symmetric_pmf(2, 5, rng)
     lhs, rhs = pushforward_identity_exact(F, F)
@@ -415,8 +517,8 @@ def test_pushforward_equal_laws(rng):
 
 
 def test_pushforward_refuses_a_large_alphabet_before_any_cost(rng):
-    # 2^11 configurations need 4.2M LP edges against a budget of 1.2M; the
-    # (n, n, N) cost tensor this refusal spares peaked at 784 MB
+    # 2^11 configurations exceed the budget isqrt(1.2M) = 1095; the
+    # refusal comes before any configuration, arc or cost is built
     F = symmetric_pmf(2, 11, rng)
     tracemalloc.start()
     try:
@@ -439,7 +541,8 @@ def test_pushforward_random_pairs(rng):
 @pytest.mark.parametrize("S, N", [(2, 5), (3, 4), (2, 7), (3, 5), (2, 6)])
 def test_pushforward_quotient_cost_matches_w1_line(S, N, rng, monkeypatch):
     # the closed-form class cost against one exact w1_line solve per pair
-    # of class representatives; the full-space LP is solved first
+    # of class representatives; the full-space flow is not a
+    # transportation LP
     costs = []
     solve = chaos._transport_lps
 
@@ -455,7 +558,7 @@ def test_pushforward_quotient_cost_matches_w1_line(S, N, rng, monkeypatch):
     ones = np.ones(N)
     oracle = np.array([[w1_line(a, ones, b, ones) for b in reps]
                        for a in reps])
-    assert np.max(np.abs(costs[1] - oracle)) <= 1e-15
+    assert np.max(np.abs(costs[0] - oracle)) <= 1e-15
     assert abs(lhs - rhs) <= 1e-9
 
 

@@ -335,6 +335,37 @@ def test_block_costs_must_sum_to_the_lp_objective(monkeypatch):
         _transport_lps(blocks)
 
 
+def test_graph_flow_checks_its_solution(monkeypatch):
+    # the path 0 - 1 - 2, unit arcs both ways, all mass from 0 to 2; a
+    # solver answer with a flow below zero, a node out of balance or an
+    # objective off the flow's cost is refused
+    arcs = (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]), np.ones(4))
+    p, q = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    assert transport._graph_w1(*arcs, p, q) == pytest.approx(2.0,
+                                                             abs=1e-9)
+    real = transport.linprog
+
+    def negative(res):
+        res.x[1] = -1e-6
+
+    def unbalanced(res):
+        res.x[0] += 1e-6
+
+    def shifted(res):
+        res.fun += 1e-6
+
+    for edit, what in ((negative, "negative"), (unbalanced, "divergence"),
+                       (shifted, "objective")):
+        def broken(c, edit=edit, **kwargs):
+            res = real(c, **kwargs)
+            edit(res)
+            return res
+
+        monkeypatch.setattr(transport, "linprog", broken)
+        with pytest.raises(DimensionError, match=what):
+            transport._graph_w1(*arcs, p, q)
+
+
 def test_quantile_plan_matches_lp():
     # w2_line's quantile coupling against the LP on the squared-distance
     # matrix; half the pairs sit on a half-integer grid, so atoms tie

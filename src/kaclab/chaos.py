@@ -242,40 +242,42 @@ def _quotient_problem(S: int, n: int, p: np.ndarray, q: np.ndarray):
 
 def grunbaum_exact(cases) -> list[tuple[float, float, float, float]]:
     """Exact marginal-vs-empirical comparison on the alphabet {0..S-1}, for
-    each (pmf, j) in cases, an iterable read once; no pmf is kept past its
-    own case.
+    each (pmf, js) in cases, an iterable read once, and each block size j
+    in js; no pmf is kept past its own case.
 
-    Per case returns (tv, bound, w1, w1_bound): the total-variation mass
-    between the j-th marginal and the j-th moment of the empirical measure,
-    its combinatorial bound 2 j (j-1)/N, and the transport distance with
-    its bound j (j-1)/N. Both laws are symmetric on {0..S-1}^j, so for
-    j >= 2 the distance is the LP on their occupation classes
-    (``_quotient_problem``), all cases' LPs solved as one; j = 1 takes
-    ``w1_line``. Each pmf must pass ``check_symmetric_pmf``.
+    Returns one tuple (tv, bound, w1, w1_bound) per (pmf, j), in order:
+    the total-variation mass between the j-th marginal and the j-th moment
+    of the empirical measure, its combinatorial bound 2 j (j-1)/N, and the
+    transport distance with its bound j (j-1)/N. Both laws are symmetric
+    on {0..S-1}^j, so for j >= 2 the distance is the transportation
+    problem on their occupation classes (``_quotient_problem``), all
+    cases' problems solved as one min-cost flow LP; j = 1 takes
+    ``w1_line``. Each pmf must pass ``check_symmetric_pmf``, checked once
+    for all its block sizes.
     """
     problems, parts = [], []
-    for pmf, j in cases:
+    for pmf, js in cases:
         pmf = check_symmetric_pmf(pmf)
         N = pmf.ndim
         S = pmf.shape[0]
-        if not (is_int(j) and 1 <= j <= N):
-            raise DimensionError(f"need an integer 1 <= j <= N = {N}, "
-                                 f"got {j!r}")
-
-        marg = pmf.copy()
-        for _ in range(N - j):
-            marg = marg.sum(axis=-1)
-        hat = _empirical_moment(pmf, j)
-        p = np.maximum(marg.ravel(), 0.0) / marg.sum()
-        q = np.maximum(hat.ravel(), 0.0) / hat.sum()
-        w1 = None
-        if j == 1:
-            symbols = np.arange(S, dtype=float)
-            w1 = w1_line(symbols, p, symbols, q)
-        else:
-            problems.append(_quotient_problem(S, j, p, q))
-        parts.append((float(np.abs(marg - hat).sum()),
-                      2.0 * j * (j - 1) / N, w1, j * (j - 1) / N))
+        for j in js:
+            if not (is_int(j) and 1 <= j <= N):
+                raise DimensionError(f"need an integer 1 <= j <= N = {N}, "
+                                     f"got {j!r}")
+            marg = pmf.copy()
+            for _ in range(N - j):
+                marg = marg.sum(axis=-1)
+            hat = _empirical_moment(pmf, j)
+            p = np.maximum(marg.ravel(), 0.0) / marg.sum()
+            q = np.maximum(hat.ravel(), 0.0) / hat.sum()
+            w1 = None
+            if j == 1:
+                symbols = np.arange(S, dtype=float)
+                w1 = w1_line(symbols, p, symbols, q)
+            else:
+                problems.append(_quotient_problem(S, j, p, q))
+            parts.append((float(np.abs(marg - hat).sum()),
+                          2.0 * j * (j - 1) / N, w1, j * (j - 1) / N))
     lps = iter(_transport_lps(problems))
     return [(tv, bound, next(lps) if w1 is None else w1, w1_bound)
             for tv, bound, w1, w1_bound in parts]
@@ -308,9 +310,12 @@ def pushforward_identity_exact(F: np.ndarray, G: np.ndarray):
     lhs is its min-cost flow (``_graph_w1``): S^N N (S - 1) LP columns, 2430
     at (S, N) = (3, 5), where the dense transportation LP has S^2N, 59 049;
     that LP stays in the tests as the flow's oracle. rhs solves
-    ``_quotient_problem``, the LP between the induced laws on the
-    occupation classes with the relabeling-minimal cost. The flow never
-    uses the symmetry, so the two optima agree by the identity, not by
+    ``_quotient_problem``, the transportation problem between the induced
+    laws on the occupation classes with the relabeling-minimal cost, which
+    is the min-cost flow on the complete bipartite graph of the classes.
+    Each side is its own LP, solved and checked by
+    ``transport._min_cost_flows``. The Hamming flow never uses the
+    symmetry, so the two optima agree by the identity, not by
     construction. Both pmfs must pass ``check_symmetric_pmf``. Past
     isqrt(``_LP_EDGE_BUDGET``) configurations, ``SizeError`` comes before
     any arc is built.

@@ -216,8 +216,7 @@ def run_identities(cfg: ExperimentConfig) -> ExperimentResult:
             N = int(rng.integers(4, 11))
             pmf = chaos.symmetric_pmf(S, N, rng)
             j = int(rng.integers(2, 4)) if N >= 6 else 2
-            yield pmf, 1
-            yield pmf, j
+            yield pmf, (1, j)
     results = chaos.grunbaum_exact(grunbaum_cases())
     worst_j1 = max(0.0, *(tv1 for tv1, _, _, _ in results[0::2]))
     n_tv_viol = 0

@@ -5,14 +5,17 @@ particles of the euclidean distance truncated at ``TRUNCATION``. On the
 line, weighted measures take one exact routine, ``w1_line``, a sorted
 scan over the Kantorovich-Rubinstein dual. The assignment solver, exact
 for equal-size uniform empirical measures and the path for d > 1, and the
-general transportation LP (HiGHS), which covers everything else, are its
-oracles. Where the cost is a graph's shortest-path metric, as on a
-product of finite alphabets, W1 is a min-cost flow over the graph's arcs
-(``_graph_w1``), an LP with one column per arc instead of one per pair of
-atoms. The quadratic cost enters only on the line, where ``w2_line``
-gives the exact W2 from the quantile (north-west corner) coupling, for
-the moment interpolation between W1 and W2; configurations and measures
-off the line have no quadratic cost. Entropic or otherwise regularized
+general transportation LP, which covers everything else, are its
+oracles. Every LP is a min-cost flow, solved and checked by one routine,
+``_min_cost_flows`` (HiGHS): a transportation problem is the flow on the
+complete bipartite graph between the two atom sets. Where the cost is a
+graph's shortest-path metric, as on a product of finite alphabets, W1 is
+the min-cost flow over the graph's own arcs (``_graph_w1``), one column
+per arc instead of one per pair of atoms. The quadratic cost enters only
+on the line, where ``w2_line`` gives the exact W2 from the quantile
+(north-west corner) coupling, for the moment interpolation between W1
+and W2; configurations and measures off the line have no quadratic cost.
+Entropic or otherwise regularized
 solvers are deliberately absent from all correctness paths.
 """
 from __future__ import annotations
@@ -41,8 +44,9 @@ __all__ = [
 
 _LP_EDGE_BUDGET = 1_200_000
 _PRODUCT_ATOM_BUDGET = 100_000
-# absolute slack of a plan's flows and marginals, and of the summed costs
-# against the LP objective (relative to max(1, |objective|))
+# absolute slack of a flow's arc values and node divergences, and of the
+# summed block costs against the LP objective (relative to
+# max(1, |objective|))
 _PLAN_TOL = 1e-10
 
 # The bounded cost caps each particle's distance at this value.
@@ -196,79 +200,82 @@ def w1_config_bruteforce(X: Configuration, Y: Configuration) -> float:
     return float(costs[np.arange(n), perms].mean(axis=1).min())
 
 
-def _check_plan(flow: np.ndarray, w_src: np.ndarray, w_tgt: np.ndarray):
-    """Raise unless the flow matrix is a plan between w_src and w_tgt, each
-    flow and marginal within ``_PLAN_TOL``."""
-    if np.any(flow < -_PLAN_TOL):
-        raise DimensionError("plan has negative flow")
-    if np.max(np.abs(flow.sum(axis=1) - w_src)) > _PLAN_TOL:
-        raise DimensionError("plan row sums differ from source weights")
-    if np.max(np.abs(flow.sum(axis=0) - w_tgt)) > _PLAN_TOL:
-        raise DimensionError("plan column sums differ from target weights")
+def _min_cost_flows(graphs) -> list[float]:
+    """Exact least costs of min-cost flow problems (tails, heads, lengths,
+    supply), one per connected graph, all solved as one block-diagonal LP
+    via HiGHS.
 
+    A graph's problem is the least lengths . x over flows x >= 0 on its
+    arcs, the arc k running from node tails[k] to heads[k], whose
+    divergence (outflow minus inflow) at each node equals supply, whose
+    total is 0. Blocks share no variable and no constraint, so the joint
+    optimum is optimal in every block. One LP column per arc, one row per
+    node but each graph's last, which the zero total implies. The flow is
+    checked once for all blocks: no flow below -``_PLAN_TOL``, every
+    node's divergence within ``_PLAN_TOL`` of its supply, and the blocks'
+    costs summing to the LP objective within ``_PLAN_TOL`` max(1,
+    |objective|). The edge budget holds for the whole LP.
 
-def _highs(c: np.ndarray, A_eq, b_eq: np.ndarray):
-    """The optimum of min c . x over x >= 0 with A_eq x = b_eq, by the
-    HiGHS dual simplex at 1e-10 feasibility tolerances; raises
-    ``SizeError`` unless it succeeds.
-
-    Presolve is off: on these LPs it only costs time and memory (the one
-    redundant equality is already dropped), and the optimum does not
-    depend on it.
+    HiGHS runs the dual simplex at 1e-10 feasibility tolerances; presolve
+    is off, as on these LPs it only costs time and memory and the optimum
+    does not depend on it. ``SizeError`` unless it succeeds.
     """
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds",
+    if not graphs:
+        return []
+    edges = sum(len(lengths) for _, _, lengths, _ in graphs)
+    if edges > _LP_EDGE_BUDGET:
+        raise SizeError(f"LP would have {edges} edges "
+                        f"(budget {_LP_EDGE_BUDGET}); reduce the instance")
+    # node v of a graph whose nodes start at offset off is node off + v of
+    # the stacked graphs; the LP keeps every node's row but each graph's
+    # last
+    tails, heads, last, off = [], [], [], 0
+    for t, h, _, b in graphs:
+        tails.append(t + off)
+        heads.append(h + off)
+        off += len(b)
+        last.append(off - 1)
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    supply = np.concatenate([b for _, _, _, b in graphs])
+    keep = np.ones(off, dtype=bool)
+    keep[last] = False
+    A = csr_matrix((np.repeat([1.0, -1.0], edges),
+                    (np.concatenate([tails, heads]),
+                     np.tile(np.arange(edges), 2))), shape=(off, edges))
+    lengths = np.concatenate([c for _, _, c, _ in graphs])
+    res = linprog(lengths, A_eq=A[keep], b_eq=supply[keep],
+                  bounds=(0, None), method="highs-ds",
                   options={"presolve": False,
                            "primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise SizeError(f"transport LP failed: {res.message}")
-    return res
+    x = res.x
+    if np.any(x < -_PLAN_TOL):
+        raise DimensionError("flow is negative on an arc")
+    divergence = np.bincount(tails, x, off) - np.bincount(heads, x, off)
+    if np.max(np.abs(divergence - supply)) > _PLAN_TOL:
+        raise DimensionError("flow divergence differs from the supply")
+    cuts = np.cumsum([0] + [len(c) for _, _, c, _ in graphs])
+    out = [float(lengths[a:b] @ x[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if abs(sum(out) - res.fun) > _PLAN_TOL * max(1.0, abs(res.fun)):
+        raise DimensionError("flow costs inconsistent with the LP objective")
+    return out
 
 
 def _transport_lps(problems) -> list[float]:
-    """Exact optimal costs of transportation LPs (costs, w_src, w_tgt), all
-    solved as one block-diagonal LP via HiGHS.
-
-    The blocks share no variable and no constraint, so the joint optimum
-    is optimal in every block. Each block's cost is c_b . x_b, its plan
-    checked by ``_check_plan``; the costs must sum to the LP's objective
-    within ``_PLAN_TOL`` max(1, |objective|). The edge budget holds for
-    the whole LP.
-    """
-    if not problems:
-        return []
-    edges = sum(costs.size for costs, _, _ in problems)
-    if edges > _LP_EDGE_BUDGET:
-        raise SizeError(f"LP would have {edges} edges "
-                        f"(budget {_LP_EDGE_BUDGET}); reduce the instance")
-    # per block, equality constraints: row sums = w_src, col sums = w_tgt
-    # (drop one, it is implied by equal totals); flow (i, jj) of a block at
-    # offset off is variable off + i*m + jj
-    cols, lens, b, off = [], [], [], 0
+    """Exact optimal costs of transportation problems (costs, w_src,
+    w_tgt), as min-cost flows on complete bipartite graphs: source i of
+    an n x m block is node i with supply w_src[i], target j node n + j
+    with supply -w_tgt[j], and the arc i -> n + j has length costs[i, j],
+    so its flow is the plan's cell (i, j)."""
+    graphs = []
     for costs, w_src, w_tgt in problems:
         n, m = costs.shape
-        flows = off + np.arange(n * m).reshape(n, m)
-        cols += [flows.ravel(), flows[:, :-1].T.ravel()]
-        lens += [np.full(n, m), np.full(m - 1, n)]
-        b += [w_src, w_tgt[:-1]]
-        off += n * m
-    lens = np.concatenate(lens)
-    cols = np.concatenate(cols)
-    A = csr_matrix((np.ones(len(cols)), cols,
-                    np.concatenate([[0], np.cumsum(lens)])),
-                   shape=(len(lens), off))
-    res = _highs(np.concatenate([c.ravel() for c, _, _ in problems]),
-                 A, np.concatenate(b))
-    out, off = [], 0
-    for costs, w_src, w_tgt in problems:
-        x = res.x[off:off + costs.size]
-        off += costs.size
-        _check_plan(x.reshape(costs.shape), w_src, w_tgt)
-        out.append(float(costs.ravel() @ x))
-    if abs(sum(out) - res.fun) > _PLAN_TOL * max(1.0, abs(res.fun)):
-        raise DimensionError("plan costs inconsistent with the LP objective")
-    return out
+        graphs.append((np.repeat(np.arange(n), m),
+                       np.tile(n + np.arange(m), n), costs.ravel(),
+                       np.concatenate([w_src, -w_tgt])))
+    return _min_cost_flows(graphs)
 
 
 def _graph_w1(tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray,
@@ -277,34 +284,13 @@ def _graph_w1(tails: np.ndarray, heads: np.ndarray, lengths: np.ndarray,
     graph under its shortest-path metric, the arc from tails[k] to
     heads[k] having length lengths[k] >= 0.
 
-    By Beckmann's formulation this is the min-cost flow: the least
-    lengths . x over flows x >= 0 on the arcs whose divergence (outflow
-    minus inflow) at each node is p - q. One LP column per arc, one row per
-    node but the last, which equal totals imply. The flow is checked: no
-    flow below -``_PLAN_TOL``, every node's divergence within ``_PLAN_TOL``
-    of p - q, and lengths . x within ``_PLAN_TOL`` max(1, |objective|) of
-    the LP's objective.
+    By Beckmann's formulation this is the min-cost flow with supply p - q
+    (``_min_cost_flows``). A graph with no arcs has one node, and no mass
+    moves.
     """
-    n, m = len(p), len(lengths)
-    if n == 1:
-        return 0.0      # one node, no arc: no mass moves
-    rows = np.concatenate([tails, heads])
-    cols = np.tile(np.arange(m), 2)
-    signs = np.repeat([1.0, -1.0], m)
-    keep = rows < n - 1
-    A = csr_matrix((signs[keep], (rows[keep], cols[keep])), shape=(n - 1, m))
-    supply = p - q
-    res = _highs(lengths, A, supply[:-1])
-    x = res.x
-    if np.any(x < -_PLAN_TOL):
-        raise DimensionError("flow is negative on an arc")
-    divergence = np.bincount(tails, x, n) - np.bincount(heads, x, n)
-    if np.max(np.abs(divergence - supply)) > _PLAN_TOL:
-        raise DimensionError("flow divergence differs from the mass "
-                             "difference")
-    cost = float(lengths @ x)
-    if abs(cost - res.fun) > _PLAN_TOL * max(1.0, abs(res.fun)):
-        raise DimensionError("flow cost inconsistent with the LP objective")
+    if not len(lengths):
+        return 0.0
+    [cost] = _min_cost_flows([(tails, heads, lengths, p - q)])
     return cost
 
 

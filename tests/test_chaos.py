@@ -231,7 +231,7 @@ def test_symmetric_pmf_is_symmetric(rng):
 def test_grunbaum_first_marginal_exact(rng):
     for _ in range(5):
         pmf = symmetric_pmf(2, int(rng.integers(4, 9)), rng)
-        [(tv, _, w1, _)] = grunbaum_exact([(pmf, 1)])
+        [(tv, _, w1, _)] = grunbaum_exact([(pmf, (1,))])
         assert tv <= 1e-12
         assert w1 <= 1e-9
 
@@ -242,7 +242,7 @@ def test_grunbaum_bound_random_pmfs(rng):
         N = int(rng.integers(4, 9))
         pmf = symmetric_pmf(S, N, rng)
         j = 2 if N < 6 else int(rng.integers(2, 4))
-        [(tv, bound, w1, w1_bound)] = grunbaum_exact([(pmf, j)])
+        [(tv, bound, w1, w1_bound)] = grunbaum_exact([(pmf, (j,))])
         assert tv <= bound + 1e-12
         assert w1 <= w1_bound + 1e-9
 
@@ -255,7 +255,7 @@ def test_grunbaum_product_measure(rng):
         shape = [1] * N
         shape[axis] = 2
         pmf = pmf * p.reshape(shape)
-    [(tv, bound, _, _)] = grunbaum_exact([(pmf, 2)])
+    [(tv, bound, _, _)] = grunbaum_exact([(pmf, (2,))])
     assert 0.0 < tv <= bound
 
 
@@ -263,14 +263,14 @@ def test_grunbaum_rejects_asymmetric():
     pmf = np.zeros((2, 2, 2))
     pmf[1, 0, 0] = 1.0
     with pytest.raises(DimensionError):
-        grunbaum_exact([(pmf, 2)])
+        grunbaum_exact([(pmf, (2,))])
 
 
 def test_non_cubic_pmfs_are_refused():
     # this ended in numpy's broadcast error
     pmf = np.full((2, 3), 1 / 6)
     with pytest.raises(DimensionError, match="not a cube"):
-        grunbaum_exact([(pmf, 1)])
+        grunbaum_exact([(pmf, (1,))])
     with pytest.raises(DimensionError, match="not a cube"):
         pushforward_identity_exact(pmf, pmf)
 
@@ -279,7 +279,7 @@ def test_negative_masses_are_refused():
     # grunbaum_exact clipped the -0.1 and returned zeros at j = 1
     pmf = np.array([[-0.1, 0.3], [0.3, 0.5]])
     with pytest.raises(DimensionError, match="nonnegative"):
-        grunbaum_exact([(pmf, 1)])
+        grunbaum_exact([(pmf, (1,))])
     with pytest.raises(DimensionError, match="nonnegative"):
         pushforward_identity_exact(pmf, np.full((2, 2), 0.25))
 
@@ -287,14 +287,15 @@ def test_negative_masses_are_refused():
 def test_nested_lists_are_read_as_pmfs():
     # these ended in AttributeError on list.ndim
     pmf = [[0.5, 0.0], [0.0, 0.5]]
-    assert grunbaum_exact([(pmf, 1)]) == grunbaum_exact([(np.array(pmf), 1)])
+    assert (grunbaum_exact([(pmf, (1,))])
+            == grunbaum_exact([(np.array(pmf), (1,))]))
     assert pushforward_identity_exact(pmf, pmf) == (0.0, 0.0)
 
 
 def test_pmfs_of_mass_two_are_refused():
     # this returned tv = 1.0
     with pytest.raises(DimensionError, match="sum to"):
-        grunbaum_exact([(np.full((2, 2), 0.5), 2)])
+        grunbaum_exact([(np.full((2, 2), 0.5), (2,))])
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 6])
@@ -306,14 +307,14 @@ def test_point_masses_off_the_diagonal_are_asymmetric(N):
         pmf = np.zeros((2,) * N)
         pmf[tuple(int(i == k) for i in range(N))] = 1.0
         with pytest.raises(DimensionError):
-            grunbaum_exact([(pmf, 1)])
+            grunbaum_exact([(pmf, (1,))])
         with pytest.raises(DimensionError):
-            grunbaum_exact([(pmf, 2)])
+            grunbaum_exact([(pmf, (2,))])
         with pytest.raises(DimensionError):
             pushforward_identity_exact(pmf, pmf)
     pmf = np.zeros((2,) * N)
     pmf[(0,) * N] = 1.0
-    assert grunbaum_exact([(pmf, 2)])[0][0] == 0.0
+    assert grunbaum_exact([(pmf, (2,))])[0][0] == 0.0
 
 
 @pytest.mark.parametrize("S,N", [(2, 4), (3, 5), (2, 7)])
@@ -327,17 +328,17 @@ def test_relative_asymmetry_of_1e_8_is_rejected(S, N, rng):
         *= 1.0 + 1e-8
     bent = flat.reshape(pmf.shape)
     with pytest.raises(DimensionError):
-        grunbaum_exact([(bent, 2)])
+        grunbaum_exact([(bent, (2,))])
     with pytest.raises(DimensionError):
         pushforward_identity_exact(bent, pmf)
-    grunbaum_exact([(pmf, 2)])
+    grunbaum_exact([(pmf, (2,))])
 
 
 def test_grunbaum_rejects_bad_block_size(rng):
     pmf = symmetric_pmf(2, 4, rng)
     for j in (0, 5, 2.0):
         with pytest.raises(DimensionError):
-            grunbaum_exact([(pmf, j)])
+            grunbaum_exact([(pmf, (j,))])
 
 
 def _dense_empirical_moment(pmf, j):
@@ -385,13 +386,39 @@ def test_grunbaum_batch_matches_one_at_a_time(rng):
     cases = []
     for _ in range(12):
         S, N = int(rng.integers(2, 4)), int(rng.integers(4, 9))
-        pmf = symmetric_pmf(S, N, rng)
-        cases += [(pmf, 1), (pmf, 2), (pmf, 3)]
+        cases.append((symmetric_pmf(S, N, rng), (1, 2, 3)))
     batched = grunbaum_exact(cases)
-    for case, got in zip(cases, batched):
+    singles = [(pmf, (j,)) for pmf, js in cases for j in js]
+    assert len(batched) == len(singles)
+    for case, got in zip(singles, batched):
         [one] = grunbaum_exact([case])
         assert got[:2] == one[:2] and got[3] == one[3]
         assert got[2] == pytest.approx(one[2], abs=1e-12)
+
+
+def test_grunbaum_checks_each_pmf_once(monkeypatch, rng):
+    # a pmf with several block sizes is validated once, and its results
+    # are those of its (pmf, j) cases one by one, in order
+    cases = [(symmetric_pmf(S, N, rng), js)
+             for S, N, js in ((2, 6, (1, 2, 3)), (3, 5, (2,)), (3, 4, (1, 2)),
+                              (2, 5, ()))]
+    singles = [grunbaum_exact([(pmf, (j,))]) for pmf, js in cases
+               for j in js]
+    seen = []
+    real = chaos.check_symmetric_pmf
+
+    def spy(pmf):
+        seen.append(pmf)
+        return real(pmf)
+
+    monkeypatch.setattr(chaos, "check_symmetric_pmf", spy)
+    got = grunbaum_exact(cases)
+    assert len(seen) == len(cases)
+    assert all(x is pmf for x, (pmf, _) in zip(seen, cases))
+    assert len(got) == len(singles)
+    for row, [one] in zip(got, singles):
+        assert row[:2] == one[:2] and row[3] == one[3]
+        assert row[2] == pytest.approx(one[2], abs=1e-12)
 
 
 def _grunbaum_full_space_w1(cases):
@@ -419,7 +446,8 @@ def test_grunbaum_quotient_matches_the_full_space_route(rng):
         S, N = int(rng.integers(2, 4)), int(rng.integers(4, 10))
         j = int(rng.integers(2, min(N, 4) + 1))
         cases.append((symmetric_pmf(S, N, rng), j))
-    got = [w1 for _, _, w1, _ in grunbaum_exact(cases)]
+    got = [w1 for _, _, w1, _ in grunbaum_exact(
+        [(pmf, (j,)) for pmf, j in cases])]
     want = _grunbaum_full_space_w1(cases)
     assert len({(pmf.shape[0], pmf.ndim, j) for pmf, j in cases}) >= 20
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)

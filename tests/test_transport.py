@@ -13,10 +13,11 @@ from kaclab.transport import (TRUNCATION, cost_matrix, product_measure,
                               w1_config_bruteforce, w1_discrete,
                               w1_discrete_batch, w1_line, w2_line)
 from kaclab import experiments, transport
-from kaclab.chaos import (enumerate_configs, grunbaum_exact, omega_inf,
-                          omega_j, omega_n, pushforward_identity_exact,
-                          sigma_sampler, symmetric_pmf)
-from kaclab.transport import _check_plan, _transport_lps
+from kaclab.chaos import (_hamming_arcs, enumerate_configs, grunbaum_exact,
+                          omega_inf, omega_j, omega_n,
+                          pushforward_identity_exact, sigma_sampler,
+                          symmetric_pmf)
+from kaclab.transport import _graph_w1, _min_cost_flows, _transport_lps
 
 
 def conf(*xs):
@@ -288,62 +289,98 @@ def test_w1_discrete_matches_w1_config_on_empirical():
         assert val == pytest.approx(cost, abs=1e-9)
 
 
-def test_transport_plan_marginals_validate():
-    # the product plan of two measures passes the check; breaking its sign,
-    # a row sum or a column sum each fails it
-    rng = np.random.default_rng(7)
+def _refuse_broken_answers(monkeypatch, solve, edits):
+    """Edit each solver answer after linprog returns it; every edit must
+    make `solve` raise a DimensionError matching its text."""
+    real = transport.linprog
+    for edit, what in edits:
+        def broken(c, edit=edit, **kwargs):
+            res = real(c, **kwargs)
+            edit(res)
+            return res
+
+        monkeypatch.setattr(transport, "linprog", broken)
+        with pytest.raises(DimensionError, match=what):
+            solve()
+    monkeypatch.setattr(transport, "linprog", real)
+
+
+def _plan_and_hamming_blocks(rng):
+    """A transportation block between two random measures, as a flow on
+    the bipartite graph of sources and targets, and a Hamming-graph block
+    on the configurations of 3 particles over 3 letters."""
     mu = random_measure(rng, 5).merged()
     nu = random_measure(rng, 3).merged()
     costs = cost_matrix(mu, nu)
-    plan = np.outer(mu.weights, nu.weights)
-    _check_plan(plan, mu.weights, nu.weights)
-    # mass moved around a cycle keeps every marginal, mass moved along a
-    # row keeps the row sums, and mass added at one cell keeps neither
-    cycle, row_move, added = (np.zeros_like(plan) for _ in range(3))
-    cycle[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
-    row_move[0, :2] = [1e-6, -1e-6]
-    added[0, 0] = 1e-6
-    broken = [(plan - (plan[0, 0] + 1e-6) * cycle, "negative flow"),
-              (plan + added, "row sums"),
-              (plan + row_move, "column sums")]
-    for flow, what in broken:
-        with pytest.raises(DimensionError, match=what):
-            _check_plan(flow, mu.weights, nu.weights)
-    assert w1_discrete(mu, nu) == pytest.approx(
-        _transport_lps([(costs, mu.weights, nu.weights)])[0], abs=1e-12)
+    n, m = costs.shape
+    assert min(n, m) >= 2
+    plan_graph = (np.repeat(np.arange(n), m), np.tile(n + np.arange(m), n),
+                  costs.ravel(), np.concatenate([mu.weights, -nu.weights]))
+    arcs = _hamming_arcs(enumerate_configs(3, 3), 3)
+    p, q = rng.dirichlet(np.ones(27)), rng.dirichlet(np.ones(27))
+    return mu, nu, costs, [plan_graph, (*arcs, p - q)], (arcs, p, q)
+
+
+def test_transport_plan_marginals_validate(monkeypatch):
+    # a solver answer for the transportation LP is refused when it has a
+    # negative flow (mass moved around a cycle of the plan, every marginal
+    # kept), a source out of balance (mass moved down a plan column) or a
+    # target out of balance (mass moved along a plan row)
+    rng = np.random.default_rng(7)
+    mu, nu, costs, _, _ = _plan_and_hamming_blocks(rng)
+    n, m = costs.shape
+    problem = [(costs, mu.weights, nu.weights)]
+    [plan_cost] = _transport_lps(problem)
+    assert w1_discrete(mu, nu) == pytest.approx(plan_cost, abs=1e-12)
+
+    def negative(res):
+        plan = res.x.reshape(n, m)
+        plan[:2, :2] -= (plan[0, 0] + 1e-6) * np.array([[1.0, -1.0],
+                                                        [-1.0, 1.0]])
+
+    def source(res):
+        plan = res.x.reshape(n, m)
+        i = int(np.argmax(plan[:, 0]))
+        plan[i, 0] -= 1e-6
+        plan[(i + 1) % n, 0] += 1e-6
+
+    def target(res):
+        plan = res.x.reshape(n, m)
+        j = int(np.argmax(plan[0]))
+        plan[0, j] -= 1e-6
+        plan[0, (j + 1) % m] += 1e-6
+
+    _refuse_broken_answers(
+        monkeypatch, lambda: _transport_lps(problem),
+        ((negative, "negative"), (source, "divergence"),
+         (target, "divergence")))
 
 
 def test_block_costs_must_sum_to_the_lp_objective(monkeypatch):
-    # two blocks whose plans pass their own checks, but whose costs c_b . x_b
-    # no longer sum to the objective the solver reports
-    real = transport.linprog
-
-    def shifted(c, **kwargs):
-        res = real(c, **kwargs)
-        res.fun += 1e-6
-        return res
-
+    # one LP holding a transportation block and a Hamming-graph block
+    # gives each block's own value; an answer whose objective is off the
+    # blocks' summed costs is refused
     rng = np.random.default_rng(7)
-    blocks = []
-    for n, m in ((5, 3), (4, 4)):
-        mu = random_measure(rng, n).merged()
-        nu = random_measure(rng, m).merged()
-        blocks.append((cost_matrix(mu, nu), mu.weights, nu.weights))
-    _transport_lps(blocks)
-    monkeypatch.setattr(transport, "linprog", shifted)
-    with pytest.raises(DimensionError, match="cost"):
-        _transport_lps(blocks)
+    mu, nu, costs, graphs, (arcs, p, q) = _plan_and_hamming_blocks(rng)
+    [plan_cost] = _transport_lps([(costs, mu.weights, nu.weights)])
+    assert _min_cost_flows(graphs) == pytest.approx(
+        [plan_cost, _graph_w1(*arcs, p, q)], abs=1e-12)
+
+    def shifted(res):
+        res.fun += 1e-6
+
+    _refuse_broken_answers(monkeypatch, lambda: _min_cost_flows(graphs),
+                           ((shifted, "objective"),))
 
 
 def test_graph_flow_checks_its_solution(monkeypatch):
     # the path 0 - 1 - 2, unit arcs both ways, all mass from 0 to 2; a
     # solver answer with a flow below zero, a node out of balance or an
-    # objective off the flow's cost is refused
+    # objective off the flow's cost is refused, and so is a node out of
+    # balance in the graph block of a two-block LP
     arcs = (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]), np.ones(4))
     p, q = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    assert transport._graph_w1(*arcs, p, q) == pytest.approx(2.0,
-                                                             abs=1e-9)
-    real = transport.linprog
+    assert _graph_w1(*arcs, p, q) == pytest.approx(2.0, abs=1e-9)
 
     def negative(res):
         res.x[1] = -1e-6
@@ -354,16 +391,18 @@ def test_graph_flow_checks_its_solution(monkeypatch):
     def shifted(res):
         res.fun += 1e-6
 
-    for edit, what in ((negative, "negative"), (unbalanced, "divergence"),
-                       (shifted, "objective")):
-        def broken(c, edit=edit, **kwargs):
-            res = real(c, **kwargs)
-            edit(res)
-            return res
+    _refuse_broken_answers(
+        monkeypatch, lambda: _graph_w1(*arcs, p, q),
+        ((negative, "negative"), (unbalanced, "divergence"),
+         (shifted, "objective")))
+    rng = np.random.default_rng(7)
+    _, _, costs, graphs, _ = _plan_and_hamming_blocks(rng)
 
-        monkeypatch.setattr(transport, "linprog", broken)
-        with pytest.raises(DimensionError, match=what):
-            transport._graph_w1(*arcs, p, q)
+    def node(res):
+        res.x[costs.size] += 1e-6
+
+    _refuse_broken_answers(monkeypatch, lambda: _min_cost_flows(graphs),
+                           ((node, "divergence"),))
 
 
 def test_quantile_plan_matches_lp():
@@ -432,7 +471,7 @@ def test_line_solves_reach_neither_lp_nor_assignment(monkeypatch, gauss):
     for n in (1, 4, 9):
         w1_discrete(random_measure(rng, n), random_measure(rng, n + 2))
         w1_discrete(uniform_atoms(rng, n), uniform_atoms(rng, n))
-    grunbaum_exact([(symmetric_pmf(3, 5, rng), 1)])
+    grunbaum_exact([(symmetric_pmf(3, 5, rng), (1,))])
     sampler = sigma_sampler()
     omega_inf(sampler, gauss, 16, 4, rng=rng)
     omega_n(sampler, gauss, 16, 4, rng)
@@ -486,14 +525,15 @@ def test_batched_lp_matches_one_block_solves():
 
 def _one_block_matrix(n, m):
     """The transportation LP's constraint matrix as one problem per call
-    built it: n row sums, then the first m - 1 column sums."""
+    built it: n row sums, then the first m - 1 column sums, negated, as
+    the divergence of the flow at the targets."""
     from scipy.sparse import csr_matrix
     flows = np.arange(n * m).reshape(n, m)
     cols = np.concatenate([flows.ravel(), flows[:, :-1].T.ravel()])
     indptr = np.concatenate([m * np.arange(n + 1),
                              n * m + n * np.arange(1, m)])
-    return csr_matrix((np.ones(len(cols)), cols, indptr),
-                      shape=(n + m - 1, n * m))
+    signs = np.repeat([1.0, -1.0], [n * m, n * (m - 1)])
+    return csr_matrix((signs, cols, indptr), shape=(n + m - 1, n * m))
 
 
 def test_one_block_builds_the_single_problem_lp(monkeypatch):
@@ -518,7 +558,7 @@ def test_one_block_builds_the_single_problem_lp(monkeypatch):
         assert np.array_equal(A.data, ref.data)
         assert np.array_equal(c, costs.ravel())
         assert np.array_equal(kwargs["b_eq"],
-                              np.concatenate([w_src, w_tgt[:-1]]))
+                              np.concatenate([w_src, -w_tgt[:-1]]))
 
 
 def test_batched_lp_edge_budget_is_for_the_whole_lp(monkeypatch):
@@ -570,6 +610,29 @@ def test_identities_make_ten_lp_solves(monkeypatch):
     assert all(a.passed for a in res.assertions)
     # one tensorization LP, eight pushforward LPs, one Grunbaum LP
     assert len(calls) <= 10
+
+
+def test_every_identities_lp_is_a_flow_lp(monkeypatch):
+    # each LP the suite solves is a min-cost flow: every column, an arc,
+    # has at most one +1 (its tail) and one -1 (its head) and nothing
+    # else, and no arc has a negative length; a second LP builder shows up
+    # here
+    calls = []
+    real = transport.linprog
+
+    def spy(c, **kwargs):
+        calls.append((c, kwargs["A_eq"].tocsc()))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    experiments.run_identities(experiments.ExperimentConfig())
+    assert calls
+    for c, A in calls:
+        assert np.all(c >= 0)
+        assert np.all(np.isin(A.data, [1.0, -1.0]))
+        column = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+        for sign in (1.0, -1.0):
+            assert np.bincount(column[A.data == sign]).max() <= 1
 
 
 # ---------------------------------------------------------------------------

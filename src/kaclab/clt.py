@@ -75,6 +75,18 @@ def _standard_cf(f: Density):
     return f.cf
 
 
+def _check_nyquist_edge(cf: np.ndarray, N: int):
+    """Raise KaclabError when cf^N, cf a spectrum up to its Nyquist
+    frequency, exceeds ``_ALIAS_TOL`` on its last max(4, len/50) entries."""
+    tail = cf[-max(4, len(cf) // 50):]
+    edge = float(np.max(np.abs(spectrum_power(tail, N))))
+    if edge > _ALIAS_TOL:
+        raise KaclabError(
+            f"aliasing check failed at N={N}: powered spectrum level "
+            f"{edge:.2e} at the Nyquist edge exceeds {_ALIAS_TOL}; use a "
+            f"finer grid")
+
+
 def iterate_clt_cf(f: Density, N: int) -> GridFunction:
     """sqrt(N) f^{*N}(sqrt(N) x) on ``CLT_GRID``, from f's closed-form cf.
 
@@ -89,13 +101,9 @@ def iterate_clt_cf(f: Density, N: int) -> GridFunction:
     cf = _standard_cf(f)
     if N < 2:
         raise DimensionError("need N >= 2")
-    spec = spectrum_power(cf(-_XI / math.sqrt(N)), N)
-    n_edge = max(4, len(spec) // 50)
-    edge = float(np.max(np.abs(spec[-n_edge:])))
-    if edge > _ALIAS_TOL:
-        raise KaclabError(
-            f"aliasing check failed at N={N}: powered cf level {edge:.2e} "
-            f"at the Nyquist edge exceeds {_ALIAS_TOL}; use a finer grid")
+    base = cf(-_XI / math.sqrt(N))
+    _check_nyquist_edge(base, N)
+    spec = spectrum_power(base, N)
     spec = np.where(np.arange(len(spec)) % 2, -spec, spec)
     vals = np.fft.irfft(spec, n=CLT_GRID.n_points) / CLT_GRID.spacing
     return GridFunction(CLT_GRID.half_width, CLT_GRID.n_points, vals)
@@ -146,13 +154,7 @@ def iterate_clt(g: GridDensity, N: int) -> GridFunction:
     buf[(np.arange(m) - m // 2) % p] = g.values   # value of x = j h at j mod p
     spec = np.fft.rfft(buf)
     cf = h * spec                                  # cf on xi_k = 2 pi k/(p h)
-    n_edge = max(4, len(cf) // 50)
-    edge = float(np.max(np.abs(spectrum_power(cf[-n_edge:], N))))
-    if edge > _ALIAS_TOL:
-        raise KaclabError(
-            f"aliasing check failed at N={N}: powered spectrum level "
-            f"{edge:.2e} at the Nyquist edge exceeds {_ALIAS_TOL}; use a "
-            f"finer grid")
+    _check_nyquist_edge(cf, N)
     conv = np.fft.irfft(spec * spectrum_power(cf, N - 1), n=p)
     conv = np.concatenate([conv[p // 2:], conv[:p // 2]])
     xs_conv = h * (np.arange(p) - p // 2)

@@ -37,7 +37,6 @@ __all__ = [
     "RateReport",
     "make_empirical",
     "group_atoms",
-    "merge_atoms",
     "check_symmetric_pmf",
     "loglog_fit",
     "gl_rule",
@@ -57,7 +56,8 @@ __all__ = [
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Coordinates closer than this are merged into a single atom.
+# Two atoms whose coordinates agree within this (max norm) are one point
+# when two laws are matched atom by atom (``group_atoms``).
 ATOM_MERGE_TOL = 1e-12
 
 # Sub-gaussian densities are integrated on mean +/- this many standard
@@ -98,11 +98,14 @@ def is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def check_reps(count: int, least: int = 2):
-    """Refuse a Monte Carlo sample too small for its standard error."""
-    if count < least:
-        raise SizeError(f"a standard error needs at least {least} Monte "
-                        f"Carlo draws, got {count}")
+def check_reps(count: int):
+    """Refuse a Monte Carlo draw count that is no int or below 2."""
+    if not is_int(count):
+        raise DimensionError(f"a Monte Carlo draw count must be an int, "
+                             f"got {count!r}")
+    if count < 2:
+        raise SizeError(f"a standard error needs at least 2 Monte Carlo "
+                        f"draws, got {count}")
 
 
 class HypothesisError(KaclabError):
@@ -185,11 +188,6 @@ class DiscreteMeasure:
     @property
     def n_atoms(self) -> int:
         return len(self.weights)
-
-    def merged(self) -> "DiscreteMeasure":
-        """Merge atoms whose coordinates agree within ``ATOM_MERGE_TOL``."""
-        pts, w = merge_atoms(self.points, self.weights)
-        return DiscreteMeasure(self.dim, pts, w, self.particle_dim)
 
     def moment(self, k: float) -> float:
         """M_k = sum_a w_a <z_a>^k with <z> = sqrt(1 + |z|^2)."""
@@ -366,16 +364,13 @@ def group_atoms(points: np.ndarray):
     """
     order = np.lexsort(points.T[::-1])
     pts = points[order]
-    new = _group_starts(pts)
+    new = np.ones(len(pts), dtype=bool)
+    first = 0
+    for i in range(1, len(pts)):
+        new[i] = np.max(np.abs(pts[i] - pts[first])) > ATOM_MERGE_TOL
+        if new[i]:
+            first = i
     return pts[new], order, new.cumsum() - 1
-
-
-def merge_atoms(points: np.ndarray, weights: np.ndarray):
-    """The atoms of ``group_atoms`` and their weights, summed in sorted
-    order and normalised to sum 1."""
-    atoms, order, group = group_atoms(points)
-    w = np.bincount(group, weights=weights[order])
-    return atoms, w / w.sum()
 
 
 def check_symmetric_pmf(pmf) -> np.ndarray:
@@ -396,49 +391,21 @@ def check_symmetric_pmf(pmf) -> np.ndarray:
     return pmf
 
 
-def _group_starts(pts: np.ndarray) -> np.ndarray:
-    """Mask of the atoms of sorted ``pts`` that start a group of group_atoms.
-
-    Where each atom equals its predecessor or lies farther than the
-    tolerance from it, chaining each atom to its predecessor gives the
-    first-atom groups. A run that holds a close but unequal pair is settled
-    one atom at a time by the first-atom rule. A gap in the first
-    coordinate wider than the tolerance starts a group under either rule,
-    so such a run reaches from one of those gaps to the next.
-    """
-    step = np.abs(pts[1:] - pts[:-1]).max(axis=1)
-    new = np.empty(len(pts), dtype=bool)
-    new[0] = True
-    np.greater(step, ATOM_MERGE_TOL, out=new[1:])
-    close = (step > 0) & ~new[1:]
-    if close.any():
-        bounds = np.append(np.flatnonzero(
-            np.diff(pts[:, 0], prepend=-np.inf) > ATOM_MERGE_TOL), len(pts))
-        runs = np.searchsorted(bounds, np.flatnonzero(close) + 1,
-                               side="right") - 1
-        for r in np.unique(runs):
-            first = bounds[r]
-            for i in range(first + 1, bounds[r + 1]):
-                new[i] = np.max(np.abs(pts[i] - pts[first])) > ATOM_MERGE_TOL
-                if new[i]:
-                    first = i
-    return new
-
-
 def make_empirical(X: Configuration, group: int = 1) -> DiscreteMeasure:
     """Empirical measure of a configuration on E^group.
 
     ``group=1`` gives the usual uniform measure on the N particle positions.
     For larger ``group`` the particles are split into floor(N/group)
-    consecutive disjoint blocks, each block one atom on E^group.
-    Coinciding atoms are merged.
+    consecutive disjoint blocks, each block one atom of mass 1/n_blocks on
+    E^group; repeated blocks stay separate atoms, which is the same law.
     """
-    if not 1 <= group <= X.n_particles:
-        raise DimensionError(f"group must be in [1, {X.n_particles}]")
+    if not (is_int(group) and 1 <= group <= X.n_particles):
+        raise DimensionError(f"group must be an int in [1, "
+                             f"{X.n_particles}], got {group!r}")
     n_blocks = X.n_particles // group
     pts = X.coords[: n_blocks * group * X.d].reshape(n_blocks, group * X.d)
     w = np.full(n_blocks, 1.0 / n_blocks)
-    return DiscreteMeasure(group * X.d, pts, w, particle_dim=X.d).merged()
+    return DiscreteMeasure(group * X.d, pts, w, particle_dim=X.d)
 
 
 def loglog_fit(ns: Sequence[int], values: Sequence[float]) -> RateReport:

@@ -298,12 +298,12 @@ def w1_discrete_batch(pairs) -> list[float]:
     """Exact W1 between the measures of each pair (mu, nu).
 
     Measures on the line take ``w1_line``, other equal-size uniform pairs
-    the exact assignment, and all the rest one block-diagonal LP.
+    the exact assignment, and all the rest one block-diagonal LP. The
+    measures are taken as given: an atom split in two, or repeated, is the
+    same law and changes no route's value, so nothing is merged.
     """
     out, lps, at = [0.0] * len(pairs), [], []
     for k, (mu, nu) in enumerate(pairs):
-        mu = mu.merged()
-        nu = nu.merged()
         if mu.dim == nu.dim == 1:
             out[k] = w1_line(mu.points[:, 0], mu.weights,
                              nu.points[:, 0], nu.weights)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kaclab.core import bimodal_density, gaussian_density
+from kaclab.core import ATOM_MERGE_TOL, bimodal_density, gaussian_density
 from kaclab.experiments import _rate_ks, sphere_table
 from kaclab.kacsphere import CACHE_ENV_VAR
 from kaclab.transport import TRUNCATION
@@ -77,6 +77,26 @@ def _w1_line_dp(xs, ys) -> np.ndarray:
         np.minimum(step, gain[:, 1:], out=step)
         np.minimum.accumulate(step, axis=1, out=gain[:, 1:])
     return TRUNCATION + gain[:, -1] / n
+
+
+def _merged_loop(points, weights):
+    """Oracle of the atom rule: the sequential merge, one atom at a time in
+    lexicographic order, each joining the current atom when it lies within
+    ATOM_MERGE_TOL (max norm) of that atom's first point. Returns the
+    atoms' first points and their masses, normalised to sum 1."""
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
+    wts = weights[order]
+    keep_pts = [pts[0]]
+    keep_wts = [wts[0]]
+    for p, w in zip(pts[1:], wts[1:]):
+        if np.max(np.abs(p - keep_pts[-1])) <= ATOM_MERGE_TOL:
+            keep_wts[-1] += w
+        else:
+            keep_pts.append(p)
+            keep_wts.append(w)
+    w = np.array(keep_wts)
+    return np.array(keep_pts), w / w.sum()
 
 
 @pytest.fixture(scope="session")

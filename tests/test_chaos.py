@@ -101,6 +101,17 @@ def test_monte_carlo_quantifiers_need_two_replicas(gauss, rng):
                     rng=rng)
 
 
+def test_monte_carlo_quantifiers_need_an_int_replica_count(gauss, rng):
+    sampler = lambda N, r: gauss.sampler(r, N)
+    for reps in (3.5, 4.0, True):
+        with pytest.raises(DimensionError, match="must be an int"):
+            omega_inf(sampler, gauss, 8, reps, rng=rng)
+        with pytest.raises(DimensionError, match="must be an int"):
+            omega_n(sampler, gauss, 8, reps, rng)
+        with pytest.raises(DimensionError, match="must be an int"):
+            omega_j(sampler, gauss, 1, 8, reps, rng=rng)
+
+
 def test_omega_inf_reports_reference_budget(gauss, rng):
     est = omega_inf(lambda N, r: gauss.sampler(r, N), gauss, 16, 20, rng=rng)
     assert est.reference_size == 64

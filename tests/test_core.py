@@ -9,11 +9,13 @@ from kaclab.core import (ATOM_MERGE_TOL, SQRT_2PI, Configuration,
                          DimensionError, DiscreteMeasure, GridDensity,
                          HypothesisError, ProductGridDensity, QuadratureError,
                          _Phi, _gauss_raw_moment, bimodal_density,
-                         check_symmetric_pmf, gauss_quadrature,
+                         check_reps, check_symmetric_pmf, gauss_quadrature,
                          gaussian_components, gaussian_density,
                          gaussian_mixture,
-                         group_atoms, loglog_fit, make_empirical, merge_atoms,
+                         group_atoms, loglog_fit, make_empirical,
                          normal_pdf, spectrum_power, uniform_density)
+
+from conftest import _merged_loop
 
 
 def test_configuration_invariants():
@@ -90,18 +92,35 @@ def test_make_empirical_single_particle():
     assert m.n_atoms == 1 and m.points[0, 0] == 5.0
 
 
-def test_make_empirical_merges_atoms():
+def test_make_empirical_keeps_one_atom_per_block():
+    # repeated blocks stay separate atoms of mass 1/n_blocks, in block order
     m = make_empirical(Configuration(1, 4, np.array([0.0, 0.0, 1.0, 1.0])))
-    assert m.n_atoms == 2
-    np.testing.assert_allclose(sorted(m.points[:, 0]), [0.0, 1.0])
-    np.testing.assert_allclose(m.weights, [0.5, 0.5])
-    assert m.weights.sum() == 1.0
+    np.testing.assert_array_equal(m.points[:, 0], [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(m.weights, np.full(4, 0.25))
+    m = make_empirical(Configuration(1, 5, np.array([1.0, 2.0] * 2 + [7.0])),
+                       group=2)
+    np.testing.assert_array_equal(m.points, [[1.0, 2.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(m.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("group", [1.5, 2.0, True, "2", None], ids=repr)
+def test_make_empirical_refuses_a_group_that_is_no_int(group):
+    with pytest.raises(DimensionError, match="group must be an int"):
+        make_empirical(Configuration(1, 4, np.arange(4.0)), group=group)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None], ids=repr)
+def test_check_reps_refuses_a_count_that_is_no_int(count):
+    with pytest.raises(DimensionError, match="must be an int"):
+        check_reps(count)
 
 
 def test_make_empirical_blocks():
     m = make_empirical(Configuration(1, 4, np.array([0.0, 1.0, 2.0, 3.0])),
                        group=2)
     assert m.dim == 2 and m.n_atoms == 2
+    assert make_empirical(Configuration(1, 4, np.arange(4.0)),
+                          group=np.int64(2)).n_atoms == 2
     with pytest.raises(DimensionError):
         make_empirical(Configuration(1, 4, np.zeros(4)), group=5)
 
@@ -422,37 +441,6 @@ def test_grid_carriers_reject_bad_values(carrier, shape):
         carrier(4.0, 64, np.zeros(shape))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
-def test_merged_preserves_mass_and_is_idempotent(n_atoms, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, 3, size=(n_atoms, 1)).astype(float)
-    m = DiscreteMeasure(1, pts, rng.dirichlet(np.ones(n_atoms)))
-    merged = m.merged()
-    assert abs(merged.weights.sum() - 1.0) < 1e-12
-    assert len(np.unique(merged.points[:, 0])) == merged.n_atoms
-    again = merged.merged()
-    assert again.n_atoms == merged.n_atoms
-    np.testing.assert_allclose(again.weights, merged.weights)
-
-
-def _merged_loop(points, weights):
-    """Oracle: the sequential merge, one atom at a time in sorted order."""
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    wts = weights[order]
-    keep_pts = [pts[0]]
-    keep_wts = [wts[0]]
-    for p, w in zip(pts[1:], wts[1:]):
-        if np.max(np.abs(p - keep_pts[-1])) <= ATOM_MERGE_TOL:
-            keep_wts[-1] += w
-        else:
-            keep_pts.append(p)
-            keep_wts.append(w)
-    w = np.array(keep_wts)
-    return np.array(keep_pts), w / w.sum()
-
-
 def _merge_cases():
     rng = np.random.default_rng(11)
     for t in range(600):
@@ -469,13 +457,14 @@ def _merge_cases():
 
 
 def test_merge_atoms_matches_sequential_loop():
+    # the atoms of group_atoms with their masses summed per group, in
+    # sorted order, are the sequential loop's
     for pts, w in _merge_cases():
-        got_pts, got_w = merge_atoms(pts, w)
+        atoms, order, group = group_atoms(pts)
         want_pts, want_w = _merged_loop(pts, w)
-        np.testing.assert_array_equal(got_pts, want_pts)
-        np.testing.assert_array_equal(got_w, want_w)
-        m = DiscreteMeasure(pts.shape[1], pts, w).merged()
-        np.testing.assert_array_equal(m.weights, want_w)
+        np.testing.assert_array_equal(atoms, want_pts)
+        got_w = np.bincount(group, weights=w[order])
+        np.testing.assert_array_equal(got_w / got_w.sum(), want_w)
 
 
 def test_group_atoms_indexes_the_merged_atoms():
@@ -492,16 +481,17 @@ def test_merge_compares_with_the_group_first_atom():
     # 0.6e-12 steps chain all three atoms, but the third lies 1.2e-12
     # from the first, so it starts a second atom
     pts = np.array([[0.0], [0.6e-12], [1.2e-12]])
-    m = DiscreteMeasure(1, pts, np.full(3, 1.0 / 3.0)).merged()
-    assert m.n_atoms == 2
-    np.testing.assert_array_equal(m.points[:, 0], [0.0, 1.2e-12])
+    atoms, order, group = group_atoms(pts)
+    np.testing.assert_array_equal(atoms[:, 0], [0.0, 1.2e-12])
+    np.testing.assert_array_equal(order, [0, 1, 2])
+    np.testing.assert_array_equal(group, [0, 0, 1])
     # in the plane an atom can join the group across a chain break:
     # (0.6e-12, -0.9e-12) is 1.8e-12 from its predecessor but within the
     # tolerance of the first atom
     pts = np.array([[0.0, 0.0], [0.5e-12, 0.9e-12], [0.6e-12, -0.9e-12]])
-    got_pts, got_w = merge_atoms(pts, np.full(3, 1.0 / 3.0))
-    assert len(got_w) == 1
-    np.testing.assert_array_equal(got_pts, [[0.0, 0.0]])
+    atoms, order, group = group_atoms(pts)
+    np.testing.assert_array_equal(atoms, [[0.0, 0.0]])
+    np.testing.assert_array_equal(group, [0, 0, 0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 37])

@@ -8,7 +8,7 @@ from scipy.special import digamma
 
 from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
-                         gaussian_density, merge_atoms, uniform_density)
+                         gaussian_density, uniform_density)
 from kaclab.experiments import ExperimentConfig
 from kaclab.information import (_QUANTILE_CELLS, _expect, _quantile,
                                 _xlogx, entropy,
@@ -17,6 +17,8 @@ from kaclab.information import (_QUANTILE_CELLS, _expect, _quantile,
                                 relative_entropy, relative_fisher,
                                 superadditivity_check, w2_quantile)
 from kaclab.chaos import enumerate_configs, symmetric_pmf
+
+from conftest import _merged_loop
 
 GAUSS_ENTROPY = -0.5 * math.log(2 * math.pi * math.e)
 
@@ -109,17 +111,17 @@ def test_relative_entropy_discrete():
 
 def _relative_entropy_rounded_keys(f, g):
     """Oracle: the merged laws matched by atoms rounded to 9 decimals."""
-    fm, gm = f.merged(), g.merged()
-    gl = {tuple(np.round(p, 9)): w for p, w in zip(gm.points, gm.weights)}
+    gl = {tuple(np.round(p, 9)): w
+          for p, w in zip(*_merged_loop(g.points, g.weights))}
     total = 0.0
-    for p, w in zip(fm.points, fm.weights):
+    for p, w in zip(*_merged_loop(f.points, f.weights)):
         if w <= 0:
             continue
         q = gl.get(tuple(np.round(p, 9)), 0.0)
         if q <= 0:
             return math.inf
         total += w * math.log(w / q)
-    return total / fm.j
+    return total / f.j
 
 
 def test_relative_entropy_discrete_uses_the_merge_tolerance():
@@ -523,13 +525,13 @@ def _check_symmetric_spot(F):
     if j < 2:
         return
     rng = np.random.default_rng(0)
-    base_pts, base_w = merge_atoms(F.points, F.weights)
+    base_pts, base_w = _merged_loop(F.points, F.weights)
     for _ in range(4):
         a, b = rng.choice(j, size=2, replace=False)
         perm = list(range(j))
         perm[a], perm[b] = perm[b], perm[a]
         cols = np.concatenate([np.arange(c * d, (c + 1) * d) for c in perm])
-        pts, w = merge_atoms(F.points[:, cols], F.weights)
+        pts, w = _merged_loop(F.points[:, cols], F.weights)
         if (len(w) != len(base_w)
                 or not np.allclose(pts, base_pts, atol=1e-9)
                 or not np.allclose(w, base_w, atol=1e-9)):
@@ -537,7 +539,7 @@ def _check_symmetric_spot(F):
 
 
 def _discrete_h(F):
-    return float(np.sum(_xlogx(merge_atoms(F.points, F.weights)[1])))
+    return float(np.sum(_xlogx(_merged_loop(F.points, F.weights)[1])))
 
 
 def _superadditivity_oracle(F, i, j):
@@ -548,7 +550,7 @@ def _superadditivity_oracle(F, i, j):
     def marginal(coords):
         cols = np.concatenate([np.arange(c * d, (c + 1) * d) for c in coords])
         return DiscreteMeasure(len(cols), F.points[:, cols], F.weights,
-                               particle_dim=d).merged()
+                               particle_dim=d)
 
     return _discrete_h(F), (_discrete_h(marginal(range(i)))
                             + _discrete_h(marginal(range(i, i + j))))

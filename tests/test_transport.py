@@ -12,12 +12,14 @@ from kaclab.transport import (TRUNCATION, cost_matrix, product_measure,
                               tensorization_check, w1_config,
                               w1_config_bruteforce, w1_discrete,
                               w1_discrete_batch, w1_line, w2_line)
-from kaclab import experiments, transport
+from kaclab import core, experiments, transport
 from kaclab.chaos import (_hamming_arcs, enumerate_configs, grunbaum_exact,
                           omega_inf, omega_j, omega_n,
                           pushforward_identity_exact, sigma_sampler,
                           symmetric_pmf)
 from kaclab.transport import _graph_w1, _min_cost_flows, _transport_lps
+
+from conftest import _merged_loop
 
 
 def conf(*xs):
@@ -309,8 +311,8 @@ def _plan_and_hamming_blocks(rng):
     """A transportation block between two random measures, as a flow on
     the bipartite graph of sources and targets, and a Hamming-graph block
     on the configurations of 3 particles over 3 letters."""
-    mu = random_measure(rng, 5).merged()
-    nu = random_measure(rng, 3).merged()
+    mu, nu = (DiscreteMeasure(1, *_merged_loop(m.points, m.weights))
+              for m in (random_measure(rng, 5), random_measure(rng, 3)))
     costs = cost_matrix(mu, nu)
     n, m = costs.shape
     assert min(n, m) >= 2
@@ -455,7 +457,8 @@ def test_w1_discrete_metric_axioms(n, seed):
     dxz = w1_discrete(mu, rho)
     dzy = w1_discrete(rho, nu)
     assert dxy <= dxz + dzy + 1e-9
-    assert w1_discrete(mu, mu.merged()) < 1e-12
+    assert w1_discrete(mu, DiscreteMeasure(
+        1, *_merged_loop(mu.points, mu.weights))) < 1e-12
 
 
 def test_line_solves_reach_neither_lp_nor_assignment(monkeypatch, gauss):
@@ -476,6 +479,67 @@ def test_line_solves_reach_neither_lp_nor_assignment(monkeypatch, gauss):
     omega_inf(sampler, gauss, 16, 4, rng=rng)
     omega_n(sampler, gauss, 16, 4, rng)
     omega_j(sampler, gauss, 1, 16, 64, rng=rng)
+
+
+def _split_first_atom(m):
+    """The law of m with its first atom split into two halves at the same
+    point."""
+    pts = np.vstack([m.points, m.points[:1]])
+    w = np.append(m.weights, m.weights[0] / 2.0)
+    w[0] /= 2.0
+    return DiscreteMeasure(m.dim, pts, w)
+
+
+def test_a_split_atom_changes_no_route(monkeypatch):
+    # W1 reads the law, not its list of atoms: a split atom, or a repeated
+    # atom of a uniform measure, gives the distance of the merged measure
+    # on each route, and the route is the one the measures' shapes choose
+    rng = np.random.default_rng(34)
+    routes = []
+    for name in ("w1_line", "linear_sum_assignment", "linprog"):
+        real = getattr(transport, name)
+        monkeypatch.setattr(transport, name, lambda *a, _f=real, _n=name,
+                            **kw: routes.append(_n) or _f(*a, **kw))
+
+    def w1(mu, nu, route):
+        routes.clear()
+        value = w1_discrete(mu, nu)
+        assert routes == [route]
+        return value
+
+    for _ in range(5):
+        mu, nu = random_measure(rng, 4), random_measure(rng, 3)
+        assert w1(_split_first_atom(mu), nu, "w1_line") == pytest.approx(
+            w1(mu, nu, "w1_line"), abs=1e-12)
+        mu = DiscreteMeasure(2, rng.normal(size=(4, 2)),
+                             rng.dirichlet(np.ones(4)))
+        nu = DiscreteMeasure(2, rng.normal(size=(3, 2)),
+                             rng.dirichlet(np.ones(3)))
+        assert w1(_split_first_atom(mu), nu, "linprog") == pytest.approx(
+            w1(mu, nu, "linprog"), abs=1e-12)
+        # four uniform atoms, the first repeated: the assignment route,
+        # against the merged three-atom law on the LP route
+        pts = rng.normal(size=(3, 2))
+        repeated = DiscreteMeasure(2, pts[[0, 0, 1, 2]], np.full(4, 0.25))
+        merged = DiscreteMeasure(2, pts, [0.5, 0.25, 0.25])
+        nu = DiscreteMeasure(2, rng.normal(size=(4, 2)), np.full(4, 0.25))
+        assert w1(repeated, nu, "linear_sum_assignment") == pytest.approx(
+            w1(merged, nu, "linprog"), abs=1e-12)
+
+
+def test_oracles_suites_never_group_atoms(monkeypatch):
+    # transport and the empirical measures take their measures as given;
+    # only relative entropy matches atoms, and the six suites that never
+    # touch the sphere tables solve no discrete relative entropy
+    calls = []
+    real = core.group_atoms
+    monkeypatch.setattr(core, "group_atoms",
+                        lambda points: calls.append(len(points))
+                        or real(points))
+    for name in ("identities", "kernel-oracles", "clt-rate",
+                 "information-suite", "omega1-counterexample", "mixtures"):
+        experiments.run_experiment(experiments.ExperimentConfig(name))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

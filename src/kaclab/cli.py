@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .core import HypothesisError, is_int
+from .core import HypothesisError, KaclabError, check_reps, is_int
 from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
                           ExperimentResult, run_experiment)
 
@@ -28,12 +28,21 @@ def _is_number(v) -> bool:
     return is_int(v) or isinstance(v, float)
 
 
+def _passes(check, v) -> bool:
+    """True unless the library check refuses v with a ``KaclabError``."""
+    try:
+        check(v)
+    except KaclabError:
+        return False
+    return True
+
+
 # what each config value must be; None is the default of the optional ones
 _CONFIG_VALUES = {
     "density": (f"one of {', '.join(DENSITIES)}", lambda v: v in DENSITIES),
     "seed": ("an int", is_int),
     # a Monte Carlo standard error needs two replicas
-    "mc_reps": ("an int >= 2", lambda v: v is None or (is_int(v) and v >= 2)),
+    "mc_reps": ("an int >= 2", lambda v: v is None or _passes(check_reps, v)),
     # the mixtures suite's H^{-s} probe is run for s >= 1 only
     "s": ("a number >= 1", lambda v: _is_number(v) and v >= 1),
     # the interpolation exponent 1/2 - 1/k must be positive

@@ -36,7 +36,6 @@ __all__ = [
     "ProductGridDensity",
     "RateReport",
     "make_empirical",
-    "group_atoms",
     "check_symmetric_pmf",
     "loglog_fit",
     "gl_rule",
@@ -49,16 +48,11 @@ __all__ = [
     "gaussian_density",
     "uniform_density",
     "bimodal_density",
-    "ATOM_MERGE_TOL",
     "QUAD_SIGMA_CUTOFF",
     "QUAD_PANELS",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Two atoms whose coordinates agree within this (max norm) are one point
-# when two laws are matched atom by atom (``group_atoms``).
-ATOM_MERGE_TOL = 1e-12
 
 # Sub-gaussian densities are integrated on mean +/- this many standard
 # deviations; the discarded tail mass is below 1e-30.
@@ -354,25 +348,6 @@ class RateReport:
 # operations
 # ---------------------------------------------------------------------------
 
-def group_atoms(points: np.ndarray):
-    """The package's one rule for when two points are the same atom.
-
-    The points are sorted lexicographically, and each joins the current
-    group when it lies within ``ATOM_MERGE_TOL`` (max norm) of the group's
-    first point; otherwise it starts a new group. Returns the groups' first
-    points, the sort order and each sorted point's group index.
-    """
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    new = np.ones(len(pts), dtype=bool)
-    first = 0
-    for i in range(1, len(pts)):
-        new[i] = np.max(np.abs(pts[i] - pts[first])) > ATOM_MERGE_TOL
-        if new[i]:
-            first = i
-    return pts[new], order, new.cumsum() - 1
-
-
 def check_symmetric_pmf(pmf) -> np.ndarray:
     """pmf as a float array; raise ``DimensionError`` unless it is a
     permutation-symmetric pmf on {0..S-1}^n: every axis of length S,
@@ -472,11 +447,13 @@ def gauss_quadrature(f: Callable, a: float, b: float,
 
 
 def spectrum_power(base: np.ndarray, n: int) -> np.ndarray:
-    """base ** n for n >= 1 by binary exponentiation, elementwise.
+    """base ** n for an int n >= 1 by binary exponentiation, elementwise.
 
     May return ``base`` itself (n = 1); callers must not write into the
     result.
     """
+    if not (is_int(n) and n >= 1):
+        raise DimensionError(f"spectrum_power needs an int n >= 1, got {n!r}")
     result = None
     while n:
         if n & 1:

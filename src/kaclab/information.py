@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import digamma
 
 from . import core
-from .core import (Density, DimensionError, DiscreteMeasure, GridDensity,
-                   ProductGridDensity, SupportError)
+from .core import (Density, DimensionError, GridDensity, ProductGridDensity,
+                   SupportError)
 
 __all__ = [
     "InfoValue",
@@ -52,7 +52,6 @@ class InfoValue:
 
     value: float
     method: str
-    j: int = 1
     stderr: float | None = None
     n_warnings: int = 0
 
@@ -87,18 +86,17 @@ def _xlogx(v):
 def entropy(f) -> InfoValue:
     """H(f) = int f log f, by quadrature on the support."""
     if isinstance(f, Density):
-        return InfoValue(_expect(f, f.log_pdf, 1e-10), "quadrature", 1)
+        return InfoValue(_expect(f, f.log_pdf, 1e-10), "quadrature")
     if isinstance(f, (GridDensity, ProductGridDensity)):
         j = 2 if isinstance(f, ProductGridDensity) else 1
         return InfoValue(float(np.sum(_xlogx(f.values)) * f.spacing ** j) / j,
-                         "quadrature", j)
+                         "quadrature")
     raise DimensionError(f"cannot compute entropy of {type(f).__name__}")
 
 
 def relative_entropy(f, g) -> InfoValue:
     """H(f|g) = int f log(f/g) >= 0, zero only at f = g, for two analytic
-    densities or two discrete laws; discrete laws are matched atom by atom
-    under ``core.group_atoms``."""
+    densities; any other pair raises ``DimensionError``."""
     if isinstance(f, Density) and isinstance(g, Density):
         # g must be positive wherever f is above the floor; a violation is
         # looked for on the quadrature's own nodes, before integrating
@@ -106,22 +104,9 @@ def relative_entropy(f, g) -> InfoValue:
         xs = np.concatenate([core.gl_panels(lo, hi, n)[0]
                              for n in core.QUAD_PANELS])
         if np.any((f.pdf(xs) > _DENSITY_FLOOR) & (g.pdf(xs) <= 0.0)):
-            return InfoValue(math.inf, "quadrature", 1)
+            return InfoValue(math.inf, "quadrature")
         log_ratio = lambda v: np.log(f.pdf(v)) - np.log(g.pdf(v))
-        return InfoValue(_expect(f, log_ratio, 1e-10), "quadrature", 1)
-    if isinstance(f, DiscreteMeasure) and isinstance(g, DiscreteMeasure):
-        if (f.dim, f.particle_dim) != (g.dim, g.particle_dim):
-            raise DimensionError("discrete measures must share their space")
-        _, order, group = core.group_atoms(np.vstack([f.points, g.points]))
-        zf, zg = np.zeros(f.n_atoms), np.zeros(g.n_atoms)
-        p = np.bincount(group, weights=np.concatenate([f.weights, zg])[order])
-        q = np.bincount(group, weights=np.concatenate([zf, g.weights])[order])
-        p, q = p / p.sum(), q / q.sum()
-        pos = p > 0
-        if np.any(q[pos] <= 0):
-            return InfoValue(math.inf, "discrete", f.j)
-        val = np.sum(p[pos] * np.log(p[pos] / q[pos])) / f.j
-        return InfoValue(float(val), "discrete", f.j)
+        return InfoValue(_expect(f, log_ratio, 1e-10), "quadrature")
     raise DimensionError("relative_entropy needs a matching pair of carriers")
 
 
@@ -154,9 +139,9 @@ def fisher(f) -> InfoValue:
     """
     if isinstance(f, Density):
         if f.boundary_positive:
-            return InfoValue(math.inf, "analytic", 1)
+            return InfoValue(math.inf, "analytic")
         return InfoValue(_expect(f, lambda v: f.score(v) ** 2, 1e-9),
-                         "quadrature", 1)
+                         "quadrature")
     if isinstance(f, GridDensity):
         vals = f.values
         i_fine = _grid_fisher_raw(vals, f.spacing)
@@ -166,15 +151,15 @@ def fisher(f) -> InfoValue:
         # exact-4 asymptote of a pure boundary jump while smooth densities
         # stay near ratio 1
         if i_coarse > 0 and i_fine / i_coarse >= 3.5 and i_fine > i_mid > i_coarse:
-            return InfoValue(math.inf, "grid_refinement", 1)
-        return InfoValue(i_fine, "quadrature", 1)
+            return InfoValue(math.inf, "grid_refinement")
+        return InfoValue(i_fine, "quadrature")
     raise DimensionError(f"cannot compute fisher of {type(f).__name__}")
 
 
 def relative_fisher(f: Density, g: Density) -> InfoValue:
     """I(f|g) = int |(log f/g)'|^2 f, by quadrature."""
     return InfoValue(_expect(f, lambda v: (f.score(v) - g.score(v)) ** 2,
-                             1e-9), "quadrature", 1)
+                             1e-9), "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +224,7 @@ def entropy_knn(samples: np.ndarray) -> InfoValue:
         loo.append(_kl_estimate(x, order, keep))
     loo = np.array(loo)
     se = math.sqrt((m - 1) / m * float(np.sum((loo - loo.mean()) ** 2)))
-    return InfoValue(full, "knn_estimator", 1, stderr=se, n_warnings=n_dup)
+    return InfoValue(full, "knn_estimator", stderr=se, n_warnings=n_dup)
 
 
 # ---------------------------------------------------------------------------

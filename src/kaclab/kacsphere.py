@@ -20,8 +20,10 @@ Key identities used below, with h the law of v^2 under f:
   the correction factor theta is also computed through its sphere-area
   form as a cross-check.
 * Under the conditioned law, a coordinate given remaining squared radius
-  u on k coordinates has density proportional to f(v) h^{*(k-1)}(u - v^2),
-  which drives the exact sequential sampler.
+  u on k coordinates has density proportional to f(v) h^{*(k-1)}(u - v^2).
+  The sequential sampler draws each coordinate from this density on the
+  table's grid, so its rows follow the grid law conditioned on no
+  overshoot rather than the conditioned law exactly.
 """
 from __future__ import annotations
 
@@ -86,8 +88,11 @@ def sample_sigma(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     Gaussian vectors are radially projected to radius sqrt(N); rows satisfy
     the sphere constraint to relative 1e-12.
     """
-    if N < 5:
-        raise DimensionError("need N >= 5")
+    if not (is_int(N) and N >= 5):
+        raise DimensionError(f"need an int N >= 5, got {N!r}")
+    if not (is_int(count) and count >= 0):
+        raise DimensionError(f"count must be a nonnegative integer, "
+                             f"got {count!r}")
     z = rng.standard_normal((count, N))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     return z * (math.sqrt(N) / norms)
@@ -100,8 +105,8 @@ def _log_sphere_area(k: int) -> float:
 
 def sigma_marginal_log_pdf(N: int, ell: int, V: np.ndarray) -> np.ndarray:
     """log of the ell-variable marginal density of the uniform sphere law."""
-    if not 1 <= ell <= N - 1:
-        raise DimensionError(f"need 1 <= ell <= N-1, got ell={ell}, N={N}")
+    if not (is_int(N) and is_int(ell) and 1 <= ell <= N - 1):
+        raise DimensionError(f"need int 1 <= ell <= N-1, got ell={ell}, N={N}")
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.shape[1] != ell:
         raise DimensionError(f"V must have {ell} columns")
@@ -133,8 +138,8 @@ def marginal_gauss_l1(N: int, ell: int = 1) -> float:
     incomplete beta and gamma functions. Needs 1 <= ell <= N - 3; at
     ell = N - 2 the ratio is no longer concave.
     """
-    if not 1 <= ell <= N - 3:
-        raise DimensionError(f"need 1 <= ell <= N-3, got ell={ell}, N={N}")
+    if not (is_int(N) and is_int(ell) and 1 <= ell <= N - 3):
+        raise DimensionError(f"need int 1 <= ell <= N-3, got ell={ell}, N={N}")
     a, b = ell / 2.0, (N - ell) / 2.0
     log_c = gammaln(N / 2.0) - gammaln(b) - a * math.log(N / 2.0)
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from kaclab.core import ATOM_MERGE_TOL, bimodal_density, gaussian_density
+from kaclab.core import bimodal_density, gaussian_density
 from kaclab.experiments import _rate_ks, sphere_table
 from kaclab.kacsphere import CACHE_ENV_VAR
 from kaclab.transport import TRUNCATION
 
 
 RATE_NS = [32, 64, 128, 256, 512, 1024]
+
+# the max-norm distance within which ``_merged_loop`` takes two points as one
+MERGE_TOL = 1e-12
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -82,7 +85,7 @@ def _w1_line_dp(xs, ys) -> np.ndarray:
 def _merged_loop(points, weights):
     """Oracle of the atom rule: the sequential merge, one atom at a time in
     lexicographic order, each joining the current atom when it lies within
-    ATOM_MERGE_TOL (max norm) of that atom's first point. Returns the
+    MERGE_TOL (max norm) of that atom's first point. Returns the
     atoms' first points and their masses, normalised to sum 1."""
     order = np.lexsort(points.T[::-1])
     pts = points[order]
@@ -90,7 +93,7 @@ def _merged_loop(points, weights):
     keep_pts = [pts[0]]
     keep_wts = [wts[0]]
     for p, w in zip(pts[1:], wts[1:]):
-        if np.max(np.abs(p - keep_pts[-1])) <= ATOM_MERGE_TOL:
+        if np.max(np.abs(p - keep_pts[-1])) <= MERGE_TOL:
             keep_wts[-1] += w
         else:
             keep_pts.append(p)

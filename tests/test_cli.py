@@ -9,7 +9,7 @@ import pytest
 import kaclab
 from kaclab import chaos, cli
 from kaclab.cli import main
-from kaclab.core import QuadratureError
+from kaclab.core import QuadratureError, SizeError
 from kaclab.experiments import EXPERIMENTS
 
 # the directory that holds the imported kaclab package, for the children
@@ -210,6 +210,23 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
         assert code == 2, args
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_mc_reps_follows_the_library_replica_rule(tmp_path, capsys,
+                                                 monkeypatch):
+    # the CLI refuses a replica count exactly when core.check_reps does
+    seen = []
+
+    def three_or_more(count):
+        seen.append(count)
+        if count < 3:
+            raise SizeError(f"need 3 draws, got {count}")
+    monkeypatch.setattr(cli, "check_reps", three_or_more)
+    code = main(["run", "poincare-rate", "--mc-reps", "2",
+                 "--output", str(tmp_path / "x")])
+    assert code == 2 and seen == [2]
+    assert "mc_reps must be an int >= 2, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_poincare_rate_projection_rows_are_exact_and_mc_reps_is_unclamped(

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaclab.core import (ATOM_MERGE_TOL, SQRT_2PI, Configuration,
+from kaclab.core import (SQRT_2PI, Configuration,
                          DimensionError, DiscreteMeasure, GridDensity,
                          HypothesisError, ProductGridDensity, QuadratureError,
                          _Phi, _gauss_raw_moment, bimodal_density,
                          check_reps, check_symmetric_pmf, gauss_quadrature,
                          gaussian_components, gaussian_density,
                          gaussian_mixture,
-                         group_atoms, loglog_fit, make_empirical,
+                         loglog_fit, make_empirical,
                          normal_pdf, spectrum_power, uniform_density)
-
-from conftest import _merged_loop
 
 
 def test_configuration_invariants():
@@ -441,59 +439,6 @@ def test_grid_carriers_reject_bad_values(carrier, shape):
         carrier(4.0, 64, np.zeros(shape))
 
 
-def _merge_cases():
-    rng = np.random.default_rng(11)
-    for t in range(600):
-        dim = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 60))
-        if t % 3 == 0:      # integer grid: exact duplicates
-            pts = rng.integers(0, 3, size=(n, dim)).astype(float)
-        elif t % 3 == 1:    # steps of about half the tolerance: chains
-            pts = (rng.integers(0, 4, size=(n, dim))
-                   * ATOM_MERGE_TOL * rng.uniform(0.3, 0.7))
-        else:
-            pts = rng.normal(size=(n, dim))
-        yield pts, rng.dirichlet(np.ones(n))
-
-
-def test_merge_atoms_matches_sequential_loop():
-    # the atoms of group_atoms with their masses summed per group, in
-    # sorted order, are the sequential loop's
-    for pts, w in _merge_cases():
-        atoms, order, group = group_atoms(pts)
-        want_pts, want_w = _merged_loop(pts, w)
-        np.testing.assert_array_equal(atoms, want_pts)
-        got_w = np.bincount(group, weights=w[order])
-        np.testing.assert_array_equal(got_w / got_w.sum(), want_w)
-
-
-def test_group_atoms_indexes_the_merged_atoms():
-    for pts, w in _merge_cases():
-        atoms, order, group = group_atoms(pts)
-        np.testing.assert_array_equal(atoms, _merged_loop(pts, w)[0])
-        np.testing.assert_array_equal(order, np.lexsort(pts.T[::-1]))
-        # each sorted point lies within the tolerance of its group's atom
-        assert np.all(np.diff(group) >= 0) and group[-1] == len(atoms) - 1
-        assert np.abs(pts[order] - atoms[group]).max() <= ATOM_MERGE_TOL
-
-
-def test_merge_compares_with_the_group_first_atom():
-    # 0.6e-12 steps chain all three atoms, but the third lies 1.2e-12
-    # from the first, so it starts a second atom
-    pts = np.array([[0.0], [0.6e-12], [1.2e-12]])
-    atoms, order, group = group_atoms(pts)
-    np.testing.assert_array_equal(atoms[:, 0], [0.0, 1.2e-12])
-    np.testing.assert_array_equal(order, [0, 1, 2])
-    np.testing.assert_array_equal(group, [0, 0, 1])
-    # in the plane an atom can join the group across a chain break:
-    # (0.6e-12, -0.9e-12) is 1.8e-12 from its predecessor but within the
-    # tolerance of the first atom
-    pts = np.array([[0.0, 0.0], [0.5e-12, 0.9e-12], [0.6e-12, -0.9e-12]])
-    atoms, order, group = group_atoms(pts)
-    np.testing.assert_array_equal(atoms, [[0.0, 0.0]])
-    np.testing.assert_array_equal(group, [0, 0, 0])
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 37])
 def test_spectrum_power_matches_repeated_products(n):
     rng = np.random.default_rng(5)
@@ -504,3 +449,9 @@ def test_spectrum_power_matches_repeated_products(n):
         direct = direct * base
     np.testing.assert_allclose(spectrum_power(base, n), direct,
                                rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
+def test_spectrum_power_refuses_a_power_that_is_no_int_at_least_one(n):
+    with pytest.raises(DimensionError, match="int n >= 1"):
+        spectrum_power(np.ones(3), n)

@@ -99,82 +99,17 @@ def test_relative_entropy_mixture_matches_monte_carlo(rng):
     assert abs(quad - mc) <= 3.0 * se
 
 
-def test_relative_entropy_discrete():
-    pts = np.array([[0.0], [1.0]])
-    f = DiscreteMeasure(1, pts, np.array([0.5, 0.5]))
-    g = DiscreteMeasure(1, pts, np.array([0.25, 0.75]))
-    expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    assert relative_entropy(f, g).value == pytest.approx(expected)
-    h = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
-    assert math.isinf(relative_entropy(f, h).value)
-
-
-def _relative_entropy_rounded_keys(f, g):
-    """Oracle: the merged laws matched by atoms rounded to 9 decimals."""
-    gl = {tuple(np.round(p, 9)): w
-          for p, w in zip(*_merged_loop(g.points, g.weights))}
-    total = 0.0
-    for p, w in zip(*_merged_loop(f.points, f.weights)):
-        if w <= 0:
-            continue
-        q = gl.get(tuple(np.round(p, 9)), 0.0)
-        if q <= 0:
-            return math.inf
-        total += w * math.log(w / q)
-    return total / f.j
-
-
-def test_relative_entropy_discrete_uses_the_merge_tolerance():
-    # atoms 1e-10 apart are distinct atoms (the rounded keys matched them);
-    # atoms 1e-13 apart, inside ATOM_MERGE_TOL, are one atom
-    g = DiscreteMeasure(1, [[0.0], [1.0]], [0.5, 0.5])
-    far = DiscreteMeasure(1, [[1e-10], [1.0]], [0.5, 0.5])
-    near = DiscreteMeasure(1, [[1e-13], [1.0]], [0.5, 0.5])
-    assert relative_entropy(far, g).value == math.inf
-    assert relative_entropy(near, g).value == 0.0
-    assert _relative_entropy_rounded_keys(far, g) == 0.0
-    # an atom of f split into two atoms of g within the tolerance
-    split = DiscreteMeasure(1, [[0.0], [5e-13], [1.0]], [0.25, 0.25, 0.5])
-    assert relative_entropy(g, split).value == 0.0
-
-
 def test_relative_entropy_discrete_value_type_and_spaces():
+    # relative entropy is taken between two analytic densities only: a
+    # discrete law on either side, or on both, is refused
     pts = np.array([[0.0], [1.0]])
     f = DiscreteMeasure(1, pts, [0.5, 0.5])
     g = DiscreteMeasure(1, pts, [0.25, 0.75])
-    val = relative_entropy(f, g)
-    assert type(val.value) is float
-    assert type(relative_entropy(f, DiscreteMeasure(1, [[0.0]], [1.0])).value) is float
-    plane = DiscreteMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
-    pairs = DiscreteMeasure(2, [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5],
-                            particle_dim=2)
-    for a, b in ((f, plane), (plane, f), (plane, pairs)):
-        with pytest.raises(DimensionError):
+    gauss = gaussian_density()
+    for a, b in ((f, g), (gauss, f), (f, gauss)):
+        with pytest.raises(DimensionError, match="matching pair of carriers"):
             relative_entropy(a, b)
-
-
-def test_relative_entropy_discrete_matches_rounded_keys_when_separated(rng):
-    # well-separated atoms, shuffled and partly repeated, in 1 to 3 dims;
-    # g charges every atom of f and some more
-    for _ in range(200):
-        dim = int(rng.integers(1, 4))
-        atoms = rng.integers(-5, 6, size=(int(rng.integers(1, 12)), dim))
-        atoms = np.unique(atoms.astype(float) * 0.37, axis=0)
-        n = len(atoms)
-        pick = rng.integers(0, n, size=int(rng.integers(n, 3 * n)))
-        f = DiscreteMeasure(dim, atoms[pick], rng.dirichlet(np.ones(len(pick))))
-        g = DiscreteMeasure(dim, atoms[rng.permutation(n)],
-                            rng.dirichlet(np.ones(n)), particle_dim=1)
-        got = relative_entropy(f, g).value
-        want = _relative_entropy_rounded_keys(f, g)
-        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
-        if n > 1:   # g misses one atom of f's support
-            miss = atoms[pick[0]]
-            keep = np.any(atoms != miss, axis=1)
-            h = DiscreteMeasure(dim, atoms[keep],
-                                rng.dirichlet(np.ones(int(keep.sum()))))
-            assert relative_entropy(f, h).value == math.inf
-            assert _relative_entropy_rounded_keys(f, h) == math.inf
+    assert type(relative_entropy(bimodal_density(), gauss).value) is float
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from kaclab import experiments, kacsphere
-from kaclab.chaos import omega_n, sigma_sampler
+from kaclab.chaos import omega_j_sigma_quadrature, omega_n, sigma_sampler
 from kaclab.core import (DimensionError, HypothesisError, KaclabError,
                          bimodal_density, gauss_quadrature,
                          gaussian_density, gaussian_mixture, uniform_density)
@@ -18,7 +18,8 @@ from kaclab.kacsphere import (CACHE_ENV_VAR, PartitionTable,
                               marginal_gauss_l1, entropy_chaos_gap,
                               fisher_chaos_terms, load_table,
                               radial_projection_cost, sample_conditioned,
-                              sample_sigma, save_table, sigma_marginal_pdf,
+                              sample_sigma, save_table,
+                              sigma_marginal_log_pdf, sigma_marginal_pdf,
                               theta, theta_h_ratio, theta_l1_distance)
 
 
@@ -184,6 +185,25 @@ def test_radial_projection_cost_large_n_expansion(N):
 def test_radial_projection_cost_rejects_bad_n(N):
     with pytest.raises(DimensionError):
         radial_projection_cost(N)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: marginal_gauss_l1(10.5, 1),
+    lambda: marginal_gauss_l1(10, 1.5),
+    lambda: marginal_gauss_l1(10, True),
+    lambda: sigma_marginal_log_pdf(10.5, 1, [[0.1]]),
+    lambda: sigma_marginal_log_pdf(10, True, [[0.1]]),
+    lambda: omega_j_sigma_quadrature(10.5, 1),
+    lambda: sample_sigma(6.5, 2, np.random.default_rng(0)),
+    lambda: sample_sigma(6, 2.0, np.random.default_rng(0)),
+    lambda: sample_sigma(6, -1, np.random.default_rng(0)),
+    lambda: sample_sigma(6, True, np.random.default_rng(0)),
+], ids=["l1_N", "l1_ell", "l1_ell_bool", "log_pdf_N",
+        "log_pdf_ell_bool", "omega_j_sigma", "sample_N", "sample_count",
+        "sample_negative_count", "sample_count_bool"])
+def test_sphere_laws_refuse_sizes_that_are_no_int(call):
+    with pytest.raises(DimensionError):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from kaclab.transport import (TRUNCATION, cost_matrix, product_measure,
                               tensorization_check, w1_config,
                               w1_config_bruteforce, w1_discrete,
                               w1_discrete_batch, w1_line, w2_line)
-from kaclab import core, experiments, transport
+from kaclab import experiments, transport
 from kaclab.chaos import (_hamming_arcs, enumerate_configs, grunbaum_exact,
                           omega_inf, omega_j, omega_n,
                           pushforward_identity_exact, sigma_sampler,
@@ -525,21 +525,6 @@ def test_a_split_atom_changes_no_route(monkeypatch):
         nu = DiscreteMeasure(2, rng.normal(size=(4, 2)), np.full(4, 0.25))
         assert w1(repeated, nu, "linear_sum_assignment") == pytest.approx(
             w1(merged, nu, "linprog"), abs=1e-12)
-
-
-def test_oracles_suites_never_group_atoms(monkeypatch):
-    # transport and the empirical measures take their measures as given;
-    # only relative entropy matches atoms, and the six suites that never
-    # touch the sphere tables solve no discrete relative entropy
-    calls = []
-    real = core.group_atoms
-    monkeypatch.setattr(core, "group_atoms",
-                        lambda points: calls.append(len(points))
-                        or real(points))
-    for name in ("identities", "kernel-oracles", "clt-rate",
-                 "information-suite", "omega1-counterexample", "mixtures"):
-        experiments.run_experiment(experiments.ExperimentConfig(name))
-    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,9 @@ _TABLE_MEMO: dict = {}
 
 def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
     """The table for (f, max_N, ks): from memory, else from the disk cache,
-    else built and saved. A cache file that is unreadable or holds another
-    table is rebuilt, and a failed save is skipped, each with a
-    RuntimeWarning that names the file."""
+    else built, saved and mapped back from the saved file. A cache file
+    that is unreadable or holds another table is rebuilt, and a failed save
+    is skipped, each with a RuntimeWarning that names the file."""
     key = (f.name, max_N, tuple(sorted(set(int(k) for k in ks))))
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
@@ -132,6 +132,10 @@ def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
     except OSError as exc:
         warnings.warn(f"could not save cache file {path}: {exc}",
                       RuntimeWarning, stacklevel=2)
+    else:
+        # the mapped file pages in only what lookups read, and the built
+        # windows are freed
+        table = kacsphere._map_table(path)
     _TABLE_MEMO[key] = table
     return table
 

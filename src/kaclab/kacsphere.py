@@ -9,7 +9,12 @@ on a fine grid in the Fourier domain and queried in the log domain, since
 the gamma-function prefactors overflow long before N reaches 300. The
 masses are folded onto a period that covers the widest window, and each
 window is inverted at its own shorter period, so the transforms are as
-short as the windows rather than the whole grid.
+short as the windows rather than the whole grid. Only the cells below the
+CDF's saturation edge carry mass, so no grid-long array is ever built.
+Each window lives in one zero-padded float64 buffer from the build through
+the cache file, which stores those buffers as they are, to the lookup: a
+loaded table maps the file read-only, so a lookup pages in only the cells
+it reads.
 
 Key identities used below, with h the law of v^2 under f:
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -63,7 +69,7 @@ __all__ = [
 ]
 
 CACHE_ENV_VAR = "KACLAB_CACHE_DIR"
-_MAGIC = b"KLPT1\x00"
+_MAGIC = b"KLPT2\x00"
 
 # Partition-table u-grid spacing before rounding to a power-of-two size.
 _DU = 0.004
@@ -180,8 +186,12 @@ def radial_projection_cost(N: int) -> float:
 class PartitionTable:
     """Windows of h^{*k} on a fine u-grid plus the scalars they imply.
 
-    The table takes over ``windows``: each window's values become a view
-    into its zero-padded copy, so every window is stored once.
+    Each window lives in one float64 buffer ``_padded[k]``: a zero, the
+    window's values, two zeros. ``windows[k]`` is (start, values), the
+    values a view of that buffer's interior, so every window is stored
+    once. A window passed without its buffer is copied into a new one; the
+    builder and the cache loader pass the buffers, so they copy nothing,
+    and a loaded table's buffers are read-only views of the file mapping.
     """
 
     density_name: str
@@ -198,9 +208,10 @@ class PartitionTable:
         # zero sentinels absorb out-of-window queries without masking;
         # prefilling keeps queries read-only and thread-safe
         for k, (start, vals) in self.windows.items():
-            padded = self._padded[k] = np.zeros(len(vals) + 3)
-            padded[1:-2] = vals
-            self.windows[k] = (start, padded[1:-2])
+            if k not in self._padded:
+                padded = self._padded[k] = np.zeros(len(vals) + 3)
+                padded[1:-2] = vals
+                self.windows[k] = (start, padded[1:-2])
 
     def has_k(self, k: int) -> bool:
         return k in self.windows
@@ -263,24 +274,34 @@ class PartitionTable:
         return np.where(hk > 0.0, out, -np.inf)
 
 
-def _u_cell_masses(f: Density, edges: np.ndarray) -> np.ndarray:
-    """Exact cell masses of the law of v^2 under f, via the CDF.
+def _u_cell_masses(f: Density, du: float, m: int) -> np.ndarray:
+    """Exact masses of the law of v^2 under f in the u-grid's cells, via the
+    CDF, up to the last cell that can hold mass.
 
-    Cell i holds (cdf(r_{i+1}) - cdf(r_i)) + (cdf(-r_i) - cdf(-r_{i+1})),
-    r = sqrt(edges). For a monotone cdf bounded by 1, every mass past the
-    first edge with cdf(r) == 1 and cdf(-r) == 0 is exactly 0, so that edge
-    is found by bisection and the cdf is evaluated once at +r and once at
-    -r, on the edges up to it only; the masses are bitwise those of the
-    formula on the whole grid. Raises HypothesisError if an evaluated cdf
-    value leaves [0, 1] or a mass comes out negative.
+    The m cells have edges 0 and du (i + 1/2), i < m. Cell i holds
+    (cdf(r_{i+1}) - cdf(r_i)) + (cdf(-r_i) - cdf(-r_{i+1})), r = sqrt(edges).
+    For a monotone cdf bounded by 1, every mass past the first edge with
+    cdf(r) == 1 and cdf(-r) == 0 is exactly 0, so that edge is found by
+    bisection and the cdf is evaluated once at +r and once at -r, on the
+    edges up to it only. The masses end at that edge (all m of them if no
+    edge saturates): bitwise the first masses of the formula on the whole
+    grid, whose later masses are exactly 0. Raises HypothesisError if an
+    evaluated cdf value leaves [0, 1] or a mass comes out negative.
     """
-    r = np.sqrt(edges)
     cdf = f.cdf
 
-    def saturated(i):
-        return cdf(r[i:i + 1])[0] == 1.0 and cdf(-r[i:i + 1])[0] == 0.0
+    def radii(lo, hi):
+        # sqrt of edges lo .. hi - 1, each computed as on the whole grid
+        edges = du * (np.arange(lo - 1, hi - 1) + 0.5)
+        if lo == 0:
+            edges[0] = 0.0
+        return np.sqrt(edges)
 
-    lo, cut = 0, len(r) - 1
+    def saturated(i):
+        r = radii(i, i + 1)
+        return cdf(r)[0] == 1.0 and cdf(-r)[0] == 0.0
+
+    lo, cut = 0, m
     if saturated(cut):
         while lo < cut:     # the first saturated edge lies in [lo, cut]
             mid = (lo + cut) // 2
@@ -288,17 +309,27 @@ def _u_cell_masses(f: Density, edges: np.ndarray) -> np.ndarray:
                 cut = mid
             else:
                 lo = mid + 1
-    right, left = cdf(r[:cut + 1]), cdf(-r[:cut + 1])
-    masses = np.zeros(len(r) - 1)
-    masses[:cut] = (right[1:] - right[:-1]) + (left[:-1] - left[1:])
+    r = radii(0, cut + 1)
+    right, left = cdf(r), cdf(-r)
+    masses = (right[1:] - right[:-1]) + (left[:-1] - left[1:])
     if not (min(right.min(), left.min()) >= 0.0
             and max(right.max(), left.max()) <= 1.0):
         raise HypothesisError(f"{f.name}: cdf leaves [0, 1] on the u-grid")
-    if not masses.min() >= 0.0:
+    if not masses.min(initial=0.0) >= 0.0:
         i = int(np.argmin(masses))
         raise HypothesisError(f"{f.name}: cdf is not monotone: cell {i} of "
                               f"the u-grid has mass {masses[i]:.3g}")
     return masses
+
+
+def _fold(masses: np.ndarray, P: int) -> np.ndarray:
+    """The masses folded modulo P, sum_j masses[t + j P], added in order of
+    j as on the zero-padded grid, whose later cells add exact zeros."""
+    out = np.zeros(P)
+    for j in range(0, len(masses), P):
+        chunk = masses[j:j + P]
+        out[:len(chunk)] += chunk
+    return out
 
 
 def _window_bounds(k: int, E: float, Sigma: float,
@@ -322,7 +353,8 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     point, and the grid is kept fine enough that the gaussian reference
     reproduces Z' = 1 to about 2e-5. The cdf is evaluated only up to the
     first edge where it saturates (cdf(r) == 1 and cdf(-r) == 0 in floating
-    point); every later mass is exactly 0 (see ``_u_cell_masses``).
+    point); every later mass is exactly 0 (see ``_u_cell_masses``), so only
+    the masses before it are folded, and no m-long array is built.
 
     The m cell masses are folded modulo P, the smallest power of two that
     covers the widest window's mass range (at most 2m), so every spectrum
@@ -367,25 +399,36 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     bounds = {k: _window_bounds(k, E, Sigma, du) for k in ks}
     widest = max(i1 - i0 for i0, i1 in bounds.values())
     P = min(2 * m, 1 << (widest - 1).bit_length())
-    edges = np.concatenate([[0.0], du * (np.arange(m) + 0.5)])
-    p = np.zeros(max(m, P))
-    p[:m] = _u_cell_masses(f, edges)
-    spectrum = np.fft.rfft(p.reshape(-1, P).sum(axis=0))
+    spectrum = np.fft.rfft(_fold(_u_cell_masses(f, du, m), P))
 
-    windows = {}
+    windows, padded = {}, {}
     cur = None
     cur_k = 0
     for k in ks:
         step = k - cur_k
         block = spectrum_power(spectrum, step)
-        cur = block if cur is None else cur * block
+        # cur is multiplied in place, so it is never the spectrum itself
+        if cur is None:
+            cur = block.copy() if block is spectrum else block
+        else:
+            cur *= block
         cur_k = k
         i0, i1 = bounds[k]
         P_k = min(P, 1 << (i1 - i0 - 1).bit_length())
         dens = np.fft.irfft(cur[::P // P_k], n=P_k)
-        dens = dens[np.arange(i0, min(i1, m)) % P_k]
-        windows[k] = (i0, np.maximum(dens, 0.0) / du)
-    return PartitionTable(f.name, max_N, du, u_max, E, Sigma, tuple(ks), windows)
+        # cells i0 .. i0 + n - 1 mod P_k wrap at most once, as n <= P_k
+        n = min(i1, m) - i0
+        buf = padded[k] = np.zeros(n + 3)
+        vals = buf[1:-2]
+        a = i0 % P_k
+        head = min(n, P_k - a)
+        vals[:head] = dens[a:a + head]
+        vals[head:] = dens[:n - head]
+        np.maximum(vals, 0.0, out=vals)
+        vals /= du
+        windows[k] = (i0, vals)
+    return PartitionTable(f.name, max_N, du, u_max, E, Sigma, tuple(ks),
+                          windows, padded)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +444,8 @@ def theta(N: int, ell: int, V, table: PartitionTable) -> np.ndarray:
     """
     if ell not in (1, 2):
         raise DimensionError("theta is shipped for ell in {1, 2}")
+    if not (is_int(N) and N > ell):
+        raise DimensionError(f"need an int N > {ell}, got {N!r}")
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.shape[1] != ell:
         raise DimensionError(f"V must have {ell} columns")
@@ -424,6 +469,8 @@ def theta_h_ratio(N: int, v, table: PartitionTable) -> np.ndarray:
     Independent of the sphere-area and gamma-prefactor bookkeeping; used to
     cross-check the log-domain route.
     """
+    if not (is_int(N) and N > 1):
+        raise DimensionError(f"need an int N > 1, got {N!r}")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     num = table.conv_density(N - 1, N - v ** 2)
     den = table.conv_density(N, float(N))
@@ -575,8 +622,8 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
     conditioned law exactly. Rows still failing after ``_MAX_RESAMPLES``
     resamples raise ``KaclabError``.
     """
-    if N < 5:
-        raise DimensionError("need N >= 5")
+    if not (is_int(N) and N >= 5):
+        raise DimensionError(f"need an int N >= 5, got {N!r}")
     if not is_int(count) or count < 0:
         raise DimensionError(f"count must be a nonnegative integer, "
                              f"got {count!r}")
@@ -667,9 +714,13 @@ def fisher_chaos_terms(f: Density, N: int, table: PartitionTable,
 # ---------------------------------------------------------------------------
 # binary cache
 # ---------------------------------------------------------------------------
-# Layout: magic "KLPT1\0", uint32 little-endian header length, UTF-8 JSON
-# header {density_name, max_N, du, u_max, E, Sigma, ks, starts, lengths},
-# then the window arrays as float64 little-endian, concatenated in ks order.
+# Layout: magic "KLPT2\0", uint32 little-endian header length n, n bytes of
+# UTF-8 JSON header {density_name, max_N, du, u_max, E, Sigma, ks, starts,
+# lengths}, space-padded to end at an 8-byte-aligned offset; then each
+# window's padded buffer (a zero, its values, two zeros) as float64
+# little-endian, concatenated in ks order. A file is written under a
+# temporary name in its directory and renamed into place, so no writer ever
+# truncates a file that a reader has mapped.
 
 def save_table(table: PartitionTable, path: str):
     header = {
@@ -684,24 +735,40 @@ def save_table(table: PartitionTable, path: str):
         "lengths": [int(len(table.windows[k][1])) for k in table.ks],
     }
     blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        for k in table.ks:
-            fh.write(table.windows[k][1].astype("<f8").tobytes())
+    blob += b" " * (-(len(_MAGIC) + 4 + len(blob)) % 8)
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_MAGIC)
+            fh.write(len(blob).to_bytes(4, "little"))
+            fh.write(blob)
+            for k in table.ks:
+                fh.write(table._padded[k].astype("<f8", copy=False))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(path: str) -> PartitionTable:
-    """Read a table written by ``save_table``.
+    """Map a table written by ``save_table``, read-only: its windows are
+    views of the file mapping, so a lookup pages in only the cells it reads.
 
     Raises ``KaclabError`` when the file is not a complete table: a wrong
-    magic, a malformed header, a window shorter than its header length or
-    bytes after the last window.
+    magic (that of an older layout included), a malformed header, a size
+    other than the header implies or a nonzero sentinel.
     """
+    return _map_table(path)
+
+
+def _map_table(path: str) -> PartitionTable:
+    # load_table's body; experiments.sphere_table maps a file it has just
+    # saved through here, which is no load from the cache
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise KaclabError(f"{path} is not a partition table cache")
+            raise KaclabError(f"{path} is not a partition table cache "
+                              f"of this layout")
         n = int.from_bytes(fh.read(4), "little")
         try:
             header = json.loads(fh.read(n).decode())
@@ -713,18 +780,26 @@ def load_table(path: str) -> PartitionTable:
             name, max_N = str(header["density_name"]), int(header["max_N"])
         except (ValueError, KeyError, TypeError) as exc:
             raise KaclabError(f"{path}: malformed header ({exc!r})") from exc
-        if not len(ks) == len(starts) == len(lengths):
+        offset = len(_MAGIC) + 4 + n
+        if not (len(ks) == len(starts) == len(lengths) > 0
+                and min(lengths) >= 0 and offset % 8 == 0):
             raise KaclabError(f"{path}: malformed header (window lists)")
-        windows = {}
-        for k, start, length in zip(ks, starts, lengths):
-            raw = fh.read(8 * length)
-            if len(raw) != 8 * length:
-                raise KaclabError(f"{path}: window k={k} has {len(raw)} of "
-                                  f"{8 * length} bytes")
-            windows[k] = (start, np.frombuffer(raw, dtype="<f8"))
-        if fh.read(1):
-            raise KaclabError(f"{path}: bytes after the last window")
-    return PartitionTable(name, max_N, *scalars, tuple(ks), windows)
+        sizes = np.asarray(lengths) + 3
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        size, want = os.fstat(fh.fileno()).st_size, offset + 8 * int(ends[-1])
+        if size != want:
+            raise KaclabError(f"{path}: {size} bytes, its header implies "
+                              f"{want}")
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    data = np.frombuffer(mapping, dtype="<f8", offset=offset)
+    if np.any(data[np.concatenate([begins, ends - 2, ends - 1])] != 0.0):
+        raise KaclabError(f"{path}: a window's zero sentinel is not zero")
+    windows, padded = {}, {}
+    for k, start, lo, hi in zip(ks, starts, begins, ends):
+        buf = padded[k] = data[lo:hi]
+        windows[k] = (start, buf[1:-2])
+    return PartitionTable(name, max_N, *scalars, tuple(ks), windows, padded)
 
 
 def cache_path(density_name: str, max_N: int, ks) -> str:

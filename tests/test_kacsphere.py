@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import mmap
 import os
 import warnings
 
@@ -198,9 +199,15 @@ def test_radial_projection_cost_rejects_bad_n(N):
     lambda: sample_sigma(6, 2.0, np.random.default_rng(0)),
     lambda: sample_sigma(6, -1, np.random.default_rng(0)),
     lambda: sample_sigma(6, True, np.random.default_rng(0)),
+    # no table: the size is refused before any table access
+    lambda: sample_conditioned(gaussian_density(), 6.5, 3, None,
+                               np.random.default_rng(0)),
+    lambda: theta(10.5, 1, [[0.1]], None),
+    lambda: theta_h_ratio(10.5, [0.1], None),
 ], ids=["l1_N", "l1_ell", "l1_ell_bool", "log_pdf_N",
         "log_pdf_ell_bool", "omega_j_sigma", "sample_N", "sample_count",
-        "sample_negative_count", "sample_count_bool"])
+        "sample_negative_count", "sample_count_bool", "conditioned_N",
+        "theta_N", "theta_h_ratio_N"])
 def test_sphere_laws_refuse_sizes_that_are_no_int(call):
     with pytest.raises(DimensionError):
         call()
@@ -263,11 +270,17 @@ def _full_grid_masses(f, edges):
 def test_cell_masses_are_bitwise_the_full_grid_formula(density, max_N,
                                                        saturates):
     f = density()
-    _, edges = _grid_edges(max_N)
-    masses = kacsphere._u_cell_masses(f, edges)
+    du, edges = _grid_edges(max_N)
+    m = len(edges) - 1
+    masses = kacsphere._u_cell_masses(f, du, m)
     ref = _full_grid_masses(f, edges)
-    assert masses.dtype == ref.dtype and masses.shape == ref.shape
-    assert masses.tobytes() == ref.tobytes()
+    n = len(masses)
+    # the masses are the formula's first n, bitwise, and the formula's
+    # later masses are exactly 0
+    assert masses.dtype == ref.dtype and masses.shape == (n,)
+    assert masses.tobytes() == ref[:n].tobytes()
+    assert np.all(ref[n:] == 0.0)
+    assert (n < m) == saturates
     r_max = np.sqrt(edges[-1:])
     assert (f.cdf(r_max) == 1.0 and f.cdf(-r_max) == 0.0) == saturates
 
@@ -281,9 +294,20 @@ def test_cell_masses_are_bitwise_the_full_grid_formula(density, max_N,
 def test_cell_masses_reject_a_broken_cdf(cdf):
     f = dataclasses.replace(gaussian_density(), cdf=cdf)
     with pytest.raises(HypothesisError, match="cdf"):
-        kacsphere._u_cell_masses(f, _grid_edges(8)[1])
+        du, edges = _grid_edges(8)
+        kacsphere._u_cell_masses(f, du, len(edges) - 1)
     with pytest.raises(HypothesisError, match="cdf"):
         build_partition_table(f, 8, [2])
+
+
+@pytest.mark.parametrize("rows, P", [(1, 8), (3, 16), (40, 1 << 10),
+                                     (9, 1 << 16)])
+def test_fold_is_bitwise_the_zero_padded_grid_summed(rows, P):
+    masses = np.random.default_rng(rows).random(rows * P - 5) ** 8
+    grid = np.zeros(2 * rows * P)     # zero cells past the masses
+    grid[:len(masses)] = masses
+    folded = kacsphere._fold(masses, P)
+    assert folded.tobytes() == grid.reshape(-1, P).sum(axis=0).tobytes()
 
 
 def _unfolded_table(f, max_N, ks):
@@ -388,6 +412,104 @@ def test_table_cache_roundtrip(tmp_path, gauss_table_32):
     for table in (gauss_table_32, loaded):
         for k in table.ks:
             assert np.shares_memory(table.windows[k][1], table._padded[k])
+
+
+def _mapping_of(arr):
+    """The buffer at the end of an array's chain of bases."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_loaded_windows_are_read_only_views_of_the_file_mapping(
+        tmp_path, gauss_table_32):
+    path = os.path.join(tmp_path, "t.bin")
+    save_table(gauss_table_32, path)
+    loaded = load_table(path)
+    mapping = _mapping_of(loaded._padded[1])
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == \
+        os.path.getsize(path)
+    for k in loaded.ks:
+        padded, vals = loaded._padded[k], loaded.windows[k][1]
+        # both views of the one mapping of the whole file: no copy
+        assert _mapping_of(padded) is _mapping_of(vals) is mapping
+        assert np.shares_memory(vals, padded)
+        assert not (padded.flags.writeable or vals.flags.writeable)
+        assert padded[0] == padded[-2] == padded[-1] == 0.0
+
+
+def test_saving_over_a_mapped_file_keeps_the_mapped_values(
+        tmp_path, gauss_table_32, bimodal_table_32):
+    path = os.path.join(tmp_path, "t.bin")
+    save_table(gauss_table_32, path)
+    mapped = load_table(path)
+    before = {k: mapped._padded[k].copy() for k in mapped.ks}
+    save_table(bimodal_table_32, path)
+    for k in mapped.ks:
+        assert mapped._padded[k].tobytes() == before[k].tobytes()
+    _assert_tables_equal(load_table(path), bimodal_table_32)
+    assert os.listdir(tmp_path) == ["t.bin"]     # no temp file is left
+
+
+def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch,
+                                           gauss_table_32):
+    path = os.path.join(tmp_path, "t.bin")
+    save_table(gauss_table_32, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+
+    def refuse(src, dst):
+        raise PermissionError(f"read-only: {dst}")
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            save_table(gauss_table_32, path)
+    # a write that fails half-way
+    broken = PartitionTable(gauss_table_32.density_name, 32, 0.5, 1.0, 1.0,
+                            1.0, (1, 2), {1: (0, np.ones(3)),
+                                          2: (0, np.ones(3))})
+    broken._padded[2] = np.array(["not a number"])
+    with pytest.raises(ValueError):
+        save_table(broken, path)
+    assert os.listdir(tmp_path) == ["t.bin"]
+    with open(path, "rb") as fh:
+        assert fh.read() == blob
+
+
+def _corrupt_cache_file(blob, kind):
+    """A saved table file with one defect that load_table must refuse."""
+    data = len(kacsphere._MAGIC) + 4 + int.from_bytes(blob[6:10], "little")
+    one = np.float64(1.0).tobytes()
+    return {"first_sentinel": blob[:data] + one + blob[data + 8:],
+            "last_sentinel": blob[:-8] + one,
+            "short": blob[:-8],
+            "long": blob + bytes(8),
+            "old_magic": b"KLPT1\x00" + blob[6:]}[kind]
+
+
+@pytest.mark.parametrize("kind", ["first_sentinel", "last_sentinel", "short",
+                                  "long", "old_magic"])
+def test_a_defective_cache_file_is_refused_and_rebuilt(tmp_path, monkeypatch,
+                                                       gauss, kind):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
+    ks = range(1, 17)
+    built = experiments.sphere_table(gauss, 16, ks)
+    # the memo holds the saved file's mapping, not the built windows
+    assert isinstance(_mapping_of(built._padded[16]), mmap.mmap)
+    path = cache_path(gauss.name, 16, ks)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(_corrupt_cache_file(blob, kind))
+    with pytest.raises(KaclabError):
+        load_table(path)
+    experiments._TABLE_MEMO.clear()
+    with pytest.warns(RuntimeWarning, match="unreadable cache file"):
+        rebuilt = experiments.sphere_table(gauss, 16, ks)
+    _assert_tables_equal(rebuilt, built)
+    with open(path, "rb") as fh:
+        assert fh.read() == blob
 
 
 def test_incomplete_table_file_raises(tmp_path, gauss_table_32):

@@ -62,6 +62,13 @@ class ChaosEstimate:
             raise DimensionError("stderr must be nonnegative")
 
 
+def _check_sizes(**sizes):
+    """Raise DimensionError unless each named size is an int >= 1."""
+    for name, v in sizes.items():
+        if not (is_int(v) and v >= 1):
+            raise DimensionError(f"need an int {name} >= 1, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # samplers: (N, rng) -> one configuration as a length-N vector
 # ---------------------------------------------------------------------------
@@ -82,6 +89,7 @@ def omega_inf(sampler, f: Density, N: int, mc_reps: int,
     ``w1_line``, its drawn atoms weighing M / N = 4 against the
     reference's unit atoms.
     """
+    _check_sizes(N=N)
     check_reps(mc_reps)
     rng = rng if rng is not None else np.random.default_rng(0)
     M = 4 * N
@@ -105,6 +113,7 @@ def omega_n(sampler, f: Density, N: int, mc_reps: int,
     coupling upper-bounds the distance, so the estimate is always valid.
     Each replica's exact relabeling optimum comes from ``w1_line``.
     """
+    _check_sizes(N=N)
     check_reps(mc_reps)
     ones = np.ones(N)
     vals = np.empty(mc_reps)
@@ -123,9 +132,10 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
 
     The first j coordinates of each replica form one atom on E^j; the pool
     is compared to an equal-size tensor-power reference sample by its
-    exact transport distance: ``w1_line`` for j = 1, the exact assignment
-    otherwise.
+    exact transport distance, ``w1_discrete``: ``w1_line`` for j = 1, the
+    exact assignment otherwise.
     """
+    _check_sizes(N=N)
     if not (is_int(j) and 1 <= j <= N):
         raise DimensionError(f"need an integer 1 <= j <= N = {N}, got {j!r}")
     check_reps(mc_reps)
@@ -135,11 +145,8 @@ def omega_j(sampler, f: Density, j: int, N: int, mc_reps: int,
     ref = f.sampler(np.random.default_rng(990022), (mc_reps, j))
 
     def value_of(a, b):
-        if j == 1:
-            ones = np.ones(len(a))
-            return w1_line(a[:, 0], ones, b[:, 0], ones)
-        mu = DiscreteMeasure(j, a, np.full(len(a), 1.0 / len(a)))
-        nu = DiscreteMeasure(j, b, np.full(len(b), 1.0 / len(b)))
+        mu, nu = (DiscreteMeasure(j, x, np.full(len(x), 1.0 / len(x)))
+                  for x in (a, b))
         return w1_discrete(mu, nu)
 
     val = value_of(pool, ref)
@@ -169,6 +176,7 @@ def omega_j_sigma_quadrature(N: int, j: int) -> ChaosEstimate:
 def enumerate_configs(n_symbols: int, N: int,
                       budget: int = 1_000_000) -> np.ndarray:
     """All configurations of N coordinates over {0..n_symbols-1}."""
+    _check_sizes(n_symbols=n_symbols, N=N)
     total = n_symbols ** N
     if total > budget:
         raise SizeError(f"{total} configurations exceed the budget {budget}")
@@ -203,6 +211,7 @@ def _occupation_classes(n_symbols: int, N: int):
 def symmetric_pmf(n_symbols: int, N: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Random permutation-symmetric pmf: one weight per occupation multiset."""
+    _check_sizes(n_symbols=n_symbols, N=N)
     _, inverse = _occupation_classes(n_symbols, N)
     class_vals = rng.exponential(size=inverse.max() + 1)
     p = class_vals[inverse]

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Density, DimensionError, Grid, GridDensity, GridFunction,
-                   HypothesisError, KaclabError, RateReport, loglog_fit,
-                   normal_pdf, spectrum_power)
+                   HypothesisError, KaclabError, RateReport, is_int,
+                   loglog_fit, normal_pdf, spectrum_power)
 
 __all__ = [
     "CltRun",
@@ -75,6 +75,12 @@ def _standard_cf(f: Density):
     return f.cf
 
 
+def _check_N(N: int, most: float = math.inf):
+    """Raise DimensionError unless N is an int in [2, most]."""
+    if not (is_int(N) and 2 <= N <= most):
+        raise DimensionError(f"need an int N in [2, {most}], got N = {N!r}")
+
+
 def _check_nyquist_edge(cf: np.ndarray, N: int):
     """Raise KaclabError when cf^N, cf a spectrum up to its Nyquist
     frequency, exceeds ``_ALIAS_TOL`` on its last max(4, len/50) entries."""
@@ -99,8 +105,7 @@ def iterate_clt_cf(f: Density, N: int) -> GridFunction:
     ``_ALIAS_TOL`` at the Nyquist edge raises KaclabError.
     """
     cf = _standard_cf(f)
-    if N < 2:
-        raise DimensionError("need N >= 2")
+    _check_N(N)
     base = cf(-_XI / math.sqrt(N))
     _check_nyquist_edge(base, N)
     spec = spectrum_power(base, N)
@@ -144,8 +149,7 @@ def iterate_clt(g: GridDensity, N: int) -> GridFunction:
     mass, negative lobes kept signed. An aliasing check rejects grids
     whose dual range no longer contains the spectrum.
     """
-    if N < 2:
-        raise DimensionError("need N >= 2")
+    _check_N(N)
     m = g.n_points
     h = g.spacing
     span = int(m * (math.sqrt(N) * 1.4 + 2.0))
@@ -162,10 +166,9 @@ def iterate_clt(g: GridDensity, N: int) -> GridFunction:
 
 
 def iterate_clt_realspace(g: GridDensity, N: int) -> GridFunction:
-    """Direct real-space convolution oracle (quadratic cost, small N only),
+    """Direct real-space convolution oracle (quadratic cost, N <= 4 only),
     rescaled by ``_rescaled``: unit mass, negative lobes kept signed."""
-    if N > 4:
-        raise DimensionError("real-space oracle is for N <= 4")
+    _check_N(N, most=4)
     h = g.spacing
     conv = g.values.copy()
     for _ in range(N - 1):

@@ -447,21 +447,21 @@ def gauss_quadrature(f: Callable, a: float, b: float,
 
 
 def spectrum_power(base: np.ndarray, n: int) -> np.ndarray:
-    """base ** n for an int n >= 1 by binary exponentiation, elementwise.
-
-    May return ``base`` itself (n = 1); callers must not write into the
-    result.
-    """
+    """base ** n for an int n >= 1 by binary exponentiation, elementwise, as
+    a new array that the caller owns; ``base`` is never written, and every
+    squaring after the first runs in place."""
     if not (is_int(n) and n >= 1):
         raise DimensionError(f"spectrum_power needs an int n >= 1, got {n!r}")
-    result = None
-    while n:
+    result, square = None, base
+    while True:
         if n & 1:
-            result = base if result is None else result * base
+            result = (square.copy() if result is None
+                      else np.multiply(result, square, out=result))
         n >>= 1
-        if n:
-            base = base * base
-    return result
+        if not n:
+            return result
+        square = (base * base if square is base
+                  else np.multiply(square, square, out=square))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ masses are folded onto a period that covers the widest window, and each
 window is inverted at its own shorter period, so the transforms are as
 short as the windows rather than the whole grid. Only the cells below the
 CDF's saturation edge carry mass, so no grid-long array is ever built.
-Each window lives in one zero-padded float64 buffer from the build through
-the cache file, which stores those buffers as they are, to the lookup: a
-loaded table maps the file read-only, so a lookup pages in only the cells
-it reads.
+Each window is one zero-padded float64 buffer, the only form in which the
+table holds it, from the build through the cache file, which stores those
+buffers as they are, to the lookup: a loaded table maps the file
+read-only, so a lookup pages in only the cells it reads.
 
 Key identities used below, with h the law of v^2 under f:
 
@@ -186,12 +186,12 @@ def radial_projection_cost(N: int) -> float:
 class PartitionTable:
     """Windows of h^{*k} on a fine u-grid plus the scalars they imply.
 
-    Each window lives in one float64 buffer ``_padded[k]``: a zero, the
-    window's values, two zeros. ``windows[k]`` is (start, values), the
-    values a view of that buffer's interior, so every window is stored
-    once. A window passed without its buffer is copied into a new one; the
-    builder and the cache loader pass the buffers, so they copy nothing,
-    and a loaded table's buffers are read-only views of the file mapping.
+    ``windows[k]`` is (start, padded), padded the window's one float64
+    buffer: a zero, the values at cells start, start + 1, ..., two zeros.
+    The sentinels absorb out-of-window queries without masking, so a lookup
+    only reads. Built buffers are filled in place and loaded ones are
+    read-only views of the file mapping; no window is copied. A buffer
+    whose three sentinels are not all exactly 0 raises ``KaclabError``.
     """
 
     density_name: str
@@ -201,20 +201,13 @@ class PartitionTable:
     E: float
     Sigma: float
     ks: tuple
-    windows: dict = field(repr=False)   # k -> (start_index, values)
-    _padded: dict = field(default_factory=dict, repr=False, compare=False)
+    windows: dict = field(repr=False)   # k -> (start_index, padded)
 
     def __post_init__(self):
-        # zero sentinels absorb out-of-window queries without masking;
-        # prefilling keeps queries read-only and thread-safe
-        for k, (start, vals) in self.windows.items():
-            if k not in self._padded:
-                padded = self._padded[k] = np.zeros(len(vals) + 3)
-                padded[1:-2] = vals
-                self.windows[k] = (start, padded[1:-2])
-
-    def has_k(self, k: int) -> bool:
-        return k in self.windows
+        for k, (_, padded) in self.windows.items():
+            if len(padded) < 3 or np.any(padded[[0, -2, -1]] != 0.0):
+                raise KaclabError(f"{self.density_name} window k={k}: a "
+                                  f"zero sentinel is not zero")
 
     def conv_density(self, k: int, u) -> np.ndarray:
         """h^{*k}(u) by linear interpolation, zero outside the stored window.
@@ -230,8 +223,7 @@ class PartitionTable:
         if k not in self.windows:
             raise KaclabError(f"table holds no convolution for k={k}; "
                               f"rebuild with this k included")
-        start, vals = self.windows[k]
-        padded = self._padded[k]
+        start, padded = self.windows[k]
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
         # min propagates NaN, so one reduction finds any NaN query
@@ -249,7 +241,7 @@ class PartitionTable:
             base = base_buf[:n]
             np.multiply(flat[i:i + n], 1.0 / self.du, out=pos)
             pos -= start
-            np.clip(pos, -1.0, len(vals), out=pos)
+            np.clip(pos, -1.0, len(padded) - 3, out=pos)
             np.floor(pos, out=fl)
             np.copyto(base, fl, casting="unsafe")
             # padded[base] is the cell's left value and padded[1:][base] its
@@ -401,24 +393,20 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     P = min(2 * m, 1 << (widest - 1).bit_length())
     spectrum = np.fft.rfft(_fold(_u_cell_masses(f, du, m), P))
 
-    windows, padded = {}, {}
-    cur = None
-    cur_k = 0
+    windows, cur_k = {}, 0
     for k in ks:
-        step = k - cur_k
-        block = spectrum_power(spectrum, step)
-        # cur is multiplied in place, so it is never the spectrum itself
-        if cur is None:
-            cur = block.copy() if block is spectrum else block
+        # the running power, multiplied in place; no factor outlives it
+        if cur_k == 0:
+            cur = spectrum_power(spectrum, k)
         else:
-            cur *= block
+            cur *= spectrum_power(spectrum, k - cur_k)
         cur_k = k
         i0, i1 = bounds[k]
         P_k = min(P, 1 << (i1 - i0 - 1).bit_length())
         dens = np.fft.irfft(cur[::P // P_k], n=P_k)
         # cells i0 .. i0 + n - 1 mod P_k wrap at most once, as n <= P_k
         n = min(i1, m) - i0
-        buf = padded[k] = np.zeros(n + 3)
+        buf = np.zeros(n + 3)
         vals = buf[1:-2]
         a = i0 % P_k
         head = min(n, P_k - a)
@@ -426,9 +414,9 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
         vals[head:] = dens[:n - head]
         np.maximum(vals, 0.0, out=vals)
         vals /= du
-        windows[k] = (i0, vals)
+        windows[k] = (i0, buf)
     return PartitionTable(f.name, max_N, du, u_max, E, Sigma, tuple(ks),
-                          windows, padded)
+                          windows)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +616,7 @@ def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
         raise DimensionError(f"count must be a nonnegative integer, "
                              f"got {count!r}")
     _require_table_of(f, table)
-    missing = [k for k in range(2, N) if not table.has_k(k)]
+    missing = [k for k in range(2, N) if k not in table.windows]
     if missing:
         raise KaclabError(f"table is missing convolutions {missing[:5]}...; "
                           f"build it with all k < N")
@@ -732,7 +720,7 @@ def save_table(table: PartitionTable, path: str):
         "Sigma": table.Sigma,
         "ks": list(table.ks),
         "starts": [int(table.windows[k][0]) for k in table.ks],
-        "lengths": [int(len(table.windows[k][1])) for k in table.ks],
+        "lengths": [len(table.windows[k][1]) - 3 for k in table.ks],
     }
     blob = json.dumps(header).encode()
     blob += b" " * (-(len(_MAGIC) + 4 + len(blob)) % 8)
@@ -743,7 +731,7 @@ def save_table(table: PartitionTable, path: str):
             fh.write(len(blob).to_bytes(4, "little"))
             fh.write(blob)
             for k in table.ks:
-                fh.write(table._padded[k].astype("<f8", copy=False))
+                fh.write(table.windows[k][1].astype("<f8", copy=False))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -793,13 +781,9 @@ def _map_table(path: str) -> PartitionTable:
                               f"{want}")
         mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     data = np.frombuffer(mapping, dtype="<f8", offset=offset)
-    if np.any(data[np.concatenate([begins, ends - 2, ends - 1])] != 0.0):
-        raise KaclabError(f"{path}: a window's zero sentinel is not zero")
-    windows, padded = {}, {}
-    for k, start, lo, hi in zip(ks, starts, begins, ends):
-        buf = padded[k] = data[lo:hi]
-        windows[k] = (start, buf[1:-2])
-    return PartitionTable(name, max_N, *scalars, tuple(ks), windows, padded)
+    windows = {k: (start, data[lo:hi])
+               for k, start, lo, hi in zip(ks, starts, begins, ends)}
+    return PartitionTable(name, max_N, *scalars, tuple(ks), windows)
 
 
 def cache_path(density_name: str, max_N: int, ks) -> str:

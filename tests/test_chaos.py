@@ -112,6 +112,20 @@ def test_monte_carlo_quantifiers_need_an_int_replica_count(gauss, rng):
             omega_j(sampler, gauss, 1, 8, reps, rng=rng)
 
 
+def _gauss_rows(N, r):
+    return gaussian_density().sampler(r, N)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: omega_inf(_gauss_rows, gaussian_density(), 8.5, 4, rng=rng),
+    lambda rng: omega_n(_gauss_rows, gaussian_density(), 8.5, 4, rng),
+    lambda rng: omega_j(_gauss_rows, gaussian_density(), 2, 8.5, 4, rng=rng),
+], ids=["omega_inf", "omega_n", "omega_j"])
+def test_monte_carlo_quantifiers_need_an_int_N(rng, call):
+    with pytest.raises(DimensionError, match="need an int N >= 1, got 8.5"):
+        call(rng)
+
+
 def test_omega_inf_reports_reference_budget(gauss, rng):
     est = omega_inf(lambda N, r: gauss.sampler(r, N), gauss, 16, 20, rng=rng)
     assert est.reference_size == 64
@@ -230,6 +244,15 @@ def test_enumerate_configs_budget():
     assert enumerate_configs(2, 3).shape == (8, 3)
     with pytest.raises(SizeError):
         enumerate_configs(10, 10)
+
+
+@pytest.mark.parametrize("S, N", [(2, 2.5), (2.0, 3), (2, 3.0), (0, 3)])
+def test_alphabet_sizes_must_be_positive_ints(rng, S, N):
+    symmetric_pmf(2, 3, rng)     # a cached (2, 3) must not serve (2, 3.0)
+    for call in (lambda: enumerate_configs(S, N),
+                 lambda: symmetric_pmf(S, N, rng)):
+        with pytest.raises(DimensionError, match="need an int"):
+            call()
 
 
 def test_symmetric_pmf_is_symmetric(rng):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
-from kaclab.core import (GridDensity, HypothesisError, KaclabError,
-                         bimodal_density, gaussian_density, normal_pdf,
-                         uniform_density)
+from kaclab.core import (DimensionError, GridDensity, HypothesisError,
+                         KaclabError, bimodal_density, gaussian_density,
+                         normal_pdf, uniform_density)
 from kaclab.clt import (CLT_GRID, char_fn_bounds_check, clt_rate_run,
                         iterate_clt, iterate_clt_cf, iterate_clt_realspace,
                         standardize, sup_error)
@@ -64,6 +64,19 @@ def test_triangle_matches_realspace_oracle():
         freq = iterate_clt(base, n)
         real = iterate_clt_realspace(base, n)
         assert np.max(np.abs(freq.values - real.values)) < 1e-6
+
+
+@pytest.mark.parametrize("route", ["cf", "grid", "realspace"])
+def test_each_route_refuses_a_count_that_is_no_int_at_least_2(ugrid, route):
+    run = {"cf": lambda N: iterate_clt_cf(UNIFORM, N),
+           "grid": lambda N: iterate_clt(ugrid, N),
+           "realspace": lambda N: iterate_clt_realspace(ugrid, N)}[route]
+    for N in (2.5, 3.0, True, 1, -2):
+        with pytest.raises(DimensionError, match=f"got N = {N!r}$"):
+            run(N)
+    if route == "realspace":    # quadratic cost
+        with pytest.raises(DimensionError, match=r"in \[2, 4\], got N = 5"):
+            run(5)
 
 
 def test_triangle_shape(ugrid):

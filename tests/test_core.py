@@ -451,6 +451,32 @@ def test_spectrum_power_matches_repeated_products(n):
                                rtol=1e-12, atol=1e-300)
 
 
+def _spectrum_power_by_products(base, n):
+    """Binary exponentiation with a new array for every product and
+    squaring: the multiplication order that ``spectrum_power`` keeps."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spectrum_power_owns_its_result_and_keeps_the_product_order(n):
+    rng = np.random.default_rng(n)
+    base = rng.normal(size=257) + 1j * rng.normal(size=257)
+    before = base.copy()
+    power = spectrum_power(base, n)
+    assert not np.shares_memory(power, base)
+    assert base.tobytes() == before.tobytes()
+    assert power.tobytes() == _spectrum_power_by_products(before, n).tobytes()
+    power *= 2.0     # the caller may write into its result
+    assert base.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, -1, 2.5, True])
 def test_spectrum_power_refuses_a_power_that_is_no_int_at_least_one(n):
     with pytest.raises(DimensionError, match="int n >= 1"):

@@ -359,7 +359,8 @@ def test_table_fold_matches_unfolded_transform(density, max_N, ks, folded,
     assert (table.du, table.u_max, table.E, table.Sigma) == (du, u_max, E,
                                                              Sigma)
     for k in ks:
-        start, vals = table.windows[k]
+        start, padded = table.windows[k]
+        vals = padded[1:-2]
         ref_start, ref = windows[k]
         assert (start, len(vals)) == (ref_start, len(ref))
         np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12 * ref.max())
@@ -380,7 +381,8 @@ def test_table_gaussian_windows_are_chi_square(max_N, ks):
     table = build_partition_table(gaussian_density(), max_N, ks)
     du = table.du
     for k in ks:
-        start, vals = table.windows[k]
+        start, padded = table.windows[k]
+        vals = padded[1:-2]
         u = du * np.arange(start, start + len(vals))
         exact = np.diff(stats.chi2.cdf(
             np.stack([np.maximum(u - du / 2, 0.0), u + du / 2]), k),
@@ -408,10 +410,15 @@ def test_table_cache_roundtrip(tmp_path, gauss_table_32):
     save_table(gauss_table_32, path)
     loaded = load_table(path)
     _assert_tables_equal(loaded, gauss_table_32)
-    # each window is stored once, as a view into its zero-padded copy
+    # each window is stored once: the zero-padded buffer in windows, which
+    # is the only dict the table holds
     for table in (gauss_table_32, loaded):
+        assert [name for name, v in vars(table).items()
+                if isinstance(v, dict)] == ["windows"]
         for k in table.ks:
-            assert np.shares_memory(table.windows[k][1], table._padded[k])
+            padded = table.windows[k][1]
+            assert padded.dtype == np.float64 and padded.ndim == 1
+            assert padded[0] == padded[-2] == padded[-1] == 0.0
 
 
 def _mapping_of(arr):
@@ -426,15 +433,14 @@ def test_loaded_windows_are_read_only_views_of_the_file_mapping(
     path = os.path.join(tmp_path, "t.bin")
     save_table(gauss_table_32, path)
     loaded = load_table(path)
-    mapping = _mapping_of(loaded._padded[1])
+    mapping = _mapping_of(loaded.windows[1][1])
     assert isinstance(mapping, mmap.mmap) and len(mapping) == \
         os.path.getsize(path)
     for k in loaded.ks:
-        padded, vals = loaded._padded[k], loaded.windows[k][1]
-        # both views of the one mapping of the whole file: no copy
-        assert _mapping_of(padded) is _mapping_of(vals) is mapping
-        assert np.shares_memory(vals, padded)
-        assert not (padded.flags.writeable or vals.flags.writeable)
+        padded = loaded.windows[k][1]
+        # a view of the one mapping of the whole file: no copy
+        assert _mapping_of(padded) is mapping
+        assert not padded.flags.writeable
         assert padded[0] == padded[-2] == padded[-1] == 0.0
 
 
@@ -443,10 +449,10 @@ def test_saving_over_a_mapped_file_keeps_the_mapped_values(
     path = os.path.join(tmp_path, "t.bin")
     save_table(gauss_table_32, path)
     mapped = load_table(path)
-    before = {k: mapped._padded[k].copy() for k in mapped.ks}
+    before = {k: mapped.windows[k][1].copy() for k in mapped.ks}
     save_table(bimodal_table_32, path)
     for k in mapped.ks:
-        assert mapped._padded[k].tobytes() == before[k].tobytes()
+        assert mapped.windows[k][1].tobytes() == before[k].tobytes()
     _assert_tables_equal(load_table(path), bimodal_table_32)
     assert os.listdir(tmp_path) == ["t.bin"]     # no temp file is left
 
@@ -464,16 +470,29 @@ def test_a_failed_save_leaves_no_temp_file(tmp_path, monkeypatch,
         mp.setattr(os, "replace", refuse)
         with pytest.raises(PermissionError):
             save_table(gauss_table_32, path)
-    # a write that fails half-way
+    # a write that fails half-way: the second window cannot be cast
     broken = PartitionTable(gauss_table_32.density_name, 32, 0.5, 1.0, 1.0,
-                            1.0, (1, 2), {1: (0, np.ones(3)),
-                                          2: (0, np.ones(3))})
-    broken._padded[2] = np.array(["not a number"])
+                            1.0, (1, 2), {1: (0, np.zeros(6)),
+                                          2: (0, np.zeros(6))})
+    broken.windows[2] = (0, np.array(["not a number"]))
     with pytest.raises(ValueError):
         save_table(broken, path)
     assert os.listdir(tmp_path) == ["t.bin"]
     with open(path, "rb") as fh:
         assert fh.read() == blob
+
+
+@pytest.mark.parametrize("cell, value", [(0, 1.0), (-2, -1e-300),
+                                         (-1, np.nan)])
+def test_the_constructor_refuses_a_nonzero_sentinel(cell, value):
+    padded = np.zeros(8)
+    padded[cell] = value
+    with pytest.raises(KaclabError, match="k=3: a zero sentinel"):
+        PartitionTable("g", 8, 0.5, 4.0, 1.0, 1.0, (2, 3),
+                       {2: (0, np.zeros(8)), 3: (1, padded)})
+    # a buffer too short to hold the three sentinels
+    with pytest.raises(KaclabError, match="k=2: a zero sentinel"):
+        PartitionTable("g", 8, 0.5, 4.0, 1.0, 1.0, (2,), {2: (0, np.zeros(2))})
 
 
 def _corrupt_cache_file(blob, kind):
@@ -496,10 +515,12 @@ def test_a_defective_cache_file_is_refused_and_rebuilt(tmp_path, monkeypatch,
     ks = range(1, 17)
     built = experiments.sphere_table(gauss, 16, ks)
     # the memo holds the saved file's mapping, not the built windows
-    assert isinstance(_mapping_of(built._padded[16]), mmap.mmap)
+    assert isinstance(_mapping_of(built.windows[16][1]), mmap.mmap)
     path = cache_path(gauss.name, 16, ks)
     with open(path, "rb") as fh:
         blob = fh.read()
+    # a new file, so the mapping that built holds keeps the saved bytes
+    os.unlink(path)
     with open(path, "wb") as fh:
         fh.write(_corrupt_cache_file(blob, kind))
     with pytest.raises(KaclabError):
@@ -599,10 +620,9 @@ BLOCK = kacsphere._LOOKUP_BLOCK
 def _one_shot_conv_density(table, k, u):
     """The whole-query interpolation that the blocked lookup replaced; its
     bitwise oracle."""
-    start, vals = table.windows[k]
-    padded = table._padded[k]
+    start, padded = table.windows[k]
     pos = np.atleast_1d(np.asarray(u, dtype=float)) * (1.0 / table.du) - start
-    np.clip(pos, -1.0, len(vals), out=pos)
+    np.clip(pos, -1.0, len(padded) - 3, out=pos)
     base = np.floor(pos).astype(np.intp)
     frac = pos - base
     lo = padded[base + 1]
@@ -621,7 +641,7 @@ def ramp_table():
     The spacing is a power of two, so whole cell positions are exact."""
     vals = 0.5 + np.random.default_rng(7).random(1000)
     return PartitionTable("ramp", 8, 2.0 ** -7, 30.0, 1.0, 1.0, (7,),
-                          {7: (250, vals)})
+                          {7: (250, np.pad(vals, (1, 2)))})
 
 
 def _cells(table, k, cells):
@@ -632,7 +652,7 @@ def _cells(table, k, cells):
 @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                   3 * BLOCK + 7])
 def test_blocked_lookup_matches_one_shot_bitwise(ramp_table, size):
-    n = len(ramp_table.windows[7][1])
+    n = len(ramp_table.windows[7][1]) - 3
     u = _cells(ramp_table, 7,
                np.random.default_rng(size).uniform(-3.0, n + 3.0, size))
     got = ramp_table.conv_density(7, u)
@@ -643,7 +663,7 @@ def test_blocked_lookup_matches_one_shot_bitwise(ramp_table, size):
 
 def test_blocked_lookup_keeps_the_query_shape(ramp_table, gauss_table_32):
     rng = np.random.default_rng(3)
-    n = len(ramp_table.windows[7][1])
+    n = len(ramp_table.windows[7][1]) - 3
     u2 = _cells(ramp_table, 7, rng.uniform(-3.0, n + 3.0, (40, 1000)))
     for u in (u2, u2.T, u2[:, ::3]):    # 2-D over several blocks, strided
         got = ramp_table.conv_density(7, u)
@@ -663,7 +683,7 @@ def test_blocked_lookup_keeps_the_query_shape(ramp_table, gauss_table_32):
 
 
 def test_blocked_lookup_edges_of_the_window(ramp_table):
-    vals = ramp_table.windows[7][1]
+    vals = ramp_table.windows[7][1][1:-2]
     n = len(vals)
     below = np.linspace(-1.0, 0.0, 9)[:-1]          # [-1, 0): ramp up
     past = n - 1 + np.linspace(0.0, 2.0, 9)         # last cell, ramp, beyond
@@ -856,7 +876,7 @@ def test_conditioned_resamples_rows_of_zero_mass(bimodal, bimodal_table_32,
 def test_conditioned_gives_up_on_an_all_zero_table(gauss, rng):
     ks = tuple(range(1, 9))
     table = PartitionTable(gauss.name, 8, 0.01, 64.0, 1.0, math.sqrt(2.0),
-                           ks, {k: (0, np.zeros(100)) for k in ks})
+                           ks, {k: (0, np.zeros(103)) for k in ks})
     with pytest.raises(KaclabError, match="could not complete"):
         sample_conditioned(gauss, 8, 5, table, rng)
 

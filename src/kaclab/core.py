@@ -254,6 +254,11 @@ class GridFunction(Grid):
         return float(np.sum((self.xs - m) ** 2 * self.values) * self.spacing)
 
 
+def _check_power_of_two(n_points: int) -> None:
+    if n_points & (n_points - 1) or n_points <= 0:
+        raise DimensionError("n_points must be a power of two")
+
+
 def _unit_mass(vals: np.ndarray, cell: float) -> np.ndarray:
     """Grid density values clamped at 0 and scaled to unit mass.
 
@@ -282,8 +287,7 @@ class GridDensity(GridFunction):
     """
 
     def __post_init__(self):
-        if self.n_points & (self.n_points - 1) or self.n_points <= 0:
-            raise DimensionError("n_points must be a power of two")
+        _check_power_of_two(self.n_points)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_points,):
             raise DimensionError("values must have shape (n_points,)")
@@ -305,11 +309,13 @@ class GridDensity(GridFunction):
 
 @dataclass(frozen=True)
 class ProductGridDensity(Grid):
-    """Two-variable density on the product of a ``Grid`` with itself."""
+    """Two-variable density on the product of a ``Grid`` with itself; M
+    must be a power of two."""
 
     values: np.ndarray          # (M, M)
 
     def __post_init__(self):
+        _check_power_of_two(self.n_points)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.n_points, self.n_points):
             raise DimensionError("values must be (n_points, n_points)")

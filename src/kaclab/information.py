@@ -42,6 +42,11 @@ _EPS = np.finfo(float).eps
 _QUANTILE_CELLS = 256
 _QUANTILE_STEPS = 64
 
+# Grid rows per block of fisher_superadditivity_grid: at M = 1024 a block
+# and each of its few temporaries take 256 kB and stay in a 2 MB cache,
+# where whole-grid temporaries do not.
+_FISHER_ROWS = 32
+
 # The flat-space constant C_E of the transport-information inequality.
 HWI_C_E = 1.0
 
@@ -84,7 +89,8 @@ def _xlogx(v):
 # ---------------------------------------------------------------------------
 
 def entropy(f) -> InfoValue:
-    """H(f) = int f log f, by quadrature on the support."""
+    """H(f) = int f log f, by quadrature on the support; for a
+    ``ProductGridDensity`` F the per-variable value (1/2) int int F log F."""
     if isinstance(f, Density):
         return InfoValue(_expect(f, f.log_pdf, 1e-10), "quadrature")
     if isinstance(f, (GridDensity, ProductGridDensity)):
@@ -114,13 +120,14 @@ def relative_entropy(f, g) -> InfoValue:
 # Fisher information
 # ---------------------------------------------------------------------------
 
-def _central_diff(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Central difference of grid values along one axis, the values taken
-    as 0 outside the grid."""
-    v = np.moveaxis(values, axis, 0)
-    zero = np.zeros_like(v[:1])
-    padded = np.concatenate([zero, v, zero])
-    return np.moveaxis((padded[2:] - padded[:-2]) / (2.0 * h), 0, axis)
+def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
+    """Central difference of 1-D grid values, the values taken as 0
+    outside the grid: out[r] = (v[r+1] - v[r-1]) / 2h."""
+    out = np.zeros_like(values)
+    out[:-1] = values[1:]
+    out[1:] -= values[:-1]
+    out /= 2.0 * h
+    return out
 
 
 def _grid_fisher_raw(values: np.ndarray, h: float) -> float:
@@ -341,14 +348,29 @@ def fisher_superadditivity_grid(F: ProductGridDensity):
 
     Returns (lhs, rhs) = (I_2(F), I_1(F_1) + I_1(F_2)). Both sides take
     the same central differences, with F taken as 0 outside the grid, so
-    a product F gives lhs = rhs.
+    a product F gives lhs = rhs. lhs is summed over blocks of
+    ``_FISHER_ROWS`` rows, so the call holds F and one block.
     """
     h = F.spacing
     vals = F.values
-    gx = _central_diff(vals, h, 0)
-    gy = _central_diff(vals, h, 1)
-    mask = vals > _DENSITY_FLOOR
-    lhs = float(np.sum((gx[mask] ** 2 + gy[mask] ** 2) / vals[mask]) * h * h)
+    m = F.n_points
+    # one block of rows in a one-cell frame: the frame's rows are the grid
+    # rows just outside the block, or zeros past either edge, and its
+    # columns are zeros
+    win = np.zeros((_FISHER_ROWS + 2, m + 2))
+    lhs = 0.0
+    for i in range(0, m, _FISHER_ROWS):
+        b = min(_FISHER_ROWS, m - i)
+        w = win[:b + 2]
+        w[0] = w[-1] = 0.0
+        lo, hi = max(i - 1, 0), min(i + b + 1, m)
+        w[lo - i + 1:hi - i + 1, 1:-1] = vals[lo:hi]
+        v = w[1:-1, 1:-1]
+        gx = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
+        gy = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+        keep = v > _DENSITY_FLOOR
+        lhs += float(np.sum((gx[keep] ** 2 + gy[keep] ** 2) / v[keep]))
+    lhs = lhs * h * h
     rhs = (_grid_fisher_raw(F.marginal(0).values, h)
            + _grid_fisher_raw(F.marginal(1).values, h))
     return lhs, rhs

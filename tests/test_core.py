@@ -423,6 +423,14 @@ def test_grid_carriers_normalize_a_copy(carrier, shape, power):
     assert g.values is not vals
 
 
+@pytest.mark.parametrize("n", [0, 3, 6, 12])
+@pytest.mark.parametrize("carrier, ndim", [
+    (GridDensity, 1), (ProductGridDensity, 2)])
+def test_grid_carriers_need_a_power_of_two(carrier, ndim, n):
+    with pytest.raises(DimensionError, match="power of two"):
+        carrier(1.0, n, np.ones((n,) * ndim))
+
+
 @pytest.mark.parametrize("carrier, shape", [
     (GridDensity, (64,)), (ProductGridDensity, (64, 64))])
 def test_grid_carriers_reject_bad_values(carrier, shape):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from scipy import integrate
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from kaclab.core import (DimensionError, DiscreteMeasure, GridDensity,
+from kaclab import information
+from kaclab.core import (DimensionError, DiscreteMeasure, Grid, GridDensity,
                          ProductGridDensity, SupportError, bimodal_density,
                          gaussian_density, uniform_density)
 from kaclab.experiments import ExperimentConfig
-from kaclab.information import (_QUANTILE_CELLS, _expect, _quantile,
+from kaclab.information import (_EPS, _QUANTILE_CELLS, _central_diff,
+                                _expect, _quantile,
                                 _xlogx, entropy,
                                 entropy_knn, fisher,
                                 fisher_superadditivity_grid, hwi_check,
@@ -547,23 +550,90 @@ def test_tensorization_identities_on_grids():
     assert lhs / 2.0 == pytest.approx(fisher(g).value, abs=1e-6)
 
 
+def _edge_mass_grid():
+    # f = 1 + cos(pi x) / 2 on [-1, 1) is 1/2 at the grid's edges
+    f = 1.0 + 0.5 * np.cos(np.pi * Grid(1.0, 256).xs)
+    return ProductGridDensity(1.0, 256, np.outer(f, f))
+
+
+def _correlated_grid():
+    xs = Grid(10.0, 512).xs
+    joint = np.exp(-(xs[:, None] ** 2 + xs[None, :] ** 2
+                     + 1.2 * xs[:, None] * xs[None, :]) / 2.0)
+    return ProductGridDensity(10.0, 512, joint)
+
+
+def _gaussian_grid():
+    # the information suite's product grid
+    g = GridDensity.from_density(gaussian_density(), 10.0, 1024)
+    return ProductGridDensity(10.0, 1024, np.outer(g.values, g.values))
+
+
 def test_fisher_tensorizes_on_a_product_grid_with_mass_at_the_edges():
-    # f = 1 + cos(pi x) / 2 on [-1, 1) is 1/2 at the grid's edges, so the
-    # edge rows carry Fisher information; both sides take the same
+    # the edge rows carry Fisher information; both sides take the same
     # zero-padded central differences, and the product law gives lhs = rhs
-    g = GridDensity(1.0, 256, np.ones(256))
-    f = 1.0 + 0.5 * np.cos(np.pi * g.xs)
-    lhs, rhs = fisher_superadditivity_grid(
-        ProductGridDensity(1.0, 256, np.outer(f, f)))
+    lhs, rhs = fisher_superadditivity_grid(_edge_mass_grid())
     assert rhs > 30.0
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_fisher_superadditivity_on_correlated_grid():
-    g = GridDensity.from_density(gaussian_density(), 10.0, 512)
-    xs = g.xs
-    joint = np.exp(-(xs[:, None] ** 2 + xs[None, :] ** 2
-                     + 1.2 * xs[:, None] * xs[None, :]) / 2.0)
-    prod = ProductGridDensity(10.0, 512, joint)
-    lhs, rhs = fisher_superadditivity_grid(prod)
+    lhs, rhs = fisher_superadditivity_grid(_correlated_grid())
     assert lhs >= rhs - 1e-8
+
+
+def _whole_grid_fisher_lhs(F: ProductGridDensity):
+    """lhs of fisher_superadditivity_grid from whole-grid arrays, F taken
+    as 0 outside the grid, and the number of terms it adds: the oracle for
+    the row-blocked sum."""
+    h, v = F.spacing, F.values
+    p = np.pad(v, 1)
+    gx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * h)
+    gy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * h)
+    mask = v > information._DENSITY_FLOOR
+    terms = (gx[mask] ** 2 + gy[mask] ** 2) / v[mask]
+    return float(np.sum(terms) * h * h), terms.size
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("grid", [_gaussian_grid, _edge_mass_grid,
+                                  _correlated_grid])
+def test_blocked_fisher_lhs_matches_whole_grid_formula(grid, rows,
+                                                       monkeypatch):
+    # blocks of 1 row make the first and last rows blocks of their own;
+    # blocks of 7 leave a ragged last block of 2, 4 and 1 rows at
+    # M = 1024, 256 and 512; None keeps the module's block height
+    if rows is not None:
+        monkeypatch.setattr(information, "_FISHER_ROWS", rows)
+    F = grid()
+    want, n = _whole_grid_fisher_lhs(F)
+    lhs, _ = fisher_superadditivity_grid(F)
+    # both sides form the same n nonnegative terms bit for bit and add
+    # them in different orders; in any order every partial sum stays
+    # below the total S, so each sum is within (n - 1) eps S of the exact
+    # one, and the two products with h add 2 eps S more to each side
+    assert abs(lhs - want) <= 2 * (n + 1) * _EPS * want
+
+
+def test_fisher_superadditivity_memory_is_blocked():
+    # whole-grid differences and their masked copies peaked at 25.8 MB
+    # traced above the 8.4 MB grid
+    F = _gaussian_grid()
+    tracemalloc.start()
+    try:
+        fisher_superadditivity_grid(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < F.values.nbytes / 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1024])
+def test_central_diff_matches_the_zero_padded_formula(n, rng):
+    # bitwise, zeros included; fisher's coarsest refinement of a 2-point
+    # grid passes a vector of length 1
+    v = rng.normal(size=n)
+    v[::3] = 0.0
+    padded = np.concatenate([[0.0], v, [0.0]])
+    want = (padded[2:] - padded[:-2]) / (2.0 * 0.3)
+    assert _central_diff(v, 0.3).tobytes() == want.tobytes()

@@ -14,7 +14,8 @@ on the same lattice.
 Two grid routes stay as independent oracles of the convolution: the
 lattice spectrum of a gridded density, padded to hold the unscaled
 convolution and interpolated back onto the grid (``iterate_clt``), and
-the direct real-space convolution (``iterate_clt_realspace``).
+the direct real-space convolution over the base's support
+(``iterate_clt_realspace``).
 Small negative lobes of an inverse transform are kept signed; the
 sup-norm comparison against the Gaussian is on the signed difference.
 """
@@ -166,13 +167,24 @@ def iterate_clt(g: GridDensity, N: int) -> GridFunction:
 
 
 def iterate_clt_realspace(g: GridDensity, N: int) -> GridFunction:
-    """Direct real-space convolution oracle (quadratic cost, N <= 4 only),
-    rescaled by ``_rescaled``: unit mass, negative lobes kept signed."""
+    """Direct real-space convolution oracle, N <= 4 only, rescaled by
+    ``_rescaled``: unit mass, negative lobes kept signed.
+
+    ``np.convolve`` runs over the base's support, values[a:b] from its
+    first to its last nonzero entry, interior zeros kept, at a cost
+    quadratic in b - a. Every product it skips has an exact zero factor,
+    so the N-fold convolution of the whole grid is the support's, placed
+    at index N a of N (m - 1) + 1 zeros.
+    """
     _check_N(N, most=4)
     h = g.spacing
-    conv = g.values.copy()
+    nonzero = np.flatnonzero(g.values)
+    a, b = nonzero[0], nonzero[-1] + 1
+    support = part = g.values[a:b]
     for _ in range(N - 1):
-        conv = np.convolve(conv, g.values) * h
+        part = np.convolve(part, support) * h
+    conv = np.zeros(N * (g.n_points - 1) + 1)
+    conv[N * a:N * a + len(part)] = part
     xs_conv = -N * g.half_width + h * np.arange(len(conv))
     return _rescaled(conv, xs_conv, g, N)
 

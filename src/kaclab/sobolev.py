@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaln, kv, kve, poch
 
-from .core import (QUAD_SIGMA_CUTOFF, Density, DimensionError,
+from .core import (_GL_NODES, QUAD_SIGMA_CUTOFF, Density, DimensionError,
                    DiscreteMeasure, KaclabError, gauss_quadrature,
-                   gaussian_components, gl_panels, gl_rule)
+                   gaussian_components, gl_rule)
 
 __all__ = [
     "HsKernel",
@@ -94,11 +94,17 @@ class HsKernel:
     lipschitz_bound: float
 
 
+def _check_exponent(s: float) -> None:
+    """Raise DimensionError unless s is a finite number > 1/2, where
+    int <xi>^{-2s} d xi converges."""
+    if not (math.isfinite(s) and s > 0.5):
+        raise DimensionError(f"need a finite s > 1/2, got s={s}")
+
+
 def make_hs_kernel(s: float) -> HsKernel:
-    """The kernel for exponent s > 1/2, with its value at 0 and Lipschitz
-    bound; every evaluation goes through the closed form."""
-    if s <= 0.5:
-        raise DimensionError(f"need s > 1/2, got s={s}")
+    """The kernel for a finite exponent s > 1/2, with its value at 0 and
+    Lipschitz bound; every evaluation goes through the closed form."""
+    _check_exponent(s)
     # |Phi(z) - Phi(z')| <= |z - z'| * int |xi| <xi>^{-2s} dxi = |z-z'|/(s-1)
     lip = 1.0 / (s - 1.0) if s > 1.0 else math.inf
     return HsKernel(s, float(_phi_closed(s, 0.0)), lip)
@@ -174,32 +180,50 @@ def _rotated_tail(gaps: np.ndarray, s: float) -> np.ndarray:
              + np.sin(_XI_HEAD * gaps) * rot.real)
 
 
+def _head(pts: np.ndarray, wts: np.ndarray, s: float) -> float:
+    """2 int_0^Xi |sum_j w_j e^{i xi p_j}|^2 <xi>^{-2s} d xi, Xi = _XI_HEAD.
+
+    Equal Gauss-Legendre panels, none wider than a quarter period of the
+    fastest phase. Every node is its panel's midpoint m plus one of the
+    12 offsets h t_i that all panels share, so e^{i xi p} = e^{i m p}
+    e^{i h t_i p}, and the transform at all nodes is one product of a
+    (panels x atoms) and an (atoms x 12) matrix: (panels + 12) x atoms
+    complex exponentials, not a cos and a sin per (node, atom) pair.
+    """
+    span = float(pts.max() - pts.min()) if len(pts) > 1 else 1.0
+    panel = min(0.25, math.pi / (2.0 * max(span, 1.0)))
+    edges = np.linspace(0.0, _XI_HEAD, math.ceil(_XI_HEAD / panel) + 1)
+    xs, ws = gl_rule(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * (edges[1] - edges[0])
+    hat = ((np.exp(1j * np.outer(mid, pts)) * wts)
+           @ np.exp(1j * np.outer(h * _GL_NODES, pts)).T).ravel()
+    power = hat.real ** 2 + hat.imag ** 2
+    return 2.0 * float(np.sum(ws * power * (1 + xs ** 2) ** (-s)))
+
+
 def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
                               s: float) -> float:
     """Independent oracle: int |mu_hat - nu_hat|^2 <xi>^{-2s} d xi.
 
     The head [0, _XI_HEAD] integrates the assembled Fourier-side integrand
-    on oscillation-resolving Gauss-Legendre panels. The tail is the sum,
-    over the distinct atom gaps d with their summed mass products, of
+    on oscillation-resolving Gauss-Legendre panels, its phases separated
+    into panel midpoints and node offsets (``_head``). The tail is the
+    sum, over the distinct atom gaps d with their summed mass products, of
     int_Xi^inf <xi>^{-2s} cos(xi d) d xi: by its binomial series at d = 0
     (``_tail_at_zero``) and along the contour-rotated path otherwise
-    (``_rotated_tail``). Neither touches the closed-form kernel.
+    (``_rotated_tail``). None of them touches the closed-form kernel. s
+    must be a finite number > 1/2 (DimensionError).
     """
+    _check_exponent(s)
     pts, wts = _signed_atoms(mu, nu)
-    span = float(pts.max() - pts.min()) if len(pts) > 1 else 1.0
-    panel = min(0.25, math.pi / (2.0 * max(span, 1.0)))
-    xs, ws = gl_panels(0.0, _XI_HEAD, math.ceil(_XI_HEAD / panel))
-    arg = np.outer(xs, pts)
-    power = (np.cos(arg) @ wts) ** 2 + (np.sin(arg) @ wts) ** 2
-    head = 2.0 * float(np.sum(ws * power * (1 + xs ** 2) ** (-s)))
-
     gaps, at = np.unique(np.abs(pts[:, None] - pts[None, :]).ravel(),
                          return_inverse=True)
     mass = np.bincount(at, np.outer(wts, wts).ravel(), len(gaps))
     tail = np.full(len(gaps), _tail_at_zero(s))   # gaps[0] = 0, the diagonal
     if len(gaps) > 1:
         tail[1:] = _rotated_tail(gaps[1:], s)
-    return head + 2.0 * float(mass @ tail)
+    return _head(pts, wts, s) + 2.0 * float(mass @ tail)
 
 
 def hs_pair_expectation(f: Density, kernel: HsKernel) -> float:

@@ -212,6 +212,25 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_s_stops_at_the_largest_value_the_mixtures_suite_completes(
+        tmp_path, capsys):
+    # bisected on the mixtures suite: it completes up to s = 885.94, and
+    # from 885.95 its pair expectation's quadrature raises QuadratureError;
+    # s = inf and 1e300 ended in OverflowError, and s = 1e6 ran for minutes
+    out = str(tmp_path / "x")
+    assert main(["run", "mixtures", "--s", "885", "--output", out]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    for flag in ("885.5", "886", "1000", "1e300", "inf", "-inf", "nan"):
+        assert main(["run", "mixtures", f"--s={flag}", "--output", out]) == 2
+        assert "s must be a number in [1, 885]" in capsys.readouterr().err
+    for bad in (1000, 1e300, 1e6, float("inf")):
+        cfg.write_text(json.dumps({"s": bad}))
+        assert main(["run", "mixtures", "--config", str(cfg),
+                     "--output", out]) == 2, bad
+        assert "s must be a number in [1, 885]" in capsys.readouterr().err
+
+
 def test_mc_reps_follows_the_library_replica_rule(tmp_path, capsys,
                                                  monkeypatch):
     # the CLI refuses a replica count exactly when core.check_reps does

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermeval
 
+from kaclab import clt
 from kaclab.core import (DimensionError, GridDensity, HypothesisError,
                          KaclabError, bimodal_density, gaussian_density,
                          normal_pdf, uniform_density)
@@ -64,6 +65,61 @@ def test_triangle_matches_realspace_oracle():
         freq = iterate_clt(base, n)
         real = iterate_clt_realspace(base, n)
         assert np.max(np.abs(freq.values - real.values)) < 1e-6
+
+
+def _full_grid_realspace(g, N):
+    """The real-space oracle convolving the whole grid, zeros included:
+    the reference of the convolution over the base's support."""
+    h = g.spacing
+    conv = g.values.copy()
+    for _ in range(N - 1):
+        conv = np.convolve(conv, g.values) * h
+    xs_conv = -N * g.half_width + h * np.arange(len(conv))
+    return clt._rescaled(conv, xs_conv, g, N)
+
+
+def _realspace_bases():
+    """The suite's real-space grid with four bases: the standardized
+    uniform (zero tails), the Gaussian (no exact zero), two separated
+    uniform bumps (interior zeros) and a base whose support reaches both
+    ends of the grid, interior zeros too."""
+    grid = (12.0, 8192)
+    xs = GridDensity(*grid, np.ones(grid[1])).xs
+    return {"uniform": standardize(GridDensity.from_density(UNIFORM, *grid)),
+            "gaussian": GridDensity.from_density(gaussian_density(), *grid),
+            "two-bumps": GridDensity(*grid, ((-5 < xs) & (xs < -3))
+                                     | ((2 < xs) & (xs < 3))),
+            "both-ends": GridDensity(*grid, (np.abs(xs) > 10.5)
+                                     | (np.abs(xs) < 1.0))}
+
+
+@pytest.mark.parametrize("name", ["uniform", "two-bumps"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_realspace_over_the_support_matches_the_full_grid(name, N):
+    # Both routes add the same products v_i v_j h >= 0, the full grid's
+    # plus exact zeros, in different orders. A sum of at most m = 8192
+    # nonnegative terms is within (m + 1) eps / 2 of the exact one, factor
+    # h included, relatively; over N - 1 rounds each route's convolution
+    # is within (N - 1)(m + 1) eps / 2 of the exact, entry by entry, so
+    # the two within (N - 1)(m + 1) eps. The rescale interpolates with
+    # nonnegative weights and divides by the sum, which moves by as much
+    # again: the values differ by at most 2 (N - 1)(m + 1) eps max|v|.
+    g = _realspace_bases()[name]
+    ref = _full_grid_realspace(g, N).values
+    tol = 2.0 * (N - 1) * (g.n_points + 1) * EPS * np.max(ref)
+    assert g.values[0] == 0.0 == g.values[-1]
+    assert np.max(np.abs(iterate_clt_realspace(g, N).values - ref)) <= tol
+
+
+@pytest.mark.parametrize("name", ["gaussian", "both-ends"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_realspace_trims_nothing_from_a_base_that_fills_the_grid(name, N):
+    # the first and last entries are nonzero, so the support is the whole
+    # grid: the same sums in the same order, bit for bit
+    g = _realspace_bases()[name]
+    assert g.values[0] > 0.0 and g.values[-1] > 0.0
+    np.testing.assert_array_equal(iterate_clt_realspace(g, N).values,
+                                  _full_grid_realspace(g, N).values)
 
 
 @pytest.mark.parametrize("route", ["cf", "grid", "realspace"])

@@ -8,10 +8,13 @@ from scipy.special import gamma, kv
 from kaclab import sobolev
 from kaclab.core import (DimensionError, DiscreteMeasure, HypothesisError,
                          KaclabError, gauss_quadrature, gaussian_density,
-                         uniform_density)
+                         gl_panels, uniform_density)
+from kaclab.experiments import ExperimentConfig
 from kaclab.sobolev import (hs_dist_sq, hs_dist_sq_fourier_oracle,
                             hs_pair_expectation, hs_w1_bridge_check,
                             make_hs_kernel, phi_s)
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +35,21 @@ def empirical(rng, n, spread=4.0):
 def test_kernel_requires_valid_exponent():
     with pytest.raises(DimensionError):
         make_hs_kernel(0.4)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.5, 0.3])
+@pytest.mark.parametrize("route", ["kernel", "fourier-oracle"])
+def test_both_routes_refuse_an_exponent_that_is_no_finite_number_above_half(
+        s, route):
+    # the oracle used to loop forever at nan, divide by zero at 0.5 and
+    # return -8.33 at 0.3; the kernel raised ValueError at nan and
+    # OverflowError at inf
+    mu = DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    nu = DiscreteMeasure(1, np.array([[0.3]]), np.array([1.0]))
+    run = {"kernel": make_hs_kernel,
+           "fourier-oracle": lambda s: hs_dist_sq_fourier_oracle(mu, nu, s)}
+    with pytest.raises(DimensionError, match=f"got s={s}$"):
+        run[route](s)
 
 
 def test_phi1_closed_form(kern1):
@@ -187,6 +205,76 @@ def test_oracle_tail_matches_adaptive_oscillatory_quadrature(s):
     assert abs(sobolev._tail_at_zero(s) - zero) <= 1e-9 * zero
     assert np.max(np.abs(sobolev._rotated_tail(gaps, s) - want)) \
         <= 1e-9 * zero
+
+
+def _dense_head(pts, wts, s):
+    """The oracle's head with one cos and one sin per (node, atom) pair,
+    on the same panels: the reference of the separable head."""
+    span = float(pts.max() - pts.min()) if len(pts) > 1 else 1.0
+    panel = min(0.25, math.pi / (2.0 * max(span, 1.0)))
+    xs, ws = gl_panels(0.0, sobolev._XI_HEAD,
+                       math.ceil(sobolev._XI_HEAD / panel))
+    arg = np.outer(xs, pts)
+    power = (np.cos(arg) @ wts) ** 2 + (np.sin(arg) @ wts) ** 2
+    return 2.0 * float(np.sum(ws * power * (1 + xs ** 2) ** (-s)))
+
+
+def _head_tolerance(pts, s):
+    # Both heads sum the same weights at the same nodes; they differ in
+    # how a phase xi p, xi <= Xi = _XI_HEAD, |p| <= P, is rounded: the
+    # product xi p, the node m + h t, the separate factors e^{imp} and
+    # e^{ihtp}. Each route's phasor is off by at most about 2 eps Xi P
+    # plus a few eps, so with sum |w| = 2 (and P >= 1 to cover the few eps
+    # and the atom sums) the transforms differ by at most 8 eps Xi P. Both
+    # transforms are at most 2, so the powers differ by at most 4 times
+    # that, and 2 int_0^Xi <xi>^{-2s} d xi <= Phi(0) bounds the head's
+    # change by 32 eps Xi P Phi(0).
+    P = max(float(np.abs(pts).max()), 1.0)
+    return 32.0 * EPS * sobolev._XI_HEAD * P * make_hs_kernel(s).phi0
+
+
+@pytest.mark.parametrize("seed", [424242, 4518])
+def test_separable_head_matches_the_dense_head_on_the_suite_pairs(seed):
+    # the kernel-oracles suite's 50 pairs, drawn as the suite draws them
+    rng = ExperimentConfig(seed=seed).rng(2)
+    for t in range(50):
+        s = [1.0, 1.5, 2.0][t % 3]
+        na, nb = int(rng.integers(3, 16)), int(rng.integers(3, 16))
+        mu = DiscreteMeasure(1, rng.uniform(-4, 4, (na, 1)),
+                             np.full(na, 1.0 / na))
+        nu = DiscreteMeasure(1, rng.uniform(-4, 4, (nb, 1)),
+                             np.full(nb, 1.0 / nb))
+        pts, wts = sobolev._signed_atoms(mu, nu)
+        assert abs(sobolev._head(pts, wts, s) - _dense_head(pts, wts, s)) \
+            <= _head_tolerance(pts, s), t
+
+
+@pytest.mark.parametrize("span", [100.0, 1000.0])
+@pytest.mark.parametrize("s", [0.75, 2.0])
+def test_separable_head_matches_the_dense_head_at_large_spans(span, s):
+    # 3 820 and 38 198 panels, phases xi p up to 6e4
+    rng = np.random.default_rng(int(span))
+    pts = np.concatenate([[0.0, span], rng.uniform(0.0, span, 6)])
+    wts = np.concatenate([np.full(4, 0.25), np.full(4, -0.25)])
+    head = sobolev._head(pts, wts, s)
+    assert head > 0.1
+    assert abs(head - _dense_head(pts, wts, s)) <= _head_tolerance(pts, s)
+
+
+def test_fourier_oracle_touches_no_closed_form_and_no_bessel_function(
+        monkeypatch):
+    mu = DiscreteMeasure(1, np.array([[-1.2], [0.4], [2.9]]),
+                         np.array([0.5, 0.3, 0.2]))
+    nu = DiscreteMeasure(1, np.array([[0.0], [1.7]]), np.array([0.6, 0.4]))
+    want = {s: hs_dist_sq(mu, nu, make_hs_kernel(s)) for s in (1.0, 1.5)}
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached the closed-form kernel")
+    for name in ("_phi_closed", "kv", "kve"):
+        monkeypatch.setattr(sobolev, name, refuse)
+    for s, direct in want.items():
+        assert hs_dist_sq_fourier_oracle(mu, nu, s) \
+            == pytest.approx(direct, rel=1e-12)
 
 
 def test_gram_matrix_positive_semidefinite(kern1, rng):

@@ -105,9 +105,11 @@ _TABLE_MEMO: dict = {}
 
 def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
     """The table for (f, max_N, ks): from memory, else from the disk cache,
-    else built, saved and mapped back from the saved file. A cache file
-    that is unreadable or holds another table is rebuilt, and a failed save
-    is skipped, each with a RuntimeWarning that names the file."""
+    else built straight into its cache file, window by window, and mapped
+    back from it, so no whole table is ever held in memory. A cache file
+    that is unreadable or holds another table is rebuilt, each with a
+    RuntimeWarning that names the file; if the file cannot be written, the
+    warning says so and the table is built in memory instead."""
     key = (f.name, max_N, tuple(sorted(set(int(k) for k in ks))))
     if key in _TABLE_MEMO:
         return _TABLE_MEMO[key]
@@ -126,16 +128,13 @@ def sphere_table(f: Density, max_N: int, ks) -> kacsphere.PartitionTable:
                 f"rebuilding cache file {path}: its header names "
                 f"{table.density_name} with max_N = {table.max_N}, not "
                 f"{f.name} with max_N = {max_N}", RuntimeWarning, stacklevel=2)
-    table = kacsphere.build_partition_table(f, max_N, ks=key[2])
     try:
-        kacsphere.save_table(table, path)
+        table = kacsphere.build_partition_table(f, max_N, ks=key[2],
+                                                path=path)
     except OSError as exc:
         warnings.warn(f"could not save cache file {path}: {exc}",
                       RuntimeWarning, stacklevel=2)
-    else:
-        # the mapped file pages in only what lookups read, and the built
-        # windows are freed
-        table = kacsphere._map_table(path)
+        table = kacsphere.build_partition_table(f, max_N, ks=key[2])
     _TABLE_MEMO[key] = table
     return table
 

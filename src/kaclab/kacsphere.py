@@ -14,7 +14,9 @@ CDF's saturation edge carry mass, so no grid-long array is ever built.
 Each window is one zero-padded float64 buffer, the only form in which the
 table holds it, from the build through the cache file, which stores those
 buffers as they are, to the lookup: a loaded table maps the file
-read-only, so a lookup pages in only the cells it reads.
+read-only, so a lookup pages in only the cells it reads. A table built for
+a file is written to it window by window as it is built, so the build
+holds one window at a time, never the whole table.
 
 Key identities used below, with h the law of v^2 under f:
 
@@ -79,8 +81,10 @@ _SAMPLER_BLOCK = 16
 # cell i's index in the grid's positive half, and its block
 _CELL_HALF = np.abs(2 * np.arange(_SAMPLER_GRID) - (_SAMPLER_GRID - 1)) // 2
 _CELL_BLOCK = np.arange(_SAMPLER_GRID) // _SAMPLER_BLOCK
-# angles phi_i = 2 pi i / _CIRCLE_GRID of the sampler's final circle
+# angles phi_i = 2 pi i / _CIRCLE_GRID of the sampler's final circle, whose
+# block masses are summed _CIRCLE_ROWS rows at a time
 _CIRCLE_GRID = 1024
+_CIRCLE_ROWS = 64
 # resamples of rows that met a zero-mass conditional density
 _MAX_RESAMPLES = 50
 # Query points per block of a table lookup: its four reused 128 kB buffers
@@ -335,7 +339,8 @@ def _window_bounds(k: int, E: float, Sigma: float,
     return int(lo / du), int((k * E + width) / du) + 1
 
 
-def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
+def build_partition_table(f: Density, max_N: int, ks=None,
+                          path: str | None = None) -> PartitionTable:
     """Tabulate h^{*k} for the requested k values (default: all k <= max_N).
 
     Hypotheses enforced: centered, unit variance, finite sixth moment, a
@@ -358,6 +363,15 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
     sum_j h^{*k}(t + j P_k), which differs from h^{*k}(t) on the window
     only by mass outside that window's range, the mass the table already
     treats as zero.
+
+    With a ``path``, the table is written window by window as it is built:
+    the header first, to a temporary file next to ``path`` (every window's
+    start and length follow from ``_window_bounds`` before any transform),
+    then each window's padded buffer as soon as it is built, after which
+    the build drops it; the file is renamed into place and the table
+    returned maps it read-only, as ``load_table`` does. A failed write
+    leaves no temporary file and any old file at ``path`` untouched.
+    Without a path the windows are kept in memory.
     """
     failures = []
     mean = f.raw_moments.get(1)
@@ -381,42 +395,67 @@ def build_partition_table(f: Density, max_N: int, ks=None) -> PartitionTable:
 
     if ks is None:
         ks = list(range(1, max_N + 1))
-    ks = sorted(set(int(k) for k in ks))
+    ks = tuple(sorted(set(int(k) for k in ks)))
     if ks[0] < 1 or ks[-1] > max_N:
         raise DimensionError("requested k values must lie in [1, max_N]")
 
     u_max = 8.0 * max_N
     m = int(2 ** math.ceil(math.log2(u_max / _DU)))
     du = u_max / m
-    bounds = {k: _window_bounds(k, E, Sigma, du) for k in ks}
-    widest = max(i1 - i0 for i0, i1 in bounds.values())
+    bounds = [_window_bounds(k, E, Sigma, du) for k in ks]
+    starts = [i0 for i0, _ in bounds]
+    lengths = [min(i1, m) - i0 for i0, i1 in bounds]
+    windows = _built_windows(f, du, m, ks, bounds, lengths)
+    meta = (f.name, max_N, du, u_max, E, Sigma, ks)
+    if path is None:
+        return PartitionTable(*meta, {k: (i0, padded) for k, i0, padded
+                                      in zip(ks, starts, windows)})
+    _write_table(path, meta, starts, lengths, windows)
+    return _map_table(path)
+
+
+def _built_windows(f: Density, du: float, m: int, ks, bounds, lengths):
+    """Yield each k's padded window in ks order, holding no window once it
+    is yielded.
+
+    The cell masses and their spectrum are made at the first window, so a
+    caller can write the header before any transform. The running power is
+    multiplied in place, by ``spectrum`` itself for a step of one, and
+    every inverse FFT writes into one reused P-point buffer.
+    """
+    widest = max(i1 - i0 for i0, i1 in bounds)
     P = min(2 * m, 1 << (widest - 1).bit_length())
     spectrum = np.fft.rfft(_fold(_u_cell_masses(f, du, m), P))
-
-    windows, cur_k = {}, 0
-    for k in ks:
-        # the running power, multiplied in place; no factor outlives it
-        if cur_k == 0:
+    inverse = np.empty(P)
+    cur, cur_k = None, 0
+    for k, (i0, i1), n in zip(ks, bounds, lengths):
+        if cur is None:
             cur = spectrum_power(spectrum, k)
         else:
-            cur *= spectrum_power(spectrum, k - cur_k)
+            cur *= (spectrum if k - cur_k == 1
+                    else spectrum_power(spectrum, k - cur_k))
         cur_k = k
-        i0, i1 = bounds[k]
         P_k = min(P, 1 << (i1 - i0 - 1).bit_length())
-        dens = np.fft.irfft(cur[::P // P_k], n=P_k)
-        # cells i0 .. i0 + n - 1 mod P_k wrap at most once, as n <= P_k
-        n = min(i1, m) - i0
-        buf = np.zeros(n + 3)
-        vals = buf[1:-2]
-        a = i0 % P_k
-        head = min(n, P_k - a)
-        vals[:head] = dens[a:a + head]
-        vals[head:] = dens[:n - head]
-        np.maximum(vals, 0.0, out=vals)
-        vals /= du
-        windows[k] = (i0, buf)
-    return PartitionTable(f.name, max_N, du, u_max, E, Sigma, tuple(ks),
-                          windows)
+        yield _padded_window(np.fft.irfft(cur[::P // P_k], n=P_k,
+                                          out=inverse[:P_k]), i0, n, du)
+
+
+def _padded_window(dens: np.ndarray, i0: int, n: int,
+                   du: float) -> np.ndarray:
+    """The padded buffer of cells i0 .. i0 + n - 1 of h^{*k}, read from the
+    inverse transform dens of period P_k = len(dens): a zero, the values
+    clipped at 0 and divided by du, two zeros. The cells wrap at most
+    once, as n <= P_k."""
+    P_k = len(dens)
+    buf = np.zeros(n + 3)
+    vals = buf[1:-2]
+    a = i0 % P_k
+    head = min(n, P_k - a)
+    vals[:head] = dens[a:a + head]
+    vals[head:] = dens[:n - head]
+    np.maximum(vals, 0.0, out=vals)
+    vals /= du
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -558,35 +597,52 @@ def _sequential_draw(f: Density, N: int, count: int, table: PartitionTable,
         out[act, j] = v
         usq[act] = usq[act] - v ** 2
 
-    # final two coordinates on the circle of radius sqrt(usq), at the
-    # angles phi_i = i step: cos phi_i = cos phi_{M - i} takes its distinct
-    # values at i <= M / 2, M = _CIRCLE_GRID, and sin phi_i =
-    # cos phi_{i - M / 4}, so f(r cos) is evaluated once, at M / 2 + 1
-    # angles, and f(r sin) is its roll by M / 4
-    M = _CIRCLE_GRID
-    step = 2.0 * math.pi / M
     act = rows[~failed]
     if len(act):
         r = np.sqrt(np.maximum(usq[act], 0.0))
-        mirror = M // 2 - np.abs(np.arange(M) - M // 2)
-        fcos = f.pdf(r[:, None] * np.cos(np.arange(M // 2 + 1) * step))
-        fcos = fcos[:, mirror]
-        dens = fcos * np.roll(fcos, M // 4, axis=1)
-        cum = np.cumsum(dens.reshape(len(act), -1, B).sum(axis=2), axis=1)
-        tot = cum[:, -1]
-        bad = tot <= 0.0
-        if np.any(bad):
-            failed[act[bad]] = True
-            act, r, dens, cum, tot = (act[~bad], r[~bad], dens[~bad],
-                                      cum[~bad], tot[~bad])
-    if len(act):
-        u = rng.random(len(act)) * tot
-        sel = np.arange(len(act))[:, None]
-        cell, _, _, _ = _block_search(cum, u, lambda cells: dens[sel, cells])
-        phi = cell * step + rng.random(len(act)) * step
+        phi, bad = _circle_draw(f, r, rng)
+        failed[act[bad]] = True
+        act, r = act[~bad], r[~bad]
         out[act, N - 2] = r * np.cos(phi)
         out[act, N - 1] = r * np.sin(phi)
     return out, failed
+
+
+def _circle_draw(f: Density, r: np.ndarray, rng: np.random.Generator):
+    """The sampler's final two coordinates: an angle phi on each circle of
+    radius r, from the density f(r cos phi) f(r sin phi) on M =
+    ``_CIRCLE_GRID`` cells. Returns (phi, bad): bad marks the circles
+    with no mass, and phi holds the other rows' angles, in order.
+
+    At the angles phi_i = i step, cos phi_i = cos phi_{M - i} takes its
+    distinct values at i <= M / 2, and sin phi_i = cos phi_{i - M / 4}, so
+    f(r cos) is evaluated once, at M / 2 + 1 angles, and f(r sin) is its
+    roll by M / 4. The block masses are summed ``_CIRCLE_ROWS`` rows at a
+    time, and the search evaluates the density only at the cells of each
+    row's chosen block, with the same operations, so no (rows x M) array
+    is built.
+    """
+    B, M = _SAMPLER_BLOCK, _CIRCLE_GRID
+    step = 2.0 * math.pi / M
+    cosines = np.cos(np.arange(M // 2 + 1) * step)
+    mirror = M // 2 - np.abs(np.arange(M) - M // 2)
+    cum = np.empty((len(r), M // B))
+    for i in range(0, len(r), _CIRCLE_ROWS):
+        fcos = f.pdf(r[i:i + _CIRCLE_ROWS, None] * cosines)[:, mirror]
+        dens = fcos * np.roll(fcos, M // 4, axis=1)
+        np.cumsum(dens.reshape(len(dens), -1, B).sum(axis=2), axis=1,
+                  out=cum[i:i + _CIRCLE_ROWS])
+    bad = cum[:, -1] <= 0.0
+    r, cum = r[~bad, None], cum[~bad]
+    if len(r) == 0:
+        return np.empty(0), bad
+
+    def cell_mass(cells):
+        return (f.pdf(r * cosines[mirror[cells]])
+                * f.pdf(r * cosines[mirror[(cells - M // 4) % M]]))
+    cell, _, _, _ = _block_search(cum, rng.random(len(r)) * cum[:, -1],
+                                  cell_mass)
+    return cell * step + rng.random(len(r)) * step, bad
 
 
 def sample_conditioned(f: Density, N: int, count: int, table: PartitionTable,
@@ -708,20 +764,30 @@ def fisher_chaos_terms(f: Density, N: int, table: PartitionTable,
 # window's padded buffer (a zero, its values, two zeros) as float64
 # little-endian, concatenated in ks order. A file is written under a
 # temporary name in its directory and renamed into place, so no writer ever
-# truncates a file that a reader has mapped.
+# truncates a file that a reader has mapped. ``save_table`` and the streamed
+# build of ``build_partition_table`` both write through ``_write_table``.
 
 def save_table(table: PartitionTable, path: str):
-    header = {
-        "density_name": table.density_name,
-        "max_N": table.max_N,
-        "du": table.du,
-        "u_max": table.u_max,
-        "E": table.E,
-        "Sigma": table.Sigma,
-        "ks": list(table.ks),
-        "starts": [int(table.windows[k][0]) for k in table.ks],
-        "lengths": [len(table.windows[k][1]) - 3 for k in table.ks],
-    }
+    """Write a table to ``path`` in the layout above."""
+    ks = table.ks
+    _write_table(path, (table.density_name, table.max_N, table.du,
+                        table.u_max, table.E, table.Sigma, ks),
+                 [table.windows[k][0] for k in ks],
+                 [len(table.windows[k][1]) - 3 for k in ks],
+                 (table.windows[k][1] for k in ks))
+
+
+def _write_table(path: str, meta, starts, lengths, windows):
+    """Write the header of meta = (density_name, max_N, du, u_max, E,
+    Sigma, ks) with every window's start and length, then each padded
+    buffer that the iterable ``windows`` yields, in ks order, as it comes.
+    On any failure the temporary file is removed and ``path`` is left as
+    it was."""
+    name, max_N, du, u_max, E, Sigma, ks = meta
+    header = {"density_name": name, "max_N": max_N, "du": du,
+              "u_max": u_max, "E": E, "Sigma": Sigma, "ks": list(ks),
+              "starts": [int(i0) for i0 in starts],
+              "lengths": [int(n) for n in lengths]}
     blob = json.dumps(header).encode()
     blob += b" " * (-(len(_MAGIC) + 4 + len(blob)) % 8)
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
@@ -730,8 +796,10 @@ def save_table(table: PartitionTable, path: str):
             fh.write(_MAGIC)
             fh.write(len(blob).to_bytes(4, "little"))
             fh.write(blob)
-            for k in table.ks:
-                fh.write(table.windows[k][1].astype("<f8", copy=False))
+            for padded in windows:
+                fh.write(padded.astype("<f8", copy=False))
+                # a streamed window is freed before the next one is built
+                del padded
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -751,8 +819,8 @@ def load_table(path: str) -> PartitionTable:
 
 
 def _map_table(path: str) -> PartitionTable:
-    # load_table's body; experiments.sphere_table maps a file it has just
-    # saved through here, which is no load from the cache
+    # load_table's body; build_partition_table maps the file it has just
+    # written through here, which is no load from the cache
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise KaclabError(f"{path} is not a partition table cache "

@@ -37,6 +37,9 @@ _XI_HEAD = 60.0   # end of the Fourier oracle's Gauss-Legendre head
 _TAIL_FIRST = 4.0
 _TAIL_FAR = 40.0
 PAIR_QUAD_TOL = 1e-12   # relative tolerance of hs_pair_expectation
+# the largest n for which the polynomial kernel of s = n + 1 has every
+# coefficient a normal float: its least, 1 / (n! 2^n), is one up to 149
+_POLY_MAX_N = 149
 
 
 def _log_kv(nu: float, r: np.ndarray) -> np.ndarray:
@@ -57,20 +60,45 @@ def _phi_closed(s: float, r):
     """Closed form of the kernel in d = 1: inverse transform of <xi>^{-2s}.
 
     This is the Matern form (2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2}
-    K_{s-1/2}(r). For integer s = n + 1 the Bessel order is a half-integer
-    and the kernel is e^{-r} times a polynomial of degree n (DLMF 10.49.12).
-    Otherwise the product is taken where it and its factors are normal
-    floats, and summed in logs elsewhere: in the far tail, for r far below
-    the order, and above s = 171.6, where Gamma(s) overflows.
+    K_{s-1/2}(r). For integer s = n + 1 up to n = ``_POLY_MAX_N`` the
+    Bessel order is a half-integer and the kernel is e^{-r} times a
+    polynomial of degree n (DLMF 10.49.12, ``_phi_polynomial``). Every
+    other s takes the Matern form (``_phi_matern``).
     """
     r = np.asarray(r, dtype=float)
-    if float(s).is_integer():
-        n = int(s) - 1
-        f = math.factorial
-        # exact integer ratios, so the coefficients stay finite for large n
-        coef = [f(n + k) / (f(n) * f(k) * f(n - k) * 2 ** (n + k))
-                for k in range(n + 1)]
-        return math.pi * np.exp(-r) * np.polyval(coef, r)
+    if float(s).is_integer() and s - 1 <= _POLY_MAX_N:
+        return _phi_polynomial(int(s) - 1, r)
+    return _phi_matern(s, r)
+
+
+def _poly_coefficients(n: int) -> list:
+    """c_k = (n + k)! / (n! k! (n - k)! 2^{n + k}), k = 0 .. n, each the
+    correctly rounded float of the exact ratio.
+
+    c_k is a_k / (n! 2^{n+k}) with the integer a_k = (n + k)! / (k! (n - k)!),
+    which the ratio recurrence a_{k+1} = a_k (n + k + 1)(n - k) / (k + 1)
+    gives exactly from a_0 = 1: O(n) integer operations, where the ratios
+    of factorials cost O(n^2).
+    """
+    a, den = 1, math.factorial(n) << n
+    coef = []
+    for k in range(n + 1):
+        coef.append(a / (den << k))
+        a = a * (n + k + 1) * (n - k) // (k + 1)
+    return coef
+
+
+def _phi_polynomial(n: int, r: np.ndarray) -> np.ndarray:
+    """pi e^{-r} sum_k c_k r^{n-k}, the kernel at s = n + 1; c_0, the least
+    coefficient, is a normal float up to n = ``_POLY_MAX_N``."""
+    return math.pi * np.exp(-r) * np.polyval(_poly_coefficients(n), r)
+
+
+def _phi_matern(s: float, r: np.ndarray) -> np.ndarray:
+    """The Matern form of the kernel, taken as a product where it and its
+    factors are normal floats, and summed in logs elsewhere: in the far
+    tail, for r far below the order, and above s = 171.6, where Gamma(s)
+    overflows."""
     nu = s - 0.5
     with np.errstate(all="ignore"):
         scale, bessel = (r / 2.0) ** nu, kv(nu, r)
@@ -79,9 +107,10 @@ def _phi_closed(s: float, r):
     logs = (r > 0) & ~((np.minimum(scale, bessel) >= tiny)
                        & (tiny <= out) & (out < math.inf))
     out = np.where(r == 0, math.sqrt(math.pi) / poch(nu, 0.5), out)
-    rl = r[logs]
-    out[logs] = np.exp(math.log(2.0 * math.sqrt(math.pi)) - gammaln(s)
-                       + nu * np.log(rl / 2.0) + _log_kv(nu, rl))
+    if logs.any():   # _log_kv steps through every order below nu
+        rl = r[logs]
+        out[logs] = np.exp(math.log(2.0 * math.sqrt(math.pi)) - gammaln(s)
+                           + nu * np.log(rl / 2.0) + _log_kv(nu, rl))
     return out
 
 

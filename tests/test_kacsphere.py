@@ -2,6 +2,7 @@ import dataclasses
 import math
 import mmap
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -602,12 +603,137 @@ def test_sphere_table_warns_when_the_save_fails(tmp_path, monkeypatch, gauss):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     monkeypatch.setattr(experiments, "_TABLE_MEMO", {})
 
-    def refuse(table, path):
+    def refuse(path, *args):
         raise PermissionError(f"read-only: {path}")
-    monkeypatch.setattr(kacsphere, "save_table", refuse)
+    # the streamed build writes through _write_table, not save_table
+    monkeypatch.setattr(kacsphere, "_write_table", refuse)
     with pytest.warns(RuntimeWarning, match="could not save cache file"):
         table = experiments.sphere_table(gauss, 16, range(1, 17))
     assert table.max_N == 16
+    # the in-memory build that stands in for the file
+    assert not os.listdir(tmp_path)
+    _assert_tables_equal(table, build_partition_table(gauss, 16, range(1, 17)))
+
+
+# ---------------------------------------------------------------------------
+# streamed build
+# ---------------------------------------------------------------------------
+
+STREAMED_TABLES = [(density, max_N, ks)
+                   for density in (gaussian_density, bimodal_density)
+                   for max_N, ks in [(8, None), (12, None), (32, None),
+                                     (128, None),
+                                     (256, _rate_ks([32, 64, 128, 256])),
+                                     (1024, _rate_ks([32, 64, 128, 256, 512,
+                                                      1024]))]]
+
+
+@pytest.mark.parametrize("density, max_N, ks", STREAMED_TABLES,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_streamed_file_is_save_table_of_the_in_memory_build(tmp_path,
+                                                            density, max_N,
+                                                            ks):
+    f = density()
+    streamed_path = str(tmp_path / "streamed.bin")
+    saved_path = str(tmp_path / "saved.bin")
+    streamed = build_partition_table(f, max_N, ks, path=streamed_path)
+    in_memory = build_partition_table(f, max_N, ks)
+    save_table(in_memory, saved_path)
+    _assert_tables_equal(streamed, in_memory)
+    with open(streamed_path, "rb") as a, open(saved_path, "rb") as b:
+        assert a.read() == b.read()
+    # the returned table is the file's read-only mapping
+    assert isinstance(_mapping_of(streamed.windows[max_N][1]), mmap.mmap)
+    assert sorted(os.listdir(tmp_path)) == ["saved.bin", "streamed.bin"]
+    # the all-k N = 128 files hold about 100 MB each
+    os.unlink(streamed_path)
+    os.unlink(saved_path)
+
+
+def test_both_builds_invert_at_the_same_lengths_into_one_buffer(
+        tmp_path, monkeypatch, bimodal):
+    irfft = np.fft.irfft
+    calls = []
+
+    def recording_irfft(a, n=None, **kw):
+        out = kw["out"]
+        calls.append((n, len(out), id(out.base)))
+        return irfft(a, n=n, **kw)
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    ks = _rate_ks([32, 64, 128, 256])
+    build_partition_table(bimodal, 256, ks)
+    in_memory, calls[:] = calls[:], []
+    build_partition_table(bimodal, 256, ks, path=str(tmp_path / "t.bin"))
+    assert len(calls) == len(ks)
+    for build in (in_memory, calls):
+        assert [n for n, _, _ in build] == [n for n, _, _ in calls]
+        # every inverse writes into a view of the build's one buffer
+        assert all(n == length for n, length, _ in build)
+        assert len({buf for _, _, buf in build}) == 1
+
+
+def test_streamed_build_holds_one_window_at_a_time(tmp_path, gauss):
+    # What the build's loop can hold at once, in bytes, with S the size of
+    # a spectrum of P/2 + 1 complex bins: the spectrum, the running power
+    # and, while a step of more than one is taken, spectrum_power's square
+    # and result (4 S); the P-point inverse buffer (8 P); one window (8 per
+    # cell of the longest padded buffer); and 1 MB for the cell masses and
+    # Python objects. The in-memory build holds every window on top of it.
+    ks = _rate_ks([32, 64, 128, 256, 512, 1024])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = build_partition_table(gauss, 1024, ks,
+                                      path=str(tmp_path / "t.bin"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bounds = [kacsphere._window_bounds(k, table.E, table.Sigma, table.du)
+              for k in ks]
+    m = round(table.u_max / table.du)
+    P = min(2 * m, 1 << (max(i1 - i0 for i0, i1 in bounds) - 1).bit_length())
+    S = 16 * (P // 2 + 1)
+    longest = max(len(padded) for _, padded in table.windows.values())
+    bound = 4 * S + 8 * P + 8 * longest + 2 ** 20
+    all_windows = 8 * sum(len(padded) for _, padded in table.windows.values())
+    assert all_windows > 2 * 8 * longest     # the bound tells the two apart
+    assert peak <= bound, (peak, bound)
+
+
+def _window_that_cannot_be_cast(monkeypatch):
+    """Make the streamed build's second window a string array."""
+    built = kacsphere._padded_window
+    count = []
+
+    def padded_window(*args):
+        count.append(1)
+        return (np.array(["not a number"]) if len(count) == 2
+                else built(*args))
+    monkeypatch.setattr(kacsphere, "_padded_window", padded_window)
+
+
+def _refuse_replace(monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(f"read-only: {dst}")
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+@pytest.mark.parametrize("fault, error", [
+    (_window_that_cannot_be_cast, ValueError),
+    (_refuse_replace, PermissionError)])
+def test_a_failed_streamed_build_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                     gauss, fault, error):
+    path = str(tmp_path / "t.bin")
+    build_partition_table(gauss, 12, path=path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with monkeypatch.context() as mp:
+        fault(mp)
+        with pytest.raises(error):
+            build_partition_table(gauss, 16, path=path)
+    assert os.listdir(tmp_path) == ["t.bin"]
+    with open(path, "rb") as fh:
+        assert fh.read() == blob
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +997,93 @@ def test_conditioned_resamples_rows_of_zero_mass(bimodal, bimodal_table_32,
     assert np.all(np.isfinite(out.samples))
     assert np.max(np.abs((out.samples ** 2).sum(axis=1) - 16.0)) < 1e-8
     assert len(calls) == 2 * (16 - 2)    # the first pass and one resample
+
+
+def _unblocked_circle_draw(f, r, rng):
+    """``kacsphere._circle_draw`` before its row blocks, its oracle: the
+    angle density of every row at all M cells at once, one (rows x M)
+    array searched through ``_block_search``."""
+    B, M = kacsphere._SAMPLER_BLOCK, kacsphere._CIRCLE_GRID
+    step = 2.0 * math.pi / M
+    mirror = M // 2 - np.abs(np.arange(M) - M // 2)
+    fcos = f.pdf(r[:, None] * np.cos(np.arange(M // 2 + 1) * step))
+    fcos = fcos[:, mirror]
+    dens = fcos * np.roll(fcos, M // 4, axis=1)
+    cum = np.cumsum(dens.reshape(len(r), -1, B).sum(axis=2), axis=1)
+    bad = cum[:, -1] <= 0.0
+    dens, cum = dens[~bad], cum[~bad]
+    if len(cum) == 0:
+        return np.empty(0), bad
+    u = rng.random(len(cum)) * cum[:, -1]
+    sel = np.arange(len(cum))[:, None]
+    cell, _, _, _ = kacsphere._block_search(cum, u,
+                                            lambda cells: dens[sel, cells])
+    return cell * step + rng.random(len(cum)) * step, bad
+
+
+CIRCLE_COUNTS = [1, kacsphere._CIRCLE_ROWS, kacsphere._CIRCLE_ROWS + 1, 500]
+
+
+@pytest.mark.parametrize("density", [bimodal_density(), gaussian_density(),
+                                     SKEWED], ids=lambda f: f.name)
+@pytest.mark.parametrize("count", CIRCLE_COUNTS)
+def test_circle_draw_is_bitwise_the_unblocked_circle(density, count):
+    rng = np.random.default_rng(count)
+    r = np.sqrt(rng.uniform(0.0, 12.0, count))
+    # a circle of radius 100 has no mass in floating point: f underflows
+    # wherever |r cos| or |r sin| is at least 100 / sqrt(2)
+    r[count // 2] = 100.0
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got, got_bad = kacsphere._circle_draw(density, r, got_rng)
+    want, want_bad = _unblocked_circle_draw(density, r, want_rng)
+    assert np.array_equal(got_bad, want_bad) and got_bad[count // 2]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("count", CIRCLE_COUNTS)
+def test_conditioned_draws_equal_the_unblocked_circle(bimodal,
+                                                      bimodal_table_32,
+                                                      monkeypatch, count):
+    lookup = PartitionTable.conv_density
+    zeroed = []
+
+    def zero_a_row_once(table, k, u):
+        out = lookup(table, k, u)
+        if not zeroed:
+            out[[count // 2]] = 0.0   # that row meets a zero-mass density
+            zeroed.append(k)
+        return out
+
+    def draw():
+        zeroed.clear()
+        return sample_conditioned(bimodal, 16, count, bimodal_table_32,
+                                  np.random.default_rng(count))
+    monkeypatch.setattr(PartitionTable, "conv_density", zero_a_row_once)
+    blocked = draw()
+    monkeypatch.setattr(kacsphere, "_circle_draw", _unblocked_circle_draw)
+    unblocked = draw()
+    assert blocked.n_resampled == unblocked.n_resampled == 1
+    assert np.array_equal(_bits(blocked.samples), _bits(unblocked.samples))
+
+
+def test_the_final_circle_holds_no_rows_by_cells_array(bimodal):
+    # the unblocked circle builds about five (rows x M) float64 arrays at
+    # once, 20 MB at 500 rows; in row blocks the largest is 64 rows x M
+    r = np.sqrt(np.random.default_rng(0).uniform(0.0, 12.0, 500))
+    one = 8 * len(r) * kacsphere._CIRCLE_GRID
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        kacsphere._circle_draw(bimodal, r, np.random.default_rng(1))
+        _, blocked = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _unblocked_circle_draw(bimodal, r, np.random.default_rng(1))
+        _, unblocked = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unblocked > 3 * one
+    assert blocked < one
 
 
 def test_conditioned_gives_up_on_an_all_zero_table(gauss, rng):

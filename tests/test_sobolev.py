@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,7 +116,10 @@ def test_far_tail_at_non_integer_s_is_zero():
 
 
 @pytest.mark.parametrize("s, rs", [(60.5, [1e-5, 1e-3, 0.5, 4.0, 30.0]),
-                                   (200.5, [1e-3, 4.0, 30.0])])
+                                   (200.5, [1e-3, 4.0, 30.0]),
+                                   # integers past the polynomial route
+                                   (151.0, [1e-5, 1e-3, 0.5, 4.0, 30.0]),
+                                   (400.0, [1e-3, 4.0, 30.0])])
 def test_large_order_kernel_matches_its_fourier_integral(s, rs):
     # where kve overflows (r far below the order) the kernel is summed in
     # logs by the Bessel recurrence; Phi(r) = 2 int_0^inf cos(xi r)
@@ -124,6 +130,62 @@ def test_large_order_kernel_matches_its_fourier_integral(s, rs):
             lambda xi: 2.0 * np.cos(xi * r) * (1.0 + xi * xi) ** -s, 0.0, 2.0,
             1e-13)
         assert phi_s(r, kern) == pytest.approx(direct, rel=1e-11, abs=1e-300)
+
+
+def _exact_ratio_coefficients(n):
+    f = math.factorial
+    return [f(n + k) / (f(n) * f(k) * f(n - k) * 2 ** (n + k))
+            for k in range(n + 1)]
+
+
+def test_polynomial_coefficients_are_the_exact_integer_ratios():
+    for n in range(sobolev._POLY_MAX_N + 2):
+        assert sobolev._poly_coefficients(n) == _exact_ratio_coefficients(n)
+
+
+def test_the_polynomial_route_ends_where_its_least_coefficient_is_subnormal():
+    n, tiny = sobolev._POLY_MAX_N, np.finfo(float).tiny
+    least = sobolev._poly_coefficients
+    assert least(n)[0] >= tiny > least(n + 1)[0] > 0.0
+    assert all(np.diff(least(n)) >= 0.0)     # c_0 is the least
+    r = np.linspace(0.0, 40.0, 9)
+    assert np.array_equal(phi_s(r, make_hs_kernel(n + 1.0)),
+                          sobolev._phi_polynomial(n, r))
+    assert np.array_equal(phi_s(r, make_hs_kernel(n + 2.0)),
+                          sobolev._phi_matern(n + 2.0, r))
+
+
+@pytest.mark.parametrize("n", [sobolev._POLY_MAX_N - 1, sobolev._POLY_MAX_N,
+                               sobolev._POLY_MAX_N + 1])
+def test_the_two_routes_agree_across_the_crossover(n):
+    # The polynomial route is Horner's rule on n + 1 nonnegative terms at
+    # r >= 0, within a relative 2 n eps of the exact sum; the rounded
+    # coefficients (eps / 2), e^{-r} and the two products add under 4 eps.
+    # At n + 1 = 151 the least coefficient is subnormal, off by at most
+    # tiny r^n e^{-r}, below 1e-300 of the kernel here. The Matern route is
+    # held to a relative 1e-11 against the kernel's Fourier integral at
+    # these orders (test_large_order_kernel_matches_its_fourier_integral).
+    r = np.concatenate([[0.0], np.geomspace(1e-6, 300.0, 400)])
+    poly = sobolev._phi_polynomial(n, r)
+    matern = sobolev._phi_matern(n + 1.0, r)
+    bound = (2 * n + 4) * EPS + 1e-11
+    assert np.all(poly > 0.0) and np.all(np.isfinite(matern))
+    assert np.max(np.abs(matern / poly - 1.0)) <= bound
+
+
+def test_a_huge_integer_exponent_returns_finite_values():
+    # the ratios of factorials of the integer route never returned at 1e6
+    src = os.path.dirname(os.path.dirname(sobolev.__file__))
+    code = ("import numpy as np\n"
+            "from kaclab.sobolev import make_hs_kernel, phi_s\n"
+            "k = make_hs_kernel(1e6)\n"
+            "v = phi_s(np.array([0.0, 1e-3, 0.5, 3.0, 30.0]), k)\n"
+            "assert np.all(np.isfinite(v)) and np.all(v > 0.0)\n"
+            "assert v[0] == k.phi0\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("v", [0.25, 1.0, 4.0])

@@ -20,6 +20,7 @@ import sys
 from .core import HypothesisError, KaclabError, check_reps, is_int
 from .experiments import (DENSITIES, EXPERIMENTS, ExperimentConfig,
                           ExperimentResult, run_experiment)
+from .sobolev import S_MAX, _check_exponent
 
 _USAGE_ERROR = 2
 
@@ -43,9 +44,10 @@ _CONFIG_VALUES = {
     "seed": ("an int", is_int),
     # a Monte Carlo standard error needs two replicas
     "mc_reps": ("an int >= 2", lambda v: v is None or _passes(check_reps, v)),
-    # the mixtures suite's H^{-s} probe is run for s >= 1 only; above
-    # s = 885.94 its pair expectation's quadrature misses its tolerance
-    "s": ("a number in [1, 885]", lambda v: _is_number(v) and 1 <= v <= 885),
+    # the mixtures suite's H^{-s} probe is run for s >= 1 only, and the
+    # library takes s up to S_MAX, where every kernel route is checked
+    "s": (f"a number in [1, {S_MAX:g}]", lambda v: _is_number(v) and v >= 1
+          and _passes(_check_exponent, v)),
     # the interpolation exponent 1/2 - 1/k must be positive
     "k": ("a number > 2", lambda v: _is_number(v) and v > 2),
     # rate fits need their N values in order

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln, kv, kve, poch
+from scipy.special import kv, poch
 
 from .core import (_GL_NODES, QUAD_SIGMA_CUTOFF, Density, DimensionError,
                    DiscreteMeasure, KaclabError, gauss_quadrature,
@@ -36,39 +36,44 @@ _XI_HEAD = 60.0   # end of the Fourier oracle's Gauss-Legendre head
 # panels doubling until t * min gap >= _TAIL_FAR (e^{-40} < 5e-18)
 _TAIL_FIRST = 4.0
 _TAIL_FAR = 40.0
+# the least gap on the rotated path: its last edge, below 2 _TAIL_FAR / gap,
+# must keep (Xi + i t)^2 finite, so t < 1.3e154
+_TAIL_GAP_MIN = 1e-150
 PAIR_QUAD_TOL = 1e-12   # relative tolerance of hs_pair_expectation
-# the largest n for which the polynomial kernel of s = n + 1 has every
-# coefficient a normal float: its least, 1 / (n! 2^n), is one up to 149
-_POLY_MAX_N = 149
-
-
-def _log_kv(nu: float, r: np.ndarray) -> np.ndarray:
-    """log K_nu(r), r > 0, by the stable upward recurrence K_{mu+k+1} =
-    K_{mu+k-1} + 2 (mu + k) K_{mu+k} / r in ratios from mu = nu mod 1,
-    whose orders (and 1 - mu) are too low for kve to overflow."""
-    mu = nu - math.floor(nu)
-    base = kve(mu, r)
-    out = np.log(base) - r
-    rho = kve(1.0 - mu, r) / base + 2.0 * mu / r   # K_{mu+1} / K_mu
-    for k in range(1, math.floor(nu) + 1):
-        out += np.log(rho)
-        rho = 1.0 / rho + 2.0 * (mu + k) / r
-    return out
+# the largest exponent accepted: every route is checked at it in the tests,
+# and up to it the Matern product leaves the float range only at tiny gaps
+# and in the far tail, where _phi_closed bounds its error
+S_MAX = 20.0
 
 
 def _phi_closed(s: float, r):
     """Closed form of the kernel in d = 1: inverse transform of <xi>^{-2s}.
 
     This is the Matern form (2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2}
-    K_{s-1/2}(r). For integer s = n + 1 up to n = ``_POLY_MAX_N`` the
-    Bessel order is a half-integer and the kernel is e^{-r} times a
-    polynomial of degree n (DLMF 10.49.12, ``_phi_polynomial``). Every
-    other s takes the Matern form (``_phi_matern``).
+    K_{s-1/2}(r). For integer s = n + 1 the Bessel order is a
+    half-integer and the kernel is e^{-r} times a polynomial of degree n
+    (DLMF 10.49.12, ``_phi_polynomial``); every other s takes the Matern
+    product (``_phi_matern``).
+
+    Where the product is not finite it is 0 * inf or inf. At a tiny gap
+    (r = 0, r < 2.2e-305 for s <= 1.5 and r < 3.4e-15 for s < 20) the
+    Bessel factor overflows, and Phi(0) is returned, off by
+    Phi(0) - Phi(r) = int (1 - cos xi r) <xi>^{-2s} d xi
+                    <= 2 (r/2)^{2a} B(a + 1/2, s - a - 1/2)
+    for every a in [0, 1] with a < s - 1/2, since 1 - cos x = 2 sin^2(x/2)
+    <= 2 |x/2|^{2a}: below 2e-28 Phi(0) wherever s >= 0.55. Far out
+    (r > 1.3e16 for s <= 20) (r/2)^{s-1/2} or r^n overflows while the
+    other factor is 0, and 0 is returned, off by Phi(r) < 1e-300. From
+    r = 697.9 on, scipy's kv returns 0 (its underflow guard), so the Matern
+    product is 0, off by at most Phi_20(697.87) < 6e-272: Phi_s(r) falls
+    in r and, at these r, rises in s.
     """
     r = np.asarray(r, dtype=float)
-    if float(s).is_integer() and s - 1 <= _POLY_MAX_N:
-        return _phi_polynomial(int(s) - 1, r)
-    return _phi_matern(s, r)
+    with np.errstate(all="ignore"):
+        out = (_phi_polynomial(int(s) - 1, r) if float(s).is_integer()
+               else _phi_matern(s, r))
+    phi0 = math.sqrt(math.pi) / poch(s - 0.5, 0.5)
+    return np.where(np.isfinite(out), out, np.where(r < 1.0, phi0, 0.0))
 
 
 def _poly_coefficients(n: int) -> list:
@@ -89,29 +94,15 @@ def _poly_coefficients(n: int) -> list:
 
 
 def _phi_polynomial(n: int, r: np.ndarray) -> np.ndarray:
-    """pi e^{-r} sum_k c_k r^{n-k}, the kernel at s = n + 1; c_0, the least
-    coefficient, is a normal float up to n = ``_POLY_MAX_N``."""
+    """pi e^{-r} sum_k c_k r^{n-k}, the kernel at s = n + 1."""
     return math.pi * np.exp(-r) * np.polyval(_poly_coefficients(n), r)
 
 
 def _phi_matern(s: float, r: np.ndarray) -> np.ndarray:
-    """The Matern form of the kernel, taken as a product where it and its
-    factors are normal floats, and summed in logs elsewhere: in the far
-    tail, for r far below the order, and above s = 171.6, where Gamma(s)
-    overflows."""
+    """(2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2} K_{s-1/2}(r), a plain product."""
     nu = s - 0.5
-    with np.errstate(all="ignore"):
-        scale, bessel = (r / 2.0) ** nu, kv(nu, r)
-        out = (2.0 * math.sqrt(math.pi) / gamma_fn(s)) * scale * bessel
-    tiny = np.finfo(float).tiny
-    logs = (r > 0) & ~((np.minimum(scale, bessel) >= tiny)
-                       & (tiny <= out) & (out < math.inf))
-    out = np.where(r == 0, math.sqrt(math.pi) / poch(nu, 0.5), out)
-    if logs.any():   # _log_kv steps through every order below nu
-        rl = r[logs]
-        out[logs] = np.exp(math.log(2.0 * math.sqrt(math.pi)) - gammaln(s)
-                           + nu * np.log(rl / 2.0) + _log_kv(nu, rl))
-    return out
+    return (2.0 * math.sqrt(math.pi) / gamma_fn(s)) * (r / 2.0) ** nu \
+        * kv(nu, r)
 
 
 @dataclass(frozen=True)
@@ -124,14 +115,14 @@ class HsKernel:
 
 
 def _check_exponent(s: float) -> None:
-    """Raise DimensionError unless s is a finite number > 1/2, where
-    int <xi>^{-2s} d xi converges."""
-    if not (math.isfinite(s) and s > 0.5):
-        raise DimensionError(f"need a finite s > 1/2, got s={s}")
+    """Raise DimensionError unless 1/2 < s <= S_MAX: int <xi>^{-2s} d xi
+    converges from s > 1/2 on, and S_MAX is where every route is checked."""
+    if not 0.5 < s <= S_MAX:
+        raise DimensionError(f"need 1/2 < s <= {S_MAX:g}, got s={s}")
 
 
 def make_hs_kernel(s: float) -> HsKernel:
-    """The kernel for a finite exponent s > 1/2, with its value at 0 and
+    """The kernel for an exponent 1/2 < s <= S_MAX, with its value at 0 and
     Lipschitz bound; every evaluation goes through the closed form."""
     _check_exponent(s)
     # |Phi(z) - Phi(z')| <= |z - z'| * int |xi| <xi>^{-2s} dxi = |z-z'|/(s-1)
@@ -159,6 +150,8 @@ def hs_dist_sq(mu: DiscreteMeasure, nu: DiscreteMeasure,
     pts, wts = _signed_atoms(mu, nu)
     diffs = np.abs(pts[:, None] - pts[None, :])
     val = float(wts @ phi_s(diffs, kernel) @ wts)
+    if not math.isfinite(val):
+        raise KaclabError(f"squared distance {val}; the kernel is not finite")
     if val < -_NEG_CLAMP:
         raise KaclabError(
             f"squared distance {val:.3e} below -{_NEG_CLAMP}; the kernel is "
@@ -171,11 +164,8 @@ def _tail_at_zero(s: float) -> float:
     xi^{-2s} (1 + xi^{-2})^{-s}: sum_k binom(-s, k) Xi^{1-2s-2k} / (2s-1+2k).
     Its terms alternate in sign, each at most (s + k) / ((k + 1) Xi^2)
     times the one before, so the first term below 1e-17 of the sum ends
-    it. Past s of about 90 the factor Xi^{1-2s} underflows, and so does
-    the tail."""
+    it."""
     scale = _XI_HEAD ** (1.0 - 2.0 * s)
-    if scale == 0.0:
-        return 0.0
     total, coef, k = 0.0, 1.0, 0
     while True:
         term = coef / (2.0 * s - 1.0 + 2.0 * k)
@@ -241,8 +231,10 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
     sum, over the distinct atom gaps d with their summed mass products, of
     int_Xi^inf <xi>^{-2s} cos(xi d) d xi: by its binomial series at d = 0
     (``_tail_at_zero``) and along the contour-rotated path otherwise
-    (``_rotated_tail``). None of them touches the closed-form kernel. s
-    must be a finite number > 1/2 (DimensionError).
+    (``_rotated_tail``). A gap below _TAIL_GAP_MIN takes the tail at 0, off
+    by int_Xi^inf (1 - cos xi d) <xi>^{-2s} d xi <= (Phi(0) - Phi(d)) / 2,
+    which ``_phi_closed`` bounds. None of them touches the closed-form
+    kernel. s must lie in (1/2, S_MAX] (DimensionError).
     """
     _check_exponent(s)
     pts, wts = _signed_atoms(mu, nu)
@@ -250,8 +242,9 @@ def hs_dist_sq_fourier_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure,
                          return_inverse=True)
     mass = np.bincount(at, np.outer(wts, wts).ravel(), len(gaps))
     tail = np.full(len(gaps), _tail_at_zero(s))   # gaps[0] = 0, the diagonal
-    if len(gaps) > 1:
-        tail[1:] = _rotated_tail(gaps[1:], s)
+    far = gaps >= _TAIL_GAP_MIN
+    if far.any():
+        tail[far] = _rotated_tail(gaps[far], s)
     return _head(pts, wts, s) + 2.0 * float(mass @ tail)
 
 

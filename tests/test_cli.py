@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import pytest
 import kaclab
 from kaclab import chaos, cli
 from kaclab.cli import main
-from kaclab.core import QuadratureError, SizeError
+from kaclab.core import DimensionError, QuadratureError, SizeError
 from kaclab.experiments import EXPERIMENTS
+from kaclab.sobolev import S_MAX, make_hs_kernel
 
 # the directory that holds the imported kaclab package, for the children
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -212,23 +214,19 @@ def test_too_few_replicas_or_ns_is_usage_error(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
-def test_s_stops_at_the_largest_value_the_mixtures_suite_completes(
-        tmp_path, capsys):
-    # bisected on the mixtures suite: it completes up to s = 885.94, and
-    # from 885.95 its pair expectation's quadrature raises QuadratureError;
-    # s = inf and 1e300 ended in OverflowError, and s = 1e6 ran for minutes
+def test_s_follows_the_library_exponent_rule_up_to_its_cap(tmp_path, capsys):
+    # the CLI and make_hs_kernel share one cap, S_MAX: both take it, and
+    # both refuse the next float above it, inf and nan
     out = str(tmp_path / "x")
-    assert main(["run", "mixtures", "--s", "885", "--output", out]) == 0
+    assert make_hs_kernel(S_MAX).s == S_MAX
+    assert main(["run", "mixtures", f"--s={S_MAX!r}", "--output", out]) == 0
     capsys.readouterr()
-    cfg = tmp_path / "cfg.json"
-    for flag in ("885.5", "886", "1000", "1e300", "inf", "-inf", "nan"):
-        assert main(["run", "mixtures", f"--s={flag}", "--output", out]) == 2
-        assert "s must be a number in [1, 885]" in capsys.readouterr().err
-    for bad in (1000, 1e300, 1e6, float("inf")):
-        cfg.write_text(json.dumps({"s": bad}))
-        assert main(["run", "mixtures", "--config", str(cfg),
-                     "--output", out]) == 2, bad
-        assert "s must be a number in [1, 885]" in capsys.readouterr().err
+    for bad in (math.nextafter(S_MAX, math.inf), math.inf, math.nan):
+        with pytest.raises(DimensionError):
+            make_hs_kernel(bad)
+        assert main(["run", "mixtures", f"--s={bad!r}", "--output", out]) == 2
+        assert f"s must be a number in [1, {S_MAX:g}]" \
+            in capsys.readouterr().err
 
 
 def test_mc_reps_follows_the_library_replica_rule(tmp_path, capsys,

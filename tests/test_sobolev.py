@@ -1,18 +1,16 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from scipy.special import gamma, kv
+from scipy.special import beta, gamma, kv, kve
 
 from kaclab import sobolev
 from kaclab.core import (DimensionError, DiscreteMeasure, HypothesisError,
                          KaclabError, gauss_quadrature, gaussian_density,
                          gl_panels, uniform_density)
-from kaclab.experiments import ExperimentConfig
+from kaclab.experiments import (ExperimentConfig,
+                                _gauss_pair_expectation_by_distance)
 from kaclab.sobolev import (hs_dist_sq, hs_dist_sq_fourier_oracle,
                             hs_pair_expectation, hs_w1_bridge_check,
                             make_hs_kernel, phi_s)
@@ -76,13 +74,33 @@ def test_phi_zero_is_quadrature_of_weight(kern2):
     assert abs(kern2.phi0 - direct) < 1e-6
 
 
+def _gap_drop_bound(s, r):
+    # Phi(0) - Phi(r) = int (1 - cos xi r) <xi>^{-2s} d xi, and
+    # 1 - cos x = 2 sin^2(x/2) <= 2 |x/2|^{2a} for a in [0, 1], so with
+    # int |xi|^{2a} <xi>^{-2s} d xi = B(a + 1/2, s - a - 1/2) the drop is at
+    # most 2 (r/2)^{2a} B(a + 1/2, s - a - 1/2) for every a < s - 1/2
+    a = np.linspace(0.0, 1.0, 1001)
+    a = a[a < s - 0.5]
+    return float(np.min(2.0 * 4.0 ** -a * r ** (2.0 * a)
+                        * beta(a + 0.5, s - a - 0.5)))
+
+
 def test_phi_bounded_by_phi0(kern1, kern2):
     zs = np.linspace(0.0, 64.0, 4001)
     for k in (kern1, kern2):
         assert np.all(np.abs(phi_s(zs, k)) <= k.phi0 + 1e-12)
+    # subnormal gaps, where K_{s-1/2} overflows: phi_s at s = 0.75 was inf
+    # and at s = 1.5 NaN
+    tiny = np.array([5e-324, 1e-320, 1e-310, 2e-308])
+    for s in (0.55, 0.75, 1.5, 19.5, 20.0):
+        k = make_hs_kernel(s)
+        vals = phi_s(tiny, k)
+        assert np.all(np.isfinite(vals)) and np.all(vals <= k.phi0), s
+        for r, v in zip(tiny, vals):
+            assert k.phi0 - v <= _gap_drop_bound(s, r), (s, r)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", range(1, 21))
 def test_integer_s_matches_bessel_form(s):
     # the Matern form (2 sqrt(pi) / Gamma(s)) (r/2)^{s-1/2} K_{s-1/2}(r)
     r = np.linspace(0.0, 60.0, 6001)[1:]
@@ -101,35 +119,46 @@ def test_far_tail_is_the_closed_form(kern1):
     assert phi_s(5000.0, kern1) == 0.0
 
 
-def test_phi0_is_finite_above_gamma_overflow():
-    # Gamma(s) overflows above s = 171.6; phi0 = sqrt(pi) Gamma(s - 1/2)
-    # / Gamma(s) does not
-    phi0 = make_hs_kernel(200.5).phi0
-    assert phi0 == pytest.approx(
-        math.sqrt(math.pi) * math.exp(math.lgamma(200.0) - math.lgamma(200.5)),
-        rel=1e-12)
-
-
 def test_far_tail_at_non_integer_s_is_zero():
     # (r/2)^nu overflows and K_nu(r) underflows; the kernel is 0, not phi0
-    assert phi_s(3e6, make_hs_kernel(60.5)) == 0.0
+    assert phi_s(1e17, make_hs_kernel(19.5)) == 0.0
 
 
-@pytest.mark.parametrize("s, rs", [(60.5, [1e-5, 1e-3, 0.5, 4.0, 30.0]),
-                                   (200.5, [1e-3, 4.0, 30.0]),
-                                   # integers past the polynomial route
-                                   (151.0, [1e-5, 1e-3, 0.5, 4.0, 30.0]),
-                                   (400.0, [1e-3, 4.0, 30.0])])
-def test_large_order_kernel_matches_its_fourier_integral(s, rs):
-    # where kve overflows (r far below the order) the kernel is summed in
-    # logs by the Bessel recurrence; Phi(r) = 2 int_0^inf cos(xi r)
-    # (1 + xi^2)^{-s} d xi, and (1 + xi^2)^{-s} < 1e-42 beyond xi = 2
+def test_far_tail_of_the_polynomial_is_zero():
+    # r^19 overflows and e^{-r} underflows; the kernel is 0, not NaN
+    assert phi_s(1e20, make_hs_kernel(20.0)) == 0.0
+    assert phi_s(math.inf, make_hs_kernel(2.0)) == 0.0
+
+
+def test_far_tail_of_the_matern_product_is_within_its_stated_bound():
+    # past r = 697.9 scipy's kv returns 0; the kernel there, summed in logs
+    # from the scaled kve (a relative few 1e-13 off), stays below 6e-272,
+    # Phi_20(697.87), for every s up to the cap of 20
+    assert sobolev.S_MAX == 20.0
+    r = np.linspace(690.0, 760.0, 701)
+    for s in (0.75, 5.5, 19.5, 19.99):
+        nu = s - 0.5
+        ref = np.exp(math.log(2.0 * math.sqrt(math.pi)) - math.lgamma(s)
+                     + nu * np.log(r / 2.0) + np.log(kve(nu, r)) - r)
+        err = np.abs(phi_s(r, make_hs_kernel(s)) - ref)
+        assert np.max(err) < 6e-272, s
+
+
+@pytest.mark.parametrize("s", [sobolev.S_MAX - 0.5, sobolev.S_MAX])
+def test_kernel_at_the_cap_matches_its_fourier_integral(s):
+    # Phi(r) = 2 int_0^inf cos(xi r) (1 + xi^2)^{-s} d xi; beyond xi = 4 the
+    # integrand is below 4^{-2s}, and the omitted tail below
+    # 2 * 4^{1-2s} / (2s - 1) < 1e-23. The quadrature is accepted within
+    # 10 tol max(1, |value|) = 1e-12 at tol = 1e-13 (gauss_quadrature), and
+    # the closed form's own rounding is a relative 1e-14 at most
+    # (test_integer_s_matches_bessel_form).
     kern = make_hs_kernel(s)
-    for r in rs:
+    for r in (1e-5, 1e-3, 0.5, 4.0, 30.0):
         direct = gauss_quadrature(
-            lambda xi: 2.0 * np.cos(xi * r) * (1.0 + xi * xi) ** -s, 0.0, 2.0,
+            lambda xi: 2.0 * np.cos(xi * r) * (1.0 + xi * xi) ** -s, 0.0, 4.0,
             1e-13)
-        assert phi_s(r, kern) == pytest.approx(direct, rel=1e-11, abs=1e-300)
+        assert abs(phi_s(r, kern) - direct) <= 1e-12 + 1e-23 \
+            + 1e-14 * kern.phi0, r
 
 
 def _exact_ratio_coefficients(n):
@@ -139,53 +168,24 @@ def _exact_ratio_coefficients(n):
 
 
 def test_polynomial_coefficients_are_the_exact_integer_ratios():
-    for n in range(sobolev._POLY_MAX_N + 2):
+    for n in range(151):
         assert sobolev._poly_coefficients(n) == _exact_ratio_coefficients(n)
 
 
-def test_the_polynomial_route_ends_where_its_least_coefficient_is_subnormal():
-    n, tiny = sobolev._POLY_MAX_N, np.finfo(float).tiny
-    least = sobolev._poly_coefficients
-    assert least(n)[0] >= tiny > least(n + 1)[0] > 0.0
-    assert all(np.diff(least(n)) >= 0.0)     # c_0 is the least
-    r = np.linspace(0.0, 40.0, 9)
-    assert np.array_equal(phi_s(r, make_hs_kernel(n + 1.0)),
-                          sobolev._phi_polynomial(n, r))
-    assert np.array_equal(phi_s(r, make_hs_kernel(n + 2.0)),
-                          sobolev._phi_matern(n + 2.0, r))
-
-
-@pytest.mark.parametrize("n", [sobolev._POLY_MAX_N - 1, sobolev._POLY_MAX_N,
-                               sobolev._POLY_MAX_N + 1])
-def test_the_two_routes_agree_across_the_crossover(n):
-    # The polynomial route is Horner's rule on n + 1 nonnegative terms at
-    # r >= 0, within a relative 2 n eps of the exact sum; the rounded
-    # coefficients (eps / 2), e^{-r} and the two products add under 4 eps.
-    # At n + 1 = 151 the least coefficient is subnormal, off by at most
-    # tiny r^n e^{-r}, below 1e-300 of the kernel here. The Matern route is
-    # held to a relative 1e-11 against the kernel's Fourier integral at
-    # these orders (test_large_order_kernel_matches_its_fourier_integral).
-    r = np.concatenate([[0.0], np.geomspace(1e-6, 300.0, 400)])
-    poly = sobolev._phi_polynomial(n, r)
-    matern = sobolev._phi_matern(n + 1.0, r)
-    bound = (2 * n + 4) * EPS + 1e-11
-    assert np.all(poly > 0.0) and np.all(np.isfinite(matern))
-    assert np.max(np.abs(matern / poly - 1.0)) <= bound
-
-
-def test_a_huge_integer_exponent_returns_finite_values():
-    # the ratios of factorials of the integer route never returned at 1e6
-    src = os.path.dirname(os.path.dirname(sobolev.__file__))
-    code = ("import numpy as np\n"
-            "from kaclab.sobolev import make_hs_kernel, phi_s\n"
-            "k = make_hs_kernel(1e6)\n"
-            "v = phi_s(np.array([0.0, 1e-3, 0.5, 3.0, 30.0]), k)\n"
-            "assert np.all(np.isfinite(v)) and np.all(v > 0.0)\n"
-            "assert v[0] == k.phi0\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=20)
-    assert done.returncode == 0, done.stderr
+@pytest.mark.parametrize("s", [sobolev.S_MAX - 0.5, sobolev.S_MAX])
+@pytest.mark.parametrize("v", [0.25, 1.0, 4.0])
+def test_pair_expectation_at_the_cap_matches_the_by_distance_oracle(s, v):
+    # either route's p = E Phi(Y - Y') is off by at most its accepted
+    # quadrature error 10 tol max(1, |p|), |p| <= Phi(0) (as in the
+    # mixtures suite), and the by-distance route averages kernel values
+    # within 1e-12 + 1e-14 Phi(0) of the kernel
+    # (test_kernel_at_the_cap_matches_its_fourier_integral)
+    kern = make_hs_kernel(s)
+    got = hs_pair_expectation(gaussian_density(0.0, v), kern)
+    want = _gauss_pair_expectation_by_distance(v, kern)
+    tol = 20.0 * sobolev.PAIR_QUAD_TOL * max(1.0, kern.phi0) + 1e-12 \
+        + 1e-14 * kern.phi0
+    assert abs(got - want) <= tol
 
 
 @pytest.mark.parametrize("v", [0.25, 1.0, 4.0])
@@ -236,6 +236,47 @@ def test_hs_matches_fourier_oracle(rng):
         direct = hs_dist_sq(mu, nu, kernels[s])
         oracle = hs_dist_sq_fourier_oracle(mu, nu, s)
         assert abs(direct - oracle) <= 1e-4 * max(abs(oracle), 1e-12)
+
+
+def _oracle_tolerance(pts, kern):
+    # The oracle is off by at most its head's rounding (_head_tolerance);
+    # its quadrature and tail truncation errors are far below eps. The
+    # double sum weighs each kernel value, within 1e-12 + 1e-14 Phi(0) of
+    # the kernel (test_kernel_at_the_cap_matches_its_fourier_integral), by
+    # |w_i w_j|, and sum |w_i w_j| = 4; its m^2 products and sums add at
+    # most 2 m eps of 4 Phi(0) for m atoms.
+    kernel_err = 1e-12 + 1e-14 * kern.phi0
+    return (_head_tolerance(pts, kern.s) + 4.0 * kernel_err
+            + 8.0 * len(pts) * EPS * kern.phi0)
+
+
+@pytest.mark.parametrize("s", [sobolev.S_MAX - 0.5, sobolev.S_MAX])
+def test_hs_matches_fourier_oracle_at_the_cap(s, rng):
+    kern = make_hs_kernel(s)
+    for t in range(10):
+        mu = empirical(rng, int(rng.integers(3, 12)))
+        nu = empirical(rng, int(rng.integers(3, 12)))
+        pts, _ = sobolev._signed_atoms(mu, nu)
+        assert abs(hs_dist_sq(mu, nu, kern)
+                   - hs_dist_sq_fourier_oracle(mu, nu, s)) \
+            <= _oracle_tolerance(pts, kern), t
+
+
+@pytest.mark.parametrize("s", [0.75, 1.0, 1.5, 20.0])
+@pytest.mark.parametrize("gap", [1e-200, 1e-310])
+def test_fourier_oracle_at_a_tiny_gap(s, gap):
+    # {0, 1} against {gap, 1}: the rotated path raised OverflowError at
+    # gap = 1e-310 and returned NaN at s = 1, gap = 1e-200. A gap below
+    # _TAIL_GAP_MIN takes the tail at 0, off by at most half the kernel's
+    # drop Phi(0) - Phi(gap) per unit of its mass, 1/2 here
+    mu = DiscreteMeasure(1, np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    nu = DiscreteMeasure(1, np.array([[gap], [1.0]]), np.array([0.5, 0.5]))
+    kern = make_hs_kernel(s)
+    oracle = hs_dist_sq_fourier_oracle(mu, nu, s)
+    pts, _ = sobolev._signed_atoms(mu, nu)
+    assert math.isfinite(oracle)
+    assert abs(oracle - hs_dist_sq(mu, nu, kern)) \
+        <= _oracle_tolerance(pts, kern) + 0.5 * _gap_drop_bound(s, gap)
 
 
 @pytest.mark.parametrize("s", [0.75, 1.0, 1.5, 2.0])
@@ -332,7 +373,7 @@ def test_fourier_oracle_touches_no_closed_form_and_no_bessel_function(
 
     def refuse(*args):
         raise AssertionError("the oracle reached the closed-form kernel")
-    for name in ("_phi_closed", "kv", "kve"):
+    for name in ("_phi_closed", "kv"):
         monkeypatch.setattr(sobolev, name, refuse)
     for s, direct in want.items():
         assert hs_dist_sq_fourier_oracle(mu, nu, s) \
@@ -362,6 +403,16 @@ def test_negative_clamp_raises_on_corrupt_kernel(kern1, monkeypatch):
     mu = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
     nu = DiscreteMeasure(1, np.array([[0.5]]), np.array([1.0]))
     with pytest.raises(KaclabError):
+        hs_dist_sq(mu, nu, kern1)
+
+
+def test_a_non_finite_distance_raises(kern1, monkeypatch):
+    # max(nan, 0.0) is nan: the sum used to pass through unchecked
+    monkeypatch.setattr(sobolev, "_phi_closed",
+                        lambda s, r: np.full(np.shape(r), np.nan))
+    mu = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
+    nu = DiscreteMeasure(1, np.array([[0.5]]), np.array([1.0]))
+    with pytest.raises(KaclabError, match="not finite"):
         hs_dist_sq(mu, nu, kern1)
 
 
